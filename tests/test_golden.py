@@ -1,0 +1,148 @@
+"""Golden output digests: whole runs pinned byte for byte.
+
+Each case runs one (config, seed) to completion and hashes four outputs:
+the metrics CSV, the prepark build log (in the CLI's format), the final
+utility of every agent in agent order (packed as little-endian doubles) and
+the final excitement field. Utility appears in no output file, so this is
+the only test that sees it change. Every case runs past the tick at which
+the excitement field reaches its fixed point.
+
+The digests were generated before the per-agent utility loop was replaced
+by one array pass per tick; a refactor must leave them unchanged. Print the
+current values with ``python tests/test_golden.py`` and re-pin them only
+for a deliberate change of behaviour.
+"""
+
+import hashlib
+import struct
+
+import pytest
+
+from riversim.engine import metrics_to_csv, run
+from riversim.landscape import load_terrain
+
+from conftest import make_config
+
+# Ticks for the bundled-map cases: its field settles on tick 351.
+BUNDLED_TICKS = 400
+
+
+def desk_style_map(size=60, hotspot_xs=(6, 15, 27, 36, 48, 55), hotspot_row=44):
+    """A scaled-down criterion-9 grid: road on row 0, a hotspot row, then
+    path / river / path rows. Its excitement field settles on tick 487."""
+    rows = []
+    for y in range(size):
+        if y == 0:
+            rows.append("=" * size)
+        elif y == hotspot_row:
+            row = ["."] * size
+            for hx in hotspot_xs:
+                row[hx] = "H"
+            rows.append("".join(row))
+        elif y in (hotspot_row + 1, hotspot_row + 3):
+            rows.append("r" * size)
+        elif y == hotspot_row + 2:
+            rows.append("~" * size)
+        else:
+            rows.append("." * size)
+    return "\n".join(rows)
+
+
+CASES = {
+    "prepark_s3": dict(scenario="prepark", seed=3, ticks=BUNDLED_TICKS),
+    "prepark_s4": dict(scenario="prepark", seed=4, ticks=BUNDLED_TICKS),
+    "park_s3": dict(scenario="park", seed=3, ticks=BUNDLED_TICKS),
+    "park_s4": dict(scenario="park", seed=4, ticks=BUNDLED_TICKS),
+    "prepark_growth": dict(scenario="prepark", seed=5, ticks=BUNDLED_TICKS, houses_per_tick=1),
+    "park_drift": dict(scenario="park", seed=5, ticks=BUNDLED_TICKS, riverside_drift=True),
+    "park_stationary": dict(scenario="park", seed=6, ticks=BUNDLED_TICKS,
+                            community_stationary=True),
+    "park_entrances": dict(scenario="park", seed=7, ticks=BUNDLED_TICKS,
+                           entrances=((0, 1), (47, 10))),
+    "desk_60": dict(scenario="park", seed=0, ticks=500, n_community=100,
+                    visitor_spawn_rate=0.0),
+}
+
+GOLDEN = {
+    "desk_60": {
+        "field": "063b0553970c26ea6a1d37f67ce306967286163f87bff87838a6518a370f44c4",
+        "metrics": "06474171dded178dacc27c9a60ecf08aa6654c2b5d393dfc9a6b18264d9e232a",
+        "utility": "663c67e5ed59815f18e6634b1ab2d7c112311bd66fab9fa1213cf74f5fcbd1e2",
+    },
+    "park_drift": {
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "f831d265357ca7b6d535933e6663ef4b00e89365cf0cd699292325a6d50d1109",
+        "utility": "72c8b15ac11c85eba599f5b3e01a598e0168c805d3cc99b5560ff06e2ed0cb4a",
+    },
+    "park_entrances": {
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "2ceac745d972d883df354f35b4e1310e69907f30a2d2c5e117a341afbf1d062e",
+        "utility": "f3c3b42ae370b344309b5e953bd4702290cbc9022fc6e47c47997e370b67b418",
+    },
+    "park_s3": {
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "2bb7833e9a4b89bd3d7fb7a9a6a71757a4f1c9cef09381d1738030e409a7a714",
+        "utility": "d7bc551973f1349d5841297c0b443e12e054f7bdc2528973cb05f88721d95659",
+    },
+    "park_s4": {
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "bfa99176a7a7b317f70195b61160b23951290e555d740b4ec1f7e243f3995a5a",
+        "utility": "22a0e55f6045a372fb40b8af50b143e46d1c18f008561b15933d9866f4694d0c",
+    },
+    "park_stationary": {
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "0aa987b22199af12dc04940218ebf83e8a85f5f872c2230df72daa4870cf2b90",
+        "utility": "505ef7e4e7dfc5740bdc0f464d12af8f170a58abe196bfdeca108e16fb25653f",
+    },
+    "prepark_growth": {
+        "buildlog": "d5ee6346fd756806e8dbb50bc0dcb79ca9a8e8fac9993c0f9da68bbd3fde995c",
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "4475c1256e432cc03ff26ea2101506569aeed7893ed451a12ba69a3d53d1313d",
+        "utility": "568a5a7a2bfa4c4e1b301672b0255a169dd345a975b79045196b0f252a5b7a17",
+    },
+    "prepark_s3": {
+        "buildlog": "4ffe436ccd1422478f268099a54ca18ecfd6e0a59f6e5a5889e62a324f07ab6b",
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "68f814badbd32675a1c164299f2e293dc13abc84b6b253e393bd4b6c807420e2",
+        "utility": "c2d5f6f03b5138090e49b3ad9aa599ea963eccc3c57d14fe7047a86bdd1fcae0",
+    },
+    "prepark_s4": {
+        "buildlog": "67aa96f956b54129fd072777d3ba61af37f229a8f02363808aeb48184f724fde",
+        "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
+        "metrics": "8d2f53881c87f0b7c8eafc27b9f31dd0baf405d11a70f0ba32d99b4c7dd898c3",
+        "utility": "d7c195918c35c4ea953880a2b42eeadeb5a02392f967886d7ef69371986cc671",
+    },
+}
+
+
+def run_digests(name):
+    overrides = dict(CASES[name])
+    grid = load_terrain(desk_style_map()) if name.startswith("desk") else None
+    result = run(make_config(**overrides), grid=grid)
+    state = result.state
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    out = {
+        "metrics": sha(metrics_to_csv(result.metrics).encode()),
+        "utility": sha(b"".join(struct.pack("<d", a.utility) for a in state.agents)),
+        "field": sha(state.field.p.tobytes()),
+    }
+    if overrides["scenario"] == "prepark":
+        lines = ["tick,x,y,score"] + [
+            f"{rec.tick},{rec.x},{rec.y},{rec.score:.6f}" for rec in state.build_log
+        ]
+        out["buildlog"] = sha(("\n".join(lines) + "\n").encode())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_matches_golden_digests(name):
+    assert run_digests(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({name: run_digests(name) for name in sorted(CASES)}, width=100)
