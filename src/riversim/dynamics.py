@@ -3,9 +3,14 @@
 Each tick every cell takes mu/8 of the summed excitement of its Moore
 neighbors (the divisor stays 8 at boundaries, so the field contracts),
 hotspot sources are re-clamped to their base level, and non-walkable cells
-stay pinned at zero. An agent's utility is its neighborhood excitement
-average minus a penalty that grows with neighboring agents' previous-tick
-utilities (crowding) and with garbage around the cell (dirtiness).
+stay pinned at zero. A field keeps its Moore neighbor sum once computed, so
+the sum serves both agent utility on this tick and diffusion on the next.
+An agent's utility is its neighborhood excitement average minus a penalty
+that grows with neighboring agents' previous-tick utilities (crowding) and
+with garbage around the cell (dirtiness). Penalty and utility are computed
+for all agents in one array pass after every agent has acted; each sum keeps
+the fixed MOORE_OFFSETS order, so every value is bit-identical to summing
+agent by agent.
 
 Wanderers pick a hotspot with probability proportional to base excitement,
 walk downhill on that hotspot's BFS distance field, dwell a geometric number
@@ -17,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,6 +84,11 @@ class ExcitementField:
             p[y, x] = base
         return cls(p=p, mu=mu, sources=sources)
 
+    @cached_property
+    def neighbor_sum(self) -> np.ndarray:
+        """Moore neighbor sum of p, computed once per field."""
+        return _moore_sum(self.p)
+
 
 def _moore_sum(p: np.ndarray) -> np.ndarray:
     # Fixed summation order (MOORE_OFFSETS) keeps results bit-reproducible.
@@ -96,7 +108,7 @@ def diffuse_excitement(field: ExcitementField, grid: TerrainGrid) -> ExcitementF
             f"excitement field shape {field.p.shape} does not match grid "
             f"{(grid.height, grid.width)}"
         )
-    p = field.mu * _moore_sum(field.p) / float(NEIGHBORHOOD_SIZE)
+    p = field.mu * field.neighbor_sum / float(NEIGHBORHOOD_SIZE)
     p[~grid.walkable_mask] = 0.0
     for (x, y), base in field.sources:
         p[y, x] = base
@@ -112,47 +124,56 @@ def utilities_by_cell(agents: Sequence[Agent]) -> dict[Coord, float]:
 
 
 def crowding_penalty(
-    coord: Coord,
+    coords: Coord | tuple[np.ndarray, np.ndarray],
     utilities: Mapping[Coord, float],
     garbage: np.ndarray,
     params: PenaltyParams,
-) -> float:
-    """Penalty from crowded neighbors and garbage around the cell.
+) -> float | np.ndarray:
+    """Penalty from crowded neighbors and garbage around each cell.
 
-    `utilities` maps occupied cells to the summed previous-tick utilities of
-    the agents standing there (see utilities_by_cell); the dirtiness term
-    counts garbage units on the cell itself plus its 8 neighbors.
+    `coords` is one (x, y) or a pair of index arrays (xs, ys); the result has
+    one value per coordinate. `utilities` maps occupied cells to the summed
+    previous-tick utilities of the agents standing there (see
+    utilities_by_cell); the dirtiness term counts garbage units on the cell
+    itself plus its 8 neighbors. Off-grid neighbors contribute zero.
     """
-    x, y = coord
-    get = utilities.get
+    h, w = np.shape(garbage)
+    stride = w + 2  # row length of the zero-bordered grids below, which are kept flat
+    xs = np.asarray(coords[0], dtype=np.intp)
+    ys = np.asarray(coords[1], dtype=np.intp)
+    at = (ys + 1) * stride + xs + 1
+    by_cell = np.zeros((h + 2) * stride, dtype=np.float64)
+    cells = np.fromiter(chain.from_iterable(utilities), np.intp, 2 * len(utilities))
+    by_cell[(cells[1::2] + 1) * stride + cells[0::2] + 1] = np.fromiter(
+        utilities.values(), np.float64, len(utilities)
+    )
+    bordered_garbage = np.zeros((h + 2, stride), dtype=np.int64)
+    bordered_garbage[1:-1, 1:-1] = garbage
+    bordered_garbage = bordered_garbage.ravel()
     neighbor_utility = 0.0
+    local_garbage = bordered_garbage[at]
     for dx, dy in MOORE_OFFSETS:
-        neighbor_utility += get((x + dx, y + dy), 0.0)
-    h = len(garbage)
-    w = len(garbage[0])
-    x_lo, x_hi = max(0, x - 1), min(w, x + 2)
-    local_garbage = 0
-    for ny in range(max(0, y - 1), min(h, y + 2)):
-        row = garbage[ny]
-        for nx in range(x_lo, x_hi):
-            local_garbage += row[nx]
-    return float(
+        neighbor = at + (dy * stride + dx)
+        neighbor_utility = neighbor_utility + by_cell[neighbor]
+        local_garbage = local_garbage + bordered_garbage[neighbor]
+    return (
         params.rho * neighbor_utility / float(NEIGHBORHOOD_SIZE)
         + params.epsilon0 * local_garbage
     )
 
 
-def agent_utility(coord: Coord, field: ExcitementField, penalty: float) -> float:
-    """Neighborhood excitement average minus the crowding/dirtiness penalty."""
-    x, y = coord
-    p = field.p
-    h, w = p.shape
-    total = 0.0
-    for dx, dy in MOORE_OFFSETS:
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < w and 0 <= ny < h:
-            total += p[ny, nx]
-    return float(total / float(NEIGHBORHOOD_SIZE) - penalty)
+def agent_utility(
+    coords: Coord | tuple[np.ndarray, np.ndarray],
+    field: ExcitementField,
+    penalty: float | np.ndarray,
+) -> float | np.ndarray:
+    """Neighborhood excitement average minus the crowding/dirtiness penalty.
+
+    `coords` is one (x, y) or a pair of index arrays (xs, ys), with one
+    penalty per coordinate; the result has one value per coordinate.
+    """
+    xs, ys = coords
+    return field.neighbor_sum[ys, xs] / float(NEIGHBORHOOD_SIZE) - penalty
 
 
 def sample_geometric(p: float, rng) -> int:

@@ -3,11 +3,14 @@
 Phase order inside one tick is fixed:
 
 1. settlement growth (prepark, only when houses_per_tick > 0)
-2. excitement diffusion
+2. excitement diffusion, until the field reaches its fixed point (the map
+   and the sources never change, so a step that returns its input bit for
+   bit would do so on every later tick)
 3. visitor despawn then spawn (park)
-4. agents act in ascending id order: move, update utility against the
-   previous tick's utilities and the tick-start garbage snapshot, decide on
-   littering, community cleanup
+4. agents act in ascending id order: move, decide on littering, community
+   cleanup; once all have acted, every agent's utility is computed in one
+   array pass against the previous tick's utilities and the tick-start
+   garbage snapshot (nothing inside the loop reads utility)
 5. house waste generation (prepark)
 6. metrics row + invariant checks
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -130,8 +134,8 @@ class SimState:
     placement: PlacementFields | None = None
     tick: int = 0
     next_agent_id: int = 0
-    # reusable all-zero snapshot rows for garbage-free ticks (read-only)
-    zero_rows: list[list[int]] | None = None
+    # set once diffusion returned its input unchanged; it is skipped from then on
+    field_settled: bool = False
 
 
 @dataclass
@@ -311,8 +315,14 @@ def step(state: SimState) -> SimState:
                 break
             _spawn_agent(state, AgentKind.RESIDENT, house.coord, home=house.coord)
 
-    # 2. excitement diffusion
-    state.field = diffuse_excitement(state.field, grid)
+    # 2. excitement diffusion, until its fixed point
+    if not state.field_settled:
+        diffused = diffuse_excitement(state.field, grid)
+        # compared as raw bits: a fixed point must repeat the exact doubles
+        state.field_settled = np.array_equal(
+            diffused.p.view(np.uint64), state.field.p.view(np.uint64)
+        )
+        state.field = diffused
 
     # 3. visitor despawn, then spawn
     if not prepark:
@@ -328,13 +338,7 @@ def step(state: SimState) -> SimState:
     # 4. agent actions, ascending id order; penalties read the tick-start
     # garbage values, never this tick's drops
     previous_utilities = utilities_by_cell(state.agents)
-    if state.garbage.in_place_total == 0:
-        if state.zero_rows is None:
-            state.zero_rows = [[0] * grid.width for _ in range(grid.height)]
-        garbage_snapshot = state.zero_rows
-    else:
-        garbage_snapshot = state.garbage.in_place.tolist()
-    params = PenaltyParams(rho=config.rho, epsilon0=config.epsilon0)
+    garbage_snapshot = state.garbage.in_place.copy()
     try:
         for agent in state.agents:
             event = ""
@@ -346,8 +350,6 @@ def step(state: SimState) -> SimState:
                 event = step_agent(agent, grid, state.hotspot_dist, rng, config.dwell_p)
                 if agent.kind is AgentKind.VISITOR and event == ARRIVED:
                     agent.carrying_litter = True
-            penalty = crowding_penalty(agent.coord, previous_utilities, garbage_snapshot, params)
-            agent.utility = agent_utility(agent.coord, state.field, penalty)
             if (
                 agent.kind is AgentKind.VISITOR
                 and agent.carrying_litter
@@ -362,6 +364,15 @@ def step(state: SimState) -> SimState:
                 community_cleanup(agent.coord, state.garbage, config)
     except AgentStateError as exc:
         raise InvariantViolation(tick, str(exc)) from exc
+    # every agent's utility in one pass; nothing in the loop above reads it
+    agents = state.agents
+    coords = np.fromiter(chain.from_iterable([a.coord for a in agents]), np.intp, 2 * len(agents))
+    xs, ys = coords[0::2], coords[1::2]
+    params = PenaltyParams(rho=config.rho, epsilon0=config.epsilon0)
+    penalties = crowding_penalty((xs, ys), previous_utilities, garbage_snapshot, params)
+    utilities = agent_utility((xs, ys), state.field, penalties)
+    for agent, utility in zip(agents, utilities.tolist()):
+        agent.utility = utility
 
     # 5. domestic waste
     if prepark:

@@ -393,13 +393,20 @@ def load_terrain_files(
     legend: Mapping[str, str] | None = None,
     hotspot_base: float = 1.0,
 ) -> TerrainGrid:
-    terrain_text = Path(terrain_path).read_text(encoding="utf-8")
+    terrain_text = _read_text(terrain_path, "terrain")
     elevation_text = None
     if elevation_path is not None:
-        elevation_text = Path(elevation_path).read_text(encoding="utf-8")
+        elevation_text = _read_text(elevation_path, "elevation")
     return load_terrain(
         terrain_text, elevation_text, legend=legend, hotspot_base=hotspot_base
     )
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TerrainError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def default_map_paths() -> tuple[Path, Path]:

@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way (explicit loops over cells
 and sources) and stays deliberately independent of the production code paths
-it checks.
+it checks. Neighbor sums run in row-major order (dy outer, dx inner), the
+fixed order production uses, so their results can be compared bit for bit.
 """
 
 from collections import deque
@@ -92,3 +93,38 @@ def bf_nearest_source(shape, sources):
                     best = (sx, sy)
             out[(x, y)] = best
     return out
+
+
+def _neighbors_row_major(x, y):
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dx or dy:
+                yield x + dx, y + dy
+
+
+def bf_crowding_penalty(coord, utilities, garbage, rho, epsilon0):
+    """Crowding/dirtiness penalty of one cell: rho times the mean of the 8
+    neighbors' summed utilities (off-grid and empty cells count 0.0) plus
+    epsilon0 per garbage unit in the in-bounds 3x3 block."""
+    x, y = coord
+    neighbor_utility = 0.0
+    for cell in _neighbors_row_major(x, y):
+        neighbor_utility += utilities.get(cell, 0.0)
+    h, w = garbage.shape
+    local_garbage = 0
+    for ny in range(max(0, y - 1), min(h, y + 2)):
+        for nx in range(max(0, x - 1), min(w, x + 2)):
+            local_garbage += int(garbage[ny, nx])
+    return float(rho * neighbor_utility / 8.0 + epsilon0 * local_garbage)
+
+
+def bf_agent_utility(coord, p, penalty):
+    """Mean excitement over the in-bounds Moore neighbors (divisor fixed at
+    8) minus the penalty."""
+    x, y = coord
+    h, w = p.shape
+    total = 0.0
+    for nx, ny in _neighbors_row_major(x, y):
+        if 0 <= nx < w and 0 <= ny < h:
+            total += p[ny, nx]
+    return float(total / 8.0 - penalty)

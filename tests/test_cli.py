@@ -1,5 +1,7 @@
 import textwrap
 
+import pytest
+
 from riversim import cli
 from riversim.config import SimConfig, load_config
 from riversim.engine import CSV_HEADER, InvariantViolation
@@ -84,6 +86,26 @@ class TestRunCommand:
                          "--seeds", "1,x"])
         assert code == 2
         assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", ["terrain", "elevation"])
+    @pytest.mark.parametrize("fault", ["missing", "not_utf8"])
+    def test_unreadable_map_file_exits_2_naming_it(self, tmp_path, capsys, broken, fault):
+        terrain, elevation = default_map_paths()
+        bad = tmp_path / f"bad_{broken}.txt"
+        if fault == "not_utf8":
+            bad.write_bytes(b"\xff\xfe\x00 not a map")
+        paths = {"terrain": terrain, "elevation": elevation, broken: bad}
+        config = tmp_path / "sim.ini"
+        config.write_text(
+            f"[terrain]\nterrain_file = {paths['terrain']}\n"
+            f"elevation_file = {paths['elevation']}\n"
+        )
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {broken} file {bad}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "metrics_0.csv").exists()
 
     def test_invariant_halt_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config):

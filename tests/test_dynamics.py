@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from riversim import dynamics
 from riversim.dynamics import (
     ARRIVED,
     DWELL_ENDED,
@@ -26,7 +27,7 @@ from riversim.dynamics import (
 from riversim.landscape import walkable_distance_field
 
 from conftest import grid_from
-from reference import bf_diffuse
+from reference import bf_agent_utility, bf_crowding_penalty, bf_diffuse
 
 
 def all_open(width, height):
@@ -187,6 +188,57 @@ class TestCrowdingPenalty:
             Agent(2, AgentKind.VISITOR, (2, 2), utility=-0.1),
         ]
         assert utilities_by_cell(agents) == {(1, 1): 0.75, (2, 2): -0.1}
+
+
+class TestBatchedUtilityOracle:
+    """The array pass over all agents equals the per-agent loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batched_penalty_and_utility_equal_oracle(self, seed):
+        nprng = np.random.default_rng(seed)
+        h, w = int(nprng.integers(1, 12)), int(nprng.integers(1, 12))
+        edge_cells = [(x, y) for y in range(h) for x in range(w)
+                      if x in (0, w - 1) or y in (0, h - 1)]
+        random_cells = [(int(nprng.integers(w)), int(nprng.integers(h))) for _ in range(40)]
+        # every corner and edge cell, and several agents on some cells
+        coords = edge_cells + random_cells + random_cells[:10]
+        agents = [
+            Agent(i, AgentKind.VISITOR, c, utility=float(nprng.normal()))
+            for i, c in enumerate(coords)
+        ]
+        assert any(a.utility < 0 for a in agents)
+        utilities = utilities_by_cell(agents)
+        garbage = nprng.integers(0, 4, size=(h, w))
+        p = nprng.random((h, w))
+        field = ExcitementField(p=p, mu=0.9, sources=())
+        params = PenaltyParams(rho=float(nprng.random()), epsilon0=float(nprng.random()))
+        xs = np.array([x for x, _ in coords])
+        ys = np.array([y for _, y in coords])
+
+        penalties = crowding_penalty((xs, ys), utilities, garbage, params)
+        values = agent_utility((xs, ys), field, penalties)
+
+        expected = [
+            bf_crowding_penalty(c, utilities, garbage, params.rho, params.epsilon0)
+            for c in coords
+        ]
+        assert penalties.tolist() == expected
+        assert values.tolist() == [
+            bf_agent_utility(c, p, penalty) for c, penalty in zip(coords, expected)
+        ]
+        for c, penalty in zip(coords, expected):
+            assert crowding_penalty(c, utilities, garbage, params) == penalty
+            assert agent_utility(c, field, penalty) == bf_agent_utility(c, p, penalty)
+
+    def test_neighbor_sum_is_computed_once_per_field(self, monkeypatch):
+        grid = all_open(4, 3)
+        field = make_field(grid, np.full((3, 4), 0.5), mu=0.9)
+        calls = []
+        real = dynamics._moore_sum
+        monkeypatch.setattr(dynamics, "_moore_sum", lambda p: calls.append(1) or real(p))
+        agent_utility((1, 1), field, 0.0)
+        diffuse_excitement(field, grid)
+        assert len(calls) == 1
 
 
 class TestHotspotChoice:

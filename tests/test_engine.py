@@ -3,8 +3,9 @@ import statistics
 import numpy as np
 import pytest
 
+from riversim import engine
 from riversim.config import ConfigError
-from riversim.dynamics import AgentKind
+from riversim.dynamics import AgentKind, ExcitementField, diffuse_excitement
 from riversim.engine import (
     CSV_HEADER,
     InvariantViolation,
@@ -207,6 +208,31 @@ class TestStep:
             step(state)
             assert state.field.p.min() >= 0.0
             assert state.field.p.max() <= top + 1e-15
+
+
+class TestDiffusionFixedPoint:
+    def test_diffusion_stops_once_the_field_is_settled(self, monkeypatch):
+        grid = grid_from("=======\n..H....\n...#...\n.....H.\n~~~~~~~")
+        config = make_config(scenario="park", seed=2, n_community=2, visitor_spawn_rate=0.5)
+        calls = []
+
+        def counting_diffuse(field, grid):
+            calls.append(state.tick)
+            return diffuse_excitement(field, grid)
+
+        monkeypatch.setattr(engine, "diffuse_excitement", counting_diffuse)
+        state = init_scenario(config, grid=grid)
+        reference = ExcitementField.from_grid(grid, config.mu)
+        settled_at = None
+        for tick in range(1, 121):
+            step(state)
+            diffused = diffuse_excitement(reference, grid)
+            if settled_at is None and diffused.p.tobytes() == reference.p.tobytes():
+                settled_at = tick
+            reference = diffused
+            assert state.field.p.tobytes() == reference.p.tobytes()
+        assert settled_at is not None and settled_at < 100
+        assert calls == list(range(1, settled_at + 1))
 
 
 class TestDeterminism:
