@@ -15,22 +15,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import ConfigError, default_config_text, load_config
-from .engine import CSV_HEADER, InvariantViolation, metrics_to_csv, run
+from .engine import CSV_HEADER, InvariantViolation, init_scenario, metrics_to_csv, run
 from .landscape import TerrainError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_REFUSED = 4
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_path: Path
-    out_dir: Path
-    seeds: tuple[int, ...]
-    force: bool
-    frame_every: int | None
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
@@ -57,30 +48,30 @@ def _refuse_existing(paths: list[Path], force: bool) -> bool:
     return False
 
 
-def cmd_run(manifest: RunManifest) -> int:
+def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
+            frame_every: int | None) -> int:
     try:
-        config = load_config(manifest.config_path)
+        config = load_config(config_path)
     except (ConfigError, TerrainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if manifest.frame_every is not None:
-        config = replace(config, frame_every=manifest.frame_every)
+    if frame_every is not None:
+        config = replace(config, frame_every=frame_every)
 
-    out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
     prepark = config.scenario == "prepark"
     targets: list[Path] = []
-    for seed in manifest.seeds:
+    for seed in seeds:
         targets.append(out / f"metrics_{seed}.csv")
         if prepark:
             targets.append(out / f"buildlog_{seed}.csv")
         if config.frame_every:
             targets.append(out / f"frames_{seed}")
-    if _refuse_existing(targets, manifest.force):
+    if _refuse_existing(targets, force):
         return EXIT_REFUSED
 
-    for seed in manifest.seeds:
+    for seed in seeds:
         seeded = replace(config, seed=seed)
         try:
             result = run(seeded)
@@ -214,7 +205,8 @@ def cmd_validate(config_path: Path | None, print_defaults: bool) -> int:
     if config_path is not None:
         try:
             config = load_config(config_path)
-        except ConfigError as exc:
+            init_scenario(config)
+        except (ConfigError, TerrainError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         print(f"config OK: scenario={config.scenario}, ticks={config.ticks}, "
@@ -261,14 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        manifest = RunManifest(
-            config_path=args.config,
-            out_dir=args.out,
-            seeds=seeds,
-            force=args.force,
-            frame_every=args.frame_every,
-        )
-        return cmd_run(manifest)
+        return cmd_run(args.config, args.out, seeds, args.force, args.frame_every)
     if args.command == "compare":
         return cmd_compare(args.pre, args.post, args.out, args.force)
     return cmd_validate(args.config, args.print_defaults)

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .landscape import (
-    BRANCH_MARKER,
     DEFAULT_LEGEND,
-    HOTSPOT_MARKER,
     Coord,
-    TerrainClass,
+    TerrainError,
     default_map_paths,
+    validate_legend,
 )
 
 SCENARIO_PREPARK = "prepark"
@@ -66,7 +65,6 @@ class SimConfig:
     score_tolerance: float = 1e-9
     houses: int = 30
     houses_per_tick: int = 0    # 0 = grow the whole settlement before tick 0
-    demolition_clears_garbage: bool = True
 
     # dynamics
     mu: float = 0.9         # excitement diffusion factor
@@ -122,7 +120,10 @@ class SimConfig:
                   f"must be > 0, got {self.hotspot_base_excitement}")
         if not self.terrain_file:
             _fail("terrain_file", "must point at a terrain map")
-        _validate_legend_names(self.legend)
+        try:
+            validate_legend(self.legend)
+        except TerrainError as exc:
+            _fail("legend", f"is invalid: {exc}")
 
 
 SECTION_FIELDS: dict[str, tuple[str, ...]] = {
@@ -132,7 +133,7 @@ SECTION_FIELDS: dict[str, tuple[str, ...]] = {
     "settlement": ("river_buffer", "highland_radius", "highland_delta",
                    "w_neighbor", "w_road", "w_river_far", "neighbor_radius",
                    "river_far_cap", "score_tolerance", "houses",
-                   "houses_per_tick", "demolition_clears_garbage"),
+                   "houses_per_tick"),
     "dynamics": ("mu", "rho", "epsilon0", "dwell_p", "resident_range"),
     "waste": ("waste_rate", "dump_to_river", "litter_p", "warn_threshold",
               "warn_radius", "cleanup_capacity", "riverside_drift"),
@@ -153,15 +154,6 @@ _BOOL_WORDS = {
 def _fail(field_name: str, message: str) -> None:
     section = _FIELD_SECTION.get(field_name, "run")
     raise ConfigError(f"{section}.{field_name} {message}")
-
-
-def _validate_legend_names(legend: dict[str, str]) -> None:
-    valid = {c.value for c in TerrainClass} | {HOTSPOT_MARKER, BRANCH_MARKER}
-    for ch, name in legend.items():
-        if len(ch) != 1:
-            _fail("legend", f"keys must be single characters, got {ch!r}")
-        if name not in valid:
-            _fail("legend", f"maps {ch!r} to unknown class {name!r}")
 
 
 def parse_legend(raw: str) -> dict[str, str]:

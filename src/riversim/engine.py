@@ -68,7 +68,6 @@ from .settlement import (
     place_next_house,
 )
 from .waste import (
-    DirtinessIndex,
     GarbageField,
     community_cleanup,
     dirtiness_index,
@@ -122,7 +121,6 @@ class SimState:
     roads: RoadFeatures
     field: ExcitementField
     garbage: GarbageField
-    dirtiness: DirtinessIndex
     rng: random.Random
     agents: list[Agent] = field(default_factory=list)
     houses: list[House] = field(default_factory=list)
@@ -208,7 +206,6 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
         roads=compute_road_features(grid),
         field=ExcitementField.from_grid(grid, config.mu),
         garbage=GarbageField.zeros(grid.width, grid.height),
-        dirtiness=DirtinessIndex(),
         rng=random.Random(config.seed),
     )
 
@@ -263,7 +260,6 @@ def _drop_litter(state: SimState, coord: Coord) -> None:
 def _record_metrics(state: SimState, littering: int) -> None:
     garbage = state.garbage
     dirt = dirtiness_index(garbage, state.grid)
-    state.dirtiness.series.append(dirt)
     population = len(state.agents)
     per_capita = (garbage.in_place_total + garbage.river_total) / max(population, 1)
     state.metrics.append(MetricsRow(

@@ -46,7 +46,6 @@ class TerrainClass(Enum):
 
 # Stable small-int codes for the cell array.
 CLASS_CODES: dict[TerrainClass, int] = {c: i for i, c in enumerate(TerrainClass)}
-CODE_CLASSES: tuple[TerrainClass, ...] = tuple(TerrainClass)
 
 RIVER_CODE = CLASS_CODES[TerrainClass.RIVER]
 ROAD_CODE = CLASS_CODES[TerrainClass.ROAD]
@@ -88,11 +87,6 @@ MOORE_OFFSETS: tuple[tuple[int, int], ...] = (
 _CARDINAL_OFFSETS: tuple[tuple[int, int], ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def walkable(terrain_class: TerrainClass) -> bool:
-    """Whether agents may stand on cells of this class."""
-    return terrain_class in _WALKABLE
-
-
 @dataclass(frozen=True)
 class Hotspot:
     coord: Coord
@@ -120,10 +114,6 @@ class TerrainGrid:
     def in_bounds(self, coord: Coord) -> bool:
         x, y = coord
         return 0 <= x < self.width and 0 <= y < self.height
-
-    def class_at(self, coord: Coord) -> TerrainClass:
-        x, y = coord
-        return CODE_CLASSES[self.cells[y, x]]
 
     def is_walkable(self, coord: Coord) -> bool:
         x, y = coord
@@ -163,6 +153,8 @@ def shifted(arr: np.ndarray, dx: int, dy: int, fill) -> np.ndarray:
     """Array whose [y, x] entry is arr[y+dy, x+dx], or `fill` out of bounds."""
     h, w = arr.shape
     out = np.full_like(arr, fill)
+    if abs(dx) >= w or abs(dy) >= h:
+        return out  # every source lies off the grid
     dst_y = slice(max(0, -dy), h - max(0, dy))
     dst_x = slice(max(0, -dx), w - max(0, dx))
     src_y = slice(max(0, dy), h - max(0, -dy))
@@ -239,21 +231,6 @@ def nearest_cell_fields(source_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return best_cheb, near_y, near_x
 
 
-def neighbors8(coord: Coord, grid: TerrainGrid) -> list[Coord]:
-    """In-bounds Moore neighbors of coord, in MOORE_OFFSETS order."""
-    if not grid.in_bounds(coord):
-        raise ValueError(
-            f"coordinate {coord} out of bounds for {grid.width}x{grid.height} grid"
-        )
-    x, y = coord
-    out = []
-    for dx, dy in MOORE_OFFSETS:
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < grid.width and 0 <= ny < grid.height:
-            out.append((nx, ny))
-    return out
-
-
 def _label_streams(river_mask: np.ndarray) -> np.ndarray:
     """8-connected components of the river mask, labeled 1.. in row-major
     discovery order."""
@@ -276,7 +253,9 @@ def _label_streams(river_mask: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _validate_legend(legend: Mapping[str, str]) -> None:
+def validate_legend(legend: Mapping[str, str]) -> None:
+    """Raise TerrainError unless every key is a single character and every
+    value names a terrain class or a marker."""
     valid = {c.value for c in TerrainClass} | {HOTSPOT_MARKER, BRANCH_MARKER}
     for ch, name in legend.items():
         if len(ch) != 1:
@@ -307,7 +286,7 @@ def load_terrain(
     A missing elevation sheet means elevation 0 everywhere.
     """
     active = dict(DEFAULT_LEGEND) if legend is None else dict(legend)
-    _validate_legend(active)
+    validate_legend(active)
 
     rows = _split_rows(terrain_text)
     if not rows:

@@ -12,7 +12,6 @@ top-scoring sites (within score_tolerance), spending exactly one RNG draw.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,24 +25,6 @@ from .landscape import (
     shifted,
 )
 
-RULE_NOT_BUILDABLE = "NotBuildable"
-RULE_OCCUPIED = "Occupied"
-RULE_SRI_MADAYUNG = "SriMadayung"
-RULE_TALAGA_KAHUDANAN = "TalagaKahudanan"
-RULE_SI_BAREUBEU = "SiBareubeu"
-RULE_RIVER_BUFFER = "RiverBuffer"
-RULE_HIGHLAND_BEHIND = "HighlandBehind"
-
-ALL_RULES = (
-    RULE_NOT_BUILDABLE,
-    RULE_OCCUPIED,
-    RULE_SRI_MADAYUNG,
-    RULE_TALAGA_KAHUDANAN,
-    RULE_SI_BAREUBEU,
-    RULE_RIVER_BUFFER,
-    RULE_HIGHLAND_BEHIND,
-)
-
 # Compass directions in 45-degree steps, indexed by round(atan2(dy, dx) / 45deg).
 _COMPASS8: tuple[tuple[int, int], ...] = (
     (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
@@ -55,13 +36,6 @@ class House:
     coord: Coord
     built_tick: int
     waste_rate: float
-
-
-@dataclass(frozen=True)
-class SiteEvaluation:
-    coord: Coord
-    violated_rules: list[str]
-    preference_score: float
 
 
 @dataclass(frozen=True)
@@ -85,108 +59,6 @@ class PlacementFields:
 
     legal_static: np.ndarray
     base_score: np.ndarray
-
-
-def behind_direction(coord: Coord, roads: RoadFeatures) -> Coord | None:
-    """Unit compass step pointing away from the nearest road, or None.
-
-    Facades face the nearest road; "behind" is the opposite direction,
-    quantized to the nearest of the 8 compass directions. Returns None when
-    the map has no road or the coord is itself a road cell.
-    """
-    x, y = coord
-    rx = int(roads.nearest_road_x[y, x])
-    ry = int(roads.nearest_road_y[y, x])
-    if rx < 0:
-        return None
-    vx, vy = rx - x, ry - y
-    if vx == 0 and vy == 0:
-        return None
-    angle = math.atan2(-vy, -vx)
-    k = int(round(angle / (math.pi / 4))) % 8
-    return _COMPASS8[k]
-
-
-def _highland_behind(
-    coord: Coord, grid: TerrainGrid, roads: RoadFeatures, radius: int, delta: float
-) -> bool:
-    direction = behind_direction(coord, roads)
-    if direction is None:
-        return False
-    dx, dy = direction
-    x, y = coord
-    threshold = grid.elevation[y, x] + delta
-    for step in range(1, radius + 1):
-        cx, cy = x + dx * step, y + dy * step
-        if not (0 <= cx < grid.width and 0 <= cy < grid.height):
-            break
-        if grid.elevation[cy, cx] >= threshold:
-            return True
-    return False
-
-
-def forbidden_site(
-    coord: Coord,
-    grid: TerrainGrid,
-    features: RiverFeatures,
-    roads: RoadFeatures,
-    houses: list[House],
-    config,
-) -> list[str]:
-    """Every rule the site violates; empty means buildable right now."""
-    x, y = coord
-    violated = []
-    if grid.cells[y, x] != BUILDABLE_CODE:
-        violated.append(RULE_NOT_BUILDABLE)
-    if any(h.coord == coord for h in houses):
-        violated.append(RULE_OCCUPIED)
-    if features.between_streams[y, x]:
-        violated.append(RULE_SRI_MADAYUNG)
-    if features.branch_proximity[y, x]:
-        violated.append(RULE_TALAGA_KAHUDANAN)
-    if features.below_river[y, x]:
-        violated.append(RULE_SI_BAREUBEU)
-    if features.dist_to_river[y, x] < config.river_buffer:
-        violated.append(RULE_RIVER_BUFFER)
-    if _highland_behind(coord, grid, roads, config.highland_radius, config.highland_delta):
-        violated.append(RULE_HIGHLAND_BEHIND)
-    return violated
-
-
-def site_preference_score(
-    coord: Coord,
-    grid: TerrainGrid,
-    features: RiverFeatures,
-    roads: RoadFeatures,
-    houses: list[House],
-    config,
-) -> float:
-    """Soft desirability of a legal site; higher is better, terms nonnegative."""
-    x, y = coord
-    r = config.neighbor_radius
-    neighbors = sum(
-        1 for h in houses if max(abs(h.coord[0] - x), abs(h.coord[1] - y)) <= r
-    )
-    road_term = config.w_road / (1.0 + float(roads.dist_to_road[y, x]))
-    river_term = config.w_river_far * min(
-        float(features.dist_to_river[y, x]), float(config.river_far_cap)
-    )
-    return config.w_neighbor * neighbors + road_term + river_term
-
-
-def evaluate_site(
-    coord: Coord,
-    grid: TerrainGrid,
-    features: RiverFeatures,
-    roads: RoadFeatures,
-    houses: list[House],
-    config,
-) -> SiteEvaluation:
-    return SiteEvaluation(
-        coord=coord,
-        violated_rules=forbidden_site(coord, grid, features, roads, houses, config),
-        preference_score=site_preference_score(coord, grid, features, roads, houses, config),
-    )
 
 
 def _highland_mask(
@@ -216,10 +88,10 @@ def _highland_mask(
 def compute_placement_fields(
     grid: TerrainGrid, features: RiverFeatures, roads: RoadFeatures, config
 ) -> PlacementFields:
-    """Vectorized equivalent of the per-cell rule/score functions.
+    """Static legality mask and base score of every cell at once.
 
-    Must agree with forbidden_site / site_preference_score cell for cell;
-    the test suite enforces that equivalence.
+    Must agree cell for cell with the per-cell rules and score kept as the
+    oracle in tests/reference.py; the test suite enforces that equivalence.
     """
     buildable = grid.cells == BUILDABLE_CODE
     bad = (
@@ -280,20 +152,3 @@ def grow_settlement(state, n_houses: int, rng):
             break
     return state
 
-
-def demolish_all(state):
-    """Tear down every house; the land becomes open space.
-
-    Garbage standing on former house cells is hauled away (counted as
-    collected) when demolition_clears_garbage is set, otherwise left in
-    place. River garbage and the dirtiness history are untouched.
-    """
-    garbage = state.garbage
-    if state.config.demolition_clears_garbage:
-        for house in state.houses:
-            x, y = house.coord
-            units = int(garbage.in_place[y, x])
-            if units:
-                garbage.collect_at((x, y), units)
-    state.houses.clear()
-    return state

@@ -12,7 +12,7 @@ shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class GarbageField:
 
     def ledger_balanced(self) -> bool:
         return self.generated_total == self.in_place_total + self.river_total + self.collected_total
-
-
-@dataclass
-class DirtinessIndex:
-    """Per-tick river dirtiness values, appended as the run advances."""
-
-    series: list[float] = field(default_factory=list)
 
 
 def generate_domestic_waste(houses, garbage: GarbageField, rng, config) -> GarbageField:

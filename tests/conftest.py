@@ -18,8 +18,3 @@ def grid_from(text: str, elevation: str | None = None, **kwargs):
 def default_grid():
     terrain, elevation = default_map_paths()
     return load_terrain_files(terrain, elevation)
-
-
-@pytest.fixture
-def open_5x5():
-    return grid_from("\n".join(["....."] * 5))

@@ -4,11 +4,32 @@ Everything here is written the slow, obvious way (explicit loops over cells
 and sources) and stays deliberately independent of the production code paths
 it checks. Neighbor sums run in row-major order (dy outer, dx inner), the
 fixed order production uses, so their results can be compared bit for bit.
+
+The per-cell house placement rules live here too: ``forbidden_site`` names
+every hard rule a site violates (the ``RULE_*`` names), and
+``site_preference_score`` scores one site. ``behind_direction`` and
+``_highland_behind`` implement the highland-behind taboo one cell at a time.
+They are the oracle for the vectorized ``compute_placement_fields`` mask and
+for the placement-legality acceptance criterion.
 """
 
+import math
 from collections import deque
 
 import numpy as np
+
+from riversim.landscape import BUILDABLE_CODE
+
+RULE_NOT_BUILDABLE = "NotBuildable"
+RULE_OCCUPIED = "Occupied"
+RULE_SRI_MADAYUNG = "SriMadayung"
+RULE_TALAGA_KAHUDANAN = "TalagaKahudanan"
+RULE_SI_BAREUBEU = "SiBareubeu"
+RULE_RIVER_BUFFER = "RiverBuffer"
+RULE_HIGHLAND_BEHIND = "HighlandBehind"
+
+# Compass directions in 45-degree steps, indexed by round(atan2(dy, dx) / 45deg).
+_COMPASS8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
 def bf_chebyshev_distances(shape, sources):
@@ -128,3 +149,74 @@ def bf_agent_utility(coord, p, penalty):
         if 0 <= nx < w and 0 <= ny < h:
             total += p[ny, nx]
     return float(total / 8.0 - penalty)
+
+
+def behind_direction(coord, roads):
+    """Unit compass step pointing away from the nearest road, or None.
+
+    Facades face the nearest road; "behind" is the opposite direction,
+    quantized to the nearest of the 8 compass directions. Returns None when
+    the map has no road or the coord is itself a road cell.
+    """
+    x, y = coord
+    rx = int(roads.nearest_road_x[y, x])
+    ry = int(roads.nearest_road_y[y, x])
+    if rx < 0:
+        return None
+    vx, vy = rx - x, ry - y
+    if vx == 0 and vy == 0:
+        return None
+    angle = math.atan2(-vy, -vx)
+    k = int(round(angle / (math.pi / 4))) % 8
+    return _COMPASS8[k]
+
+
+def _highland_behind(coord, grid, roads, radius, delta):
+    direction = behind_direction(coord, roads)
+    if direction is None:
+        return False
+    dx, dy = direction
+    x, y = coord
+    threshold = grid.elevation[y, x] + delta
+    for step in range(1, radius + 1):
+        cx, cy = x + dx * step, y + dy * step
+        if not (0 <= cx < grid.width and 0 <= cy < grid.height):
+            break
+        if grid.elevation[cy, cx] >= threshold:
+            return True
+    return False
+
+
+def forbidden_site(coord, grid, features, roads, houses, config):
+    """Every rule the site violates; empty means buildable right now."""
+    x, y = coord
+    violated = []
+    if grid.cells[y, x] != BUILDABLE_CODE:
+        violated.append(RULE_NOT_BUILDABLE)
+    if any(h.coord == coord for h in houses):
+        violated.append(RULE_OCCUPIED)
+    if features.between_streams[y, x]:
+        violated.append(RULE_SRI_MADAYUNG)
+    if features.branch_proximity[y, x]:
+        violated.append(RULE_TALAGA_KAHUDANAN)
+    if features.below_river[y, x]:
+        violated.append(RULE_SI_BAREUBEU)
+    if features.dist_to_river[y, x] < config.river_buffer:
+        violated.append(RULE_RIVER_BUFFER)
+    if _highland_behind(coord, grid, roads, config.highland_radius, config.highland_delta):
+        violated.append(RULE_HIGHLAND_BEHIND)
+    return violated
+
+
+def site_preference_score(coord, grid, features, roads, houses, config):
+    """Soft desirability of a legal site; higher is better, terms nonnegative."""
+    x, y = coord
+    r = config.neighbor_radius
+    neighbors = sum(
+        1 for h in houses if max(abs(h.coord[0] - x), abs(h.coord[1] - y)) <= r
+    )
+    road_term = config.w_road / (1.0 + float(roads.dist_to_road[y, x]))
+    river_term = config.w_river_far * min(
+        float(features.dist_to_river[y, x]), float(config.river_far_cap)
+    )
+    return config.w_neighbor * neighbors + road_term + river_term

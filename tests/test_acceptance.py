@@ -14,10 +14,10 @@ import pytest
 from riversim.dynamics import ExcitementField, diffuse_excitement
 from riversim.engine import init_scenario, metrics_to_csv, run, step
 from riversim.landscape import load_terrain, load_terrain_files, default_map_paths
-from riversim.settlement import House, forbidden_site
+from riversim.settlement import House
 
 from conftest import make_config
-from reference import bf_diffuse
+from reference import bf_diffuse, forbidden_site
 
 N_SCENARIO_SEEDS = 20
 SCENARIO_TICKS = 1000

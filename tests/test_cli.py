@@ -207,3 +207,20 @@ class TestValidateCommand:
 
     def test_no_arguments_exit_2(self, capsys):
         assert cli.main(["validate"]) == 2
+
+    @pytest.mark.parametrize("case", ["missing_terrain", "park_without_hotspot"])
+    def test_rejects_what_run_rejects_at_setup(self, tmp_path, capsys, case):
+        if case == "missing_terrain":
+            text = f"[terrain]\nterrain_file = {tmp_path / 'missing.txt'}\n"
+            message = "cannot read terrain file"
+        else:
+            (tmp_path / "plain.txt").write_text("~~~~\n....\n....\n")
+            text = "[run]\nscenario = park\n[terrain]\nterrain_file = plain.txt\nelevation_file =\n"
+            message = "park scenario requires at least one hotspot on the map"
+        config = tmp_path / "sim.ini"
+        config.write_text(text)
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        validate_err = capsys.readouterr().err
+        assert message in validate_err
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from riversim.landscape import (
+    CLASS_CODES,
     TerrainClass,
     TerrainError,
     chebyshev_distance_field,
     compute_river_features,
     compute_road_features,
     load_terrain,
-    neighbors8,
     nearest_cell_fields,
-    walkable,
+    shifted,
     walkable_distance_field,
 )
 
@@ -32,7 +32,7 @@ class TestLoading:
         grid = grid_from("...\n...\n...")
         assert grid.width == 3 and grid.height == 3
         assert all(
-            grid.class_at((x, y)) is TerrainClass.BUILDABLE
+            grid.cells[y, x] == CLASS_CODES[TerrainClass.BUILDABLE]
             for x in range(3) for y in range(3)
         )
         assert np.all(grid.elevation == 0.0)
@@ -92,7 +92,7 @@ class TestLoading:
 
     def test_hotspot_marker(self):
         grid = grid_from(".H.\n...", hotspot_base=2.5)
-        assert grid.class_at((1, 0)) is TerrainClass.PARK_PATH
+        assert grid.cells[0, 1] == CLASS_CODES[TerrainClass.PARK_PATH]
         assert len(grid.hotspots) == 1
         hotspot = grid.hotspots[0]
         assert hotspot.coord == (1, 0)
@@ -101,7 +101,7 @@ class TestLoading:
 
     def test_branch_marker_is_river(self):
         grid = grid_from(".B.\n...")
-        assert grid.class_at((1, 0)) is TerrainClass.RIVER
+        assert grid.cells[0, 1] == CLASS_CODES[TerrainClass.RIVER]
         assert grid.branch_markers == {(1, 0)}
         assert grid.stream_labels[0, 1] == 1
 
@@ -137,31 +137,22 @@ class TestWalkable:
         (TerrainClass.OBSTACLE, False),
     ])
     def test_walkability_table(self, cls, expected):
-        assert walkable(cls) is expected
+        grid = grid_from("x", legend={"x": cls.value})
+        assert bool(grid.walkable_mask[0, 0]) is expected
 
 
-class TestNeighbors8:
-    def test_interior_cell(self, open_5x5):
-        got = neighbors8((2, 2), open_5x5)
-        assert got == [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
-
-    def test_corner_cell(self, open_5x5):
-        assert neighbors8((0, 0), open_5x5) == [(1, 0), (0, 1), (1, 1)]
-
-    def test_edge_cell(self, open_5x5):
-        assert len(neighbors8((2, 0), open_5x5)) == 5
-
-    def test_out_of_bounds_rejected(self, open_5x5):
-        with pytest.raises(ValueError):
-            neighbors8((5, 0), open_5x5)
-
-    def test_count_bounds_everywhere(self, open_5x5):
-        for y in range(5):
-            for x in range(5):
-                n = len(neighbors8((x, y), open_5x5))
-                assert 3 <= n <= 8
-                if 1 <= x <= 3 and 1 <= y <= 3:
-                    assert n == 8
+class TestShifted:
+    def test_matches_definition_for_every_shift(self):
+        # shifts as large as the grid or larger leave only the fill value
+        arr = np.arange(6.0).reshape(2, 3)
+        for dy in range(-4, 5):
+            for dx in range(-5, 6):
+                got = shifted(arr, dx, dy, -1.0)
+                for y in range(2):
+                    for x in range(3):
+                        inside = 0 <= y + dy < 2 and 0 <= x + dx < 3
+                        expected = arr[y + dy, x + dx] if inside else -1.0
+                        assert got[y, x] == expected, (dx, dy, x, y)
 
 
 class TestDistanceFields:

@@ -6,6 +6,14 @@ import pytest
 from riversim.engine import init_scenario
 from riversim.landscape import compute_river_features, compute_road_features
 from riversim.settlement import (
+    House,
+    compute_placement_fields,
+    grow_settlement,
+    place_next_house,
+)
+
+from conftest import grid_from, make_config
+from reference import (
     RULE_HIGHLAND_BEHIND,
     RULE_NOT_BUILDABLE,
     RULE_OCCUPIED,
@@ -13,16 +21,9 @@ from riversim.settlement import (
     RULE_SI_BAREUBEU,
     RULE_SRI_MADAYUNG,
     RULE_TALAGA_KAHUDANAN,
-    House,
-    compute_placement_fields,
-    demolish_all,
     forbidden_site,
-    grow_settlement,
-    place_next_house,
     site_preference_score,
 )
-
-from conftest import grid_from, make_config
 
 # 12 wide, 10 tall: road on top, river on the bottom row
 FLAT_TEXT = "\n".join(["============"] + ["............"] * 8 + ["~~~~~~~~~~~~"])
@@ -272,44 +273,3 @@ class TestGrowth:
         grow_settlement(state, 12, state.rng)
         assert [(r.x, r.y) for r in state.build_log] == [h.coord for h in state.houses]
 
-
-class TestDemolition:
-    def test_all_houses_removed(self):
-        state = prepark_state(FLAT_TEXT, seed=0)
-        grow_settlement(state, 12, state.rng)
-        assert len(state.houses) == 12
-        demolish_all(state)
-        assert state.houses == []
-
-    def test_dirtiness_series_untouched(self):
-        state = prepark_state(FLAT_TEXT, seed=0)
-        grow_settlement(state, 5, state.rng)
-        state.dirtiness.series.extend([0.5, 0.7])
-        before = list(state.dirtiness.series)
-        state.garbage.dump_to_river()
-        river_before = state.garbage.river_total
-        demolish_all(state)
-        assert state.dirtiness.series == before
-        assert state.garbage.river_total == river_before
-
-    def test_demolition_clears_house_garbage_into_collected(self):
-        state = prepark_state(FLAT_TEXT, seed=0, demolition_clears_garbage=True)
-        grow_settlement(state, 5, state.rng)
-        for house in state.houses:
-            state.garbage.drop_at(house.coord)
-        state.garbage.drop_at(state.houses[0].coord)  # 2 units on one cell
-        other_cell = (11, 8)
-        state.garbage.drop_at(other_cell)
-        assert state.garbage.in_place_total == 7
-        demolish_all(state)
-        assert state.garbage.collected_total == 6
-        assert state.garbage.in_place_total == 1
-        assert state.garbage.ledger_balanced()
-
-    def test_demolition_can_leave_garbage(self):
-        state = prepark_state(FLAT_TEXT, seed=0, demolition_clears_garbage=False)
-        grow_settlement(state, 3, state.rng)
-        state.garbage.drop_at(state.houses[0].coord)
-        demolish_all(state)
-        assert state.garbage.collected_total == 0
-        assert state.garbage.in_place_total == 1

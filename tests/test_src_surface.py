@@ -1,0 +1,69 @@
+"""Every name defined in src/riversim must be read somewhere in src/riversim.
+
+A module-level function, class or constant, or a public method, that no
+module loads is code no run executes. Only an ``ast.Name`` in Load context
+or an ``ast.Attribute`` counts as a use, so an import alone or a call from
+tests does not keep a name alive. Exempt are the public API in
+``riversim.__all__``, dunders, and ``cli.entry`` (the console script
+declared in pyproject.toml).
+"""
+
+import ast
+from pathlib import Path
+
+import riversim
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "riversim"
+
+EXEMPT = {("cli", "entry")}
+
+
+def _defined_names(tree: ast.Module):
+    """(qualified name, bare name) of each module-level definition and
+    public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node.target.id
+
+
+def _loaded_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unused_names(src: Path = SRC) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    loaded = {name for tree in trees.values() for name in _loaded_names(tree)}
+    unused = []
+    for module, tree in trees.items():
+        for qualified, bare in _defined_names(tree):
+            if bare.startswith("__") and bare.endswith("__"):
+                continue
+            if bare in riversim.__all__ or (module, qualified) in EXEMPT:
+                continue
+            if bare not in loaded:
+                unused.append(f"{module}.{qualified}")
+    return unused
+
+
+def test_every_src_name_is_used_in_src():
+    unused = unused_names()
+    assert not unused, "defined in src/riversim but never used there: " + ", ".join(unused)
