@@ -14,7 +14,11 @@ agent by agent.
 
 Wanderers pick a hotspot with probability proportional to base excitement,
 walk downhill on that hotspot's BFS distance field, dwell a geometric number
-of ticks, then pick the next one. Residents do a home-anchored random walk.
+of ticks, then pick the next one. The map never changes, so each hotspot's
+downhill moves are worked out once, at set-up, into a step table: one byte
+per cell whose bits name the neighbours a wanderer may step to. A move reads
+one byte instead of scanning 8 neighbours. Residents do a home-anchored
+random walk.
 """
 
 from __future__ import annotations
@@ -39,6 +43,14 @@ MOVED = "moved"
 ARRIVED = "arrived"
 DWELLING = "dwelling"
 DWELL_ENDED = "dwell_ended"
+
+
+# DOWNHILL_STEPS[mask] lists the offsets whose bits are set in a step-table
+# byte (bit k is MOORE_OFFSETS[k]), in MOORE_OFFSETS order.
+DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple(offset for k, offset in enumerate(MOORE_OFFSETS) if mask >> k & 1)
+    for mask in range(256)
+)
 
 
 class AgentStateError(RuntimeError):
@@ -209,22 +221,48 @@ def choose_next_hotspot(current: int | None, hotspots: Sequence[Hotspot], rng) -
     return indices[-1]
 
 
+def downhill_step_table(dist: np.ndarray) -> list[bytes]:
+    """Per-cell bitmask of the steepest downhill steps on one BFS layer.
+
+    `dist` is one layer of walkable_distance_field, so it is inf on every
+    non-walkable cell. Returns one bytes row per grid row, one byte per cell.
+    Bit k of a cell is set when Moore neighbour k (MOORE_OFFSETS order) lies
+    on the grid, is walkable, has the smallest distance among the walkable
+    neighbours, and that smallest distance is below the cell's own. Off-grid
+    and non-walkable neighbours count as inf, so 0 means no neighbour
+    improves.
+    """
+    h, w = dist.shape
+    bordered = np.full((h + 2, w + 2), np.inf)
+    bordered[1:-1, 1:-1] = dist
+    neighbours = [bordered[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx] for dx, dy in MOORE_OFFSETS]
+    best = np.minimum.reduce(neighbours)
+    improves = best < dist
+    mask = np.zeros((h, w), dtype=np.uint8)
+    for k, neighbour in enumerate(neighbours):
+        mask |= ((neighbour == best) & improves).view(np.uint8) << k
+    return [row.tobytes() for row in mask]
+
+
 def step_agent(
     agent: Agent,
     grid: TerrainGrid,
-    dist_fields: Mapping[int, np.ndarray],
+    step_tables: Sequence[Sequence[bytes]],
     rng,
     dwell_p: float,
 ) -> str:
     """Advance a wandering agent one tick; returns what happened.
 
-    Without a target: pick one (one rng.random draw). En route: step to the
-    walkable neighbor that strictly reduces BFS distance to the target, ties
-    broken uniformly (one rng.randrange draw); if no neighbor improves, the
-    target is unreachable and gets re-sampled. At the target: dwell for a
-    geometric number of ticks, then clear the target.
+    Without a target: pick one (one rng.random draw). En route: step to a
+    walkable neighbor that strictly reduces BFS distance to the target the
+    most, ties broken uniformly (one rng.randrange draw, even for a single
+    choice); the choices come from the target's step table (see
+    downhill_step_table). If no neighbor improves, the target is unreachable
+    and gets re-sampled. At the target: dwell for a geometric number of
+    ticks, then clear the target.
     """
-    if not grid.is_walkable(agent.coord):
+    x, y = agent.coord
+    if not grid.walkable_rows[y][x]:
         raise AgentStateError(
             f"agent {agent.id} is standing on non-walkable cell {agent.coord}"
         )
@@ -235,27 +273,10 @@ def step_agent(
 
     target = grid.hotspots[agent.target_hotspot].coord
     if agent.coord != target:
-        dist = dist_fields[agent.target_hotspot]
-        x, y = agent.coord
-        here = dist[y][x]
-        walk = grid.walkable_rows
-        width, height = grid.width, grid.height
-        best = None
-        ties: list[Coord] = []
-        for dx, dy in MOORE_OFFSETS:
-            nx, ny = x + dx, y + dy
-            if not (0 <= nx < width and 0 <= ny < height):
-                continue
-            if not walk[ny][nx]:
-                continue
-            d = dist[ny][nx]
-            if best is None or d < best:
-                best = d
-                ties = [(nx, ny)]
-            elif d == best:
-                ties.append((nx, ny))
-        if best is not None and best < here:
-            agent.coord = ties[rng.randrange(len(ties))]
+        steps = DOWNHILL_STEPS[step_tables[agent.target_hotspot][y][x]]
+        if steps:
+            dx, dy = steps[rng.randrange(len(steps))]
+            agent.coord = (x + dx, y + dy)
             return ARRIVED if agent.coord == target else MOVED
         agent.target_hotspot = choose_next_hotspot(agent.target_hotspot, grid.hotspots, rng)
         agent.dwell_remaining = None

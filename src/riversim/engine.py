@@ -25,7 +25,6 @@ house one random for emission plus one for river-vs-ground when it emits.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain
@@ -45,6 +44,7 @@ from .dynamics import (
     agent_utility,
     crowding_penalty,
     diffuse_excitement,
+    downhill_step_table,
     step_agent,
     step_resident,
     utilities_by_cell,
@@ -126,8 +126,10 @@ class SimState:
     houses: list[House] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
     build_log: list[BuildRecord] = field(default_factory=list)
-    # per-hotspot BFS distance fields as nested lists (fast scalar reads)
-    hotspot_dist: dict[int, list[list[float]]] = field(default_factory=dict)
+    # park only: (n_hotspots, H, W) BFS distances and, per hotspot, the step
+    # table built from its layer (rows of bytes, see downhill_step_table)
+    hotspot_dist: np.ndarray | None = None
+    step_tables: list[list[bytes]] = field(default_factory=list)
     entrances: tuple[Coord, ...] = ()
     placement: PlacementFields | None = None
     tick: int = 0
@@ -169,16 +171,10 @@ def _resolve_entrances(state: SimState) -> tuple[Coord, ...]:
             if not grid.is_walkable(coord):
                 raise ConfigError(f"park.entrances coordinate {coord} is not walkable")
         return tuple(config.entrances)
-    found = []
-    for y in range(grid.height):
-        for x in range(grid.width):
-            if x not in (0, grid.width - 1) and y not in (0, grid.height - 1):
-                continue
-            if not grid.walkable_mask[y, x]:
-                continue
-            if any(math.isfinite(d[y][x]) for d in state.hotspot_dist.values()):
-                found.append((x, y))
-    return tuple(found)
+    candidates = grid.walkable_mask & np.isfinite(state.hotspot_dist).any(axis=0)
+    candidates[1:-1, 1:-1] = False  # map-edge cells only
+    ys, xs = np.nonzero(candidates)
+    return tuple(zip(xs.tolist(), ys.tolist()))
 
 
 def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimState:
@@ -218,10 +214,8 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
     else:
         if not grid.hotspots:
             raise ConfigError("park scenario requires at least one hotspot on the map")
-        state.hotspot_dist = {
-            i: walkable_distance_field(grid, [h.coord]).tolist()
-            for i, h in enumerate(grid.hotspots)
-        }
+        state.hotspot_dist = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+        state.step_tables = [downhill_step_table(layer) for layer in state.hotspot_dist]
         state.entrances = _resolve_entrances(state)
         if config.visitor_spawn_rate > 0 and not state.entrances:
             raise ConfigError("no walkable map-edge entrance reaches a hotspot")
@@ -275,7 +269,9 @@ def _record_metrics(state: SimState, littering: int) -> None:
     ))
 
 
-def _check_invariants(state: SimState) -> None:
+def _check_invariants(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Halt on an unbalanced garbage ledger or an agent off walkable ground;
+    (xs, ys) are the agents' coordinates in agent order."""
     garbage = state.garbage
     if not garbage.ledger_balanced():
         raise InvariantViolation(
@@ -284,13 +280,12 @@ def _check_invariants(state: SimState) -> None:
             f"generated={garbage.generated_total} standing={garbage.in_place_total} "
             f"river={garbage.river_total} collected={garbage.collected_total}",
         )
-    walk = state.grid.walkable_mask
-    for agent in state.agents:
-        x, y = agent.coord
-        if not walk[y, x]:
-            raise InvariantViolation(
-                state.tick, f"agent {agent.id} occupies non-walkable cell {(x, y)}"
-            )
+    stranded = ~state.grid.walkable_mask[ys, xs]
+    if stranded.any():
+        agent = state.agents[int(stranded.argmax())]
+        raise InvariantViolation(
+            state.tick, f"agent {agent.id} occupies non-walkable cell {agent.coord}"
+        )
 
 
 def step(state: SimState) -> SimState:
@@ -322,7 +317,10 @@ def step(state: SimState) -> SimState:
 
     # 3. visitor despawn, then spawn
     if not prepark:
-        if any(a.kind is AgentKind.VISITOR for a in state.agents):
+        # only spawning makes visitors, so without it there is none to despawn
+        if config.visitor_spawn_rate > 0 and any(
+            a.kind is AgentKind.VISITOR for a in state.agents
+        ):
             state.agents = [
                 a for a in state.agents
                 if not (a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length)
@@ -343,7 +341,7 @@ def step(state: SimState) -> SimState:
             elif agent.kind is AgentKind.COMMUNITY_MEMBER and config.community_stationary:
                 pass
             else:
-                event = step_agent(agent, grid, state.hotspot_dist, rng, config.dwell_p)
+                event = step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
                 if agent.kind is AgentKind.VISITOR and event == ARRIVED:
                     agent.carrying_litter = True
             if (
@@ -356,7 +354,7 @@ def step(state: SimState) -> SimState:
                     _drop_litter(state, agent.coord)
                     agent.carrying_litter = False
                     littering += 1
-            if agent.kind is AgentKind.COMMUNITY_MEMBER:
+            if agent.kind is AgentKind.COMMUNITY_MEMBER and state.garbage.in_place_total:
                 community_cleanup(agent.coord, state.garbage, config)
     except AgentStateError as exc:
         raise InvariantViolation(tick, str(exc)) from exc
@@ -376,7 +374,7 @@ def step(state: SimState) -> SimState:
 
     # 6. metrics and invariants
     _record_metrics(state, littering)
-    _check_invariants(state)
+    _check_invariants(state, xs, ys)
     return state
 
 

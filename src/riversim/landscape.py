@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -91,7 +91,6 @@ _CARDINAL_OFFSETS: tuple[tuple[int, int], ...] = ((1, 0), (-1, 0), (0, 1), (0, -
 class Hotspot:
     coord: Coord
     base_excitement: float
-    name: str
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class TerrainGrid:
 
     def is_walkable(self, coord: Coord) -> bool:
         x, y = coord
-        return bool(self.walkable_mask[y, x])
+        return self.walkable_rows[y][x]
 
 
 @dataclass(frozen=True)
@@ -186,23 +185,37 @@ def chebyshev_distance_field(source_mask: np.ndarray) -> np.ndarray:
     return dist
 
 
-def walkable_distance_field(grid: TerrainGrid, sources: Iterable[Coord]) -> np.ndarray:
-    """BFS distance over walkable cells only; inf where unreachable."""
+def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.ndarray:
+    """BFS distance over walkable cells, one layer per source.
+
+    Returns an (n, H, W) float array whose layer i holds the number of Moore
+    steps from ``sources[i]`` to each cell, moving over walkable cells only;
+    ``inf`` where unreachable (everywhere if the source is not walkable).
+    All layers grow together, one BFS ring per pass.
+    """
     passable = grid.walkable_mask
-    covered = np.zeros_like(passable)
-    for x, y in sources:
+    h, w = passable.shape
+    dist = np.full((len(sources), h, w), np.inf)
+    # the frontier sits inside a one-cell border of False, so every Moore
+    # shift of it is a plain slice
+    frontier = np.zeros((len(sources), h + 2, w + 2), dtype=bool)
+    for i, (x, y) in enumerate(sources):
         if passable[y, x]:
-            covered[y, x] = True
-    dist = np.full(passable.shape, np.inf)
-    dist[covered] = 0.0
+            frontier[i, y + 1, x + 1] = True
+            dist[i, y, x] = 0.0
+    unseen = passable & np.isinf(dist)
     d = 0
     while True:
-        frontier = _dilate8(covered) & passable & ~covered
-        if not frontier.any():
+        grown = np.zeros_like(unseen)
+        for dx, dy in MOORE_OFFSETS:
+            grown |= frontier[:, 1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
+        grown &= unseen
+        if not grown.any():
             break
         d += 1
-        dist[frontier] = d
-        covered |= frontier
+        dist[grown] = d
+        unseen &= ~grown
+        frontier[:, 1:-1, 1:-1] = grown
     return dist
 
 
@@ -310,7 +323,7 @@ def load_terrain(
                 )
             if name == HOTSPOT_MARKER:
                 cells[y, x] = CLASS_CODES[TerrainClass.PARK_PATH]
-                hotspots.append(Hotspot((x, y), hotspot_base, f"H{len(hotspots)}"))
+                hotspots.append(Hotspot((x, y), hotspot_base))
             elif name == BRANCH_MARKER:
                 cells[y, x] = RIVER_CODE
                 branch_markers.add((x, y))

@@ -34,7 +34,6 @@ _COMPASS8: tuple[tuple[int, int], ...] = (
 @dataclass
 class House:
     coord: Coord
-    built_tick: int
     waste_rate: float
 
 
@@ -137,7 +136,7 @@ def place_next_house(state, rng) -> House | None:
     ys, xs = np.nonzero(band)
     i = rng.randrange(len(ys))
     coord = (int(xs[i]), int(ys[i]))
-    house = House(coord=coord, built_tick=state.tick, waste_rate=config.waste_rate)
+    house = House(coord=coord, waste_rate=config.waste_rate)
     state.houses.append(house)
     state.build_log.append(
         BuildRecord(tick=state.tick, x=coord[0], y=coord[1], score=float(score[coord[1], coord[0]]))

@@ -18,3 +18,20 @@ def grid_from(text: str, elevation: str | None = None, **kwargs):
 def default_grid():
     terrain, elevation = default_map_paths()
     return load_terrain_files(terrain, elevation)
+
+
+def walled_park_map(rng, width: int, height: int) -> str:
+    """Random map (width, height >= 3) of open ground, trees and river with
+    one to three hotspots in the open plus one hotspot boxed in by obstacles,
+    so that no cell outside the box reaches it and it reaches nothing."""
+    cells = [[rng.choice("....t~") for _ in range(width)] for _ in range(height)]
+    wx, wy = rng.randrange(1, width - 1), rng.randrange(1, height - 1)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            cells[wy + dy][wx + dx] = "#"
+    cells[wy][wx] = "H"
+    for _ in range(rng.randint(1, 3)):
+        x, y = rng.randrange(width), rng.randrange(height)
+        if cells[y][x] != "#":
+            cells[y][x] = "H"
+    return "\n".join("".join(row) for row in cells)

@@ -11,6 +11,11 @@ every hard rule a site violates (the ``RULE_*`` names), and
 ``_highland_behind`` implement the highland-behind taboo one cell at a time.
 They are the oracle for the vectorized ``compute_placement_fields`` mask and
 for the placement-legality acceptance criterion.
+
+``bf_walkable_bfs`` is a queue BFS from one source, the oracle for each layer
+of the stacked ``walkable_distance_field``; ``bf_step_agent`` is the
+wanderer move as an 8-neighbour scan of the distance field, the oracle for
+the step tables ``dynamics.step_agent`` reads.
 """
 
 import math
@@ -18,6 +23,16 @@ from collections import deque
 
 import numpy as np
 
+from riversim.dynamics import (
+    ARRIVED,
+    DWELL_ENDED,
+    DWELLING,
+    MOVED,
+    RETARGETED,
+    AgentStateError,
+    choose_next_hotspot,
+    sample_geometric,
+)
 from riversim.landscape import BUILDABLE_CODE
 
 RULE_NOT_BUILDABLE = "NotBuildable"
@@ -149,6 +164,71 @@ def bf_agent_utility(coord, p, penalty):
         if 0 <= nx < w and 0 <= ny < h:
             total += p[ny, nx]
     return float(total / 8.0 - penalty)
+
+
+def bf_walkable_bfs(walkable, source):
+    """Moore-step BFS distance from one (x, y) over walkable cells, one
+    queue pop at a time; inf where unreachable or when the source itself is
+    not walkable."""
+    h, w = walkable.shape
+    dist = np.full((h, w), np.inf)
+    sx, sy = source
+    if not walkable[sy, sx]:
+        return dist
+    dist[sy, sx] = 0.0
+    queue = deque([(sx, sy)])
+    while queue:
+        x, y = queue.popleft()
+        for nx, ny in _neighbors_row_major(x, y):
+            if 0 <= nx < w and 0 <= ny < h and walkable[ny, nx] and np.isinf(dist[ny, nx]):
+                dist[ny, nx] = dist[y, x] + 1
+                queue.append((nx, ny))
+    return dist
+
+
+def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
+    """One wanderer tick, scanning the 8 neighbours on the target's BFS
+    distance field (dist_fields[i] is an (H, W) array): step to a walkable
+    neighbour of least distance, ties in row-major order broken by one
+    randrange, if that distance is below the agent's own; otherwise
+    re-target. Same events and RNG draws as dynamics.step_agent."""
+    x, y = agent.coord
+    if not grid.walkable_mask[y, x]:
+        raise AgentStateError(f"agent {agent.id} is standing on non-walkable cell {agent.coord}")
+    if agent.target_hotspot is None:
+        agent.target_hotspot = choose_next_hotspot(None, grid.hotspots, rng)
+        agent.dwell_remaining = None
+        return RETARGETED
+    target = grid.hotspots[agent.target_hotspot].coord
+    if agent.coord != target:
+        dist = dist_fields[agent.target_hotspot]
+        best = None
+        ties = []
+        for nx, ny in _neighbors_row_major(x, y):
+            if not (0 <= nx < grid.width and 0 <= ny < grid.height):
+                continue
+            if not grid.walkable_mask[ny, nx]:
+                continue
+            d = dist[ny, nx]
+            if best is None or d < best:
+                best = d
+                ties = [(nx, ny)]
+            elif d == best:
+                ties.append((nx, ny))
+        if best is not None and best < dist[y, x]:
+            agent.coord = ties[rng.randrange(len(ties))]
+            return ARRIVED if agent.coord == target else MOVED
+        agent.target_hotspot = choose_next_hotspot(agent.target_hotspot, grid.hotspots, rng)
+        agent.dwell_remaining = None
+        return RETARGETED
+    if agent.dwell_remaining is None:
+        agent.dwell_remaining = sample_geometric(dwell_p, rng)
+    agent.dwell_remaining -= 1
+    if agent.dwell_remaining <= 0:
+        agent.target_hotspot = None
+        agent.dwell_remaining = None
+        return DWELL_ENDED
+    return DWELLING
 
 
 def behind_direction(coord, roads):

@@ -145,7 +145,7 @@ class TestCriterion3PlacementLegality:
                     violations += 1
                 if state.features.dist_to_river[record.y, record.x] < config.river_buffer:
                     buffer_breaches += 1
-                replayed.append(House(coord, record.tick, config.waste_rate))
+                replayed.append(House(coord, config.waste_rate))
         elapsed = time.perf_counter() - started
         ok = violations == 0 and buffer_breaches == 0 and elapsed < 30.0
         report(3, ok, "placement legality",

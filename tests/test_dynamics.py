@@ -19,6 +19,7 @@ from riversim.dynamics import (
     choose_next_hotspot,
     crowding_penalty,
     diffuse_excitement,
+    downhill_step_table,
     sample_geometric,
     step_agent,
     step_resident,
@@ -26,8 +27,8 @@ from riversim.dynamics import (
 )
 from riversim.landscape import walkable_distance_field
 
-from conftest import grid_from
-from reference import bf_agent_utility, bf_crowding_penalty, bf_diffuse
+from conftest import grid_from, walled_park_map
+from reference import bf_agent_utility, bf_crowding_penalty, bf_diffuse, bf_step_agent
 
 
 def all_open(width, height):
@@ -264,9 +265,9 @@ class TestHotspotChoice:
         from riversim.landscape import Hotspot
 
         hotspots = (
-            Hotspot((0, 0), 1.0, "H0"),
-            Hotspot((2, 0), 2.0, "H1"),
-            Hotspot((4, 0), 1.0, "H2"),
+            Hotspot((0, 0), 1.0),
+            Hotspot((2, 0), 2.0),
+            Hotspot((4, 0), 1.0),
         )
         rng = random.Random(7)
         counts = {0: 0, 2: 0}
@@ -282,7 +283,7 @@ class TestHotspotChoice:
     def test_weighted_sampling_follows_base_excitement(self):
         from riversim.landscape import Hotspot
 
-        hotspots = (Hotspot((0, 0), 1.0, "H0"), Hotspot((2, 0), 3.0, "H1"))
+        hotspots = (Hotspot((0, 0), 1.0), Hotspot((2, 0), 3.0))
         rng = random.Random(11)
         n = 12000
         hits = sum(choose_next_hotspot(None, hotspots, rng) for _ in range(n))
@@ -310,62 +311,61 @@ class TestGeometricDwell:
 
 def wander_setup(text, agent_coord, hotspot_base=1.0):
     grid = grid_from(text, hotspot_base=hotspot_base)
-    dist = {
-        i: walkable_distance_field(grid, [h.coord]) for i, h in enumerate(grid.hotspots)
-    }
+    layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+    tables = [downhill_step_table(layer) for layer in layers]
     agent = Agent(0, AgentKind.VISITOR, agent_coord)
-    return grid, dist, agent
+    return grid, tables, agent
 
 
 class TestStepAgent:
     def test_adjacent_agent_arrives_in_one_tick(self):
-        grid, dist, agent = wander_setup("H....", (1, 0))
+        grid, tables, agent = wander_setup("H....", (1, 0))
         agent.target_hotspot = 0
-        event = step_agent(agent, grid, dist, random.Random(0), dwell_p=0.25)
+        event = step_agent(agent, grid, tables, random.Random(0), dwell_p=0.25)
         assert event == ARRIVED
         assert agent.coord == (0, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_corridor_arrival_takes_exactly_k_ticks(self, k):
-        grid, dist, agent = wander_setup("H....", (k, 0))
+        grid, tables, agent = wander_setup("H....", (k, 0))
         agent.target_hotspot = 0
         rng = random.Random(1)
         events = []
         for _ in range(k):
-            events.append(step_agent(agent, grid, dist, rng, dwell_p=0.25))
+            events.append(step_agent(agent, grid, tables, rng, dwell_p=0.25))
         assert events[-1] == ARRIVED
         assert all(e == MOVED for e in events[:-1])
         assert agent.coord == (0, 0)
 
     def test_unreachable_target_resampled_without_moving(self):
         # two hotspots; the left one is walled off from the agent
-        grid, dist, agent = wander_setup("H.t.H\n..t..\n..t..", (3, 1))
+        grid, tables, agent = wander_setup("H.t.H\n..t..\n..t..", (3, 1))
         agent.target_hotspot = 0
         rng = random.Random(2)
-        event = step_agent(agent, grid, dist, rng, dwell_p=0.25)
+        event = step_agent(agent, grid, tables, rng, dwell_p=0.25)
         assert event == RETARGETED
         assert agent.coord == (3, 1)
         assert agent.target_hotspot == 1
         assert grid.is_walkable(agent.coord)
 
     def test_untargeted_agent_picks_target_first(self):
-        grid, dist, agent = wander_setup("H....", (3, 0))
-        event = step_agent(agent, grid, dist, random.Random(0), dwell_p=0.25)
+        grid, tables, agent = wander_setup("H....", (3, 0))
+        event = step_agent(agent, grid, tables, random.Random(0), dwell_p=0.25)
         assert event == RETARGETED
         assert agent.target_hotspot == 0
         assert agent.coord == (3, 0)
 
     def test_dwell_then_release(self):
-        grid, dist, agent = wander_setup("H....", (0, 0))
+        grid, tables, agent = wander_setup("H....", (0, 0))
         agent.target_hotspot = 0
         rng = random.Random(0)
-        event = step_agent(agent, grid, dist, rng, dwell_p=1.0)
+        event = step_agent(agent, grid, tables, rng, dwell_p=1.0)
         assert event == DWELL_ENDED
         assert agent.target_hotspot is None
         assert agent.dwell_remaining is None
 
     def test_long_dwell_reports_dwelling(self):
-        grid, dist, agent = wander_setup("H....", (0, 0))
+        grid, tables, agent = wander_setup("H....", (0, 0))
         agent.target_hotspot = 0
 
         class FixedRng:
@@ -376,24 +376,70 @@ class TestStepAgent:
                 return 0
 
         rng = FixedRng()
-        events = [step_agent(agent, grid, dist, rng, dwell_p=0.5) for _ in range(4)]
+        events = [step_agent(agent, grid, tables, rng, dwell_p=0.5) for _ in range(4)]
         assert events == [DWELLING, DWELLING, DWELLING, DWELL_ENDED]
 
     def test_nonwalkable_position_rejected(self):
-        grid, dist, agent = wander_setup("H.t..", (2, 0))
+        grid, tables, agent = wander_setup("H.t..", (2, 0))
         with pytest.raises(AgentStateError):
-            step_agent(agent, grid, dist, random.Random(0), dwell_p=0.25)
+            step_agent(agent, grid, tables, random.Random(0), dwell_p=0.25)
 
     def test_distance_never_increases_en_route(self):
-        grid, dist, agent = wander_setup("H.........\n..........\n..........", (9, 2))
+        grid, tables, agent = wander_setup("H.........\n..........\n..........", (9, 2))
+        (dist,) = walkable_distance_field(grid, [(0, 0)])
         agent.target_hotspot = 0
         rng = random.Random(3)
-        d = dist[0][agent.coord[1], agent.coord[0]]
+        d = dist[agent.coord[1], agent.coord[0]]
         while agent.coord != (0, 0):
-            step_agent(agent, grid, dist, rng, dwell_p=0.25)
-            nd = dist[0][agent.coord[1], agent.coord[0]]
+            step_agent(agent, grid, tables, rng, dwell_p=0.25)
+            nd = dist[agent.coord[1], agent.coord[0]]
             assert nd == d - 1
             d = nd
+
+
+class TestStepTables:
+    def test_table_steps_match_neighbour_scan(self):
+        # random maps with obstacles, a walled-off hotspot and open ground;
+        # after every tick the table step and the 8-neighbour scan agree on
+        # the event, the agent's state and the RNG state
+        rng = random.Random(21)
+        ties = unreachable = 0
+        for _ in range(30):
+            grid = grid_from(walled_park_map(rng, rng.randint(3, 12), rng.randint(3, 12)))
+            layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+            tables = [downhill_step_table(layer) for layer in layers]
+            ys, xs = np.nonzero(grid.walkable_mask)
+            for _ in range(4):
+                i = rng.randrange(len(xs))
+                start = (int(xs[i]), int(ys[i]))
+                fast = Agent(0, AgentKind.VISITOR, start)
+                slow = Agent(0, AgentKind.VISITOR, start)
+                seed = rng.random()
+                fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+                for _ in range(40):
+                    target = fast.target_hotspot
+                    if target is not None and fast.coord != grid.hotspots[target].coord:
+                        mask = tables[target][fast.coord[1]][fast.coord[0]]
+                        ties += bin(mask).count("1") > 1
+                        unreachable += mask == 0
+                    event = step_agent(fast, grid, tables, fast_rng, dwell_p=0.3)
+                    expected = bf_step_agent(slow, grid, layers, slow_rng, dwell_p=0.3)
+                    assert (event, fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
+                        expected, slow.coord, slow.target_hotspot, slow.dwell_remaining
+                    )
+                    assert fast_rng.getstate() == slow_rng.getstate()
+        assert ties > 0 and unreachable > 0
+
+    def test_single_step_still_draws(self):
+        # a corridor cell has one downhill step, and the move still consumes
+        # one randrange, as the draw schedule promises
+        grid, tables, agent = wander_setup("H....", (2, 0))
+        agent.target_hotspot = 0
+        rng, replay = random.Random(5), random.Random(5)
+        assert dynamics.DOWNHILL_STEPS[tables[0][0][2]] == ((-1, 0),)
+        step_agent(agent, grid, tables, rng, dwell_p=0.25)
+        replay.randrange(1)
+        assert rng.getstate() == replay.getstate()
 
 
 class TestResidentWalk:

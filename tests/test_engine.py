@@ -24,7 +24,8 @@ RIVER_ONLY = "~..\n...\n..."
 def snapshot(state):
     return (
         [(a.id, a.kind, a.coord, a.utility, a.target_hotspot) for a in state.agents],
-        [(h.coord, h.built_tick) for h in state.houses],
+        [h.coord for h in state.houses],
+        [record.tick for record in state.build_log],
         state.garbage.in_place.tobytes(),
         state.field.p.tobytes(),
         state.metrics[-1],
@@ -91,15 +92,13 @@ class TestInitScenario:
             init_scenario(water, grid=default_grid)
 
     def test_auto_entrances_reach_hotspots(self, default_grid):
-        import math
-
         config = make_config(scenario="park")
         state = init_scenario(config, grid=default_grid)
         assert state.entrances
         for x, y in state.entrances:
             assert x in (0, default_grid.width - 1) or y in (0, default_grid.height - 1)
             assert default_grid.is_walkable((x, y))
-            assert any(math.isfinite(d[y][x]) for d in state.hotspot_dist.values())
+            assert np.isfinite(state.hotspot_dist[:, y, x]).any()
         # the south bank is cut off by the river and must not be an entrance
         assert not any(y >= 21 for _, y in state.entrances)
 
@@ -370,4 +369,17 @@ class TestInvariantHalt:
         step(state)
         state.agents[0].coord = (0, 20)  # drop the member into the river
         with pytest.raises(InvariantViolation, match="tick 2"):
+            step(state)
+
+    def test_stranded_agent_named_by_invariant_check(self, default_grid):
+        # stationary members never move, so only the per-tick invariant check
+        # can see them off walkable ground; it names the first one in order
+        config = make_config(scenario="park", seed=1, n_community=3,
+                             community_stationary=True, visitor_spawn_rate=0.0)
+        state = init_scenario(config, grid=default_grid)
+        state.agents[1].coord = (0, 20)
+        state.agents[2].coord = (1, 20)
+        assert not default_grid.is_walkable((0, 20))
+        with pytest.raises(InvariantViolation,
+                           match=r"tick 1: agent 1 occupies non-walkable cell \(0, 20\)"):
             step(state)

@@ -8,9 +8,10 @@ the only test that sees it change. Every case runs past the tick at which
 the excitement field reaches its fixed point.
 
 The digests were generated before the per-agent utility loop was replaced
-by one array pass per tick; a refactor must leave them unchanged. Print the
-current values with ``python tests/test_golden.py`` and re-pin them only
-for a deliberate change of behaviour.
+by one array pass per tick, and the ``walled_crowd`` digests before
+wanderers read precomputed step tables; a refactor must leave them
+unchanged. Print the current values with ``python tests/test_golden.py``
+and re-pin them only for a deliberate change of behaviour.
 """
 
 import hashlib
@@ -48,6 +49,27 @@ def desk_style_map(size=60, hotspot_xs=(6, 15, 27, 36, 48, 55), hotspot_row=44):
     return "\n".join(rows)
 
 
+# A park whose hotspot at (5, 5) is walled off by obstacles. A community
+# member starts on it and can never leave, and every wanderer that picks it
+# from outside finds no improving neighbour and re-targets. The open ground
+# gives multi-way ties. Its excitement field settles on tick 177.
+WALLED_MAP = "\n".join([
+    "======================",
+    "......................",
+    "..H.......tt......H...",
+    "..........tt..........",
+    "....###...........#...",
+    "....#H#......H....#...",
+    "....###...........#...",
+    "......................",
+    "rrrrrrrrrrrrrrrrrrrrrr",
+    "~~~~~~~~~~~~~~~~~~~~~~",
+    "rrrrrrrrrrrrrrrrrrrrrr",
+])
+
+MAPS = {"desk_60": desk_style_map(), "walled_crowd": WALLED_MAP}
+
+
 CASES = {
     "prepark_s3": dict(scenario="prepark", seed=3, ticks=BUNDLED_TICKS),
     "prepark_s4": dict(scenario="prepark", seed=4, ticks=BUNDLED_TICKS),
@@ -61,6 +83,9 @@ CASES = {
                            entrances=((0, 1), (47, 10))),
     "desk_60": dict(scenario="park", seed=0, ticks=500, n_community=100,
                     visitor_spawn_rate=0.0),
+    "walled_crowd": dict(scenario="park", seed=8, ticks=300, n_community=3,
+                         visitor_spawn_rate=0.9, visit_length=40, warn_threshold=6,
+                         warn_radius=1),
 }
 
 GOLDEN = {
@@ -112,12 +137,17 @@ GOLDEN = {
         "metrics": "8d2f53881c87f0b7c8eafc27b9f31dd0baf405d11a70f0ba32d99b4c7dd898c3",
         "utility": "d7c195918c35c4ea953880a2b42eeadeb5a02392f967886d7ef69371986cc671",
     },
+    "walled_crowd": {
+        "field": "be11a27a88abf9d5a54548a5f0a253fc34b9fcf67a1c163243d15b61fac03388",
+        "metrics": "0a88658430b6e8f66c7efda50efd0943e009e67c9a53de6b3636cb22e34ed1aa",
+        "utility": "141ce716fccb4148d41125c30290ae8203a771b706d73e69935527f3c901c709",
+    },
 }
 
 
 def run_digests(name):
     overrides = dict(CASES[name])
-    grid = load_terrain(desk_style_map()) if name.startswith("desk") else None
+    grid = load_terrain(MAPS[name]) if name in MAPS else None
     result = run(make_config(**overrides), grid=grid)
     state = result.state
 

@@ -16,8 +16,13 @@ from riversim.landscape import (
     walkable_distance_field,
 )
 
-from conftest import grid_from
-from reference import bf_chebyshev_distances, bf_flood_fill_components, bf_nearest_source
+from conftest import grid_from, walled_park_map
+from reference import (
+    bf_chebyshev_distances,
+    bf_flood_fill_components,
+    bf_nearest_source,
+    bf_walkable_bfs,
+)
 
 
 def random_map(rng, width, height, river_p=0.2):
@@ -184,11 +189,23 @@ class TestDistanceFields:
     def test_walkable_distance_respects_obstacles(self):
         # wall of trees splits the map; right side unreachable
         grid = grid_from(".t.\n.t.\n.t.")
-        dist = walkable_distance_field(grid, [(0, 0)])
+        (dist,) = walkable_distance_field(grid, [(0, 0)])
         assert dist[0, 0] == 0
         assert dist[2, 0] == 2
         assert np.all(np.isinf(dist[:, 1]))
         assert np.all(np.isinf(dist[:, 2]))
+
+    def test_stacked_bfs_layers_match_single_source_bfs(self):
+        # one layer per source, each bit for bit a queue BFS from that source
+        # alone, inf cells included; (0, 0) is at times not walkable
+        rng = random.Random(12)
+        for _ in range(25):
+            grid = grid_from(walled_park_map(rng, rng.randint(3, 15), rng.randint(3, 15)))
+            sources = [h.coord for h in grid.hotspots] + [(0, 0)]
+            layers = walkable_distance_field(grid, sources)
+            assert layers.shape == (len(sources), grid.height, grid.width)
+            for layer, source in zip(layers, sources):
+                assert layer.tobytes() == bf_walkable_bfs(grid.walkable_mask, source).tobytes()
 
     def test_nearest_cell_tie_break(self):
         rng = random.Random(3)

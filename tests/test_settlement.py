@@ -61,7 +61,7 @@ class TestForbiddenSite:
     def test_not_buildable_and_occupied(self):
         grid, features, roads, config = build_world(FLAT_TEXT)
         assert RULE_NOT_BUILDABLE in forbidden_site((0, 0), grid, features, roads, [], config)
-        houses = [House((5, 4), 0, 0.3)]
+        houses = [House((5, 4), 0.3)]
         assert RULE_OCCUPIED in forbidden_site((5, 4), grid, features, roads, houses, config)
 
     def test_branch_proximity_flags_rule(self):
@@ -123,7 +123,7 @@ class TestPreferenceScore:
 
     def test_clustering_beats_isolation(self):
         grid, features, roads, config = build_world(FLAT_TEXT)
-        houses = [House((4, 4), 0, 0.3), House((6, 4), 0, 0.3), House((5, 3), 0, 0.3)]
+        houses = [House((4, 4), 0.3), House((6, 4), 0.3), House((5, 3), 0.3)]
         adjacent = site_preference_score((5, 4), grid, features, roads, houses, config)
         isolated = site_preference_score((9, 4), grid, features, roads, houses, config)
         assert adjacent > isolated
@@ -142,7 +142,7 @@ class TestPreferenceScore:
         for _ in range(30):
             candidate = (rng.randrange(12), rng.randrange(1, 9))
             before = site_preference_score(candidate, grid, features, roads, houses, config)
-            new_house = House((rng.randrange(12), rng.randrange(1, 9)), 0, 0.3)
+            new_house = House((rng.randrange(12), rng.randrange(1, 9)), 0.3)
             houses.append(new_house)
             after = site_preference_score(candidate, grid, features, roads, houses, config)
             assert after >= before
@@ -163,7 +163,7 @@ class TestVectorizedAgreement:
             grid, features, roads, config = build_world("\n".join(rows), elev)
             fields = compute_placement_fields(grid, features, roads, config)
             houses = [
-                House((rng.randrange(w), rng.randrange(h)), 0, 0.3) for _ in range(3)
+                House((rng.randrange(w), rng.randrange(h)), 0.3) for _ in range(3)
             ]
             occupied = {house.coord for house in houses}
             r = config.neighbor_radius
