@@ -18,7 +18,10 @@ of ticks, then pick the next one. The map never changes, so each hotspot's
 downhill moves are worked out once, at set-up, into a step table: one byte
 per cell whose bits name the neighbours a wanderer may step to. A move reads
 one byte instead of scanning 8 neighbours. Residents do a home-anchored
-random walk.
+random walk on a walk table of the same form, built at prepark set-up: one
+byte per cell whose bits name its walkable neighbours. A resident's move
+masks that byte with the neighbours that keep it within home_range of home
+on each axis, then draws one of "stay" and the remaining steps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -46,7 +49,7 @@ DWELL_ENDED = "dwell_ended"
 
 
 # DOWNHILL_STEPS[mask] lists the offsets whose bits are set in a step-table
-# byte (bit k is MOORE_OFFSETS[k]), in MOORE_OFFSETS order.
+# or walk-table byte (bit k is MOORE_OFFSETS[k]), in MOORE_OFFSETS order.
 DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     tuple(offset for k, offset in enumerate(MOORE_OFFSETS) if mask >> k & 1)
     for mask in range(256)
@@ -292,22 +295,65 @@ def step_agent(
     return DWELLING
 
 
-def step_resident(agent: Agent, grid: TerrainGrid, rng, home_range: int) -> None:
+def walk_table(walkable: np.ndarray) -> list[bytes]:
+    """Per-cell bitmask of the walkable Moore neighbours.
+
+    Returns one bytes row per grid row, one byte per cell; bit k is set when
+    Moore neighbour k (MOORE_OFFSETS order) lies on the grid and is walkable.
+    """
+    h, w = walkable.shape
+    bordered = np.zeros((h + 2, w + 2), dtype=bool)
+    bordered[1:-1, 1:-1] = walkable
+    mask = np.zeros((h, w), dtype=np.uint8)
+    for k, (dx, dy) in enumerate(MOORE_OFFSETS):
+        mask |= bordered[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx].view(np.uint8) << k
+    return [row.tobytes() for row in mask]
+
+
+@cache
+def _home_range_masks(home_range: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Step bitmasks by offset from home on each axis.
+
+    Entry o + home_range + 1 of the first tuple has bit k set when step k
+    (MOORE_OFFSETS order) leaves an x offset o within home_range, that is
+    |o + dx| <= home_range; the second does the same for y. Offsets beyond
+    home_range + 1 allow no step on that axis.
+    """
+    span = range(-home_range - 1, home_range + 2)
+    return tuple(
+        tuple(
+            sum(1 << k for k, step in enumerate(MOORE_OFFSETS) if abs(o + step[axis]) <= home_range)
+            for o in span
+        )
+        for axis in (0, 1)
+    )
+
+
+def step_resident(
+    agent: Agent, grid: TerrainGrid, walk: Sequence[bytes], rng, home_range: int
+) -> None:
     """Home-anchored random walk: move to (or stay on) a walkable cell within
-    home_range of home, uniformly; consumes exactly one rng.randrange draw."""
-    if not grid.is_walkable(agent.coord):
+    home_range of home, uniformly; consumes exactly one rng.randrange draw.
+
+    `walk` is the walk table (see walk_table). The choices are the current
+    cell, then the walkable neighbours within range in MOORE_OFFSETS order.
+    """
+    x, y = agent.coord
+    if not grid.walkable_rows[y][x]:
         raise AgentStateError(
             f"agent {agent.id} is standing on non-walkable cell {agent.coord}"
         )
     hx, hy = agent.home if agent.home is not None else agent.coord
-    x, y = agent.coord
-    walk = grid.walkable_rows
-    width, height = grid.width, grid.height
-    candidates = [agent.coord]
-    for dx, dy in MOORE_OFFSETS:
-        nx, ny = x + dx, y + dy
-        if not (0 <= nx < width and 0 <= ny < height):
-            continue
-        if walk[ny][nx] and max(abs(nx - hx), abs(ny - hy)) <= home_range:
-            candidates.append((nx, ny))
-    agent.coord = candidates[rng.randrange(len(candidates))]
+    x_masks, y_masks = _home_range_masks(home_range)
+    limit = home_range + 1
+    ox = x - hx + limit
+    oy = y - hy + limit
+    if 0 <= ox <= 2 * limit and 0 <= oy <= 2 * limit:
+        mask = walk[y][x] & x_masks[ox] & y_masks[oy]
+    else:
+        mask = 0
+    steps = DOWNHILL_STEPS[mask]
+    i = rng.randrange(1 + len(steps))
+    if i:
+        dx, dy = steps[i - 1]
+        agent.coord = (x + dx, y + dy)

@@ -48,6 +48,7 @@ from .dynamics import (
     step_agent,
     step_resident,
     utilities_by_cell,
+    walk_table,
 )
 from .landscape import (
     Coord,
@@ -131,7 +132,14 @@ class SimState:
     hotspot_dist: np.ndarray | None = None
     step_tables: list[list[bytes]] = field(default_factory=list)
     entrances: tuple[Coord, ...] = ()
+    # prepark only: the static placement fields; the sites still open to a
+    # house and the float count of houses within neighbor_radius of each cell,
+    # both updated in place by place_next_house; and the residents' walk table
+    # (rows of bytes, see dynamics.walk_table)
     placement: PlacementFields | None = None
+    open_sites: np.ndarray | None = None
+    neighbor_count: np.ndarray | None = None
+    walk: list[bytes] = field(default_factory=list)
     tick: int = 0
     next_agent_id: int = 0
     # set once diffusion returned its input unchanged; it is skipped from then on
@@ -207,6 +215,9 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
 
     if config.scenario == SCENARIO_PREPARK:
         state.placement = compute_placement_fields(grid, state.features, state.roads, config)
+        state.open_sites = state.placement.legal_static.copy()
+        state.neighbor_count = np.zeros((grid.height, grid.width), dtype=np.float64)
+        state.walk = walk_table(grid.walkable_mask)
         if config.houses_per_tick == 0 and config.houses > 0:
             grow_settlement(state, config.houses, state.rng)
             for house in state.houses:
@@ -337,7 +348,7 @@ def step(state: SimState) -> SimState:
         for agent in state.agents:
             event = ""
             if agent.kind is AgentKind.RESIDENT:
-                step_resident(agent, grid, rng, config.resident_range)
+                step_resident(agent, grid, state.walk, rng, config.resident_range)
             elif agent.kind is AgentKind.COMMUNITY_MEMBER and config.community_stationary:
                 pass
             else:

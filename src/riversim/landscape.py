@@ -55,6 +55,14 @@ BUILDABLE_CODE = CLASS_CODES[TerrainClass.BUILDABLE]
 HOTSPOT_MARKER = "Hotspot"
 BRANCH_MARKER = "Branch"
 
+# Cell code of every name a legend may use; a hotspot marker stands on
+# ParkPath, a branch marker on River.
+_NAME_CODES: dict[str, int] = {
+    **{c.value: code for c, code in CLASS_CODES.items()},
+    HOTSPOT_MARKER: CLASS_CODES[TerrainClass.PARK_PATH],
+    BRANCH_MARKER: RIVER_CODE,
+}
+
 DEFAULT_LEGEND: dict[str, str] = {
     "~": "River",
     "r": "Riverbank",
@@ -269,11 +277,10 @@ def _label_streams(river_mask: np.ndarray) -> np.ndarray:
 def validate_legend(legend: Mapping[str, str]) -> None:
     """Raise TerrainError unless every key is a single character and every
     value names a terrain class or a marker."""
-    valid = {c.value for c in TerrainClass} | {HOTSPOT_MARKER, BRANCH_MARKER}
     for ch, name in legend.items():
         if len(ch) != 1:
             raise TerrainError(f"legend keys must be single characters, got {ch!r}")
-        if name not in valid:
+        if name not in _NAME_CODES:
             raise TerrainError(f"legend maps {ch!r} to unknown class {name!r}")
 
 
@@ -309,26 +316,30 @@ def load_terrain(
     if width == 0:
         raise TerrainError("terrain row 0 is empty")
 
+    # each legend character resolved to its cell code once per load
+    codes = {ch: _NAME_CODES[name] for ch, name in active.items()}
+    markers = {ch for ch, name in active.items() if name in (HOTSPOT_MARKER, BRANCH_MARKER)}
     cells = np.zeros((height, width), dtype=np.uint8)
     hotspots: list[Hotspot] = []
     branch_markers: set[Coord] = set()
     for y, row in enumerate(rows):
         if len(row) != width:
             raise TerrainError(f"terrain row {y} has {len(row)} cells, expected {width}")
+        try:
+            cells[y] = [codes[ch] for ch in row]
+        except KeyError:
+            x = next(x for x, ch in enumerate(row) if ch not in codes)
+            raise TerrainError(
+                f"character {row[x]!r} at row {y}, column {x} is not in the legend"
+            ) from None
+        if markers.isdisjoint(row):
+            continue
         for x, ch in enumerate(row):
-            name = active.get(ch)
-            if name is None:
-                raise TerrainError(
-                    f"character {ch!r} at row {y}, column {x} is not in the legend"
-                )
+            name = active[ch]
             if name == HOTSPOT_MARKER:
-                cells[y, x] = CLASS_CODES[TerrainClass.PARK_PATH]
                 hotspots.append(Hotspot((x, y), hotspot_base))
             elif name == BRANCH_MARKER:
-                cells[y, x] = RIVER_CODE
                 branch_markers.add((x, y))
-            else:
-                cells[y, x] = CLASS_CODES[TerrainClass(name)]
 
     if elevation_text is None:
         elevation = np.zeros((height, width), dtype=np.float64)
@@ -373,7 +384,7 @@ def load_terrain(
         legend=active,
         chars=tuple(rows),
         walkable_mask=walk,
-        walkable_rows=tuple(tuple(bool(v) for v in row) for row in walk),
+        walkable_rows=tuple(map(tuple, walk.tolist())),
         n_river=int(np.count_nonzero(river_mask)),
     )
 

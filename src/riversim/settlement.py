@@ -8,6 +8,14 @@ ranks the surviving candidates: people build next to existing neighbors,
 close to the road they earn from, and as far from the river as the cap
 allows. Growth is greedy; each placement picks uniformly among the
 top-scoring sites (within score_tolerance), spending exactly one RNG draw.
+
+Only two grids depend on the houses: the sites still open to a house and
+the number of houses within neighbor_radius of each cell. They live on the
+simulation state, are built once at set-up (a copy of the static legality
+mask and zeros), and each placement updates them in place: it closes its
+own cell and adds 1.0 over its clipped neighbour window. The counts are
+small integers, exact in any order, so the score of every cell is the same
+as if the grids were rebuilt from all houses.
 """
 
 from __future__ import annotations
@@ -52,8 +60,9 @@ class PlacementFields:
     """Precomputed static part of the placement problem.
 
     legal_static is True where no house-independent rule fires; base_score is
-    the road + river part of the preference score. Only Occupied and the
-    neighbor-count term change as houses are added.
+    the road + river part of the preference score. Neither changes as houses
+    are added: the Occupied rule and the neighbor-count term live in the
+    state's open_sites and neighbor_count grids (see place_next_house).
     """
 
     legal_static: np.ndarray
@@ -114,33 +123,26 @@ def place_next_house(state, rng) -> House | None:
     """Place one house on the best available site, or nothing if none is legal.
 
     Ties within score_tolerance of the maximum are broken uniformly at
-    random; each call consumes exactly one rng.randrange draw.
+    random; each call consumes exactly one rng.randrange draw. Reads and
+    updates state.open_sites and state.neighbor_count.
     """
     config = state.config
-    fields: PlacementFields = state.placement
-    h, w = fields.legal_static.shape
-    occupied = np.zeros((h, w), dtype=bool)
-    neighbor_count = np.zeros((h, w), dtype=np.float64)
-    r = config.neighbor_radius
-    for house in state.houses:
-        x, y = house.coord
-        occupied[y, x] = True
-        neighbor_count[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] += 1.0
-
-    legal = fields.legal_static & ~occupied
-    if not legal.any():
+    open_sites = state.open_sites
+    if not open_sites.any():
         return None
-    score = fields.base_score + config.w_neighbor * neighbor_count
-    top = score[legal].max()
-    band = legal & (score >= top - config.score_tolerance)
+    neighbor_count = state.neighbor_count
+    score = state.placement.base_score + config.w_neighbor * neighbor_count
+    top = score[open_sites].max()
+    band = open_sites & (score >= top - config.score_tolerance)
     ys, xs = np.nonzero(band)
     i = rng.randrange(len(ys))
-    coord = (int(xs[i]), int(ys[i]))
-    house = House(coord=coord, waste_rate=config.waste_rate)
+    x, y = int(xs[i]), int(ys[i])
+    open_sites[y, x] = False
+    r = config.neighbor_radius
+    neighbor_count[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] += 1.0
+    house = House(coord=(x, y), waste_rate=config.waste_rate)
     state.houses.append(house)
-    state.build_log.append(
-        BuildRecord(tick=state.tick, x=coord[0], y=coord[1], score=float(score[coord[1], coord[0]]))
-    )
+    state.build_log.append(BuildRecord(tick=state.tick, x=x, y=y, score=float(score[y, x])))
     return house
 
 

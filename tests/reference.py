@@ -16,6 +16,12 @@ for the placement-legality acceptance criterion.
 of the stacked ``walkable_distance_field``; ``bf_step_agent`` is the
 wanderer move as an 8-neighbour scan of the distance field, the oracle for
 the step tables ``dynamics.step_agent`` reads.
+
+``bf_place_next_house`` rebuilds the occupancy and neighbour-count grids from
+every house on each call, the oracle for ``settlement.place_next_house``,
+which keeps those grids on the state across placements. ``bf_step_resident``
+is the resident walk as an 8-neighbour scan with bounds and home-range
+checks, the oracle for the walk table ``dynamics.step_resident`` reads.
 """
 
 import math
@@ -34,6 +40,7 @@ from riversim.dynamics import (
     sample_geometric,
 )
 from riversim.landscape import BUILDABLE_CODE
+from riversim.settlement import BuildRecord, House
 
 RULE_NOT_BUILDABLE = "NotBuildable"
 RULE_OCCUPIED = "Occupied"
@@ -229,6 +236,55 @@ def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
         agent.dwell_remaining = None
         return DWELL_ENDED
     return DWELLING
+
+
+def bf_step_resident(agent, grid, rng, home_range):
+    """One resident tick: collect the current cell, then every on-grid
+    walkable Moore neighbour within home_range of home (the agent's own cell
+    when it has no home), and move to one of them by one randrange."""
+    if not grid.is_walkable(agent.coord):
+        raise AgentStateError(f"agent {agent.id} is standing on non-walkable cell {agent.coord}")
+    hx, hy = agent.home if agent.home is not None else agent.coord
+    x, y = agent.coord
+    candidates = [agent.coord]
+    for nx, ny in _neighbors_row_major(x, y):
+        if not (0 <= nx < grid.width and 0 <= ny < grid.height):
+            continue
+        if grid.walkable_mask[ny, nx] and max(abs(nx - hx), abs(ny - hy)) <= home_range:
+            candidates.append((nx, ny))
+    agent.coord = candidates[rng.randrange(len(candidates))]
+
+
+def bf_place_next_house(state, rng):
+    """Place one house, rebuilding the occupancy and neighbour-count grids
+    from state.houses; same site, score and RNG draw as
+    settlement.place_next_house. Reads only state.placement, never the
+    state's open_sites or neighbor_count grids."""
+    config = state.config
+    fields = state.placement
+    h, w = fields.legal_static.shape
+    occupied = np.zeros((h, w), dtype=bool)
+    neighbor_count = np.zeros((h, w), dtype=np.float64)
+    r = config.neighbor_radius
+    for house in state.houses:
+        x, y = house.coord
+        occupied[y, x] = True
+        neighbor_count[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] += 1.0
+    legal = fields.legal_static & ~occupied
+    if not legal.any():
+        return None
+    score = fields.base_score + config.w_neighbor * neighbor_count
+    top = score[legal].max()
+    band = legal & (score >= top - config.score_tolerance)
+    ys, xs = np.nonzero(band)
+    i = rng.randrange(len(ys))
+    coord = (int(xs[i]), int(ys[i]))
+    house = House(coord=coord, waste_rate=config.waste_rate)
+    state.houses.append(house)
+    state.build_log.append(
+        BuildRecord(tick=state.tick, x=coord[0], y=coord[1], score=float(score[coord[1], coord[0]]))
+    )
+    return house
 
 
 def behind_direction(coord, roads):

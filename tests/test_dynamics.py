@@ -24,11 +24,18 @@ from riversim.dynamics import (
     step_agent,
     step_resident,
     utilities_by_cell,
+    walk_table,
 )
 from riversim.landscape import walkable_distance_field
 
 from conftest import grid_from, walled_park_map
-from reference import bf_agent_utility, bf_crowding_penalty, bf_diffuse, bf_step_agent
+from reference import (
+    bf_agent_utility,
+    bf_crowding_penalty,
+    bf_diffuse,
+    bf_step_agent,
+    bf_step_resident,
+)
 
 
 def all_open(width, height):
@@ -446,9 +453,10 @@ class TestResidentWalk:
     def test_resident_stays_within_range_and_walkable(self):
         grid = grid_from("....t\n.....\n..~..\n.....")
         agent = Agent(0, AgentKind.RESIDENT, (1, 1), home=(1, 1))
+        walk = walk_table(grid.walkable_mask)
         rng = random.Random(9)
         for _ in range(200):
-            step_resident(agent, grid, rng, home_range=2)
+            step_resident(agent, grid, walk, rng, home_range=2)
             x, y = agent.coord
             assert grid.is_walkable((x, y))
             assert max(abs(x - 1), abs(y - 1)) <= 2
@@ -457,5 +465,53 @@ class TestResidentWalk:
         grid = grid_from("t.t\n.#.\nt.t", legend=None)
         # center cell is obstacle; use the walkable cell at (1, 0) boxed by range 0
         agent = Agent(0, AgentKind.RESIDENT, (1, 0), home=(1, 0))
-        step_resident(agent, grid, random.Random(0), home_range=0)
+        step_resident(agent, grid, walk_table(grid.walkable_mask), random.Random(0),
+                      home_range=0)
         assert agent.coord == (1, 0)
+
+    def test_nonwalkable_position_rejected_without_a_draw(self):
+        grid = grid_from("..#..")
+        agent = Agent(0, AgentKind.RESIDENT, (2, 0), home=(2, 0))
+        rng, replay = random.Random(4), random.Random(4)
+        with pytest.raises(AgentStateError):
+            step_resident(agent, grid, walk_table(grid.walkable_mask), rng, home_range=1)
+        assert rng.getstate() == replay.getstate()
+
+    def test_walk_table_matches_neighbour_scan(self):
+        # random small maps with obstacles, trees and water, so residents
+        # stand on the map edge; home_range 0-3; homes on the start cell,
+        # elsewhere on the map, off the map or absent, so some residents
+        # start outside their range. After every step the table walk and the
+        # 8-neighbour scan agree on the coord and the RNG state.
+        rng = random.Random(31)
+        outside = edge = homeless = 0
+        for trial in range(40):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            cells = [[rng.choice("...#t~") for _ in range(w)] for _ in range(h)]
+            cells[rng.randrange(h)][rng.randrange(w)] = "."
+            grid = grid_from("\n".join("".join(row) for row in cells))
+            walk = walk_table(grid.walkable_mask)
+            ys, xs = np.nonzero(grid.walkable_mask)
+            open_cells = list(zip(xs.tolist(), ys.tolist()))
+            home_range = trial % 4
+            for _ in range(4):
+                start = rng.choice(open_cells)
+                home = rng.choice([
+                    start, rng.choice(open_cells), None,
+                    (start[0] + home_range + rng.randint(1, 3), start[1] - rng.randint(0, 4)),
+                ])
+                homeless += home is None
+                fast = Agent(0, AgentKind.RESIDENT, start, home=home)
+                slow = Agent(0, AgentKind.RESIDENT, start, home=home)
+                seed = rng.random()
+                fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+                for _ in range(30):
+                    x, y = fast.coord
+                    hx, hy = home if home is not None else fast.coord
+                    outside += max(abs(x - hx), abs(y - hy)) > home_range
+                    edge += x in (0, w - 1) or y in (0, h - 1)
+                    step_resident(fast, grid, walk, fast_rng, home_range)
+                    bf_step_resident(slow, grid, slow_rng, home_range)
+                    assert fast.coord == slow.coord
+                    assert fast_rng.getstate() == slow_rng.getstate()
+        assert outside > 0 and edge > 0 and homeless > 0

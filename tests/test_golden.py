@@ -8,10 +8,12 @@ the only test that sees it change. Every case runs past the tick at which
 the excitement field reaches its fixed point.
 
 The digests were generated before the per-agent utility loop was replaced
-by one array pass per tick, and the ``walled_crowd`` digests before
-wanderers read precomputed step tables; a refactor must leave them
-unchanged. Print the current values with ``python tests/test_golden.py``
-and re-pin them only for a deliberate change of behaviour.
+by one array pass per tick, the ``walled_crowd`` digests before wanderers
+read precomputed step tables, and the ``prepark_exhaust`` digests before
+placement kept its grids across placements and residents read a walk table;
+a refactor must leave them unchanged. Print the current values with
+``python tests/test_golden.py`` and re-pin them only for a deliberate change
+of behaviour.
 """
 
 import hashlib
@@ -67,7 +69,25 @@ WALLED_MAP = "\n".join([
     "rrrrrrrrrrrrrrrrrrrrrr",
 ])
 
-MAPS = {"desk_60": desk_style_map(), "walled_crowd": WALLED_MAP}
+# A prepark strip with 94 legal sites, fewer than the 200 houses asked for:
+# growth at 3 per tick runs out on tick 32, mid-run. Houses land on the top row
+# and both side columns, obstacles and trees sit among them, and
+# neighbor_radius and resident_range are 1, so placement windows and
+# resident walks are clipped at the map edge.
+EXHAUST_MAP = "\n".join([
+    "....t.....#.....",
+    "..........#.....",
+    "=======.........",
+    "......=...tt....",
+    "......=.........",
+    "..#...=.........",
+    "......=....#....",
+    "rrrrrrrrrrrrrrrr",
+    "~~~~~~~~~~~~~~~~",
+])
+
+MAPS = {"desk_60": desk_style_map(), "walled_crowd": WALLED_MAP,
+        "prepark_exhaust": EXHAUST_MAP}
 
 
 CASES = {
@@ -81,6 +101,9 @@ CASES = {
                             community_stationary=True),
     "park_entrances": dict(scenario="park", seed=7, ticks=BUNDLED_TICKS,
                            entrances=((0, 1), (47, 10))),
+    "prepark_exhaust": dict(scenario="prepark", seed=9, ticks=60, houses=200,
+                            houses_per_tick=3, river_buffer=1, neighbor_radius=1,
+                            resident_range=1),
     "desk_60": dict(scenario="park", seed=0, ticks=500, n_community=100,
                     visitor_spawn_rate=0.0),
     "walled_crowd": dict(scenario="park", seed=8, ticks=300, n_community=3,
@@ -118,6 +141,12 @@ GOLDEN = {
         "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
         "metrics": "0aa987b22199af12dc04940218ebf83e8a85f5f872c2230df72daa4870cf2b90",
         "utility": "505ef7e4e7dfc5740bdc0f464d12af8f170a58abe196bfdeca108e16fb25653f",
+    },
+    "prepark_exhaust": {
+        "buildlog": "c0ef10104ff986e122d230878f8e43c92b69dca881d39095fd900d5b3d52daa6",
+        "field": "4cf9816ed1062189ff0c8d427fba5e912cc68fc9af76cf7f08fd255977de3b33",
+        "metrics": "d5d184555291e44a1ff99610d54f4fa410225425f93dd3caba9ea025aaf51fe0",
+        "utility": "481807c0b835b083990090b750e80f049ed1343b8729790d41170a2c76912cea",
     },
     "prepark_growth": {
         "buildlog": "d5ee6346fd756806e8dbb50bc0dcb79ca9a8e8fac9993c0f9da68bbd3fde995c",

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from reference import (
     RULE_SI_BAREUBEU,
     RULE_SRI_MADAYUNG,
     RULE_TALAGA_KAHUDANAN,
+    bf_place_next_house,
     forbidden_site,
     site_preference_score,
 )
@@ -236,6 +238,54 @@ class TestPlacement:
         i = shadow.randrange(len(ys))
         assert (int(xs[i]), int(ys[i])) == house.coord
         assert shadow.getstate() == state.rng.getstate()
+
+
+class TestIncrementalPlacement:
+    def test_matches_rebuild_from_houses(self):
+        # random maps with obstacles, trees, roads and optional elevation;
+        # neighbor_radius 0-3 and tolerances wide enough for many-way ties;
+        # each map is filled until no legal site is left. After every call
+        # the grids kept on the state and the rebuild from all houses agree
+        # on the site, the bits of the logged score and the RNG state.
+        rng = random.Random(17)
+        exhausted = edge = ties = 0
+        for trial in range(36):
+            w, h = rng.randint(3, 14), rng.randint(3, 12)
+            cells = [[rng.choice("......#t=r") for _ in range(w)] for _ in range(h)]
+            cells[rng.randrange(h)][rng.randrange(w)] = "~"
+            elev = None
+            if trial % 2:
+                elev = "\n".join(" ".join(str(rng.randint(0, 3)) for _ in range(w))
+                                 for _ in range(h))
+            grid = grid_from("\n".join("".join(row) for row in cells), elev)
+            config = make_config(
+                scenario="prepark", houses=0, seed=trial, neighbor_radius=trial % 4,
+                score_tolerance=rng.choice((1e-9, 0.3, 2.5, 50.0)),
+                w_neighbor=rng.choice((0.0, 1.0, 0.37)), river_buffer=rng.randint(0, 2),
+            )
+            fast = init_scenario(config, grid=grid)
+            slow = init_scenario(config, grid=grid)
+            for tick in range(w * h + 1):
+                fast.tick = slow.tick = tick
+                score = fast.placement.base_score + config.w_neighbor * fast.neighbor_count
+                if fast.open_sites.any():
+                    top = score[fast.open_sites].max()
+                    band = fast.open_sites & (score >= top - config.score_tolerance)
+                    ties += np.count_nonzero(band) > 1
+                house = place_next_house(fast, fast.rng)
+                expected = bf_place_next_house(slow, slow.rng)
+                assert fast.rng.getstate() == slow.rng.getstate()
+                if expected is None:
+                    assert house is None
+                    exhausted += 1
+                    break
+                assert house.coord == expected.coord
+                got, want = fast.build_log[-1], slow.build_log[-1]
+                assert (got.tick, got.x, got.y) == (want.tick, want.x, want.y)
+                assert struct.pack("<d", got.score) == struct.pack("<d", want.score)
+                x, y = house.coord
+                edge += x in (0, w - 1) or y in (0, h - 1)
+        assert exhausted == 36 and edge > 0 and ties > 0
 
 
 class TestGrowth:

@@ -6,6 +6,10 @@ or an ``ast.Attribute`` counts as a use, so an import alone or a call from
 tests does not keep a name alive. Exempt are the public API in
 ``riversim.__all__``, dunders, and ``cli.entry`` (the console script
 declared in pyproject.toml).
+
+Every field of a dataclass declared in src/riversim must likewise be read
+somewhere in src/riversim, as an ``ast.Attribute`` in Load context: a field
+that is only assigned, or only read by tests, holds a value no run uses.
 """
 
 import ast
@@ -67,3 +71,61 @@ def unused_names(src: Path = SRC) -> list[str]:
 def test_every_src_name_is_used_in_src():
     unused = unused_names()
     assert not unused, "defined in src/riversim but never used there: " + ", ".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(src: Path = SRC) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.target.id not in read
+                ):
+                    unread.append(f"{module}.{node.name}.{item.target.id}")
+    return unread
+
+
+def test_every_dataclass_field_is_read_in_src():
+    unread = unread_fields()
+    assert not unread, "dataclass fields never read in src/riversim: " + ", ".join(unread)
+
+
+def test_field_guard_sees_dataclasses(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    written: int = 0\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    never: int\n"
+        "class C:\n"
+        "    plain: int\n"
+        "def f(a, b):\n"
+        "    a.written = a.kept\n",
+        encoding="utf-8",
+    )
+    assert unread_fields(tmp_path) == ["mod.A.written", "mod.B.never"]
