@@ -34,6 +34,11 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
     return seeds
 
 
+def _config_error(message: str) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _refuse_existing(paths: list[Path], force: bool) -> bool:
     if force:
         return False
@@ -53,13 +58,15 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
     try:
         config = load_config(config_path)
     except (ConfigError, TerrainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(str(exc))
 
     if frame_every is not None:
         config = replace(config, frame_every=frame_every)
 
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _config_error(f"cannot create output directory {out}: {exc}")
     prepark = config.scenario == "prepark"
     targets: list[Path] = []
     for seed in seeds:
@@ -83,31 +90,52 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
             return EXIT_CONFIG
 
         metrics_path = out / f"metrics_{seed}.csv"
-        metrics_path.write_text(metrics_to_csv(result.metrics), encoding="utf-8")
-        if prepark:
-            lines = ["tick,x,y,score"]
-            lines += [
-                f"{rec.tick},{rec.x},{rec.y},{rec.score:.6f}"
-                for rec in result.state.build_log
-            ]
-            (out / f"buildlog_{seed}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if config.frame_every:
-            frame_dir = out / f"frames_{seed}"
-            frame_dir.mkdir(exist_ok=True)
-            for tick, text in result.frames:
-                (frame_dir / f"frame_{tick}.txt").write_text(text, encoding="utf-8")
+        try:
+            metrics_path.write_text(metrics_to_csv(result.metrics), encoding="utf-8")
+            if prepark:
+                lines = ["tick,x,y,score"]
+                lines += [
+                    f"{rec.tick},{rec.x},{rec.y},{rec.score:.6f}"
+                    for rec in result.state.build_log
+                ]
+                (out / f"buildlog_{seed}.csv").write_text("\n".join(lines) + "\n",
+                                                          encoding="utf-8")
+            if config.frame_every:
+                frame_dir = out / f"frames_{seed}"
+                frame_dir.mkdir(exist_ok=True)
+                for tick, text in result.frames:
+                    (frame_dir / f"frame_{tick}.txt").write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _config_error(f"cannot write outputs of seed {seed} to {out}: {exc}")
         print(f"seed {seed}: wrote {metrics_path}")
     return EXIT_OK
 
 
 def _read_metrics_csv(path: Path) -> list[dict[str, float]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != CSV_HEADER.split(","):
-            raise ConfigError(f"{path} does not look like a metrics CSV")
-        rows = []
-        for record in reader:
-            rows.append({key: float(value) for key, value in record.items()})
+    """Rows of a metrics CSV as floats; ConfigError naming the file on any
+    unreadable file, wrong header, wrong row width or non-finite cell."""
+    header = CSV_HEADER.split(",")
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            if next(reader, None) != header:
+                raise ConfigError(f"{path} does not look like a metrics CSV")
+            for cells in reader:
+                if not cells:
+                    continue  # blank line
+                if len(cells) != len(header):
+                    raise ConfigError(f"{path} line {reader.line_num} has {len(cells)} "
+                                      f"cells where the header has {len(header)}")
+                try:
+                    values = [float(cell) for cell in cells]
+                except ValueError as exc:
+                    raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise ConfigError(f"{path} line {reader.line_num} holds a non-finite value")
+                rows.append(dict(zip(header, values)))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read metrics CSV {path}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path} has no metric rows")
     return rows
@@ -132,7 +160,7 @@ def summarize_metrics(files: list[list[dict[str, float]]]) -> ScenarioStats:
         else:
             deltas.append(0.0)
         per_capita.append(sum(r["garbage_per_capita"] for r in rows) / len(rows))
-        littering += int(sum(r["littering_events"] for r in rows))
+        littering += sum(int(r["littering_events"]) for r in rows)
     return ScenarioStats(
         n_files=len(files),
         mean_delta_dirtiness=sum(deltas) / len(deltas),
@@ -158,8 +186,7 @@ def cmd_compare(pre_glob: str, post_glob: str, out_dir: Path, force: bool) -> in
         pre_files = [_read_metrics_csv(p) for p in pre_paths]
         post_files = [_read_metrics_csv(p) for p in post_paths]
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(str(exc))
 
     lengths = {len(rows) for rows in pre_files} | {len(rows) for rows in post_files}
     if len(lengths) != 1:
@@ -189,12 +216,18 @@ def cmd_compare(pre_glob: str, post_glob: str, out_dir: Path, force: bool) -> in
         f"damping_ratio,,{ratio:.6f}",
     ]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _config_error(f"cannot create output directory {out_dir}: {exc}")
     targets = [out_dir / "comparison.txt", out_dir / "comparison.csv"]
     if _refuse_existing(targets, force):
         return EXIT_REFUSED
-    targets[0].write_text(report, encoding="utf-8")
-    targets[1].write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    try:
+        targets[0].write_text(report, encoding="utf-8")
+        targets[1].write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        return _config_error(f"cannot write the comparison to {out_dir}: {exc}")
     print(report, end="")
     return EXIT_OK
 
@@ -207,8 +240,7 @@ def cmd_validate(config_path: Path | None, print_defaults: bool) -> int:
             config = load_config(config_path)
             init_scenario(config)
         except (ConfigError, TerrainError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _config_error(str(exc))
         print(f"config OK: scenario={config.scenario}, ticks={config.ticks}, "
               f"terrain={config.terrain_file}")
     elif not print_defaults:
@@ -251,8 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             seeds = _parse_seeds(args.seeds)
         except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _config_error(str(exc))
         return cmd_run(args.config, args.out, seeds, args.force, args.frame_every)
     if args.command == "compare":
         return cmd_compare(args.pre, args.post, args.out, args.force)

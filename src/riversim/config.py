@@ -224,11 +224,12 @@ def _convert(section: str, key: str, raw: str, config: SimConfig):
 def load_config(path: str | Path) -> SimConfig:
     """Read and validate a config file; paths resolve relative to the file."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a "%" in a value is an ordinary character
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc

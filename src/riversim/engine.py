@@ -7,10 +7,13 @@ Phase order inside one tick is fixed:
    and the sources never change, so a step that returns its input bit for
    bit would do so on every later tick)
 3. visitor despawn then spawn (park)
-4. agents act in ascending id order: move, decide on littering, community
-   cleanup; once all have acted, every agent's utility is computed in one
-   array pass against the previous tick's utilities and the tick-start
-   garbage snapshot (nothing inside the loop reads utility)
+4. agents act in ascending id order, in one loop per scenario: in the
+   prepark every agent is a resident and takes one walk step; in the park a
+   visitor moves, picks up litter on arrival and decides on littering while
+   it dwells, and a community member moves (unless stationary) and cleans
+   up. Once all have acted, every agent's utility is computed in one array
+   pass against the previous tick's utilities and the tick-start garbage
+   snapshot (nothing inside the loops reads utility)
 5. house waste generation (prepark)
 6. metrics row + invariant checks
 
@@ -52,12 +55,11 @@ from .dynamics import (
 )
 from .landscape import (
     Coord,
-    RiverFeatures,
-    RoadFeatures,
     TerrainGrid,
     compute_river_features,
     compute_road_features,
     load_terrain_files,
+    riverside_mask,
     walkable_distance_field,
 )
 from .settlement import (
@@ -118,8 +120,6 @@ def metrics_to_csv(rows: list[MetricsRow]) -> str:
 class SimState:
     config: SimConfig
     grid: TerrainGrid
-    features: RiverFeatures
-    roads: RoadFeatures
     field: ExcitementField
     garbage: GarbageField
     rng: random.Random
@@ -127,11 +127,12 @@ class SimState:
     houses: list[House] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
     build_log: list[BuildRecord] = field(default_factory=list)
-    # park only: (n_hotspots, H, W) BFS distances and, per hotspot, the step
-    # table built from its layer (rows of bytes, see downhill_step_table)
-    hotspot_dist: np.ndarray | None = None
+    # park only: per hotspot, the step table built from its BFS layer (rows
+    # of bytes, see downhill_step_table); the entrances; and, under
+    # riverside_drift, the cells next to the river, where litter washes in
     step_tables: list[list[bytes]] = field(default_factory=list)
     entrances: tuple[Coord, ...] = ()
+    riverside: np.ndarray | None = None
     # prepark only: the static placement fields; the sites still open to a
     # house and the float count of houses within neighbor_radius of each cell,
     # both updated in place by place_next_house; and the residents' walk table
@@ -167,11 +168,11 @@ def _spawn_agent(state: SimState, kind: AgentKind, coord: Coord, *,
     return agent
 
 
-def _resolve_entrances(state: SimState) -> tuple[Coord, ...]:
+def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
+                       hotspot_dist: np.ndarray) -> tuple[Coord, ...]:
     """Park entrances: configured coords, or every walkable map-edge cell
-    from which at least one hotspot is reachable (row-major order)."""
-    grid = state.grid
-    config = state.config
+    from which at least one hotspot is reachable (row-major order);
+    hotspot_dist is the (n_hotspots, H, W) stack of BFS distances."""
     if config.entrances is not None:
         for coord in config.entrances:
             if not grid.in_bounds(coord):
@@ -179,7 +180,7 @@ def _resolve_entrances(state: SimState) -> tuple[Coord, ...]:
             if not grid.is_walkable(coord):
                 raise ConfigError(f"park.entrances coordinate {coord} is not walkable")
         return tuple(config.entrances)
-    candidates = grid.walkable_mask & np.isfinite(state.hotspot_dist).any(axis=0)
+    candidates = grid.walkable_mask & np.isfinite(hotspot_dist).any(axis=0)
     candidates[1:-1, 1:-1] = False  # map-edge cells only
     ys, xs = np.nonzero(candidates)
     return tuple(zip(xs.tolist(), ys.tolist()))
@@ -206,15 +207,15 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
     state = SimState(
         config=config,
         grid=grid,
-        features=compute_river_features(grid, config.d_streams, config.d_branch),
-        roads=compute_road_features(grid),
         field=ExcitementField.from_grid(grid, config.mu),
         garbage=GarbageField.zeros(grid.width, grid.height),
         rng=random.Random(config.seed),
     )
 
     if config.scenario == SCENARIO_PREPARK:
-        state.placement = compute_placement_fields(grid, state.features, state.roads, config)
+        rivers = compute_river_features(grid, config.d_streams, config.d_branch)
+        roads = compute_road_features(grid)
+        state.placement = compute_placement_fields(grid, rivers, roads, config)
         state.open_sites = state.placement.legal_static.copy()
         state.neighbor_count = np.zeros((grid.height, grid.width), dtype=np.float64)
         state.walk = walk_table(grid.walkable_mask)
@@ -225,9 +226,11 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
     else:
         if not grid.hotspots:
             raise ConfigError("park scenario requires at least one hotspot on the map")
-        state.hotspot_dist = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
-        state.step_tables = [downhill_step_table(layer) for layer in state.hotspot_dist]
-        state.entrances = _resolve_entrances(state)
+        hotspot_dist = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+        state.step_tables = [downhill_step_table(layer) for layer in hotspot_dist]
+        state.entrances = _resolve_entrances(config, grid, hotspot_dist)
+        if config.riverside_drift:
+            state.riverside = riverside_mask(grid)
         if config.visitor_spawn_rate > 0 and not state.entrances:
             raise ConfigError("no walkable map-edge entrance reaches a hotspot")
         for i in range(config.n_community):
@@ -256,7 +259,7 @@ def _watchers(agents: list[Agent], me: Agent, radius: int) -> tuple[int, bool]:
 
 def _drop_litter(state: SimState, coord: Coord) -> None:
     x, y = coord
-    if state.config.riverside_drift and state.features.dist_to_river[y, x] == 1.0:
+    if state.config.riverside_drift and state.riverside[y, x]:
         state.garbage.dump_to_river()
     else:
         state.garbage.drop_at(coord)
@@ -345,28 +348,26 @@ def step(state: SimState) -> SimState:
     previous_utilities = utilities_by_cell(state.agents)
     garbage_snapshot = state.garbage.in_place.copy()
     try:
-        for agent in state.agents:
-            event = ""
-            if agent.kind is AgentKind.RESIDENT:
+        if prepark:
+            for agent in state.agents:
                 step_resident(agent, grid, state.walk, rng, config.resident_range)
-            elif agent.kind is AgentKind.COMMUNITY_MEMBER and config.community_stationary:
-                pass
-            else:
-                event = step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
-                if agent.kind is AgentKind.VISITOR and event == ARRIVED:
-                    agent.carrying_litter = True
-            if (
-                agent.kind is AgentKind.VISITOR
-                and agent.carrying_litter
-                and event in (DWELLING, DWELL_ENDED)
-            ):
-                nearby, community_near = _watchers(state.agents, agent, config.warn_radius)
-                if visitor_litter_decision(agent, nearby, community_near, rng, config):
-                    _drop_litter(state, agent.coord)
-                    agent.carrying_litter = False
-                    littering += 1
-            if agent.kind is AgentKind.COMMUNITY_MEMBER and state.garbage.in_place_total:
-                community_cleanup(agent.coord, state.garbage, config)
+        else:
+            for agent in state.agents:
+                if agent.kind is AgentKind.VISITOR:
+                    event = step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
+                    if event == ARRIVED:
+                        agent.carrying_litter = True
+                    elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
+                        nearby, community_near = _watchers(state.agents, agent, config.warn_radius)
+                        if visitor_litter_decision(agent, nearby, community_near, rng, config):
+                            _drop_litter(state, agent.coord)
+                            agent.carrying_litter = False
+                            littering += 1
+                else:
+                    if not config.community_stationary:
+                        step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
+                    if state.garbage.in_place_total:
+                        community_cleanup(agent.coord, state.garbage, config)
     except AgentStateError as exc:
         raise InvariantViolation(tick, str(exc)) from exc
     # every agent's utility in one pass; nothing in the loop above reads it

@@ -2,8 +2,10 @@
 
 A map is a rectangular block of legend characters plus an optional
 whitespace-separated elevation sheet of the same shape. Loading produces an
-immutable TerrainGrid; ``compute_river_features`` / ``compute_road_features``
-derive the distance fields and masks that placement rules and agents consume.
+immutable TerrainGrid. ``compute_river_features`` / ``compute_road_features``
+derive the distance fields and masks that only the prepark placement rules
+consume; the park reads just ``riverside_mask`` (the cells next to the
+river, where litter drifts in) and the hotspots' ``walkable_distance_field``.
 
 Conventions used throughout the package:
 
@@ -191,6 +193,12 @@ def chebyshev_distance_field(source_mask: np.ndarray) -> np.ndarray:
         dist[frontier] = d
         covered |= frontier
     return dist
+
+
+def riverside_mask(grid: TerrainGrid) -> np.ndarray:
+    """Cells at Chebyshev distance exactly 1 from the nearest River cell."""
+    river = grid.cells == RIVER_CODE
+    return _dilate8(river) & ~river
 
 
 def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.ndarray:
@@ -428,15 +436,6 @@ def compute_river_features(
     """
     shape = (grid.height, grid.width)
     river = grid.cells == RIVER_CODE
-    if not river.any():
-        false = np.zeros(shape, dtype=bool)
-        return RiverFeatures(
-            dist_to_river=np.full(shape, np.inf),
-            between_streams=false,
-            branch_proximity=false.copy(),
-            below_river=false.copy(),
-        )
-
     dist = chebyshev_distance_field(river)
 
     within_count = np.zeros(shape, dtype=np.int32)
@@ -459,8 +458,9 @@ def compute_river_features(
     for _ in range(d_branch):
         proximity = _dilate8(proximity)
 
-    if np.all(grid.elevation == grid.elevation.flat[0]):
-        # Uniform elevation: "strictly below nearest river cell" cannot hold.
+    if not river.any() or np.all(grid.elevation == grid.elevation.flat[0]):
+        # No river, or uniform elevation: "strictly below nearest river cell"
+        # cannot hold.
         below = np.zeros(shape, dtype=bool)
     else:
         _, near_y, near_x = nearest_cell_fields(river)
@@ -477,15 +477,7 @@ def compute_river_features(
 
 
 def compute_road_features(grid: TerrainGrid) -> RoadFeatures:
-    shape = (grid.height, grid.width)
-    road = grid.cells == ROAD_CODE
-    if not road.any():
-        return RoadFeatures(
-            dist_to_road=np.full(shape, np.inf),
-            nearest_road_x=np.full(shape, -1, dtype=np.int64),
-            nearest_road_y=np.full(shape, -1, dtype=np.int64),
-        )
-    dist, near_y, near_x = nearest_cell_fields(road)
+    dist, near_y, near_x = nearest_cell_fields(grid.cells == ROAD_CODE)
     for arr in (dist, near_y, near_x):
         arr.flags.writeable = False
     return RoadFeatures(dist_to_road=dist, nearest_road_x=near_x, nearest_road_y=near_y)

@@ -1,7 +1,13 @@
 import pytest
 
 from riversim.config import SimConfig
-from riversim.landscape import load_terrain, load_terrain_files, default_map_paths
+from riversim.landscape import (
+    compute_river_features,
+    compute_road_features,
+    default_map_paths,
+    load_terrain,
+    load_terrain_files,
+)
 
 
 def make_config(**overrides) -> SimConfig:
@@ -12,6 +18,13 @@ def make_config(**overrides) -> SimConfig:
 
 def grid_from(text: str, elevation: str | None = None, **kwargs):
     return load_terrain(text, elevation, **kwargs)
+
+
+def placement_features(grid, config):
+    """(river features, road features) as prepark set-up computes them for
+    placement; the simulation state keeps neither."""
+    features = compute_river_features(grid, config.d_streams, config.d_branch)
+    return features, compute_road_features(grid)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from riversim.engine import init_scenario, metrics_to_csv, run, step
 from riversim.landscape import load_terrain, load_terrain_files, default_map_paths
 from riversim.settlement import House
 
-from conftest import make_config
+from conftest import make_config, placement_features
 from reference import bf_diffuse, forbidden_site
 
 N_SCENARIO_SEEDS = 20
@@ -131,6 +131,7 @@ class TestCriterion3PlacementLegality:
         started = time.perf_counter()
         violations = 0
         buffer_breaches = 0
+        features, roads = placement_features(fixture_grid, make_config(scenario="prepark"))
         for seed in range(100):
             config = make_config(scenario="prepark", seed=seed, houses=30)
             state = init_scenario(config, grid=fixture_grid)
@@ -138,12 +139,10 @@ class TestCriterion3PlacementLegality:
             replayed = []
             for record in state.build_log:
                 coord = (record.x, record.y)
-                rules = forbidden_site(
-                    coord, state.grid, state.features, state.roads, replayed, config
-                )
+                rules = forbidden_site(coord, state.grid, features, roads, replayed, config)
                 if rules:
                     violations += 1
-                if state.features.dist_to_river[record.y, record.x] < config.river_buffer:
+                if features.dist_to_river[record.y, record.x] < config.river_buffer:
                     buffer_breaches += 1
                 replayed.append(House(coord, config.waste_rate))
         elapsed = time.perf_counter() - started
@@ -159,14 +158,15 @@ class TestCriterion3PlacementLegality:
 class TestCriterion4ThreeZoneEmergence:
     def test_houses_sit_nearer_road_than_river(self, fixture_grid):
         wins = 0
+        features, roads = placement_features(fixture_grid, make_config(scenario="prepark"))
         for seed in range(100):
             config = make_config(scenario="prepark", seed=seed, houses=30)
             state = init_scenario(config, grid=fixture_grid)
             road = np.mean([
-                state.roads.dist_to_road[y, x] for x, y in (h.coord for h in state.houses)
+                roads.dist_to_road[y, x] for x, y in (h.coord for h in state.houses)
             ])
             river = np.mean([
-                state.features.dist_to_river[y, x] for x, y in (h.coord for h in state.houses)
+                features.dist_to_river[y, x] for x, y in (h.coord for h in state.houses)
             ])
             if road < river:
                 wins += 1

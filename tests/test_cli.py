@@ -107,6 +107,15 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "metrics_0.csv").exists()
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "sim.ini", ticks=5)
+        out = tmp_path / "out.txt"
+        out.write_text("keep")
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+        assert out.read_text() == "keep"
+
     def test_invariant_halt_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config):
             raise InvariantViolation(17, "synthetic breach")
@@ -166,6 +175,41 @@ class TestCompareCommand:
             "--post", str(tmp_path / "nope_*.csv"), "--out", str(tmp_path / "cmp"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("fault", ["non_numeric", "not_utf8", "short_row", "long_row"])
+    def test_malformed_csv_exits_2_naming_it(self, tmp_path, capsys, fault):
+        good = self.run_seeds(tmp_path, "prepark", "1", ticks=5) / "metrics_1.csv"
+        header, first, *rest = good.read_text().splitlines()
+        cells = first.split(",")
+        broken = {
+            "non_numeric": ",".join(cells[:3] + ["many"] + cells[4:]),
+            "not_utf8": None,
+            "short_row": ",".join(cells[:-1]),
+            "long_row": ",".join(cells + ["0"]),
+        }[fault]
+        bad = tmp_path / "bad.csv"
+        if broken is None:
+            bad.write_bytes("\n".join([header, first]).encode() + b",\xff\xfe\n")
+        else:
+            bad.write_text("\n".join([header, broken, *rest]) + "\n")
+        code = cli.main([
+            "compare", "--pre", str(bad), "--post", str(good), "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad) in err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        metrics = self.run_seeds(tmp_path, "prepark", "1", ticks=5) / "metrics_1.csv"
+        out = tmp_path / "out.txt"
+        out.write_text("keep")
+        code = cli.main([
+            "compare", "--pre", str(metrics), "--post", str(metrics), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+        assert out.read_text() == "keep"
 
     def test_report_lists_littering_and_per_capita(self, tmp_path):
         pre = self.run_seeds(tmp_path, "prepark", "1")

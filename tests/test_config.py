@@ -109,6 +109,16 @@ class TestFileLoading:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        (tmp_path / "sim.ini").write_bytes(b"[run]\nticks = \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(tmp_path / "sim.ini")
+
+    def test_percent_sign_is_an_ordinary_character(self, tmp_path):
+        (tmp_path / "sim.ini").write_text("[waste]\nlitter_p = 5%\n")
+        with pytest.raises(ConfigError, match="waste.litter_p"):
+            load_config(tmp_path / "sim.ini")
+
     def test_defaults_text_parses_back_to_defaults(self, tmp_path):
         path = tmp_path / "defaults.ini"
         path.write_text(default_config_text())

@@ -1,3 +1,4 @@
+import random
 import statistics
 
 import numpy as np
@@ -15,6 +16,7 @@ from riversim.engine import (
     run,
     step,
 )
+from riversim.landscape import compute_river_features, walkable_distance_field
 
 from conftest import grid_from, make_config
 
@@ -94,13 +96,50 @@ class TestInitScenario:
     def test_auto_entrances_reach_hotspots(self, default_grid):
         config = make_config(scenario="park")
         state = init_scenario(config, grid=default_grid)
+        hotspot_dist = walkable_distance_field(
+            default_grid, [h.coord for h in default_grid.hotspots]
+        )
         assert state.entrances
         for x, y in state.entrances:
             assert x in (0, default_grid.width - 1) or y in (0, default_grid.height - 1)
             assert default_grid.is_walkable((x, y))
-            assert np.isfinite(state.hotspot_dist[:, y, x]).any()
+            assert np.isfinite(hotspot_dist[:, y, x]).any()
         # the south bank is cut off by the river and must not be an entrance
         assert not any(y >= 21 for _, y in state.entrances)
+
+
+class TestParkSetup:
+    def test_park_builds_no_placement_features(self, default_grid, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("park set-up built placement features")
+
+        monkeypatch.setattr(engine, "compute_river_features", refuse)
+        monkeypatch.setattr(engine, "compute_road_features", refuse)
+        for drift in (False, True):
+            config = make_config(scenario="park", riverside_drift=drift, ticks=5)
+            state = engine.run(config, grid=default_grid).state
+            assert (state.riverside is not None) == drift
+
+    def test_riverside_mask_is_distance_one_from_river(self):
+        # random maps with river cells on the map edge, branch markers,
+        # obstacles and trees; the mask the park keeps must be exactly the
+        # cells the river features put at distance 1
+        rng = random.Random(23)
+        for trial in range(40):
+            w, h = rng.randint(3, 14), rng.randint(2, 12)
+            cells = [[rng.choice("....t#~p") for _ in range(w)] for _ in range(h)]
+            if trial % 2:
+                cells[rng.randrange(h)][rng.randrange(w)] = "B"
+            cells[rng.randrange(h)][rng.choice((0, w - 1))] = "~"
+            cells[rng.choice((0, h - 1))][rng.randrange(w)] = "~"
+            cells[rng.randrange(h)][rng.randrange(1, w - 1)] = "H"
+            grid = grid_from("\n".join("".join(row) for row in cells))
+            config = make_config(scenario="park", seed=trial, riverside_drift=True,
+                                 visitor_spawn_rate=0.0)
+            state = init_scenario(config, grid=grid)
+            expected = compute_river_features(grid).dist_to_river == 1
+            assert state.riverside.dtype == bool
+            assert np.array_equal(state.riverside, expected)
 
 
 class TestStep:
@@ -326,6 +365,16 @@ class TestCommunityEffects:
         assert total_littered > 0
         assert last.collected_total > 0
         assert last.collected_total + last.total_in_place == total_littered
+
+    def test_stationed_members_still_clean_up(self, default_grid):
+        config = make_config(scenario="park", seed=5, n_community=1, community_stationary=True,
+                             visitor_spawn_rate=0.0)
+        state = init_scenario(config, grid=default_grid)
+        member = state.agents[0]
+        state.garbage.drop_at(member.coord)
+        step(state)
+        assert member.coord == default_grid.hotspots[0].coord
+        assert state.garbage.collected_total == 1
 
     def test_park_river_stays_clean_without_drift(self, default_grid):
         config = make_config(scenario="park", seed=7, ticks=200)

@@ -10,7 +10,9 @@ the excitement field reaches its fixed point.
 The digests were generated before the per-agent utility loop was replaced
 by one array pass per tick, the ``walled_crowd`` digests before wanderers
 read precomputed step tables, and the ``prepark_exhaust`` digests before
-placement kept its grids across placements and residents read a walk table;
+placement kept its grids across placements and residents read a walk table,
+and the ``park_riverside`` digests before the park stopped building the
+river features and kept only the riverside mask;
 a refactor must leave them unchanged. Print the current values with
 ``python tests/test_golden.py`` and re-pin them only for a deliberate change
 of behaviour.
@@ -86,8 +88,20 @@ EXHAUST_MAP = "\n".join([
     "~~~~~~~~~~~~~~~~",
 ])
 
+# A park whose river runs along the bottom edge. Two hotspots sit on the
+# riverbank row, next to the river, and one two cells from it; with
+# riverside_drift litter dropped on the bank washes into the river and the
+# rest stays on the ground for the community to collect.
+RIVERSIDE_MAP = "\n".join([
+    "============",
+    "............",
+    "........H...",
+    "rrHrrrrrrHrr",
+    "~~~~~~~~~~~~",
+])
+
 MAPS = {"desk_60": desk_style_map(), "walled_crowd": WALLED_MAP,
-        "prepark_exhaust": EXHAUST_MAP}
+        "prepark_exhaust": EXHAUST_MAP, "park_riverside": RIVERSIDE_MAP}
 
 
 CASES = {
@@ -109,6 +123,8 @@ CASES = {
     "walled_crowd": dict(scenario="park", seed=8, ticks=300, n_community=3,
                          visitor_spawn_rate=0.9, visit_length=40, warn_threshold=6,
                          warn_radius=1),
+    "park_riverside": dict(scenario="park", seed=11, ticks=300, visitor_spawn_rate=0.5,
+                           warn_threshold=50, riverside_drift=True),
 }
 
 GOLDEN = {
@@ -126,6 +142,11 @@ GOLDEN = {
         "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
         "metrics": "2ceac745d972d883df354f35b4e1310e69907f30a2d2c5e117a341afbf1d062e",
         "utility": "f3c3b42ae370b344309b5e953bd4702290cbc9022fc6e47c47997e370b67b418",
+    },
+    "park_riverside": {
+        "field": "11444738ad23a46c8d400cdfbeba965126353bcab79e197708cb620854dd37bb",
+        "metrics": "505be9bde1a3b4aaa40376527e9571e56309fa3b2cc558a4dbc6f876581d2d93",
+        "utility": "ccee629e6f021c5b31c3c1d69d22794d4aaa4f41a41184d03a52b0e9d116c495",
     },
     "park_s3": {
         "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
@@ -174,10 +195,14 @@ GOLDEN = {
 }
 
 
-def run_digests(name):
-    overrides = dict(CASES[name])
+def run_case(name):
     grid = load_terrain(MAPS[name]) if name in MAPS else None
-    result = run(make_config(**overrides), grid=grid)
+    return run(make_config(**CASES[name]), grid=grid)
+
+
+def run_digests(name):
+    overrides = CASES[name]
+    result = run_case(name)
     state = result.state
 
     def sha(data: bytes) -> str:
@@ -199,6 +224,12 @@ def run_digests(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_golden_digests(name):
     assert run_digests(name) == GOLDEN[name]
+
+
+def test_riverside_case_reaches_the_river():
+    """Litter reaches the river only through the riverside mask, so the
+    park_riverside digests pin that mask only if some litter got there."""
+    assert run_case("park_riverside").metrics[-1].river_total > 0
 
 
 if __name__ == "__main__":

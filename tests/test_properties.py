@@ -7,6 +7,14 @@ ConfigError/TerrainError. A run that sets up keeps the garbage ledger
 balanced and every agent on a walkable cell at every tick, and two
 ``riversim run`` invocations give byte-identical outputs. ``riversim
 validate`` on the same file exits 2 exactly when set-up raised.
+
+A second property feeds the CLI generated metrics-CSV contents (valid, or
+with a wrong header, a short or long row, a non-numeric or non-finite cell,
+or stray bytes) and
+``--out`` targets (new or existing directory, a regular file, a path under
+a file, a directory whose outputs already exist as files or directories).
+Every ``run``, ``compare`` and ``validate`` call then exits 0, 2 or 4 and
+writes no traceback.
 """
 
 import contextlib
@@ -19,7 +27,7 @@ from hypothesis import strategies as st
 
 from riversim import cli
 from riversim.config import SECTION_FIELDS, ConfigError, load_config
-from riversim.engine import init_scenario, step
+from riversim.engine import CSV_HEADER, init_scenario, step
 from riversim.landscape import DEFAULT_LEGEND, TerrainError
 
 MAX_SIDE = 12
@@ -110,8 +118,15 @@ def _write_case(root: Path, rows, elevation, values) -> Path:
 
 
 def _cli(*argv: str) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(list(argv))
+    return _cli_err(*argv)[0]
+
+
+def _cli_err(*argv: str) -> tuple[int, str]:
+    """Exit code and standard error of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
 
 
 def _assert_invariants(state) -> None:
@@ -161,3 +176,85 @@ def test_random_inputs_run_cleanly_or_fail_at_setup(case):
         first, second = _outputs(root / "a"), _outputs(root / "b")
         assert f"metrics_{seed}.csv" in first
         assert first == second
+
+
+COUNT = st.integers(0, 10**6).map(str)
+ODD_CELL = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "1e999", "1e308", " 2", '"1,5"']),
+)
+
+
+@st.composite
+def metrics_csv(draw) -> bytes:
+    """A metrics CSV of two rows, valid or with one fault: a wrong or missing
+    header, no rows, an odd cell, a short or long row, or stray bytes."""
+    header = CSV_HEADER.split(",")
+    rows = [draw(st.lists(COUNT, min_size=len(header), max_size=len(header)))
+            for _ in range(2)]
+    fault = draw(st.sampled_from([None] * 6 + ["header", "no_rows", "cell", "short", "long",
+                                               "bytes"]))
+    if fault == "header":
+        header = draw(st.sampled_from([[], header[1:], ["tock"] + header[1:]]))
+    elif fault == "no_rows":
+        rows = []
+    elif fault == "cell":
+        rows[-1][draw(st.integers(0, len(header) - 1))] = draw(ODD_CELL)
+    elif fault == "short":
+        rows[-1].pop()
+    elif fault == "long":
+        rows[-1].append("0")
+    data = "".join(",".join(row) + "\n" for row in [header] + rows).encode()
+    if fault == "bytes":
+        data += draw(st.sampled_from([b"\xff\xfe", b"\x00", b"\n\n1"]))
+    return data
+
+
+OUT_TARGETS = ["new", "dir", "file", "under_file", "stale_files", "stale_dirs"]
+STALE = ["metrics_0.csv", "buildlog_0.csv", "frames_0", "comparison.txt", "comparison.csv"]
+
+
+def _out_target(root: Path, kind: str) -> Path:
+    out = root / "out"
+    if kind == "file":
+        out.write_text("not a directory")
+    elif kind == "under_file":
+        (root / "plain").write_text("not a directory")
+        out = root / "plain" / "out"
+    elif kind == "dir":
+        out.mkdir()
+    elif kind.startswith("stale"):
+        out.mkdir()
+        for name in STALE:
+            if kind == "stale_dirs":
+                (out / name).mkdir()
+            else:
+                (out / name).write_text("stale")
+    return out
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(metrics_csv(), metrics_csv(), st.sampled_from(OUT_TARGETS), st.booleans(), st.booleans())
+def test_cli_exits_cleanly_on_any_csv_and_out_target(pre, post, kind, force, frames):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "pre.csv").write_bytes(pre)
+        (root / "post.csv").write_bytes(post)
+        (root / "map.txt").write_text("=====\n.....\n~~~~~\n", encoding="utf-8")
+        (root / "sim.ini").write_text(
+            "[run]\nticks = 3\n[terrain]\nterrain_file = map.txt\nelevation_file =\n"
+            "[settlement]\nhouses = 2\n", encoding="utf-8")
+        out = _out_target(root, kind)
+        extra = ["--force"] * force
+        calls = [
+            ["compare", "--pre", str(root / "pre.csv"), "--post", str(root / "post.csv"),
+             "--out", str(out), *extra],
+            ["run", "--config", str(root / "sim.ini"), "--out", str(out), "--seeds", "0",
+             *extra, *(["--frame-every", "1"] * frames)],
+            ["validate", "--config", str(root / "pre.csv")],
+            ["validate", "--config", str(root / "sim.ini")],
+        ]
+        for argv in calls:
+            code, err = _cli_err(*argv)
+            assert code in (0, 2, 4), (argv, code, err)
+            assert "Traceback" not in err, (argv, err)

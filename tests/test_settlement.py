@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from riversim.engine import init_scenario
-from riversim.landscape import compute_river_features, compute_road_features
 from riversim.settlement import (
     House,
     compute_placement_fields,
@@ -13,7 +12,7 @@ from riversim.settlement import (
     place_next_house,
 )
 
-from conftest import grid_from, make_config
+from conftest import grid_from, make_config, placement_features
 from reference import (
     RULE_HIGHLAND_BEHIND,
     RULE_NOT_BUILDABLE,
@@ -34,9 +33,7 @@ FLAT_TEXT = "\n".join(["============"] + ["............"] * 8 + ["~~~~~~~~~~~~"]
 def build_world(text, elevation=None, **config_overrides):
     grid = grid_from(text, elevation)
     config = make_config(**config_overrides)
-    features = compute_river_features(grid, config.d_streams, config.d_branch)
-    roads = compute_road_features(grid)
-    return grid, features, roads, config
+    return (grid, *placement_features(grid, config), config)
 
 
 def prepark_state(text, elevation=None, **overrides):
@@ -204,7 +201,8 @@ class TestPlacement:
         # enumerate every legal site's score by the per-cell reference path
         for seed in range(10):
             state = prepark_state(FLAT_TEXT, seed=seed)
-            grid, features, roads, config = state.grid, state.features, state.roads, state.config
+            grid, config = state.grid, state.config
+            features, roads = placement_features(grid, config)
             scores = {}
             for y in range(grid.height):
                 for x in range(grid.width):
@@ -297,7 +295,8 @@ class TestGrowth:
     def test_growth_stops_at_capacity(self):
         text = "~####\n#...#\n#####"
         state = prepark_state(text, river_buffer=1, seed=1)
-        grid, features, roads, config = state.grid, state.features, state.roads, state.config
+        grid, config = state.grid, state.config
+        features, roads = placement_features(grid, config)
         capacity = sum(
             1
             for y in range(grid.height)
@@ -311,7 +310,8 @@ class TestGrowth:
         for seed in (0, 5):
             state = prepark_state(FLAT_TEXT, seed=seed)
             grow_settlement(state, 25, state.rng)
-            grid, features, roads, config = state.grid, state.features, state.roads, state.config
+            grid, config = state.grid, state.config
+            features, roads = placement_features(grid, config)
             replayed = []
             for house in state.houses:
                 rules = forbidden_site(house.coord, grid, features, roads, replayed, config)
