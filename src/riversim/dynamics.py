@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .landscape import MOORE_OFFSETS, Coord, Hotspot, TerrainGrid
+from .landscape import MOORE_OFFSETS, Coord, Hotspot, TerrainGrid, moore_views
 
 # The interaction neighborhood is the 8 surrounding cells; not configurable.
 NEIGHBORHOOD_SIZE = 8
@@ -106,13 +106,10 @@ class ExcitementField:
 
 
 def _moore_sum(p: np.ndarray) -> np.ndarray:
-    # Fixed summation order (MOORE_OFFSETS) keeps results bit-reproducible.
-    h, w = p.shape
+    # Fixed order (MOORE_OFFSETS) from +0.0; an off-grid +0.0 changes no bit.
     total = np.zeros_like(p)
-    for dx, dy in MOORE_OFFSETS:
-        dst = (slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx)))
-        src = (slice(max(0, dy), h - max(0, -dy)), slice(max(0, dx), w - max(0, -dx)))
-        total[dst] += p[src]
+    for view in moore_views(p, 0.0):
+        total += view
     return total
 
 
@@ -235,13 +232,10 @@ def downhill_step_table(dist: np.ndarray) -> list[bytes]:
     and non-walkable neighbours count as inf, so 0 means no neighbour
     improves.
     """
-    h, w = dist.shape
-    bordered = np.full((h + 2, w + 2), np.inf)
-    bordered[1:-1, 1:-1] = dist
-    neighbours = [bordered[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx] for dx, dy in MOORE_OFFSETS]
+    neighbours = moore_views(dist, np.inf)
     best = np.minimum.reduce(neighbours)
     improves = best < dist
-    mask = np.zeros((h, w), dtype=np.uint8)
+    mask = np.zeros(dist.shape, dtype=np.uint8)
     for k, neighbour in enumerate(neighbours):
         mask |= ((neighbour == best) & improves).view(np.uint8) << k
     return [row.tobytes() for row in mask]
@@ -301,12 +295,9 @@ def walk_table(walkable: np.ndarray) -> list[bytes]:
     Returns one bytes row per grid row, one byte per cell; bit k is set when
     Moore neighbour k (MOORE_OFFSETS order) lies on the grid and is walkable.
     """
-    h, w = walkable.shape
-    bordered = np.zeros((h + 2, w + 2), dtype=bool)
-    bordered[1:-1, 1:-1] = walkable
-    mask = np.zeros((h, w), dtype=np.uint8)
-    for k, (dx, dy) in enumerate(MOORE_OFFSETS):
-        mask |= bordered[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx].view(np.uint8) << k
+    mask = np.zeros(walkable.shape, dtype=np.uint8)
+    for k, neighbour in enumerate(moore_views(walkable, False)):
+        mask |= neighbour.view(np.uint8) << k
     return [row.tobytes() for row in mask]
 
 

@@ -2,7 +2,8 @@
 
 Phase order inside one tick is fixed:
 
-1. settlement growth (prepark, only when houses_per_tick > 0)
+1. settlement growth (prepark): up to houses_per_tick houses, each with its
+   resident, by the helper that builds them all at set-up when that is 0
 2. excitement diffusion, until the field reaches its fixed point (the map
    and the sources never change, so a step that returns its input bit for
    bit would do so on every later tick)
@@ -67,7 +68,6 @@ from .settlement import (
     House,
     PlacementFields,
     compute_placement_fields,
-    grow_settlement,
     place_next_house,
 )
 from .waste import (
@@ -168,6 +168,15 @@ def _spawn_agent(state: SimState, kind: AgentKind, coord: Coord, *,
     return agent
 
 
+def _build_houses(state: SimState, n: int) -> None:
+    """Place up to n houses, each housing one resident; stop when none is legal."""
+    for _ in range(n):
+        house = place_next_house(state, state.rng)
+        if house is None:
+            break
+        _spawn_agent(state, AgentKind.RESIDENT, house.coord, home=house.coord)
+
+
 def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
                        hotspot_dist: np.ndarray) -> tuple[Coord, ...]:
     """Park entrances: configured coords, or every walkable map-edge cell
@@ -219,10 +228,8 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
         state.open_sites = state.placement.legal_static.copy()
         state.neighbor_count = np.zeros((grid.height, grid.width), dtype=np.float64)
         state.walk = walk_table(grid.walkable_mask)
-        if config.houses_per_tick == 0 and config.houses > 0:
-            grow_settlement(state, config.houses, state.rng)
-            for house in state.houses:
-                _spawn_agent(state, AgentKind.RESIDENT, house.coord, home=house.coord)
+        if config.houses_per_tick == 0:
+            _build_houses(state, config.houses)
     else:
         if not grid.hotspots:
             raise ConfigError("park scenario requires at least one hotspot on the map")
@@ -313,12 +320,8 @@ def step(state: SimState) -> SimState:
     littering = 0
 
     # 1. settlement growth spread over the run
-    if prepark and config.houses_per_tick > 0 and len(state.houses) < config.houses:
-        for _ in range(min(config.houses_per_tick, config.houses - len(state.houses))):
-            house = place_next_house(state, rng)
-            if house is None:
-                break
-            _spawn_agent(state, AgentKind.RESIDENT, house.coord, home=house.coord)
+    if prepark:
+        _build_houses(state, min(config.houses_per_tick, config.houses - len(state.houses)))
 
     # 2. excitement diffusion, until its fixed point
     if not state.field_settled:
@@ -332,9 +335,7 @@ def step(state: SimState) -> SimState:
     # 3. visitor despawn, then spawn
     if not prepark:
         # only spawning makes visitors, so without it there is none to despawn
-        if config.visitor_spawn_rate > 0 and any(
-            a.kind is AgentKind.VISITOR for a in state.agents
-        ):
+        if config.visitor_spawn_rate > 0:
             state.agents = [
                 a for a in state.agents
                 if not (a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length)
@@ -349,8 +350,10 @@ def step(state: SimState) -> SimState:
     garbage_snapshot = state.garbage.in_place.copy()
     try:
         if prepark:
+            # home and cell lie on the grid: a longer range admits no more cells
+            home_range = min(config.resident_range, max(grid.width, grid.height))
             for agent in state.agents:
-                step_resident(agent, grid, state.walk, rng, config.resident_range)
+                step_resident(agent, grid, state.walk, rng, home_range)
         else:
             for agent in state.agents:
                 if agent.kind is AgentKind.VISITOR:

@@ -13,13 +13,16 @@ Conventions used throughout the package:
   arrays are indexed ``[y, x]``.
 * All grid distances are Chebyshev (the metric induced by the 8-cell Moore
   neighborhood).
-* Where a unique "nearest" source cell is needed, ties resolve by smallest
-  Chebyshev distance, then smallest squared Euclidean distance, then
-  row-major order.
+* Every whole-grid Moore stencil reads its neighbours through
+  ``moore_views``, the one place that decides what off-grid cells read.
+* Every nearest-source question (river and road distance, the below-river
+  and highland taboos) is answered by ``nearest_cell_fields``; ties resolve
+  by smallest Chebyshev distance, then squared Euclidean, then row-major.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,8 +97,6 @@ MOORE_OFFSETS: tuple[tuple[int, int], ...] = (
     (-1, 1), (0, 1), (1, 1),
 )
 
-_CARDINAL_OFFSETS: tuple[tuple[int, int], ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
 
 @dataclass(frozen=True)
 class Hotspot:
@@ -114,7 +115,6 @@ class TerrainGrid:
     stream_labels: np.ndarray  # (H, W) int32, 0 = not river
     hotspots: tuple[Hotspot, ...]
     branch_markers: frozenset[Coord]
-    legend: dict[str, str]
     chars: tuple[str, ...]     # original map rows, for frame rendering
     walkable_mask: np.ndarray  # (H, W) bool
     walkable_rows: tuple[tuple[bool, ...], ...]  # same data, cheap scalar reads
@@ -172,27 +172,25 @@ def shifted(arr: np.ndarray, dx: int, dy: int, fill) -> np.ndarray:
     return out
 
 
+def moore_views(arr: np.ndarray, fill) -> list[np.ndarray]:
+    """The 8 Moore neighbour views of arr, in MOORE_OFFSETS order.
+
+    Entry [..., y, x] of view k is arr[..., y + dy, x + dx] for the k-th
+    offset (dx, dy), or `fill` where that cell lies off the grid. The views
+    share one bordered copy of arr on its last two axes, so an (n, H, W)
+    stack works as well as an (H, W) grid.
+    """
+    h, w = arr.shape[-2:]
+    bordered = np.full(arr.shape[:-2] + (h + 2, w + 2), fill, dtype=arr.dtype)
+    bordered[..., 1:-1, 1:-1] = arr
+    return [bordered[..., 1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx] for dx, dy in MOORE_OFFSETS]
+
+
 def _dilate8(mask: np.ndarray) -> np.ndarray:
     out = mask.copy()
-    for dx, dy in MOORE_OFFSETS:
-        out |= shifted(mask, dx, dy, False)
+    for view in moore_views(mask, False):
+        out |= view
     return out
-
-
-def chebyshev_distance_field(source_mask: np.ndarray) -> np.ndarray:
-    """Exact Chebyshev distance to the nearest source cell; inf if none."""
-    dist = np.full(source_mask.shape, np.inf)
-    covered = source_mask.copy()
-    dist[covered] = 0.0
-    d = 0
-    while covered.any() and not covered.all():
-        frontier = _dilate8(covered) & ~covered
-        if not frontier.any():
-            break
-        d += 1
-        dist[frontier] = d
-        covered |= frontier
-    return dist
 
 
 def riverside_mask(grid: TerrainGrid) -> np.ndarray:
@@ -212,26 +210,25 @@ def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.n
     passable = grid.walkable_mask
     h, w = passable.shape
     dist = np.full((len(sources), h, w), np.inf)
-    # the frontier sits inside a one-cell border of False, so every Moore
-    # shift of it is a plain slice
-    frontier = np.zeros((len(sources), h + 2, w + 2), dtype=bool)
+    frontier = np.zeros((len(sources), h, w), dtype=bool)
     for i, (x, y) in enumerate(sources):
         if passable[y, x]:
-            frontier[i, y + 1, x + 1] = True
+            frontier[i, y, x] = True
             dist[i, y, x] = 0.0
     unseen = passable & np.isinf(dist)
     d = 0
     while True:
-        grown = np.zeros_like(unseen)
-        for dx, dy in MOORE_OFFSETS:
-            grown |= frontier[:, 1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
-        grown &= unseen
-        if not grown.any():
+        # the views read a bordered copy, so the next ring overwrites the frontier
+        first, *rest = moore_views(frontier, False)
+        np.copyto(frontier, first)
+        for view in rest:
+            frontier |= view
+        frontier &= unseen
+        if not frontier.any():
             break
         d += 1
-        dist[grown] = d
-        unseen &= ~grown
-        frontier[:, 1:-1, 1:-1] = grown
+        dist[frontier] = d
+        unseen ^= frontier  # the ring lies inside unseen
     return dist
 
 
@@ -349,15 +346,13 @@ def load_terrain(
             elif name == BRANCH_MARKER:
                 branch_markers.add((x, y))
 
-    if elevation_text is None:
-        elevation = np.zeros((height, width), dtype=np.float64)
-    else:
+    elevation = np.zeros((height, width), dtype=np.float64)
+    if elevation_text is not None:
         erows = _split_rows(elevation_text)
         if len(erows) != height:
             raise TerrainError(
                 f"elevation has {len(erows)} rows, terrain has {height}"
             )
-        elevation = np.zeros((height, width), dtype=np.float64)
         for y, erow in enumerate(erows):
             tokens = erow.split()
             if len(tokens) != width:
@@ -366,17 +361,18 @@ def load_terrain(
                 )
             for x, tok in enumerate(tokens):
                 try:
-                    elevation[y, x] = float(tok)
+                    value = float(tok)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise TerrainError(
-                        f"elevation value {tok!r} at row {y}, column {x} is not numeric"
-                    ) from None
+                        f"elevation value {tok!r} at row {y}, column {x} is not a finite number"
+                    )
+                elevation[y, x] = value
 
     river_mask = cells == RIVER_CODE
     stream_labels = _label_streams(river_mask)
-    walk = np.zeros((height, width), dtype=bool)
-    for cls in _WALKABLE:
-        walk |= cells == CLASS_CODES[cls]
+    walk = np.isin(cells, [CLASS_CODES[cls] for cls in _WALKABLE])
 
     for arr in (cells, elevation, stream_labels, walk):
         arr.flags.writeable = False
@@ -389,7 +385,6 @@ def load_terrain(
         stream_labels=stream_labels,
         hotspots=tuple(hotspots),
         branch_markers=frozenset(branch_markers),
-        legend=active,
         chars=tuple(rows),
         walkable_mask=walk,
         walkable_rows=tuple(map(tuple, walk.tolist())),
@@ -435,36 +430,29 @@ def compute_river_features(
     cardinal directions, plus any cells the legend marked as branches.
     """
     shape = (grid.height, grid.width)
+    # past the longest side, a further dilation step changes no mask
+    longest = max(shape)
     river = grid.cells == RIVER_CODE
-    dist = chebyshev_distance_field(river)
+    dist, near_y, near_x = nearest_cell_fields(river)
 
     within_count = np.zeros(shape, dtype=np.int32)
     for sid in range(1, int(grid.stream_labels.max()) + 1):
         reach = grid.stream_labels == sid
-        for _ in range(d_streams):
+        for _ in range(min(d_streams, longest)):
             reach = _dilate8(reach)
         within_count += reach
     between = within_count >= 2
 
-    cardinal_rivers = np.zeros(shape, dtype=np.int32)
-    for dx, dy in _CARDINAL_OFFSETS:
-        cardinal_rivers += shifted(river, dx, dy, False)
+    views = moore_views(river, False)
+    cardinal_rivers = sum(views[k].astype(np.int32) for k in (1, 3, 4, 6))
     branch = river & (cardinal_rivers >= 3)
-    if grid.branch_markers:
-        branch = branch.copy()
-        for x, y in grid.branch_markers:
-            branch[y, x] = True
+    for x, y in grid.branch_markers:
+        branch[y, x] = True
     proximity = branch.copy()
-    for _ in range(d_branch):
+    for _ in range(min(d_branch, longest)):
         proximity = _dilate8(proximity)
 
-    if not river.any() or np.all(grid.elevation == grid.elevation.flat[0]):
-        # No river, or uniform elevation: "strictly below nearest river cell"
-        # cannot hold.
-        below = np.zeros(shape, dtype=bool)
-    else:
-        _, near_y, near_x = nearest_cell_fields(river)
-        below = grid.elevation < grid.elevation[near_y, near_x]
+    below = (near_y >= 0) & (grid.elevation < grid.elevation[near_y, near_x])
 
     for arr in (dist, between, proximity, below):
         arr.flags.writeable = False

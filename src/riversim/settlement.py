@@ -1,4 +1,4 @@
-"""Site selection rules and stepwise settlement growth.
+"""Site selection rules and house placement.
 
 Hard rules make a cell unbuildable outright: the three traditional taboos
 (land between two streams, land near a river branching point, land lying
@@ -8,6 +8,8 @@ ranks the surviving candidates: people build next to existing neighbors,
 close to the road they earn from, and as far from the river as the cap
 allows. Growth is greedy; each placement picks uniformly among the
 top-scoring sites (within score_tolerance), spending exactly one RNG draw.
+This module places one house per call; ``engine`` drives growth, placing
+houses before tick 0 or a few per tick and housing a resident in each.
 
 Only two grids depend on the houses: the sites still open to a house and
 the number of houses within neighbor_radius of each cell. They live on the
@@ -74,8 +76,6 @@ def _highland_mask(
 ) -> np.ndarray:
     shape = (grid.height, grid.width)
     out = np.zeros(shape, dtype=bool)
-    if int(roads.nearest_road_x.max(initial=-1)) < 0:
-        return out
     yy, xx = np.indices(shape)
     vx = roads.nearest_road_x - xx
     vy = roads.nearest_road_y - yy
@@ -83,11 +83,13 @@ def _highland_mask(
     angle = np.arctan2(-vy.astype(np.float64), -vx.astype(np.float64))
     k = np.rint(angle / (np.pi / 4)).astype(np.int64) % 8
     threshold = grid.elevation + delta
+    # a step as long as a map side looks past the edge, where nothing is higher
+    steps = min(radius, max(shape))
     for ki, (dx, dy) in enumerate(_COMPASS8):
         selected = has_direction & (k == ki)
         if not selected.any():
             continue
-        for step in range(1, radius + 1):
+        for step in range(1, steps + 1):
             ahead = shifted(grid.elevation, dx * step, dy * step, -np.inf)
             out |= selected & (ahead >= threshold)
     return out
@@ -144,12 +146,3 @@ def place_next_house(state, rng) -> House | None:
     state.houses.append(house)
     state.build_log.append(BuildRecord(tick=state.tick, x=x, y=y, score=float(score[y, x])))
     return house
-
-
-def grow_settlement(state, n_houses: int, rng):
-    """Place up to n_houses houses, stopping early when no legal site remains."""
-    for _ in range(n_houses):
-        if place_next_house(state, rng) is None:
-            break
-    return state
-

@@ -1,11 +1,17 @@
+import os
+import resource
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import riversim
 from riversim import cli
 from riversim.config import SimConfig, load_config
 from riversim.engine import CSV_HEADER, InvariantViolation
-from riversim.landscape import default_map_paths
+from riversim.landscape import default_map_paths, load_terrain_files
 
 
 def write_config(path, scenario="prepark", ticks=20, extra=""):
@@ -104,6 +110,23 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"cannot read {broken} file {bad}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "metrics_0.csv").exists()
+
+    def test_non_finite_elevation_exits_2_naming_the_cell(self, tmp_path, capsys):
+        terrain, elevation = default_map_paths()
+        rows = elevation.read_text().splitlines()
+        tokens = rows[2].split()
+        tokens[5] = "nan"
+        rows[2] = " ".join(tokens)
+        bad = tmp_path / "elev.txt"
+        bad.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "sim.ini"
+        config.write_text(f"[terrain]\nterrain_file = {terrain}\nelevation_file = {bad}\n")
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'nan' at row 2, column 5 is not a finite number" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "metrics_0.csv").exists()
 
@@ -268,3 +291,49 @@ class TestValidateCommand:
         assert message in validate_err
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+
+def _cap_memory():
+    # a radius table sized by the knob itself would fail here, not swap
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestHugeRadius:
+    """A radius past the map's longest side changes nothing, and costs
+    nothing either: 10**9 must give the bytes of the longest side, and of
+    one less (where every cell already lies within reach)."""
+
+    @pytest.mark.parametrize("section, knob", [
+        ("terrain", "d_streams"),
+        ("terrain", "d_branch"),
+        ("settlement", "highland_radius"),
+        ("dynamics", "resident_range"),
+    ])
+    def test_huge_radius_matches_longest_side(self, tmp_path, section, knob):
+        grid = load_terrain_files(*default_map_paths())
+        longest = max(grid.width, grid.height)
+        outputs = {}
+        for value in (10**9, longest, longest - 1):
+            # every other knob keeps its default: a prepark run on the bundled map
+            config = tmp_path / f"{value}.ini"
+            config.write_text(f"[run]\nticks = 2\n[{section}]\n{knob} = {value}\n")
+            out = tmp_path / str(value)
+            argv = ["run", "--config", str(config), "--out", str(out)]
+            if value == 10**9:
+                # in a child with a timeout and a memory cap, so a loop or
+                # table that grows with the value fails instead of hanging
+                env = dict(os.environ, PYTHONPATH=str(Path(riversim.__file__).parents[1]),
+                           OPENBLAS_NUM_THREADS="1")
+                done = subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from riversim.cli import main; sys.exit(main(sys.argv[1:]))",
+                     *argv],
+                    env=env, capture_output=True, text=True, timeout=60,
+                    preexec_fn=_cap_memory,
+                )
+                assert done.returncode == 0, done.stderr
+            else:
+                assert cli.main(argv) == 0
+            outputs[value] = [(out / name).read_bytes()
+                              for name in ("metrics_0.csv", "buildlog_0.csv")]
+        assert outputs[10**9] == outputs[longest] == outputs[longest - 1]

@@ -5,12 +5,13 @@ import pytest
 
 from riversim.landscape import (
     CLASS_CODES,
+    MOORE_OFFSETS,
     TerrainClass,
     TerrainError,
-    chebyshev_distance_field,
     compute_river_features,
     compute_road_features,
     load_terrain,
+    moore_views,
     nearest_cell_fields,
     shifted,
     walkable_distance_field,
@@ -86,6 +87,11 @@ class TestLoading:
         with pytest.raises(TerrainError, match="'x'"):
             grid_from("..\n..", "1 x\n2 3")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_elevation_non_finite_rejected(self, token):
+        with pytest.raises(TerrainError, match=f"{token!r} at row 1, column 0 is not a finite number"):
+            grid_from("..\n..", f"1 2\n{token} 3")
+
     def test_elevation_parsed(self):
         grid = grid_from("..\n..", "1 2\n3.5 -4")
         assert grid.elevation[1, 0] == 3.5
@@ -160,6 +166,23 @@ class TestShifted:
                         assert got[y, x] == expected, (dx, dy, x, y)
 
 
+class TestMooreViews:
+    @pytest.mark.parametrize("fill", [False, 0.0, 0, np.inf])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (4, 7), (3, 1, 6), (2, 5, 4), (4, 3, 1)])
+    def test_views_equal_shifted_for_every_offset(self, fill, shape):
+        # each view is the grid shifted by its Moore offset, in MOORE_OFFSETS
+        # order; a stack is shifted layer by layer
+        rng = np.random.default_rng(sum(shape))
+        arr = rng.integers(0, 4, size=shape).astype(np.asarray(fill).dtype)
+        views = moore_views(arr, fill)
+        assert len(views) == len(MOORE_OFFSETS)
+        layers = arr.reshape((-1,) + arr.shape[-2:])
+        for (dx, dy), view in zip(MOORE_OFFSETS, views):
+            assert view.shape == arr.shape and view.dtype == arr.dtype
+            expected = np.stack([shifted(layer, dx, dy, fill) for layer in layers])
+            assert np.array_equal(view.reshape(expected.shape), expected), (dx, dy)
+
+
 class TestDistanceFields:
     def test_dist_to_river_matches_bruteforce(self):
         rng = random.Random(11)
@@ -221,8 +244,21 @@ class TestDistanceFields:
                 for x in range(w):
                     assert (int(near_x[y, x]), int(near_y[y, x])) == expected[(x, y)]
 
-    def test_chebyshev_field_no_sources(self):
-        assert np.all(np.isinf(chebyshev_distance_field(np.zeros((3, 3), dtype=bool))))
+    def test_nearest_cell_distance_matches_bruteforce(self):
+        # random masks of every density, plus an empty and a full one
+        rng = random.Random(21)
+        masks = [np.zeros((3, 4), dtype=bool), np.ones((4, 3), dtype=bool)]
+        for _ in range(30):
+            w, h = rng.randint(1, 12), rng.randint(1, 12)
+            p = rng.choice([0.0, 0.05, 0.3, 0.9])
+            masks.append(np.array([[rng.random() < p for _ in range(w)] for _ in range(h)]))
+        for mask in masks:
+            dist, near_y, near_x = nearest_cell_fields(mask)
+            ys, xs = np.nonzero(mask)
+            expected = bf_chebyshev_distances(mask.shape, list(zip(map(int, xs), map(int, ys))))
+            assert np.array_equal(dist, expected)
+            assert np.array_equal(near_y < 0, np.isinf(dist))
+            assert np.array_equal(near_x < 0, np.isinf(dist))
 
 
 class TestRiverFeatures:

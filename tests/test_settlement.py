@@ -4,11 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from riversim.engine import init_scenario
+from riversim.engine import _build_houses, init_scenario
 from riversim.settlement import (
     House,
     compute_placement_fields,
-    grow_settlement,
     place_next_house,
 )
 
@@ -215,9 +214,9 @@ class TestPlacement:
 
     def test_placement_deterministic_given_seed(self):
         state_a = prepark_state(FLAT_TEXT, seed=42)
-        grow_settlement(state_a, 10, state_a.rng)
+        _build_houses(state_a, 10)
         state_b = prepark_state(FLAT_TEXT, seed=42)
-        grow_settlement(state_b, 10, state_b.rng)
+        _build_houses(state_b, 10)
         assert [h.coord for h in state_a.houses] == [h.coord for h in state_b.houses]
 
     def test_each_placement_consumes_one_randrange_draw(self):
@@ -289,8 +288,8 @@ class TestIncrementalPlacement:
 class TestGrowth:
     def test_grow_zero_is_noop(self):
         state = prepark_state(FLAT_TEXT)
-        grow_settlement(state, 0, state.rng)
-        assert state.houses == []
+        _build_houses(state, 0)
+        assert state.houses == [] and state.agents == []
 
     def test_growth_stops_at_capacity(self):
         text = "~####\n#...#\n#####"
@@ -303,13 +302,13 @@ class TestGrowth:
             for x in range(grid.width)
             if not forbidden_site((x, y), grid, features, roads, [], config)
         )
-        grow_settlement(state, 50, state.rng)
+        _build_houses(state, 50)
         assert len(state.houses) == capacity == 3
 
     def test_houses_legal_at_build_time(self):
         for seed in (0, 5):
             state = prepark_state(FLAT_TEXT, seed=seed)
-            grow_settlement(state, 25, state.rng)
+            _build_houses(state, 25)
             grid, config = state.grid, state.config
             features, roads = placement_features(grid, config)
             replayed = []
@@ -320,6 +319,8 @@ class TestGrowth:
 
     def test_build_log_matches_houses(self):
         state = prepark_state(FLAT_TEXT, seed=8)
-        grow_settlement(state, 12, state.rng)
+        _build_houses(state, 12)
         assert [(r.x, r.y) for r in state.build_log] == [h.coord for h in state.houses]
+        # one resident per house, at home on it, in build order
+        assert [(a.coord, a.home) for a in state.agents] == [(h.coord, h.coord) for h in state.houses]
 

@@ -10,14 +10,22 @@ declared in pyproject.toml).
 Every field of a dataclass declared in src/riversim must likewise be read
 somewhere in src/riversim, as an ``ast.Attribute`` in Load context: a field
 that is only assigned, or only read by tests, holds a value no run uses.
+Fields are matched by bare name, not by class, so a field shares the fate
+of any same-named attribute read elsewhere: ``TerrainGrid.legend`` went
+unflagged while unread because ``config.legend`` is read.
+
+The names ``perfbench/tracing.py`` patches on the riversim modules must all
+exist, so a src change that breaks a traced benchmark run fails here too.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import riversim
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "riversim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "riversim"
 
 EXEMPT = {("cli", "entry")}
 
@@ -129,3 +137,12 @@ def test_field_guard_sees_dataclasses(tmp_path):
         encoding="utf-8",
     )
     assert unread_fields(tmp_path) == ["mod.A.written", "mod.B.never"]
+
+
+def test_benchmark_patch_targets_exist():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.PATCHES
+               if not callable(getattr(module, attr, None))]
+    assert tracing.PATCHES and not missing, "perfbench patches missing names: " + ", ".join(missing)
