@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import ConfigError, default_config_text, load_config
+from .config import SCENARIO_PREPARK, ConfigError, default_config_text, load_config
 from .engine import CSV_HEADER, InvariantViolation, init_scenario, metrics_to_csv, run
 from .landscape import TerrainError
 
@@ -67,7 +67,7 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _config_error(f"cannot create output directory {out}: {exc}")
-    prepark = config.scenario == "prepark"
+    prepark = config.scenario == SCENARIO_PREPARK
     targets: list[Path] = []
     for seed in seeds:
         targets.append(out / f"metrics_{seed}.csv")

@@ -1,5 +1,8 @@
 """Run configuration: every tunable knob, file parsing, validation.
 
+Each knob is declared once, as a SimConfig field that names its INI section,
+its default and its legal range (see _knob and _RANGES); SECTION_FIELDS and
+validate are derived from those declarations. Float knobs must be finite.
 Config files are INI-style text with one section per concern (see
 SECTION_FIELDS). All values have defaults, so an empty file is a valid
 config that runs the bundled riverside map; ``riversim validate
@@ -10,7 +13,8 @@ neighborhood is fixed at the 8 surrounding cells and has no knob.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .landscape import (
@@ -37,87 +41,81 @@ def _default_elevation() -> str | None:
     return str(default_map_paths()[1])
 
 
+# The legal ranges a knob may declare, each one chained comparison. A range
+# with no finite upper bound stops below math.inf, so NaN, inf and -inf fail
+# every range, and an int of any size compares exactly, with no float().
+_RANGES = {
+    ">= 0": lambda v: 0 <= v < math.inf,
+    "> 0": lambda v: 0 < v < math.inf,
+    "within [0, 1]": lambda v: 0 <= v <= 1,
+    "within (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def _knob(section: str, within: str | None = None, **kwargs):
+    """A SimConfig field read from [section]; validate checks it against _RANGES[within]."""
+    return field(metadata={"section": section, "within": within}, **kwargs)
+
+
 @dataclass
 class SimConfig:
-    # run
-    scenario: str = SCENARIO_PREPARK
-    seed: int = 0
-    ticks: int = 1000
-    frame_every: int = 0
+    scenario: str = _knob("run", default=SCENARIO_PREPARK)
+    seed: int = _knob("run", default=0)
+    ticks: int = _knob("run", ">= 0", default=1000)
+    frame_every: int = _knob("run", ">= 0", default=0)
 
-    # terrain
-    terrain_file: str = field(default_factory=_default_terrain)
-    elevation_file: str | None = field(default_factory=_default_elevation)
-    legend: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_LEGEND))
-    hotspot_base_excitement: float = 1.0
-    d_streams: int = 3
-    d_branch: int = 2
+    terrain_file: str = _knob("terrain", default_factory=_default_terrain)
+    elevation_file: str | None = _knob("terrain", default_factory=_default_elevation)
+    legend: dict[str, str] = _knob("terrain", default_factory=lambda: dict(DEFAULT_LEGEND))
+    hotspot_base_excitement: float = _knob("terrain", "> 0", default=1.0)
+    d_streams: int = _knob("terrain", ">= 0", default=3)
+    d_branch: int = _knob("terrain", ">= 0", default=2)
 
-    # settlement
-    river_buffer: int = 3
-    highland_radius: int = 3
-    highland_delta: float = 1.0
-    w_neighbor: float = 1.0
-    w_road: float = 10.0
-    w_river_far: float = 0.2
-    neighbor_radius: int = 2
-    river_far_cap: int = 10
-    score_tolerance: float = 1e-9
-    houses: int = 30
-    houses_per_tick: int = 0    # 0 = grow the whole settlement before tick 0
+    river_buffer: int = _knob("settlement", ">= 0", default=3)
+    highland_radius: int = _knob("settlement", ">= 0", default=3)
+    highland_delta: float = _knob("settlement", ">= 0", default=1.0)
+    w_neighbor: float = _knob("settlement", ">= 0", default=1.0)
+    w_road: float = _knob("settlement", ">= 0", default=10.0)
+    w_river_far: float = _knob("settlement", ">= 0", default=0.2)
+    neighbor_radius: int = _knob("settlement", ">= 0", default=2)
+    river_far_cap: int = _knob("settlement", ">= 0", default=10)
+    score_tolerance: float = _knob("settlement", ">= 0", default=1e-9)
+    houses: int = _knob("settlement", ">= 0", default=30)
+    houses_per_tick: int = _knob("settlement", ">= 0", default=0)  # 0 = grow it all before tick 0
 
-    # dynamics
-    mu: float = 0.9         # excitement diffusion factor
-    rho: float = 0.1        # crowding factor
-    epsilon0: float = 0.05  # dirtiness weight per nearby garbage unit
-    dwell_p: float = 0.25   # geometric dwell parameter at hotspots
-    resident_range: int = 3
+    # excitement diffusion factor; crowding factor; dirtiness weight per
+    # nearby garbage unit; geometric dwell parameter at hotspots
+    mu: float = _knob("dynamics", "within [0, 1]", default=0.9)
+    rho: float = _knob("dynamics", ">= 0", default=0.1)
+    epsilon0: float = _knob("dynamics", ">= 0", default=0.05)
+    dwell_p: float = _knob("dynamics", "within (0, 1]", default=0.25)
+    resident_range: int = _knob("dynamics", ">= 0", default=3)
 
-    # waste
-    waste_rate: float = 0.3
-    dump_to_river: float = 0.9
-    litter_p: float = 0.4
-    warn_threshold: int = 2
-    warn_radius: int = 2
-    cleanup_capacity: int = 5
-    riverside_drift: bool = False
+    waste_rate: float = _knob("waste", "within [0, 1]", default=0.3)
+    dump_to_river: float = _knob("waste", "within [0, 1]", default=0.9)
+    litter_p: float = _knob("waste", "within [0, 1]", default=0.4)
+    warn_threshold: int = _knob("waste", ">= 0", default=2)
+    warn_radius: int = _knob("waste", ">= 0", default=2)
+    cleanup_capacity: int = _knob("waste", ">= 0", default=5)
+    riverside_drift: bool = _knob("waste", default=False)
 
-    # park
-    visitor_spawn_rate: float = 0.15
-    visit_length: int = 120
-    n_community: int = 4
-    community_stationary: bool = False
-    entrances: tuple[Coord, ...] | None = None
+    visitor_spawn_rate: float = _knob("park", "within [0, 1]", default=0.15)
+    visit_length: int = _knob("park", ">= 0", default=120)
+    n_community: int = _knob("park", ">= 0", default=4)
+    community_stationary: bool = _knob("park", default=False)
+    entrances: tuple[Coord, ...] | None = _knob("park", default=None)
 
     def validate(self) -> None:
         """Raise ConfigError naming the offending section.field."""
         self.scenario = self.scenario.strip().lower()
         if self.scenario not in (SCENARIO_PREPARK, SCENARIO_PARK):
             _fail("scenario", f"must be '{SCENARIO_PREPARK}' or '{SCENARIO_PARK}', got {self.scenario!r}")
-        for name in ("ticks", "frame_every"):
-            if getattr(self, name) < 0:
-                _fail(name, f"must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.mu <= 1.0:
-            _fail("mu", f"must be within [0, 1], got {self.mu}")
-        for name in ("rho", "epsilon0", "highland_delta", "w_neighbor", "w_road",
-                     "w_river_far", "score_tolerance"):
-            if getattr(self, name) < 0:
-                _fail(name, f"must be >= 0, got {getattr(self, name)}")
-        if not 0.0 < self.dwell_p <= 1.0:
-            _fail("dwell_p", f"must be within (0, 1], got {self.dwell_p}")
-        for name in ("waste_rate", "dump_to_river", "litter_p", "visitor_spawn_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                _fail(name, f"must be within [0, 1], got {value}")
-        for name in ("river_buffer", "d_streams", "d_branch", "highland_radius",
-                     "neighbor_radius", "river_far_cap", "houses", "houses_per_tick",
-                     "warn_threshold", "warn_radius", "cleanup_capacity",
-                     "visit_length", "n_community", "resident_range"):
-            if getattr(self, name) < 0:
-                _fail(name, f"must be >= 0, got {getattr(self, name)}")
-        if self.hotspot_base_excitement <= 0:
-            _fail("hotspot_base_excitement",
-                  f"must be > 0, got {self.hotspot_base_excitement}")
+        for spec in fields(self):
+            within = spec.metadata["within"]
+            value = getattr(self, spec.name)
+            if within is not None and not _RANGES[within](value):
+                finite = "finite and " if isinstance(value, float) else ""
+                _fail(spec.name, f"must be {finite}{within}, got {value}")
         if not self.terrain_file:
             _fail("terrain_file", "must point at a terrain map")
         try:
@@ -126,23 +124,12 @@ class SimConfig:
             _fail("legend", f"is invalid: {exc}")
 
 
-SECTION_FIELDS: dict[str, tuple[str, ...]] = {
-    "run": ("scenario", "seed", "ticks", "frame_every"),
-    "terrain": ("terrain_file", "elevation_file", "legend",
-                "hotspot_base_excitement", "d_streams", "d_branch"),
-    "settlement": ("river_buffer", "highland_radius", "highland_delta",
-                   "w_neighbor", "w_road", "w_river_far", "neighbor_radius",
-                   "river_far_cap", "score_tolerance", "houses",
-                   "houses_per_tick"),
-    "dynamics": ("mu", "rho", "epsilon0", "dwell_p", "resident_range"),
-    "waste": ("waste_rate", "dump_to_river", "litter_p", "warn_threshold",
-              "warn_radius", "cleanup_capacity", "riverside_drift"),
-    "park": ("visitor_spawn_rate", "visit_length", "n_community",
-             "community_stationary", "entrances"),
-}
+_SECTION_OF: dict[str, str] = {spec.name: spec.metadata["section"] for spec in fields(SimConfig)}
 
-_FIELD_SECTION: dict[str, str] = {
-    name: section for section, names in SECTION_FIELDS.items() for name in names
+# section -> its keys, both in declaration order
+SECTION_FIELDS: dict[str, tuple[str, ...]] = {
+    section: tuple(name for name, owner in _SECTION_OF.items() if owner == section)
+    for section in dict.fromkeys(_SECTION_OF.values())
 }
 
 _BOOL_WORDS = {
@@ -152,8 +139,7 @@ _BOOL_WORDS = {
 
 
 def _fail(field_name: str, message: str) -> None:
-    section = _FIELD_SECTION.get(field_name, "run")
-    raise ConfigError(f"{section}.{field_name} {message}")
+    raise ConfigError(f"{_SECTION_OF[field_name]}.{field_name} {message}")
 
 
 def parse_legend(raw: str) -> dict[str, str]:

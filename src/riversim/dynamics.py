@@ -80,12 +80,6 @@ class Agent:
 
 
 @dataclass(frozen=True)
-class PenaltyParams:
-    rho: float       # crowding factor
-    epsilon0: float  # dirtiness weight per garbage unit in the 9-cell block
-
-
-@dataclass(frozen=True)
 class ExcitementField:
     p: np.ndarray
     mu: float
@@ -139,7 +133,8 @@ def crowding_penalty(
     coords: Coord | tuple[np.ndarray, np.ndarray],
     utilities: Mapping[Coord, float],
     garbage: np.ndarray,
-    params: PenaltyParams,
+    rho: float,
+    epsilon0: float,
 ) -> float | np.ndarray:
     """Penalty from crowded neighbors and garbage around each cell.
 
@@ -147,7 +142,8 @@ def crowding_penalty(
     one value per coordinate. `utilities` maps occupied cells to the summed
     previous-tick utilities of the agents standing there (see
     utilities_by_cell); the dirtiness term counts garbage units on the cell
-    itself plus its 8 neighbors. Off-grid neighbors contribute zero.
+    itself plus its 8 neighbors; rho and epsilon0 weigh the two terms.
+    Off-grid neighbors contribute zero.
     """
     h, w = np.shape(garbage)
     stride = w + 2  # row length of the zero-bordered grids below, which are kept flat
@@ -169,8 +165,8 @@ def crowding_penalty(
         neighbor_utility = neighbor_utility + by_cell[neighbor]
         local_garbage = local_garbage + bordered_garbage[neighbor]
     return (
-        params.rho * neighbor_utility / float(NEIGHBORHOOD_SIZE)
-        + params.epsilon0 * local_garbage
+        rho * neighbor_utility / float(NEIGHBORHOOD_SIZE)
+        + epsilon0 * local_garbage
     )
 
 
@@ -334,7 +330,7 @@ def step_resident(
         raise AgentStateError(
             f"agent {agent.id} is standing on non-walkable cell {agent.coord}"
         )
-    hx, hy = agent.home if agent.home is not None else agent.coord
+    hx, hy = agent.home
     x_masks, y_masks = _home_range_masks(home_range)
     limit = home_range + 1
     ox = x - hx + limit

@@ -44,7 +44,6 @@ from .dynamics import (
     AgentKind,
     AgentStateError,
     ExcitementField,
-    PenaltyParams,
     agent_utility,
     crowding_penalty,
     diffuse_excitement,
@@ -65,7 +64,6 @@ from .landscape import (
 )
 from .settlement import (
     BuildRecord,
-    House,
     PlacementFields,
     compute_placement_fields,
     place_next_house,
@@ -124,7 +122,7 @@ class SimState:
     garbage: GarbageField
     rng: random.Random
     agents: list[Agent] = field(default_factory=list)
-    houses: list[House] = field(default_factory=list)
+    houses: list[Coord] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
     build_log: list[BuildRecord] = field(default_factory=list)
     # park only: per hotspot, the step table built from its BFS layer (rows
@@ -171,10 +169,10 @@ def _spawn_agent(state: SimState, kind: AgentKind, coord: Coord, *,
 def _build_houses(state: SimState, n: int) -> None:
     """Place up to n houses, each housing one resident; stop when none is legal."""
     for _ in range(n):
-        house = place_next_house(state, state.rng)
-        if house is None:
+        coord = place_next_house(state, state.rng)
+        if coord is None:
             break
-        _spawn_agent(state, AgentKind.RESIDENT, house.coord, home=house.coord)
+        _spawn_agent(state, AgentKind.RESIDENT, coord, home=coord)
 
 
 def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
@@ -377,8 +375,8 @@ def step(state: SimState) -> SimState:
     agents = state.agents
     coords = np.fromiter(chain.from_iterable([a.coord for a in agents]), np.intp, 2 * len(agents))
     xs, ys = coords[0::2], coords[1::2]
-    params = PenaltyParams(rho=config.rho, epsilon0=config.epsilon0)
-    penalties = crowding_penalty((xs, ys), previous_utilities, garbage_snapshot, params)
+    penalties = crowding_penalty((xs, ys), previous_utilities, garbage_snapshot,
+                                 config.rho, config.epsilon0)
     utilities = agent_utility((xs, ys), state.field, penalties)
     for agent, utility in zip(agents, utilities.tolist()):
         agent.utility = utility
@@ -400,8 +398,7 @@ def render_frame(state: SimState) -> str:
     in_place = state.garbage.in_place
     for y, x in zip(*np.nonzero(in_place)):
         rows[y][x] = str(min(9, int(in_place[y, x])))
-    for house in state.houses:
-        x, y = house.coord
+    for x, y in state.houses:
         rows[y][x] = "h"
     for agent in state.agents:
         x, y = agent.coord

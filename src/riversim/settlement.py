@@ -41,12 +41,6 @@ _COMPASS8: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass
-class House:
-    coord: Coord
-    waste_rate: float
-
-
 @dataclass(frozen=True)
 class BuildRecord:
     """One line of the settlement build log: when and where, at what score."""
@@ -104,16 +98,19 @@ def compute_placement_fields(
     oracle in tests/reference.py; the test suite enforces that equivalence.
     """
     buildable = grid.cells == BUILDABLE_CODE
+    # every prepark map has a river, so dist_to_river stays below the longest
+    # side: a longer buffer or cap changes nothing (and a huge int has no float)
+    side = max(grid.height, grid.width)
     bad = (
         ~buildable
         | features.between_streams
         | features.branch_proximity
         | features.below_river
-        | (features.dist_to_river < config.river_buffer)
+        | (features.dist_to_river < min(config.river_buffer, side))
         | _highland_mask(grid, roads, config.highland_radius, config.highland_delta)
     )
     base_score = config.w_road / (1.0 + roads.dist_to_road) + config.w_river_far * np.minimum(
-        features.dist_to_river, float(config.river_far_cap)
+        features.dist_to_river, float(min(config.river_far_cap, side))
     )
     legal = ~bad
     legal.flags.writeable = False
@@ -121,8 +118,8 @@ def compute_placement_fields(
     return PlacementFields(legal_static=legal, base_score=base_score)
 
 
-def place_next_house(state, rng) -> House | None:
-    """Place one house on the best available site, or nothing if none is legal.
+def place_next_house(state, rng) -> Coord | None:
+    """Place one house on the best available site; return its cell, or None if none is legal.
 
     Ties within score_tolerance of the maximum are broken uniformly at
     random; each call consumes exactly one rng.randrange draw. Reads and
@@ -142,7 +139,6 @@ def place_next_house(state, rng) -> House | None:
     open_sites[y, x] = False
     r = config.neighbor_radius
     neighbor_count[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] += 1.0
-    house = House(coord=(x, y), waste_rate=config.waste_rate)
-    state.houses.append(house)
+    state.houses.append((x, y))
     state.build_log.append(BuildRecord(tick=state.tick, x=x, y=y, score=float(score[y, x])))
-    return house
+    return x, y

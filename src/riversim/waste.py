@@ -56,15 +56,15 @@ class GarbageField:
 
 
 def generate_domestic_waste(houses, garbage: GarbageField, rng, config) -> GarbageField:
-    """Each house emits at most one unit this tick (probability waste_rate);
-    the unit lands in the river with probability dump_to_river, otherwise it
-    stacks on the house cell."""
-    for house in houses:
-        if rng.random() < house.waste_rate:
+    """Each house cell emits at most one unit this tick (probability
+    waste_rate); the unit lands in the river with probability dump_to_river,
+    otherwise it stacks on that cell."""
+    for coord in houses:
+        if rng.random() < config.waste_rate:
             if rng.random() < config.dump_to_river:
                 garbage.dump_to_river()
             else:
-                garbage.drop_at(house.coord)
+                garbage.drop_at(coord)
     return garbage
 
 

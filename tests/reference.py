@@ -40,7 +40,7 @@ from riversim.dynamics import (
     sample_geometric,
 )
 from riversim.landscape import BUILDABLE_CODE
-from riversim.settlement import BuildRecord, House
+from riversim.settlement import BuildRecord
 
 RULE_NOT_BUILDABLE = "NotBuildable"
 RULE_OCCUPIED = "Occupied"
@@ -240,11 +240,11 @@ def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
 
 def bf_step_resident(agent, grid, rng, home_range):
     """One resident tick: collect the current cell, then every on-grid
-    walkable Moore neighbour within home_range of home (the agent's own cell
-    when it has no home), and move to one of them by one randrange."""
+    walkable Moore neighbour within home_range of home, and move to one of
+    them by one randrange."""
     if not grid.is_walkable(agent.coord):
         raise AgentStateError(f"agent {agent.id} is standing on non-walkable cell {agent.coord}")
-    hx, hy = agent.home if agent.home is not None else agent.coord
+    hx, hy = agent.home
     x, y = agent.coord
     candidates = [agent.coord]
     for nx, ny in _neighbors_row_major(x, y):
@@ -266,8 +266,7 @@ def bf_place_next_house(state, rng):
     occupied = np.zeros((h, w), dtype=bool)
     neighbor_count = np.zeros((h, w), dtype=np.float64)
     r = config.neighbor_radius
-    for house in state.houses:
-        x, y = house.coord
+    for x, y in state.houses:
         occupied[y, x] = True
         neighbor_count[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] += 1.0
     legal = fields.legal_static & ~occupied
@@ -279,12 +278,11 @@ def bf_place_next_house(state, rng):
     ys, xs = np.nonzero(band)
     i = rng.randrange(len(ys))
     coord = (int(xs[i]), int(ys[i]))
-    house = House(coord=coord, waste_rate=config.waste_rate)
-    state.houses.append(house)
+    state.houses.append(coord)
     state.build_log.append(
         BuildRecord(tick=state.tick, x=coord[0], y=coord[1], score=float(score[coord[1], coord[0]]))
     )
-    return house
+    return coord
 
 
 def behind_direction(coord, roads):
@@ -329,7 +327,7 @@ def forbidden_site(coord, grid, features, roads, houses, config):
     violated = []
     if grid.cells[y, x] != BUILDABLE_CODE:
         violated.append(RULE_NOT_BUILDABLE)
-    if any(h.coord == coord for h in houses):
+    if coord in houses:
         violated.append(RULE_OCCUPIED)
     if features.between_streams[y, x]:
         violated.append(RULE_SRI_MADAYUNG)
@@ -349,7 +347,7 @@ def site_preference_score(coord, grid, features, roads, houses, config):
     x, y = coord
     r = config.neighbor_radius
     neighbors = sum(
-        1 for h in houses if max(abs(h.coord[0] - x), abs(h.coord[1] - y)) <= r
+        1 for hx, hy in houses if max(abs(hx - x), abs(hy - y)) <= r
     )
     road_term = config.w_road / (1.0 + float(roads.dist_to_road[y, x]))
     river_term = config.w_river_far * min(

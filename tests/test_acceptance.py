@@ -14,7 +14,6 @@ import pytest
 from riversim.dynamics import ExcitementField, diffuse_excitement
 from riversim.engine import init_scenario, metrics_to_csv, run, step
 from riversim.landscape import load_terrain, load_terrain_files, default_map_paths
-from riversim.settlement import House
 
 from conftest import make_config, placement_features
 from reference import bf_diffuse, forbidden_site
@@ -144,7 +143,7 @@ class TestCriterion3PlacementLegality:
                     violations += 1
                 if features.dist_to_river[record.y, record.x] < config.river_buffer:
                     buffer_breaches += 1
-                replayed.append(House(coord, config.waste_rate))
+                replayed.append(coord)
         elapsed = time.perf_counter() - started
         ok = violations == 0 and buffer_breaches == 0 and elapsed < 30.0
         report(3, ok, "placement legality",
@@ -163,10 +162,10 @@ class TestCriterion4ThreeZoneEmergence:
             config = make_config(scenario="prepark", seed=seed, houses=30)
             state = init_scenario(config, grid=fixture_grid)
             road = np.mean([
-                roads.dist_to_road[y, x] for x, y in (h.coord for h in state.houses)
+                roads.dist_to_road[y, x] for x, y in state.houses
             ])
             river = np.mean([
-                features.dist_to_river[y, x] for x, y in (h.coord for h in state.houses)
+                features.dist_to_river[y, x] for x, y in state.houses
             ])
             if road < river:
                 wins += 1

@@ -293,6 +293,45 @@ class TestValidateCommand:
         assert message in capsys.readouterr().err
 
 
+# A 5x4 map with one river cell and no road: an infinite weight times a zero
+# or infinite distance term gives a NaN score.
+ROADLESS_MAP = "~....\n.....\n.....\n.....\n"
+
+
+class TestNonFiniteKnobs:
+    """A NaN or infinite float knob exits 2 naming it, before any run.
+
+    These values used to pass validation and then crash placement with
+    ``empty range for randrange()`` or run on with NaN utilities or a
+    silently disabled taboo."""
+
+    @pytest.mark.parametrize("section, knob, value, roadless", [
+        ("settlement", "w_road", "nan", False),
+        ("settlement", "score_tolerance", "nan", False),
+        ("settlement", "w_road", "inf", True),
+        ("settlement", "w_neighbor", "inf", True),
+        ("dynamics", "rho", "nan", False),
+        ("settlement", "highland_delta", "nan", False),
+        ("terrain", "hotspot_base_excitement", "nan", False),
+    ])
+    def test_run_exits_2_naming_the_knob(self, tmp_path, capsys, section, knob, value,
+                                         roadless):
+        lines = {"run": ["ticks = 3"], section: [f"{knob} = {value}"]}
+        if roadless:
+            (tmp_path / "map.txt").write_text(ROADLESS_MAP)
+            lines["settlement"] += ["houses = 3", "river_buffer = 1"]
+            lines["terrain"] = ["terrain_file = map.txt", "elevation_file ="]
+        config = tmp_path / "sim.ini"
+        config.write_text("".join(f"[{name}]\n" + "\n".join(body) + "\n"
+                                  for name, body in lines.items()))
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: {section}.{knob} must be ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "metrics_0.csv").exists()
+
+
 def _cap_memory():
     # a radius table sized by the knob itself would fail here, not swap
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -337,3 +376,19 @@ class TestHugeRadius:
             outputs[value] = [(out / name).read_bytes()
                               for name in ("metrics_0.csv", "buildlog_0.csv")]
         assert outputs[10**9] == outputs[longest] == outputs[longest - 1]
+
+    @pytest.mark.parametrize("knob", ["river_buffer", "river_far_cap"])
+    def test_huge_river_knob_matches_longest_side(self, tmp_path, knob):
+        # both knobs only bound dist_to_river, which stays below the longest
+        # side; 10**400 has no float, so using it unclamped would crash
+        grid = load_terrain_files(*default_map_paths())
+        longest = max(grid.width, grid.height)
+        outputs = []
+        for value in (10**400, longest):
+            config = tmp_path / f"{len(str(value))}.ini"
+            config.write_text(f"[run]\nticks = 2\n[settlement]\n{knob} = {value}\n")
+            out = tmp_path / f"out{len(str(value))}"
+            assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("metrics_0.csv", "buildlog_0.csv")])
+        assert outputs[0] == outputs[1]

@@ -1,6 +1,7 @@
 import pytest
 
 from riversim.config import (
+    SECTION_FIELDS,
     ConfigError,
     SimConfig,
     default_config_text,
@@ -8,6 +9,30 @@ from riversim.config import (
     parse_entrances,
     parse_legend,
 )
+from riversim.landscape import default_map_paths
+
+# Every float knob; each must be finite.
+FLOAT_KNOBS = [
+    ("hotspot_base_excitement", "terrain"),
+    ("highland_delta", "settlement"),
+    ("w_neighbor", "settlement"),
+    ("w_road", "settlement"),
+    ("w_river_far", "settlement"),
+    ("score_tolerance", "settlement"),
+    ("mu", "dynamics"),
+    ("rho", "dynamics"),
+    ("epsilon0", "dynamics"),
+    ("dwell_p", "dynamics"),
+    ("waste_rate", "waste"),
+    ("dump_to_river", "waste"),
+    ("litter_p", "waste"),
+    ("visitor_spawn_rate", "park"),
+]
+NON_FINITE = [
+    (name, value, f"{section}.{name}")
+    for name, section in FLOAT_KNOBS
+    for value in (float("nan"), float("inf"), float("-inf"))
+]
 
 
 class TestValidation:
@@ -32,6 +57,7 @@ class TestValidation:
         ("hotspot_base_excitement", 0.0, "terrain.hotspot_base_excitement"),
         ("w_road", -1.0, "settlement.w_road"),
         ("scenario", "city", "run.scenario"),
+        *NON_FINITE,
     ])
     def test_out_of_range_values_named(self, field, value, fragment):
         config = SimConfig(**{field: value})
@@ -52,6 +78,89 @@ class TestValidation:
         config = SimConfig(legend={"?": "Lava"})
         with pytest.raises(ConfigError, match="Lava"):
             config.validate()
+
+
+class TestConfigSurface:
+    """The sections, keys, defaults text and error prefixes users rely on."""
+
+    def test_section_fields(self):
+        assert SECTION_FIELDS == {
+            "run": ("scenario", "seed", "ticks", "frame_every"),
+            "terrain": ("terrain_file", "elevation_file", "legend",
+                        "hotspot_base_excitement", "d_streams", "d_branch"),
+            "settlement": ("river_buffer", "highland_radius", "highland_delta",
+                           "w_neighbor", "w_road", "w_river_far", "neighbor_radius",
+                           "river_far_cap", "score_tolerance", "houses",
+                           "houses_per_tick"),
+            "dynamics": ("mu", "rho", "epsilon0", "dwell_p", "resident_range"),
+            "waste": ("waste_rate", "dump_to_river", "litter_p", "warn_threshold",
+                      "warn_radius", "cleanup_capacity", "riverside_drift"),
+            "park": ("visitor_spawn_rate", "visit_length", "n_community",
+                     "community_stationary", "entrances"),
+        }
+        assert list(SECTION_FIELDS) == ["run", "terrain", "settlement", "dynamics",
+                                        "waste", "park"]
+
+    def test_default_config_text(self):
+        terrain, elevation = default_map_paths()
+        assert default_config_text() == (
+            "[run]\nscenario = prepark\nseed = 0\nticks = 1000\nframe_every = 0\n\n"
+            f"[terrain]\nterrain_file = {terrain}\nelevation_file = {elevation}\n"
+            "legend = ~:River, r:Riverbank, =:Road, .:Buildable, d:Delta, t:Trees, "
+            "p:ParkPath, #:Obstacle, H:Hotspot, B:Branch\n"
+            "hotspot_base_excitement = 1.0\nd_streams = 3\nd_branch = 2\n\n"
+            "[settlement]\nriver_buffer = 3\nhighland_radius = 3\nhighland_delta = 1.0\n"
+            "w_neighbor = 1.0\nw_road = 10.0\nw_river_far = 0.2\nneighbor_radius = 2\n"
+            "river_far_cap = 10\nscore_tolerance = 1e-09\nhouses = 30\n"
+            "houses_per_tick = 0\n\n"
+            "[dynamics]\nmu = 0.9\nrho = 0.1\nepsilon0 = 0.05\ndwell_p = 0.25\n"
+            "resident_range = 3\n\n"
+            "[waste]\nwaste_rate = 0.3\ndump_to_river = 0.9\nlitter_p = 0.4\n"
+            "warn_threshold = 2\nwarn_radius = 2\ncleanup_capacity = 5\n"
+            "riverside_drift = false\n\n"
+            "[park]\nvisitor_spawn_rate = 0.15\nvisit_length = 120\nn_community = 4\n"
+            "community_stationary = false\nentrances = \n"
+        )
+
+    @pytest.mark.parametrize("field,value,prefix", [
+        ("ticks", -1, "run.ticks must be "),
+        ("frame_every", -1, "run.frame_every must be "),
+        ("hotspot_base_excitement", 0.0, "terrain.hotspot_base_excitement must be "),
+        ("d_streams", -1, "terrain.d_streams must be "),
+        ("d_branch", -1, "terrain.d_branch must be "),
+        ("river_buffer", -1, "settlement.river_buffer must be "),
+        ("highland_radius", -1, "settlement.highland_radius must be "),
+        ("highland_delta", -1.0, "settlement.highland_delta must be "),
+        ("w_neighbor", -1.0, "settlement.w_neighbor must be "),
+        ("w_road", -1.0, "settlement.w_road must be "),
+        ("w_river_far", -1.0, "settlement.w_river_far must be "),
+        ("neighbor_radius", -1, "settlement.neighbor_radius must be "),
+        ("river_far_cap", -1, "settlement.river_far_cap must be "),
+        ("score_tolerance", -1.0, "settlement.score_tolerance must be "),
+        ("houses", -1, "settlement.houses must be "),
+        ("houses_per_tick", -1, "settlement.houses_per_tick must be "),
+        ("mu", 1.5, "dynamics.mu must be "),
+        ("rho", -1.0, "dynamics.rho must be "),
+        ("epsilon0", -1.0, "dynamics.epsilon0 must be "),
+        ("dwell_p", 0.0, "dynamics.dwell_p must be "),
+        ("resident_range", -1, "dynamics.resident_range must be "),
+        ("waste_rate", 1.5, "waste.waste_rate must be "),
+        ("dump_to_river", -0.5, "waste.dump_to_river must be "),
+        ("litter_p", 2.0, "waste.litter_p must be "),
+        ("warn_threshold", -1, "waste.warn_threshold must be "),
+        ("warn_radius", -1, "waste.warn_radius must be "),
+        ("cleanup_capacity", -1, "waste.cleanup_capacity must be "),
+        ("visitor_spawn_rate", 1.5, "park.visitor_spawn_rate must be "),
+        ("visit_length", -1, "park.visit_length must be "),
+        ("n_community", -1, "park.n_community must be "),
+        ("scenario", "city", "run.scenario must be "),
+        ("terrain_file", "", "terrain.terrain_file must "),
+        ("legend", {"?": "Lava"}, "terrain.legend is invalid: "),
+    ])
+    def test_message_names_section_and_field(self, field, value, prefix):
+        with pytest.raises(ConfigError) as info:
+            SimConfig(**{field: value}).validate()
+        assert str(info.value).startswith(prefix)
 
 
 class TestParsers:

@@ -14,7 +14,6 @@ from riversim.dynamics import (
     AgentKind,
     AgentStateError,
     ExcitementField,
-    PenaltyParams,
     agent_utility,
     choose_next_hotspot,
     crowding_penalty,
@@ -165,29 +164,25 @@ class TestUtility:
 
 class TestCrowdingPenalty:
     def test_empty_neighborhood_is_zero(self):
-        params = PenaltyParams(rho=0.5, epsilon0=0.05)
         garbage = np.zeros((5, 5), dtype=np.int64)
-        assert crowding_penalty((2, 2), {}, garbage, params) == 0.0
+        assert crowding_penalty((2, 2), {}, garbage, 0.5, 0.05) == 0.0
 
     def test_garbage_term(self):
-        params = PenaltyParams(rho=0.0, epsilon0=0.05)
         garbage = np.zeros((5, 5), dtype=np.int64)
         garbage[2, 2] = 1  # the agent's own cell counts
         garbage[1, 2] = 2
         garbage[3, 3] = 1
-        assert crowding_penalty((2, 2), {}, garbage, params) == pytest.approx(0.2)
+        assert crowding_penalty((2, 2), {}, garbage, 0.0, 0.05) == pytest.approx(0.2)
 
     def test_neighbor_utility_term(self):
-        params = PenaltyParams(rho=1.0, epsilon0=0.0)
         garbage = np.zeros((5, 5), dtype=np.int64)
         utilities = {(1, 2): 0.8}
-        assert crowding_penalty((2, 2), utilities, garbage, params) == pytest.approx(0.1)
+        assert crowding_penalty((2, 2), utilities, garbage, 1.0, 0.0) == pytest.approx(0.1)
 
     def test_out_of_range_agents_ignored(self):
-        params = PenaltyParams(rho=1.0, epsilon0=0.0)
         garbage = np.zeros((5, 5), dtype=np.int64)
         utilities = {(4, 4): 5.0, (2, 2): 3.0}  # own cell is not a neighbor
-        assert crowding_penalty((2, 2), utilities, garbage, params) == 0.0
+        assert crowding_penalty((2, 2), utilities, garbage, 1.0, 0.0) == 0.0
 
     def test_utilities_by_cell_sums_cohabitants(self):
         agents = [
@@ -219,15 +214,15 @@ class TestBatchedUtilityOracle:
         garbage = nprng.integers(0, 4, size=(h, w))
         p = nprng.random((h, w))
         field = ExcitementField(p=p, mu=0.9, sources=())
-        params = PenaltyParams(rho=float(nprng.random()), epsilon0=float(nprng.random()))
+        rho, epsilon0 = float(nprng.random()), float(nprng.random())
         xs = np.array([x for x, _ in coords])
         ys = np.array([y for _, y in coords])
 
-        penalties = crowding_penalty((xs, ys), utilities, garbage, params)
+        penalties = crowding_penalty((xs, ys), utilities, garbage, rho, epsilon0)
         values = agent_utility((xs, ys), field, penalties)
 
         expected = [
-            bf_crowding_penalty(c, utilities, garbage, params.rho, params.epsilon0)
+            bf_crowding_penalty(c, utilities, garbage, rho, epsilon0)
             for c in coords
         ]
         assert penalties.tolist() == expected
@@ -235,7 +230,7 @@ class TestBatchedUtilityOracle:
             bf_agent_utility(c, p, penalty) for c, penalty in zip(coords, expected)
         ]
         for c, penalty in zip(coords, expected):
-            assert crowding_penalty(c, utilities, garbage, params) == penalty
+            assert crowding_penalty(c, utilities, garbage, rho, epsilon0) == penalty
             assert agent_utility(c, field, penalty) == bf_agent_utility(c, p, penalty)
 
     def test_neighbor_sum_is_computed_once_per_field(self, monkeypatch):
@@ -480,11 +475,11 @@ class TestResidentWalk:
     def test_walk_table_matches_neighbour_scan(self):
         # random small maps with obstacles, trees and water, so residents
         # stand on the map edge; home_range 0-3; homes on the start cell,
-        # elsewhere on the map, off the map or absent, so some residents
+        # elsewhere on the map or off the map, so some residents
         # start outside their range. After every step the table walk and the
         # 8-neighbour scan agree on the coord and the RNG state.
         rng = random.Random(31)
-        outside = edge = homeless = 0
+        outside = edge = 0
         for trial in range(40):
             w, h = rng.randint(1, 9), rng.randint(1, 9)
             cells = [[rng.choice("...#t~") for _ in range(w)] for _ in range(h)]
@@ -497,21 +492,20 @@ class TestResidentWalk:
             for _ in range(4):
                 start = rng.choice(open_cells)
                 home = rng.choice([
-                    start, rng.choice(open_cells), None,
+                    start, rng.choice(open_cells),
                     (start[0] + home_range + rng.randint(1, 3), start[1] - rng.randint(0, 4)),
                 ])
-                homeless += home is None
                 fast = Agent(0, AgentKind.RESIDENT, start, home=home)
                 slow = Agent(0, AgentKind.RESIDENT, start, home=home)
                 seed = rng.random()
                 fast_rng, slow_rng = random.Random(seed), random.Random(seed)
                 for _ in range(30):
                     x, y = fast.coord
-                    hx, hy = home if home is not None else fast.coord
+                    hx, hy = home
                     outside += max(abs(x - hx), abs(y - hy)) > home_range
                     edge += x in (0, w - 1) or y in (0, h - 1)
                     step_resident(fast, grid, walk, fast_rng, home_range)
                     bf_step_resident(slow, grid, slow_rng, home_range)
                     assert fast.coord == slow.coord
                     assert fast_rng.getstate() == slow_rng.getstate()
-        assert outside > 0 and edge > 0 and homeless > 0
+        assert outside > 0 and edge > 0

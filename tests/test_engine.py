@@ -26,7 +26,7 @@ RIVER_ONLY = "~..\n...\n..."
 def snapshot(state):
     return (
         [(a.id, a.kind, a.coord, a.utility, a.target_hotspot) for a in state.agents],
-        [h.coord for h in state.houses],
+        list(state.houses),
         [record.tick for record in state.build_log],
         state.garbage.in_place.tobytes(),
         state.field.p.tobytes(),
@@ -332,7 +332,7 @@ class TestMetricsAndFrames:
     def test_frame_garbage_digits_saturate(self, default_grid):
         config = make_config(scenario="prepark", houses=1)
         state = init_scenario(config, grid=default_grid)
-        coord = state.houses[0].coord
+        coord = state.houses[0]
         for _ in range(12):
             state.garbage.drop_at((coord[0] + 1, coord[1]))
         frame = render_frame(state)

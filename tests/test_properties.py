@@ -2,11 +2,13 @@
 
 Each generated case is a map of at most 12x12 cells in the default legend,
 an optional elevation sheet of the same shape, and an in-range config for
-either scenario with at most 30 ticks. Set-up must either succeed or raise
-ConfigError/TerrainError. A run that sets up keeps the garbage ledger
-balanced and every agent on a walkable cell at every tick, and two
-``riversim run`` invocations give byte-identical outputs. ``riversim
-validate`` on the same file exits 2 exactly when set-up raised.
+either scenario with at most 30 ticks; in some cases one float knob is NaN
+or infinite instead, and set-up must then raise ConfigError. Set-up must
+either succeed or raise ConfigError/TerrainError. A run that sets up keeps
+the garbage ledger balanced and every agent on a walkable cell at every
+tick, and two ``riversim run`` invocations give byte-identical outputs.
+``riversim validate`` on the same file exits 2 exactly when set-up raised,
+and neither call writes a traceback.
 
 A second property feeds the CLI generated metrics-CSV contents (valid, or
 with a wrong header, a short or long row, a non-numeric or non-finite cell,
@@ -19,6 +21,7 @@ writes no traceback.
 
 import contextlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -72,6 +75,12 @@ CONFIG_FIELDS = {
     "community_stationary": st.booleans(),
 }
 
+FLOAT_KNOBS = (
+    "hotspot_base_excitement", "highland_delta", "w_neighbor", "w_road", "w_river_far",
+    "score_tolerance", "mu", "rho", "epsilon0", "dwell_p", "waste_rate", "dump_to_river",
+    "litter_p", "visitor_spawn_rate",
+)
+
 _SECTION = {name: section for section, names in SECTION_FIELDS.items() for name in names}
 
 
@@ -89,6 +98,9 @@ def cases(draw):
         elevation = [" ".join(str(v) for v in draw(st.lists(levels, min_size=width, max_size=width)))
                      for _ in range(height)]
     values = {name: draw(strategy) for name, strategy in CONFIG_FIELDS.items()}
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.sampled_from(FLOAT_KNOBS))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
     coords = st.tuples(st.integers(-1, width), st.integers(-1, height))
     entrances = draw(st.none() | st.lists(coords, min_size=1, max_size=2))
     values["entrances"] = "" if entrances is None else "; ".join(f"{x},{y}" for x, y in entrances)
@@ -143,7 +155,7 @@ def _outputs(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(cases())
 def test_random_inputs_run_cleanly_or_fail_at_setup(case):
     rows, elevation, values = case
@@ -155,10 +167,13 @@ def test_random_inputs_run_cleanly_or_fail_at_setup(case):
         except (ConfigError, TerrainError):
             state = None
 
-        validate_code = _cli("validate", "--config", str(config_path))
+        validate_code, validate_err = _cli_err("validate", "--config", str(config_path))
         seed = str(values["seed"])
-        run_code = _cli("run", "--config", str(config_path), "--out", str(root / "a"),
-                        "--seeds", seed)
+        run_code, run_err = _cli_err("run", "--config", str(config_path),
+                                     "--out", str(root / "a"), "--seeds", seed)
+        assert "Traceback" not in validate_err + run_err
+        if not all(math.isfinite(values[name]) for name in FLOAT_KNOBS):
+            assert state is None
         if state is None:
             assert validate_code == 2
             assert run_code == 2

@@ -6,7 +6,6 @@ import pytest
 
 from riversim.engine import _build_houses, init_scenario
 from riversim.settlement import (
-    House,
     compute_placement_fields,
     place_next_house,
 )
@@ -59,7 +58,7 @@ class TestForbiddenSite:
     def test_not_buildable_and_occupied(self):
         grid, features, roads, config = build_world(FLAT_TEXT)
         assert RULE_NOT_BUILDABLE in forbidden_site((0, 0), grid, features, roads, [], config)
-        houses = [House((5, 4), 0.3)]
+        houses = [(5, 4)]
         assert RULE_OCCUPIED in forbidden_site((5, 4), grid, features, roads, houses, config)
 
     def test_branch_proximity_flags_rule(self):
@@ -121,7 +120,7 @@ class TestPreferenceScore:
 
     def test_clustering_beats_isolation(self):
         grid, features, roads, config = build_world(FLAT_TEXT)
-        houses = [House((4, 4), 0.3), House((6, 4), 0.3), House((5, 3), 0.3)]
+        houses = [(4, 4), (6, 4), (5, 3)]
         adjacent = site_preference_score((5, 4), grid, features, roads, houses, config)
         isolated = site_preference_score((9, 4), grid, features, roads, houses, config)
         assert adjacent > isolated
@@ -140,7 +139,7 @@ class TestPreferenceScore:
         for _ in range(30):
             candidate = (rng.randrange(12), rng.randrange(1, 9))
             before = site_preference_score(candidate, grid, features, roads, houses, config)
-            new_house = House((rng.randrange(12), rng.randrange(1, 9)), 0.3)
+            new_house = (rng.randrange(12), rng.randrange(1, 9))
             houses.append(new_house)
             after = site_preference_score(candidate, grid, features, roads, houses, config)
             assert after >= before
@@ -160,10 +159,8 @@ class TestVectorizedAgreement:
             )
             grid, features, roads, config = build_world("\n".join(rows), elev)
             fields = compute_placement_fields(grid, features, roads, config)
-            houses = [
-                House((rng.randrange(w), rng.randrange(h)), 0.3) for _ in range(3)
-            ]
-            occupied = {house.coord for house in houses}
+            houses = [(rng.randrange(w), rng.randrange(h)) for _ in range(3)]
+            occupied = set(houses)
             r = config.neighbor_radius
             for y in range(h):
                 for x in range(w):
@@ -173,8 +170,8 @@ class TestVectorizedAgreement:
                     assert ((x, y) in occupied) == (RULE_OCCUPIED in rules)
                     score = site_preference_score((x, y), grid, features, roads, houses, config)
                     near = sum(
-                        1 for hh in houses
-                        if max(abs(hh.coord[0] - x), abs(hh.coord[1] - y)) <= r
+                        1 for hx, hy in houses
+                        if max(abs(hx - x), abs(hy - y)) <= r
                     )
                     vectorized = fields.base_score[y, x] + config.w_neighbor * near
                     assert vectorized == pytest.approx(score, abs=1e-12)
@@ -192,8 +189,7 @@ class TestPlacement:
         coords = set()
         for seed in range(6):
             state = prepark_state(text, river_buffer=1, seed=seed)
-            house = place_next_house(state, state.rng)
-            coords.add(house.coord)
+            coords.add(place_next_house(state, state.rng))
         assert coords == {(2, 1)}
 
     def test_first_house_lands_in_top_scoring_band(self):
@@ -209,15 +205,14 @@ class TestPlacement:
                         scores[(x, y)] = site_preference_score((x, y), grid, features, roads, [], config)
             top = max(scores.values())
             band = {c for c, s in scores.items() if s >= top - config.score_tolerance}
-            house = place_next_house(state, state.rng)
-            assert house.coord in band
+            assert place_next_house(state, state.rng) in band
 
     def test_placement_deterministic_given_seed(self):
         state_a = prepark_state(FLAT_TEXT, seed=42)
         _build_houses(state_a, 10)
         state_b = prepark_state(FLAT_TEXT, seed=42)
         _build_houses(state_b, 10)
-        assert [h.coord for h in state_a.houses] == [h.coord for h in state_b.houses]
+        assert state_a.houses == state_b.houses
 
     def test_each_placement_consumes_one_randrange_draw(self):
         state = prepark_state(FLAT_TEXT, seed=3)
@@ -233,7 +228,7 @@ class TestPlacement:
         ys, xs = np.nonzero(band)
         shadow = random.Random(3)
         i = shadow.randrange(len(ys))
-        assert (int(xs[i]), int(ys[i])) == house.coord
+        assert (int(xs[i]), int(ys[i])) == house
         assert shadow.getstate() == state.rng.getstate()
 
 
@@ -276,11 +271,11 @@ class TestIncrementalPlacement:
                     assert house is None
                     exhausted += 1
                     break
-                assert house.coord == expected.coord
+                assert house == expected
                 got, want = fast.build_log[-1], slow.build_log[-1]
                 assert (got.tick, got.x, got.y) == (want.tick, want.x, want.y)
                 assert struct.pack("<d", got.score) == struct.pack("<d", want.score)
-                x, y = house.coord
+                x, y = house
                 edge += x in (0, w - 1) or y in (0, h - 1)
         assert exhausted == 36 and edge > 0 and ties > 0
 
@@ -313,14 +308,14 @@ class TestGrowth:
             features, roads = placement_features(grid, config)
             replayed = []
             for house in state.houses:
-                rules = forbidden_site(house.coord, grid, features, roads, replayed, config)
+                rules = forbidden_site(house, grid, features, roads, replayed, config)
                 assert rules == []
                 replayed.append(house)
 
     def test_build_log_matches_houses(self):
         state = prepark_state(FLAT_TEXT, seed=8)
         _build_houses(state, 12)
-        assert [(r.x, r.y) for r in state.build_log] == [h.coord for h in state.houses]
+        assert [(r.x, r.y) for r in state.build_log] == state.houses
         # one resident per house, at home on it, in build order
-        assert [(a.coord, a.home) for a in state.agents] == [(h.coord, h.coord) for h in state.houses]
+        assert [(a.coord, a.home) for a in state.agents] == [(h, h) for h in state.houses]
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from riversim.dynamics import Agent, AgentKind
-from riversim.settlement import House
 from riversim.waste import (
     GarbageField,
     community_cleanup,
@@ -53,7 +52,7 @@ class TestDomesticWaste:
     def test_certain_emission_into_river(self):
         config = make_config(waste_rate=1.0, dump_to_river=1.0)
         garbage = GarbageField.zeros(3, 3)
-        houses = [House((1, 1), waste_rate=1.0)]
+        houses = [(1, 1)]
         rng = random.Random(5)
         for _ in range(10):
             generate_domestic_waste(houses, garbage, rng, config)
@@ -63,14 +62,14 @@ class TestDomesticWaste:
     def test_certain_emission_on_ground(self):
         config = make_config(waste_rate=1.0, dump_to_river=0.0)
         garbage = GarbageField.zeros(3, 3)
-        houses = [House((2, 0), waste_rate=1.0)]
+        houses = [(2, 0)]
         generate_domestic_waste(houses, garbage, random.Random(1), config)
         assert garbage.in_place[0, 2] == 1
 
     def test_generation_within_binomial_bounds(self):
         # 100 houses x 1000 ticks at rate 0.5: expect 50000 +- 3 sigma
         config = make_config(waste_rate=0.5, dump_to_river=0.9)
-        houses = [House((x % 10, x // 10), waste_rate=0.5) for x in range(100)]
+        houses = [(x % 10, x // 10) for x in range(100)]
         garbage = GarbageField.zeros(10, 10)
         rng = random.Random(77)
         for _ in range(1000):
