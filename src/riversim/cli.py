@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 2 configuration/input error, 3 invariant halt,
 4 refusal to overwrite existing outputs (pass --force to allow).
+Every output file is written whole or not at all (see ``_write_atomic``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import glob
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,6 +40,19 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
 def _config_error(message: str) -> int:
     print(f"config error: {message}", file=sys.stderr)
     return EXIT_CONFIG
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temp file beside path, then ``os.replace`` it onto
+    path; on any failure remove the temp file, so path keeps what it held."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _refuse_existing(paths: list[Path], force: bool) -> bool:
@@ -91,20 +107,19 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
 
         metrics_path = out / f"metrics_{seed}.csv"
         try:
-            metrics_path.write_text(metrics_to_csv(result.metrics), encoding="utf-8")
+            _write_atomic(metrics_path, metrics_to_csv(result.metrics))
             if prepark:
                 lines = ["tick,x,y,score"]
                 lines += [
                     f"{rec.tick},{rec.x},{rec.y},{rec.score:.6f}"
                     for rec in result.state.build_log
                 ]
-                (out / f"buildlog_{seed}.csv").write_text("\n".join(lines) + "\n",
-                                                          encoding="utf-8")
+                _write_atomic(out / f"buildlog_{seed}.csv", "\n".join(lines) + "\n")
             if config.frame_every:
                 frame_dir = out / f"frames_{seed}"
                 frame_dir.mkdir(exist_ok=True)
                 for tick, text in result.frames:
-                    (frame_dir / f"frame_{tick}.txt").write_text(text, encoding="utf-8")
+                    _write_atomic(frame_dir / f"frame_{tick}.txt", text)
         except OSError as exc:
             return _config_error(f"cannot write outputs of seed {seed} to {out}: {exc}")
         print(f"seed {seed}: wrote {metrics_path}")
@@ -224,8 +239,8 @@ def cmd_compare(pre_glob: str, post_glob: str, out_dir: Path, force: bool) -> in
     if _refuse_existing(targets, force):
         return EXIT_REFUSED
     try:
-        targets[0].write_text(report, encoding="utf-8")
-        targets[1].write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        _write_atomic(targets[0], report)
+        _write_atomic(targets[1], "\n".join(csv_lines) + "\n")
     except OSError as exc:
         return _config_error(f"cannot write the comparison to {out_dir}: {exc}")
     print(report, end="")

@@ -18,6 +18,8 @@ Conventions used throughout the package:
 * Every nearest-source question (river and road distance, the below-river
   and highland taboos) is answered by ``nearest_cell_fields``; ties resolve
   by smallest Chebyshev distance, then squared Euclidean, then row-major.
+  It is exact and makes one whole-grid pass per column that holds a source,
+  none per source cell.
 """
 
 from __future__ import annotations
@@ -186,17 +188,18 @@ def moore_views(arr: np.ndarray, fill) -> list[np.ndarray]:
     return [bordered[..., 1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx] for dx, dy in MOORE_OFFSETS]
 
 
-def _dilate8(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    for view in moore_views(mask, False):
-        out |= view
+def _moore_window(arr: np.ndarray, fill, ufunc: np.ufunc) -> np.ndarray:
+    """ufunc folded over each cell of arr and its 8 Moore neighbours."""
+    out = arr.copy()
+    for view in moore_views(arr, fill):
+        ufunc(out, view, out=out)
     return out
 
 
 def riverside_mask(grid: TerrainGrid) -> np.ndarray:
     """Cells at Chebyshev distance exactly 1 from the nearest River cell."""
     river = grid.cells == RIVER_CODE
-    return _dilate8(river) & ~river
+    return _moore_window(river, False, np.logical_or) & ~river
 
 
 def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.ndarray:
@@ -235,26 +238,43 @@ def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.n
 def nearest_cell_fields(source_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell nearest source cell under the package tie-break convention.
 
-    Returns (chebyshev distance, nearest y, nearest x); the coordinate arrays
-    hold -1 where the mask is empty.
+    Returns (chebyshev distance, nearest y, nearest x): float64 with ``inf``
+    and int64 with -1 where the mask is empty. Within a column, the source
+    nearest to each row (the upper one on a tie) beats the column's other
+    sources on every tie-break key, so two cumulative scans leave one
+    candidate per cell and column. One (H, W) pass per column that holds a
+    source, none per source cell, keeps the minimum of the int64 key
+    (Chebyshev, min(|dy|, |dx|), row, column): at a fixed Chebyshev distance
+    c the squared Euclidean one is c**2 + min(|dy|, |dx|)**2, so the key
+    orders as the tie-break does. The key is below (H * W)**2, so it cannot
+    overflow on a map of at most 3,037,000,499 cells (sides up to 55,108).
     """
     h, w = source_mask.shape
-    yy, xx = np.indices((h, w))
-    best_cheb = np.full((h, w), np.inf)
-    best_eucl = np.full((h, w), np.inf)
-    near_y = np.full((h, w), -1, dtype=np.int64)
-    near_x = np.full((h, w), -1, dtype=np.int64)
-    for sy, sx in zip(*np.nonzero(source_mask)):
-        ady = np.abs(yy - sy)
-        adx = np.abs(xx - sx)
-        cheb = np.maximum(ady, adx)
-        eucl = ady * ady + adx * adx
-        better = (cheb < best_cheb) | ((cheb == best_cheb) & (eucl < best_eucl))
-        best_cheb[better] = cheb[better]
-        best_eucl[better] = eucl[better]
-        near_y[better] = sy
-        near_x[better] = sx
-    return best_cheb, near_y, near_x
+    if not source_mask.any():
+        missing = np.full((h, w), -1, dtype=np.int64)
+        return np.full((h, w), np.inf), missing, missing.copy()
+    rows = np.arange(h, dtype=np.int64)
+    cols = np.arange(w, dtype=np.int64)
+    # nearest source row at or above / at or below each cell of its column;
+    # where there is none, a row `far` off stands in and loses to any real one
+    far = 2 * h
+    up = np.maximum.accumulate(np.where(source_mask, rows[:, None], -far), axis=0)
+    down = np.minimum.accumulate(np.where(source_mask, rows[:, None], far)[::-1], axis=0)[::-1]
+    column_nearest = np.where(down - rows[:, None] < rows[:, None] - up, down, up)
+    cells = h * w
+    cheb_unit = min(h, w) * cells  # min(|dy|, |dx|) < min(h, w)
+    best = np.full((h, w), np.iinfo(np.int64).max)
+    for sx in np.flatnonzero(source_mask.any(axis=0)):
+        sy = column_nearest[:, sx]
+        dy = np.abs(sy - rows)
+        dx = np.abs(cols - sx)
+        key = np.maximum.outer(dy * cheb_unit, dx * cheb_unit)
+        key += np.minimum.outer(dy * cells, dx * cells)
+        key += (sy * w + sx)[:, None]
+        np.minimum(best, key, out=best)
+    cheb, rest = np.divmod(best, cheb_unit)
+    near_y, near_x = np.divmod(rest % cells, w)
+    return cheb.astype(np.float64), near_y, near_x
 
 
 def _label_streams(river_mask: np.ndarray) -> np.ndarray:
@@ -429,28 +449,30 @@ def compute_river_features(
     Branch cells are River cells with River neighbors in at least 3 of the 4
     cardinal directions, plus any cells the legend marked as branches.
     """
-    shape = (grid.height, grid.width)
-    # past the longest side, a further dilation step changes no mask
-    longest = max(shape)
+    # past the longest side, a further dilation or window step changes no mask
+    longest = max(grid.height, grid.width)
     river = grid.cells == RIVER_CODE
     dist, near_y, near_x = nearest_cell_fields(river)
 
-    within_count = np.zeros(shape, dtype=np.int32)
-    for sid in range(1, int(grid.stream_labels.max()) + 1):
-        reach = grid.stream_labels == sid
-        for _ in range(min(d_streams, longest)):
-            reach = _dilate8(reach)
-        within_count += reach
-    between = within_count >= 2
+    # smallest and largest stream label within d_streams of each cell; two
+    # labels differ there exactly when two streams are that close
+    labels = grid.stream_labels
+    no_label = np.iinfo(labels.dtype).max
+    lo = np.where(labels > 0, labels, no_label)
+    hi = labels
+    for _ in range(min(d_streams, longest)):
+        lo = _moore_window(lo, no_label, np.minimum)
+        hi = _moore_window(hi, 0, np.maximum)
+    between = (hi > 0) & (lo < hi)
 
     views = moore_views(river, False)
     cardinal_rivers = sum(views[k].astype(np.int32) for k in (1, 3, 4, 6))
     branch = river & (cardinal_rivers >= 3)
     for x, y in grid.branch_markers:
         branch[y, x] = True
-    proximity = branch.copy()
+    proximity = branch
     for _ in range(min(d_branch, longest)):
-        proximity = _dilate8(proximity)
+        proximity = _moore_window(proximity, False, np.logical_or)
 
     below = (near_y >= 0) & (grid.elevation < grid.elevation[near_y, near_x])
 

@@ -17,6 +17,13 @@ of the stacked ``walkable_distance_field``; ``bf_step_agent`` is the
 wanderer move as an 8-neighbour scan of the distance field, the oracle for
 the step tables ``dynamics.step_agent`` reads.
 
+``bf_nearest_cell_fields`` is the nearest-source search as one whole-grid
+pass per source cell, in row-major source order, the oracle for the exact
+transform ``landscape.nearest_cell_fields``. ``bf_between_streams`` dilates
+each stream component on its own and counts the components that reach a
+cell, the oracle for the windowed min and max of the stream labels in
+``compute_river_features``.
+
 ``bf_place_next_house`` rebuilds the occupancy and neighbour-count grids from
 every house on each call, the oracle for ``settlement.place_next_house``,
 which keeps those grids on the state across placements. ``bf_step_resident``
@@ -136,6 +143,50 @@ def bf_nearest_source(shape, sources):
                     best = (sx, sy)
             out[(x, y)] = best
     return out
+
+
+def bf_nearest_cell_fields(source_mask):
+    """(chebyshev distance, nearest y, nearest x) by one whole-grid pass per
+    source cell; a later source wins only when strictly nearer by
+    (chebyshev, euclidean^2). float64 ``inf`` and int64 -1 on an empty mask."""
+    h, w = source_mask.shape
+    yy, xx = np.indices((h, w))
+    best_cheb = np.full((h, w), np.inf)
+    best_eucl = np.full((h, w), np.inf)
+    near_y = np.full((h, w), -1, dtype=np.int64)
+    near_x = np.full((h, w), -1, dtype=np.int64)
+    for sy, sx in zip(*np.nonzero(source_mask)):
+        ady = np.abs(yy - sy)
+        adx = np.abs(xx - sx)
+        cheb = np.maximum(ady, adx)
+        eucl = ady * ady + adx * adx
+        better = (cheb < best_cheb) | ((cheb == best_cheb) & (eucl < best_eucl))
+        best_cheb[better] = cheb[better]
+        best_eucl[better] = eucl[better]
+        near_y[better] = sy
+        near_x[better] = sx
+    return best_cheb, near_y, near_x
+
+
+def _bf_dilate8(mask):
+    out = mask.copy()
+    for y, x in zip(*np.nonzero(mask)):
+        out[max(0, y - 1):y + 2, max(0, x - 1):x + 2] = True
+    return out
+
+
+def bf_between_streams(stream_labels, d_streams):
+    """Cells within d_streams (chebyshev) of two or more stream components:
+    each component is dilated d_streams times on its own, clamped at the
+    longest map side, and the components reaching each cell are counted."""
+    longest = max(stream_labels.shape)
+    within_count = np.zeros(stream_labels.shape, dtype=np.int32)
+    for sid in range(1, int(stream_labels.max()) + 1):
+        reach = stream_labels == sid
+        for _ in range(min(d_streams, longest)):
+            reach = _bf_dilate8(reach)
+        within_count += reach
+    return within_count >= 2
 
 
 def _neighbors_row_major(x, y):

@@ -247,6 +247,62 @@ class TestCompareCommand:
         assert "littering" in text
 
 
+class TestAtomicWrites:
+    """Each output file is written to a temp file and moved onto its name: a
+    write or a move that fails leaves no partial output and no temp file,
+    keeps what --force would have replaced, and exits 2."""
+
+    @staticmethod
+    def command(tmp_path, name):
+        config = write_config(tmp_path / "sim.ini", ticks=5)
+        runs = tmp_path / "runs"
+        run = ["run", "--config", str(config), "--out", str(runs), "--seeds", "7"]
+        if name == "run":
+            return run, runs
+        assert cli.main(run) == 0
+        out = tmp_path / "cmp"
+        metrics = str(runs / "metrics_7.csv")
+        return ["compare", "--pre", metrics, "--post", metrics, "--out", str(out)], out
+
+    @staticmethod
+    def break_writes(monkeypatch, fault):
+        if fault == "write":
+            real_write_text = Path.write_text
+
+            def write_half(self, text, *args, **kwargs):
+                real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(Path, "write_text", write_half)
+        else:
+            def refuse(src, dst):
+                raise OSError(13, "Permission denied")
+
+            monkeypatch.setattr(os, "replace", refuse)
+
+    @pytest.mark.parametrize("name", ["run", "compare"])
+    @pytest.mark.parametrize("fault", ["write", "replace"])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, name, fault):
+        argv, out = self.command(tmp_path, name)
+        out.mkdir(exist_ok=True)
+        before = sorted(out.iterdir())
+        self.break_writes(monkeypatch, fault)
+        assert cli.main(argv) == 2
+        assert sorted(out.iterdir()) == before
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("name", ["run", "compare"])
+    @pytest.mark.parametrize("fault", ["write", "replace"])
+    def test_failed_forced_write_keeps_old_files(self, tmp_path, monkeypatch, name, fault):
+        argv, out = self.command(tmp_path, name)
+        assert cli.main(argv) == 0
+        before = {path: path.read_bytes() for path in out.iterdir()}
+        assert cli.main(argv) == 4  # refused without --force, nothing touched
+        self.break_writes(monkeypatch, fault)
+        assert cli.main(argv + ["--force"]) == 2
+        assert {path: path.read_bytes() for path in out.iterdir()} == before
+
+
 class TestValidateCommand:
     def test_valid_config_ok(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini")

@@ -11,8 +11,10 @@ The digests were generated before the per-agent utility loop was replaced
 by one array pass per tick, the ``walled_crowd`` digests before wanderers
 read precomputed step tables, and the ``prepark_exhaust`` digests before
 placement kept its grids across placements and residents read a walk table,
-and the ``park_riverside`` digests before the park stopped building the
-river features and kept only the riverside mask;
+the ``park_riverside`` digests before the park stopped building the
+river features and kept only the riverside mask, and the
+``prepark_road_lattice`` digests before the nearest-source transform replaced
+the loop over source cells;
 a refactor must leave them unchanged. Print the current values with
 ``python tests/test_golden.py`` and re-pin them only for a deliberate change
 of behaviour.
@@ -100,8 +102,38 @@ RIVERSIDE_MAP = "\n".join([
     "~~~~~~~~~~~~",
 ])
 
+
+def road_lattice_map(width=21, height=19, road_rows=(3, 9, 13, 17), road_cols=(0, 4, 8, 14, 20)):
+    """A prepark map under a dense road grid, as (terrain, elevation) text.
+
+    Two streams run along row 0 with a three-cell gap between them. Road
+    rows lie four or six apart and so do road columns, so many cells have
+    two or three nearest road cells at the same Chebyshev and Euclidean
+    distance, in one column (up/down) or one row (left/right) or both: the
+    row-major tie-break picks the upper or left one. Elevation rises by 0.4
+    per row and per column, so the direction away from the chosen road
+    decides whether the highland-behind taboo fires.
+    """
+    rows, elevation = [], []
+    for y in range(height):
+        if y == 0:
+            row = "".join("~" if x <= 8 or x >= 12 else "." for x in range(width))
+        elif y == 1:
+            row = "".join("r" if x <= 9 or x >= 11 else "." for x in range(width))
+        elif y in road_rows:
+            row = "=" * width
+        elif y > road_rows[0]:
+            row = "".join("=" if x in road_cols else "." for x in range(width))
+        else:
+            row = "." * width
+        rows.append(row)
+        elevation.append(" ".join(f"{0.4 * (x + y):.1f}" for x in range(width)))
+    return "\n".join(rows), "\n".join(elevation)
+
+
 MAPS = {"desk_60": desk_style_map(), "walled_crowd": WALLED_MAP,
-        "prepark_exhaust": EXHAUST_MAP, "park_riverside": RIVERSIDE_MAP}
+        "prepark_exhaust": EXHAUST_MAP, "park_riverside": RIVERSIDE_MAP,
+        "prepark_road_lattice": road_lattice_map()}
 
 
 CASES = {
@@ -118,6 +150,8 @@ CASES = {
     "prepark_exhaust": dict(scenario="prepark", seed=9, ticks=60, houses=200,
                             houses_per_tick=3, river_buffer=1, neighbor_radius=1,
                             resident_range=1),
+    "prepark_road_lattice": dict(scenario="prepark", seed=12, ticks=60, houses=70,
+                                 houses_per_tick=2),
     "desk_60": dict(scenario="park", seed=0, ticks=500, n_community=100,
                     visitor_spawn_rate=0.0),
     "walled_crowd": dict(scenario="park", seed=8, ticks=300, n_community=3,
@@ -175,6 +209,12 @@ GOLDEN = {
         "metrics": "4475c1256e432cc03ff26ea2101506569aeed7893ed451a12ba69a3d53d1313d",
         "utility": "568a5a7a2bfa4c4e1b301672b0255a169dd345a975b79045196b0f252a5b7a17",
     },
+    "prepark_road_lattice": {
+        "buildlog": "fd539de170ff6d49acfbad7fba04f5b3ef0f6bf3ea3fa1b425ba069f48b7ca59",
+        "field": "8913aeb6cc98525f129f5d85a2d68d30d08a23df864edb71b3e3d526fa21d867",
+        "metrics": "a34d97aaf689b9af87f4987467230f5d46751b62cd05f6c54dd2bc341537ed31",
+        "utility": "1b098ba666c5d37f5dc15c3a608ee2650aeb3dcae8d2d7d9abdf1b18972e6694",
+    },
     "prepark_s3": {
         "buildlog": "4ffe436ccd1422478f268099a54ca18ecfd6e0a59f6e5a5889e62a324f07ab6b",
         "field": "3335c857febe6beda5d6924c9f72064d51099bf0ac4396378c9a8f8557c8a80f",
@@ -196,7 +236,10 @@ GOLDEN = {
 
 
 def run_case(name):
-    grid = load_terrain(MAPS[name]) if name in MAPS else None
+    terrain = MAPS.get(name)
+    if isinstance(terrain, str):
+        terrain = (terrain,)
+    grid = load_terrain(*terrain) if terrain else None
     return run(make_config(**CASES[name]), grid=grid)
 
 

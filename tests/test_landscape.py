@@ -19,8 +19,10 @@ from riversim.landscape import (
 
 from conftest import grid_from, walled_park_map
 from reference import (
+    bf_between_streams,
     bf_chebyshev_distances,
     bf_flood_fill_components,
+    bf_nearest_cell_fields,
     bf_nearest_source,
     bf_walkable_bfs,
 )
@@ -31,6 +33,41 @@ def random_map(rng, width, height, river_p=0.2):
     for _ in range(height):
         rows.append("".join("~" if rng.random() < river_p else "." for _ in range(width)))
     return "\n".join(rows)
+
+
+def tie_masks(h, w, rng):
+    """Masks of one shape whose cells often have two or more nearest sources:
+    road lattices, checkerboards, and random sources mirrored up/down,
+    left/right, both ways, and through the centre."""
+    yy, xx = np.indices((h, w))
+    masks = []
+    for step in (2, 3, 4, 5):
+        masks += [yy % step == 0, xx % step == 0, (yy % step == 1) | (xx % step == 2)]
+    masks += [(yy + xx) % 2 == 0, (yy // 2 + xx // 2) % 2 == 1]
+    for _ in range(3):
+        seed = rng.random((h, w)) < 0.1
+        masks += [seed | seed[::-1], seed | seed[:, ::-1], seed | seed[::-1, ::-1],
+                  seed | seed[::-1] | seed[:, ::-1] | seed[::-1, ::-1]]
+    return masks
+
+
+def nearest_source_masks():
+    """3,000+ seeded masks: every shape with a side of 1, empty and full
+    masks, tie-heavy masks, and random shapes up to 25 a side at densities
+    from 0 to 1."""
+    rng = np.random.default_rng(20)
+    masks = []
+    for n in range(1, 26):
+        for shape in ((1, n), (n, 1)):
+            masks += [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+            masks += [rng.random(shape) < p for p in (0.1, 0.5)]
+    for _ in range(60):
+        h, w = rng.integers(2, 26, size=2)
+        masks += tie_masks(h, w, rng)
+    while len(masks) < 3000:
+        h, w = rng.integers(1, 26, size=2)
+        masks.append(rng.random((h, w)) < rng.choice([0.0, 0.02, rng.random(), 1.0]))
+    return masks
 
 
 class TestLoading:
@@ -230,13 +267,26 @@ class TestDistanceFields:
             for layer, source in zip(layers, sources):
                 assert layer.tobytes() == bf_walkable_bfs(grid.walkable_mask, source).tobytes()
 
+    def test_nearest_cell_fields_match_per_source_loop(self):
+        # bit for bit and dtype for dtype, inf and -1 on empty masks included
+        for mask in nearest_source_masks():
+            for got, want in zip(nearest_cell_fields(mask), bf_nearest_cell_fields(mask)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), mask.astype(int)
+
     def test_nearest_cell_tie_break(self):
+        # one source up to every cell a source, and tie-heavy masks
         rng = random.Random(3)
-        for _ in range(10):
-            w, h = rng.randint(2, 9), rng.randint(2, 9)
+        masks = []
+        for _ in range(40):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
             mask = np.zeros((h, w), dtype=bool)
-            for _ in range(rng.randint(1, 5)):
+            for _ in range(rng.randint(1, h * w)):
                 mask[rng.randrange(h), rng.randrange(w)] = True
+            masks.append(mask)
+        masks += [m for m in tie_masks(7, 8, np.random.default_rng(3)) if m.any()]
+        for mask in masks:
+            h, w = mask.shape
             _, near_y, near_x = nearest_cell_fields(mask)
             ys, xs = np.nonzero(mask)
             expected = bf_nearest_source((h, w), list(zip(map(int, xs), map(int, ys))))
@@ -287,6 +337,18 @@ class TestRiverFeatures:
                             if grid.stream_labels[sy, sx] and max(abs(sx - x), abs(sy - y)) <= d:
                                 ids.add(int(grid.stream_labels[sy, sx]))
                     assert features.between_streams[y, x] == (len(ids) >= 2)
+
+    def test_between_streams_matches_per_stream_dilation(self):
+        # sparse and speckled many-stream maps, d_streams from 0 to past the
+        # longest side, up to the 10**9 that both clamp to that side
+        rng = random.Random(6)
+        for _ in range(150):
+            w, h = rng.randint(1, 16), rng.randint(1, 16)
+            grid = grid_from(random_map(rng, w, h, river_p=rng.choice([0.05, 0.2, 0.4, 0.7])))
+            for d in (0, 1, rng.randint(2, 5), max(w, h) + rng.randint(0, 3), 10**9):
+                features = compute_river_features(grid, d_streams=d)
+                expected = bf_between_streams(grid.stream_labels, d)
+                assert np.array_equal(features.between_streams, expected), (d, grid.chars)
 
     def test_straight_stream_has_no_branch(self):
         grid = grid_from("\n".join(["..~.."] * 6))
