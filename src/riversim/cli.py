@@ -34,6 +34,10 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"--seeds must be a comma-separated integer list, got {raw!r}") from None
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    repeated = [seed for seed in seeds if seeds.count(seed) > 1]
+    if repeated:
+        # each seed writes metrics_<seed>.csv; a second run would overwrite the first
+        raise ConfigError(f"--seeds names seed {repeated[0]} more than once")
     return seeds
 
 
@@ -78,6 +82,10 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
 
     if frame_every is not None:
         config = replace(config, frame_every=frame_every)
+        try:
+            config.validate()
+        except ConfigError as exc:
+            return _config_error(str(exc))
 
     try:
         out.mkdir(parents=True, exist_ok=True)

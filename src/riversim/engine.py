@@ -18,6 +18,14 @@ Phase order inside one tick is fixed:
 5. house waste generation (prepark)
 6. metrics row + invariant checks
 
+A park that spawns visitors keeps two per-cell head counts on the state
+(``SimState.occupancy``): every agent, and community members only. Set-up
+counts the community members; phase 3 takes each despawned visitor off its
+cell and puts each new one on its entrance; in phase 4 every step that moves
+an agent moves its count. A litter decision reads who is watching off the
+counts in the (2 * warn_radius + 1)² window around the visitor, so it costs
+the same however many agents the park holds.
+
 A single random.Random(seed) drives the run and every draw happens in the
 order above, so a (config, seed) pair replays to byte-identical metrics.
 Draw schedule: one randrange per house placement; one random for visitor
@@ -40,6 +48,7 @@ from .dynamics import (
     ARRIVED,
     DWELL_ENDED,
     DWELLING,
+    MOVED,
     Agent,
     AgentKind,
     AgentStateError,
@@ -131,6 +140,10 @@ class SimState:
     step_tables: list[list[bytes]] = field(default_factory=list)
     entrances: tuple[Coord, ...] = ()
     riverside: np.ndarray | None = None
+    # park with visitor spawning only: (all agents, community members) per
+    # cell, each a list of rows of ints, kept in step with every spawn,
+    # despawn and move; _watchers reads them
+    occupancy: tuple[list[list[int]], list[list[int]]] | None = None
     # prepark only: the static placement fields; the sites still open to a
     # house and the float count of houses within neighbor_radius of each cell,
     # both updated in place by place_next_house; and the residents' walk table
@@ -241,25 +254,31 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
         for i in range(config.n_community):
             hotspot = grid.hotspots[i % len(grid.hotspots)]
             _spawn_agent(state, AgentKind.COMMUNITY_MEMBER, hotspot.coord, home=hotspot.coord)
+        # only visitors ask who is watching, and only spawning makes visitors
+        if config.visitor_spawn_rate > 0:
+            everyone = [[0] * grid.width for _ in range(grid.height)]
+            members = [[0] * grid.width for _ in range(grid.height)]
+            for agent in state.agents:
+                x, y = agent.coord
+                everyone[y][x] += 1
+                members[y][x] += 1
+            state.occupancy = (everyone, members)
 
     _record_metrics(state, littering=0)
     return state
 
 
-def _watchers(agents: list[Agent], me: Agent, radius: int) -> tuple[int, bool]:
-    """(other agents within radius, any of them a community member)."""
+def _watchers(occupancy: tuple[list[list[int]], list[list[int]]], me: Agent,
+              radius: int) -> tuple[int, bool]:
+    """(other agents within Chebyshev radius of the visitor me, any of them a
+    community member), summed off the occupancy counts in the window around
+    me, clipped to the map."""
+    everyone, members = occupancy
     x, y = me.coord
-    count = 0
-    community = False
-    for other in agents:
-        if other is me:
-            continue
-        ox, oy = other.coord
-        if max(abs(ox - x), abs(oy - y)) <= radius:
-            count += 1
-            if other.kind is AgentKind.COMMUNITY_MEMBER:
-                community = True
-    return count, community
+    x0, x1 = max(x - radius, 0), min(x + radius + 1, len(everyone[0]))
+    rows = range(max(y - radius, 0), min(y + radius + 1, len(everyone)))
+    count = sum(sum(everyone[row][x0:x1]) for row in rows) - 1  # not me
+    return count, any(any(members[row][x0:x1]) for row in rows)
 
 
 def _drop_litter(state: SimState, coord: Coord) -> None:
@@ -334,13 +353,19 @@ def step(state: SimState) -> SimState:
     if not prepark:
         # only spawning makes visitors, so without it there is none to despawn
         if config.visitor_spawn_rate > 0:
-            state.agents = [
-                a for a in state.agents
-                if not (a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length)
-            ]
-        if config.visitor_spawn_rate > 0 and rng.random() < config.visitor_spawn_rate:
-            coord = state.entrances[rng.randrange(len(state.entrances))]
-            _spawn_agent(state, AgentKind.VISITOR, coord)
+            everyone = state.occupancy[0]
+            staying = []
+            for a in state.agents:
+                if a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length:
+                    x, y = a.coord
+                    everyone[y][x] -= 1
+                else:
+                    staying.append(a)
+            state.agents = staying
+            if rng.random() < config.visitor_spawn_rate:
+                x, y = coord = state.entrances[rng.randrange(len(state.entrances))]
+                _spawn_agent(state, AgentKind.VISITOR, coord)
+                everyone[y][x] += 1
 
     # 4. agent actions, ascending id order; penalties read the tick-start
     # garbage values, never this tick's drops
@@ -353,20 +378,37 @@ def step(state: SimState) -> SimState:
             for agent in state.agents:
                 step_resident(agent, grid, state.walk, rng, home_range)
         else:
+            # visitors exist only where occupancy does; a move shifts one count
+            occupancy = state.occupancy
             for agent in state.agents:
                 if agent.kind is AgentKind.VISITOR:
+                    x, y = agent.coord
                     event = step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
-                    if event == ARRIVED:
-                        agent.carrying_litter = True
+                    if event == MOVED or event == ARRIVED:
+                        everyone = occupancy[0]
+                        nx, ny = agent.coord
+                        everyone[y][x] -= 1
+                        everyone[ny][nx] += 1
+                        if event == ARRIVED:
+                            agent.carrying_litter = True
                     elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
-                        nearby, community_near = _watchers(state.agents, agent, config.warn_radius)
+                        nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
                         if visitor_litter_decision(agent, nearby, community_near, rng, config):
                             _drop_litter(state, agent.coord)
                             agent.carrying_litter = False
                             littering += 1
                 else:
                     if not config.community_stationary:
-                        step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
+                        if occupancy is None:
+                            step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
+                        else:
+                            x, y = agent.coord
+                            event = step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
+                            if event == MOVED or event == ARRIVED:
+                                nx, ny = agent.coord
+                                for counts in occupancy:
+                                    counts[y][x] -= 1
+                                    counts[ny][nx] += 1
                     if state.garbage.in_place_total:
                         community_cleanup(agent.coord, state.garbage, config)
     except AgentStateError as exc:

@@ -29,6 +29,10 @@ every house on each call, the oracle for ``settlement.place_next_house``,
 which keeps those grids on the state across placements. ``bf_step_resident``
 is the resident walk as an 8-neighbour scan with bounds and home-range
 checks, the oracle for the walk table ``dynamics.step_resident`` reads.
+
+``bf_watchers`` scans every agent for the ones within Chebyshev radius of a
+visitor, the oracle for ``engine._watchers``, which sums the per-cell
+occupancy counts the state keeps.
 """
 
 import math
@@ -42,6 +46,7 @@ from riversim.dynamics import (
     DWELLING,
     MOVED,
     RETARGETED,
+    AgentKind,
     AgentStateError,
     choose_next_hotspot,
     sample_geometric,
@@ -304,6 +309,22 @@ def bf_step_resident(agent, grid, rng, home_range):
         if grid.walkable_mask[ny, nx] and max(abs(nx - hx), abs(ny - hy)) <= home_range:
             candidates.append((nx, ny))
     agent.coord = candidates[rng.randrange(len(candidates))]
+
+
+def bf_watchers(agents, me, radius):
+    """(other agents within radius, any of them a community member)."""
+    x, y = me.coord
+    count = 0
+    community = False
+    for other in agents:
+        if other is me:
+            continue
+        ox, oy = other.coord
+        if max(abs(ox - x), abs(oy - y)) <= radius:
+            count += 1
+            if other.kind is AgentKind.COMMUNITY_MEMBER:
+                community = True
+    return count, community
 
 
 def bf_place_next_house(state, rng):

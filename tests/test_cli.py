@@ -93,6 +93,24 @@ class TestRunCommand:
         assert code == 2
         assert "--seeds" in capsys.readouterr().err
 
+    def test_repeated_seed_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path / "sim.ini", ticks=3)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "2,1,2,1"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: --seeds names seed 2 more than once\n"
+        assert not out.exists()
+
+    def test_bad_frame_every_exits_before_creating_out(self, tmp_path, capsys):
+        config = write_config(tmp_path / "sim.ini", ticks=3)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "1", "--frame-every", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: run.frame_every must be >= 0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("broken", ["terrain", "elevation"])
     @pytest.mark.parametrize("fault", ["missing", "not_utf8"])
     def test_unreadable_map_file_exits_2_naming_it(self, tmp_path, capsys, broken, fault):

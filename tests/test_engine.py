@@ -432,3 +432,93 @@ class TestInvariantHalt:
         with pytest.raises(InvariantViolation,
                            match=r"tick 1: agent 1 occupies non-walkable cell \(0, 20\)"):
             step(state)
+
+
+def random_park_map(rng, width, height):
+    """Random park (width, height >= 3) of open ground, trees, obstacles and
+    river, with a hotspot on each corner, one on the top edge and one inside,
+    so visitors enter, dwell and decide on the map's edges and corners."""
+    cells = [[rng.choice("pppp.t#") for _ in range(width)] for _ in range(height)]
+    for x, y in ((0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1),
+                 (rng.randrange(1, width - 1), 0),
+                 (rng.randrange(1, width - 1), rng.randrange(1, height - 1))):
+        cells[y][x] = "H"
+    x, y = rng.choice([(x, y) for y in range(height) for x in range(width) if cells[y][x] != "H"])
+    cells[y][x] = "~"
+    return "\n".join("".join(row) for row in cells)
+
+
+def fresh_counts(state):
+    """(all agents, community members) per cell, counted from state.agents."""
+    everyone = [[0] * state.grid.width for _ in range(state.grid.height)]
+    members = [[0] * state.grid.width for _ in range(state.grid.height)]
+    for agent in state.agents:
+        x, y = agent.coord
+        everyone[y][x] += 1
+        members[y][x] += agent.kind is AgentKind.COMMUNITY_MEMBER
+    return everyone, members
+
+
+class TestWatcherCounts:
+    """engine._watchers reads per-cell occupancy counts; bf_watchers scans
+    every agent. They must agree at every litter decision, and the counts
+    must equal a fresh count of the agents after every tick."""
+
+    CASES = {
+        "radius_0": dict(warn_radius=0),
+        "radius_1": dict(warn_radius=1),
+        "radius_1_stationary": dict(warn_radius=1, community_stationary=True),
+        "radius_beyond_map": dict(warn_radius=13),
+        "radius_10e400_stationary": dict(warn_radius=10**400, community_stationary=True),
+        # one entrance on a corner hotspot: a visitor that despawns there
+        # gives way, in the same tick, to the next one spawned there
+        "visit_1_one_entrance": dict(warn_radius=2, visit_length=1, entrances=((0, 0),)),
+        "visit_6_one_entrance": dict(warn_radius=2, visit_length=6, entrances=((0, 0),)),
+    }
+
+    def test_no_counts_without_visitor_spawning(self, default_grid):
+        for config in (make_config(scenario="prepark", houses=5),
+                       make_config(scenario="park", visitor_spawn_rate=0.0)):
+            assert init_scenario(config, grid=default_grid).occupancy is None
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_counts_match_a_scan_of_every_agent(self, name, monkeypatch):
+        from reference import bf_watchers
+
+        watched = engine._watchers
+        current = {}
+        decisions = []
+
+        def checked(occupancy, me, radius):
+            out = watched(occupancy, me, radius)
+            assert out == bf_watchers(current["state"].agents, me, radius)
+            grid = current["state"].grid
+            decisions.append(me.coord in {(0, 0), (grid.width - 1, 0), (0, grid.height - 1),
+                                          (grid.width - 1, grid.height - 1)})
+            return out
+
+        monkeypatch.setattr(engine, "_watchers", checked)
+        turnover = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            width, height = rng.randint(3, 12), rng.randint(3, 12)
+            knobs = dict(n_community=rng.randint(0, 3), visitor_spawn_rate=1.0,
+                         visit_length=10, dwell_p=0.3, warn_threshold=2)
+            knobs.update(self.CASES[name])
+            config = make_config(scenario="park", seed=seed, **knobs)
+            state = current["state"] = init_scenario(
+                config, grid=grid_from(random_park_map(rng, width, height)))
+            assert state.occupancy == fresh_counts(state)
+            for _ in range(40):
+                before = {a.id: a.coord for a in state.agents}
+                step(state)
+                assert state.occupancy == fresh_counts(state)
+                # a visitor despawns from the cell it ended the last tick on;
+                # a new one ends its first tick on its entrance
+                alive = {a.id for a in state.agents}
+                gone = {coord for i, coord in before.items() if i not in alive}
+                turnover += any(a.coord in gone for a in state.agents if a.id not in before)
+        if "entrances" in self.CASES[name]:
+            assert turnover
+        if config.visit_length > 1:
+            assert any(decisions), "no litter decision on a map corner"

@@ -25,6 +25,7 @@ import struct
 
 import pytest
 
+from riversim import engine
 from riversim.engine import metrics_to_csv, run
 from riversim.landscape import load_terrain
 
@@ -103,6 +104,26 @@ RIVERSIDE_MAP = "\n".join([
 ])
 
 
+# A small park packed with visitors: one spawns every tick and stays 150, two
+# community members walk among five hotspots, and obstacles and trees split
+# the open ground. Most litter decisions see no member within warn_radius but
+# warn_threshold or more visitors, so the count alone holds them back; the
+# rest decide on litter_p.
+DENSE_MAP = "\n".join([
+    "==========================",
+    "..........................",
+    "...H.....tt.......H.......",
+    "..........t...............",
+    "......#.......H......#....",
+    "......#..............#....",
+    "..H.......tt.........H....",
+    "..........................",
+    "rrrrrrrrrrrrrrrrrrrrrrrrrr",
+    "~~~~~~~~~~~~~~~~~~~~~~~~~~",
+    "rrrrrrrrrrrrrrrrrrrrrrrrrr",
+])
+
+
 def road_lattice_map(width=21, height=19, road_rows=(3, 9, 13, 17), road_cols=(0, 4, 8, 14, 20)):
     """A prepark map under a dense road grid, as (terrain, elevation) text.
 
@@ -133,7 +154,7 @@ def road_lattice_map(width=21, height=19, road_rows=(3, 9, 13, 17), road_cols=(0
 
 MAPS = {"desk_60": desk_style_map(), "walled_crowd": WALLED_MAP,
         "prepark_exhaust": EXHAUST_MAP, "park_riverside": RIVERSIDE_MAP,
-        "prepark_road_lattice": road_lattice_map()}
+        "prepark_road_lattice": road_lattice_map(), "dense_crowd": DENSE_MAP}
 
 
 CASES = {
@@ -159,9 +180,17 @@ CASES = {
                          warn_radius=1),
     "park_riverside": dict(scenario="park", seed=11, ticks=300, visitor_spawn_rate=0.5,
                            warn_threshold=50, riverside_drift=True),
+    "dense_crowd": dict(scenario="park", seed=13, ticks=300, n_community=2,
+                        visitor_spawn_rate=1.0, visit_length=150, warn_threshold=4,
+                        warn_radius=2, litter_p=0.5),
 }
 
 GOLDEN = {
+    "dense_crowd": {
+        "field": "0d5d550ca069e43e8c774eff95d3147c3a88f7be6529c1657543a059abcd9b72",
+        "metrics": "f97950fe2b9f8c6552e6554e0991241da23b13ba762d2fc0f483f736ce1cdf7f",
+        "utility": "fa9e0555b5398a7a4547a34678b88c40a2a8bf11b21506b06441d490d02003f7",
+    },
     "desk_60": {
         "field": "063b0553970c26ea6a1d37f67ce306967286163f87bff87838a6518a370f44c4",
         "metrics": "06474171dded178dacc27c9a60ecf08aa6654c2b5d393dfc9a6b18264d9e232a",
@@ -273,6 +302,24 @@ def test_riverside_case_reaches_the_river():
     """Litter reaches the river only through the riverside mask, so the
     park_riverside digests pin that mask only if some litter got there."""
     assert run_case("park_riverside").metrics[-1].river_total > 0
+
+
+def test_dense_crowd_case_is_decided_by_the_count(monkeypatch):
+    """The dense_crowd digests pin the warn_threshold comparison only if some
+    litter decision is held back by the count alone (no community member in
+    range) and some visitor drops litter."""
+    decisions = []
+    decide = engine.visitor_litter_decision
+
+    def record(agent, nearby, community_near, rng, config):
+        drop = decide(agent, nearby, community_near, rng, config)
+        decisions.append((nearby >= config.warn_threshold, community_near, drop))
+        return drop
+
+    monkeypatch.setattr(engine, "visitor_litter_decision", record)
+    run_case("dense_crowd")
+    assert (True, False, False) in decisions
+    assert any(drop for *_, drop in decisions)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,14 @@ of any same-named attribute read elsewhere: ``TerrainGrid.legend`` went
 unflagged while unread because ``config.legend`` is read.
 
 The names ``perfbench/tracing.py`` patches on the riversim modules must all
-exist, so a src change that breaks a traced benchmark run fails here too.
+exist, and each counting probe that takes a fixed number of arguments must
+still bind its target's signature, so a src change that breaks a traced
+benchmark run fails here too.
 """
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import riversim
@@ -139,6 +142,16 @@ def test_field_guard_sees_dataclasses(tmp_path):
     assert unread_fields(tmp_path) == ["mod.A.written", "mod.B.never"]
 
 
+# The counting probes with a fixed parameter list, and how many positional
+# arguments each passes to the function it wraps.
+FIXED_ARITY_PROBES = {
+    "engine._watchers": 3,
+    "engine.diffuse_excitement": 2,
+    "engine.utilities_by_cell": 1,
+    "engine.community_cleanup": 3,
+}
+
+
 def test_benchmark_patch_targets_exist():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -146,3 +159,19 @@ def test_benchmark_patch_targets_exist():
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.PATCHES
                if not callable(getattr(module, attr, None))]
     assert tracing.PATCHES and not missing, "perfbench patches missing names: " + ", ".join(missing)
+
+    arity, unbound = {}, []
+    for module, attr, _, probe in tracing.PATCHES:
+        if probe is None:
+            continue
+        params = inspect.signature(probe({}, None)).parameters.values()
+        if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
+            continue  # forwards *args
+        name = f"{module.__name__.rpartition('.')[2]}.{attr}"
+        arity[name] = len(params)
+        try:
+            inspect.signature(getattr(module, attr)).bind(*range(len(params)))
+        except TypeError as exc:
+            unbound.append(f"{name} ({len(params)} arguments): {exc}")
+    assert arity == FIXED_ARITY_PROBES
+    assert not unbound, "perfbench probes no longer bind: " + "; ".join(unbound)
