@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import SCENARIO_PREPARK, ConfigError, default_config_text, load_config
-from .engine import CSV_HEADER, InvariantViolation, init_scenario, metrics_to_csv, run
+from .engine import CSV_HEADER, InvariantViolation, init_scenario, load_grid, metrics_to_csv, run
 from .landscape import TerrainError
 
 EXIT_OK = 0
@@ -86,6 +86,11 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
             config.validate()
         except ConfigError as exc:
             return _config_error(str(exc))
+    # only the seed differs between runs: read the map once, before --out exists
+    try:
+        grid = load_grid(config)
+    except TerrainError as exc:
+        return _config_error(str(exc))
 
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -105,7 +110,7 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
     for seed in seeds:
         seeded = replace(config, seed=seed)
         try:
-            result = run(seeded)
+            result = run(seeded, grid)
         except InvariantViolation as exc:
             print(f"invariant halt (seed {seed}): {exc}", file=sys.stderr)
             return EXIT_INVARIANT

@@ -5,6 +5,12 @@ neighbors (the divisor stays 8 at boundaries, so the field contracts),
 hotspot sources are re-clamped to their base level, and non-walkable cells
 stay pinned at zero. A field keeps its Moore neighbor sum once computed, so
 the sum serves both agent utility on this tick and diffusion on the next.
+A diffused field also keeps the band of rows where its p differs from the
+last field's. A cell whose 3x3 block holds no changed cell reads
+bit-identical inputs, so the next step recomputes p, and the new field's
+neighbor sum, only on the band grown by one row and copies every other row
+from the last field. An empty band means the field has reached its fixed
+point. A field built by hand has no band and diffuses over the whole map.
 An agent's utility is its neighborhood excitement average minus a penalty
 that grows with neighboring agents' previous-tick utilities (crowding) and
 with garbage around the cell (dirtiness). Penalty and utility are computed
@@ -22,6 +28,9 @@ random walk on a walk table of the same form, built at prepark set-up: one
 byte per cell whose bits name its walkable neighbours. A resident's move
 masks that byte with the neighbours that keep it within home_range of home
 on each axis, then draws one of "stay" and the remaining steps.
+
+Every draw of an index below n goes through randbelow, which consumes the
+generator exactly as random.Random.randrange(n) does (see its docstring).
 """
 
 from __future__ import annotations
@@ -84,6 +93,13 @@ class ExcitementField:
     p: np.ndarray
     mu: float
     sources: tuple[tuple[Coord, float], ...]
+    # (y0, y1): rows y0..y1-1 hold every cell whose p differs, bit for bit,
+    # from the field this one was diffused from (y0 == y1 when none does);
+    # None for a field built any other way, whose every cell may differ
+    changed_rows: tuple[int, int] | None = None
+    # set by diffusion: the neighbor sum of the field it read, which differs
+    # from this field's only on the rows next to a changed row
+    base_sum: np.ndarray | None = None
 
     @classmethod
     def from_grid(cls, grid: TerrainGrid, mu: float) -> "ExcitementField":
@@ -95,30 +111,70 @@ class ExcitementField:
 
     @cached_property
     def neighbor_sum(self) -> np.ndarray:
-        """Moore neighbor sum of p, computed once per field."""
-        return _moore_sum(self.p)
+        """Moore neighbor sum of p, computed once per field (from base_sum
+        and the rows next to changed_rows when base_sum is set)."""
+        if self.base_sum is None:
+            return _moore_sum(self.p)
+        total = self.base_sum.copy()
+        y0, y1 = _grown(self.changed_rows, self.p.shape[0])
+        total[y0:y1] = _moore_sum(self.p, y0, y1)
+        return total
+
+    @property
+    def settled(self) -> bool:
+        """The step that made this field returned its input bit for bit; the
+        map and the sources never change, so every later step would too."""
+        return self.changed_rows is not None and self.changed_rows[0] == self.changed_rows[1]
 
 
-def _moore_sum(p: np.ndarray) -> np.ndarray:
+def _moore_sum(p: np.ndarray, y0: int = 0, y1: int | None = None) -> np.ndarray:
+    """Moore neighbor sum of p on rows y0..y1-1 (by default every row)."""
+    y1 = p.shape[0] if y1 is None else y1
+    lo = max(y0 - 1, 0)
+    # rows lo..y1 of p hold every on-grid neighbour of rows y0..y1-1
+    views = moore_views(p[lo:y1 + 1], 0.0)
     # Fixed order (MOORE_OFFSETS) from +0.0; an off-grid +0.0 changes no bit.
-    total = np.zeros_like(p)
-    for view in moore_views(p, 0.0):
-        total += view
+    total = np.zeros((y1 - y0, p.shape[1]))
+    for view in views:
+        total += view[y0 - lo:y1 - lo]
     return total
 
 
+def _grown(rows: tuple[int, int], h: int) -> tuple[int, int]:
+    """The row band grown by one row on each side, clipped to h rows."""
+    y0, y1 = rows
+    return (y0, y1) if y0 == y1 else (max(y0 - 1, 0), min(y1 + 1, h))
+
+
 def diffuse_excitement(field: ExcitementField, grid: TerrainGrid) -> ExcitementField:
-    """One synchronous relaxation step of the excitement field."""
-    if field.p.shape != (grid.height, grid.width):
+    """One synchronous relaxation step of the excitement field.
+
+    A cell with no changed cell in its 3x3 block reads the inputs it read on
+    the last step, so only the rows of field.changed_rows grown by one row
+    are recomputed (every row for a field without changed_rows); every other
+    cell keeps its p bit for bit.
+    """
+    h = grid.height
+    if field.p.shape != (h, grid.width):
         raise ValueError(
             f"excitement field shape {field.p.shape} does not match grid "
-            f"{(grid.height, grid.width)}"
+            f"{(h, grid.width)}"
         )
-    p = field.mu * field.neighbor_sum / float(NEIGHBORHOOD_SIZE)
-    p[~grid.walkable_mask] = 0.0
+    y0, y1 = (0, h) if field.changed_rows is None else _grown(field.changed_rows, h)
+    p = field.p.copy()
+    band = p[y0:y1]
+    np.multiply(field.neighbor_sum[y0:y1], field.mu, out=band)
+    band /= float(NEIGHBORHOOD_SIZE)
+    band[~grid.walkable_mask[y0:y1]] = 0.0
+    # a diffused field already holds every source at its base, so outside
+    # the band this rewrites the same bits
     for (x, y), base in field.sources:
         p[y, x] = base
-    return ExcitementField(p=p, mu=field.mu, sources=field.sources)
+    w = grid.width
+    cells = np.flatnonzero(band.view(np.uint64) != field.p[y0:y1].view(np.uint64))
+    changed = (y0 + int(cells[0]) // w, y0 + int(cells[-1]) // w + 1) if cells.size else (0, 0)
+    return ExcitementField(p=p, mu=field.mu, sources=field.sources, changed_rows=changed,
+                           base_sum=field.neighbor_sum)
 
 
 def utilities_by_cell(agents: Sequence[Agent]) -> dict[Coord, float]:
@@ -132,7 +188,7 @@ def utilities_by_cell(agents: Sequence[Agent]) -> dict[Coord, float]:
 def crowding_penalty(
     coords: Coord | tuple[np.ndarray, np.ndarray],
     utilities: Mapping[Coord, float],
-    garbage: np.ndarray,
+    garbage: np.ndarray | tuple[int, int],
     rho: float,
     epsilon0: float,
 ) -> float | np.ndarray:
@@ -143,9 +199,11 @@ def crowding_penalty(
     previous-tick utilities of the agents standing there (see
     utilities_by_cell); the dirtiness term counts garbage units on the cell
     itself plus its 8 neighbors; rho and epsilon0 weigh the two terms.
-    Off-grid neighbors contribute zero.
+    `garbage` is the grid of garbage units, or only its (height, width) when
+    every cell holds none. Off-grid neighbors contribute zero.
     """
-    h, w = np.shape(garbage)
+    clean = isinstance(garbage, tuple)
+    h, w = garbage if clean else garbage.shape
     stride = w + 2  # row length of the zero-bordered grids below, which are kept flat
     xs = np.asarray(coords[0], dtype=np.intp)
     ys = np.asarray(coords[1], dtype=np.intp)
@@ -155,19 +213,22 @@ def crowding_penalty(
     by_cell[(cells[1::2] + 1) * stride + cells[0::2] + 1] = np.fromiter(
         utilities.values(), np.float64, len(utilities)
     )
-    bordered_garbage = np.zeros((h + 2, stride), dtype=np.int64)
-    bordered_garbage[1:-1, 1:-1] = garbage
-    bordered_garbage = bordered_garbage.ravel()
+    neighbors = [at + (dy * stride + dx) for dx, dy in MOORE_OFFSETS]
     neighbor_utility = 0.0
-    local_garbage = bordered_garbage[at]
-    for dx, dy in MOORE_OFFSETS:
-        neighbor = at + (dy * stride + dx)
+    for neighbor in neighbors:
         neighbor_utility = neighbor_utility + by_cell[neighbor]
-        local_garbage = local_garbage + bordered_garbage[neighbor]
-    return (
-        rho * neighbor_utility / float(NEIGHBORHOOD_SIZE)
-        + epsilon0 * local_garbage
-    )
+    if clean:
+        # the same bits as epsilon0 times a count of 0, -0.0 included
+        dirt = epsilon0 * 0
+    else:
+        bordered_garbage = np.zeros((h + 2, stride), dtype=np.int64)
+        bordered_garbage[1:-1, 1:-1] = garbage
+        bordered_garbage = bordered_garbage.ravel()
+        local_garbage = bordered_garbage[at]
+        for neighbor in neighbors:
+            local_garbage = local_garbage + bordered_garbage[neighbor]
+        dirt = epsilon0 * local_garbage
+    return rho * neighbor_utility / float(NEIGHBORHOOD_SIZE) + dirt
 
 
 def agent_utility(
@@ -182,6 +243,22 @@ def agent_utility(
     """
     xs, ys = coords
     return field.neighbor_sum[ys, xs] / float(NEIGHBORHOOD_SIZE) - penalty
+
+
+def randbelow(rng, n: int) -> int:
+    """rng.randrange(n) for n > 0, draw for draw, without its argument checks.
+
+    For n > 0, CPython's random.Random.randrange(n) returns _randbelow(n), a
+    rejection loop over getrandbits(n.bit_length()); this is that loop, so
+    the value and the generator state after it are the same.
+    tests/test_dynamics.py::TestRandbelow checks both against randrange on
+    the running interpreter.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def sample_geometric(p: float, rng) -> int:
@@ -248,7 +325,7 @@ def step_agent(
 
     Without a target: pick one (one rng.random draw). En route: step to a
     walkable neighbor that strictly reduces BFS distance to the target the
-    most, ties broken uniformly (one rng.randrange draw, even for a single
+    most, ties broken uniformly (one randbelow draw, even for a single
     choice); the choices come from the target's step table (see
     downhill_step_table). If no neighbor improves, the target is unreachable
     and gets re-sampled. At the target: dwell for a geometric number of
@@ -268,7 +345,7 @@ def step_agent(
     if agent.coord != target:
         steps = DOWNHILL_STEPS[step_tables[agent.target_hotspot][y][x]]
         if steps:
-            dx, dy = steps[rng.randrange(len(steps))]
+            dx, dy = steps[randbelow(rng, len(steps))]
             agent.coord = (x + dx, y + dy)
             return ARRIVED if agent.coord == target else MOVED
         agent.target_hotspot = choose_next_hotspot(agent.target_hotspot, grid.hotspots, rng)
@@ -320,7 +397,7 @@ def step_resident(
     agent: Agent, grid: TerrainGrid, walk: Sequence[bytes], rng, home_range: int
 ) -> None:
     """Home-anchored random walk: move to (or stay on) a walkable cell within
-    home_range of home, uniformly; consumes exactly one rng.randrange draw.
+    home_range of home, uniformly; consumes exactly one randbelow draw.
 
     `walk` is the walk table (see walk_table). The choices are the current
     cell, then the walkable neighbours within range in MOORE_OFFSETS order.
@@ -340,7 +417,7 @@ def step_resident(
     else:
         mask = 0
     steps = DOWNHILL_STEPS[mask]
-    i = rng.randrange(1 + len(steps))
+    i = randbelow(rng, 1 + len(steps))
     if i:
         dx, dy = steps[i - 1]
         agent.coord = (x + dx, y + dy)

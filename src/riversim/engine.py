@@ -6,7 +6,9 @@ Phase order inside one tick is fixed:
    resident, by the helper that builds them all at set-up when that is 0
 2. excitement diffusion, until the field reaches its fixed point (the map
    and the sources never change, so a step that returns its input bit for
-   bit would do so on every later tick)
+   bit would do so on every later tick). Each step recomputes only the rows
+   next to a row that the last step changed (ExcitementField.changed_rows);
+   the field is settled once a step changes no row
 3. visitor despawn then spawn (park)
 4. agents act in ascending id order, in one loop per scenario: in the
    prepark every agent is a resident and takes one walk step; in the park a
@@ -14,7 +16,9 @@ Phase order inside one tick is fixed:
    it dwells, and a community member moves (unless stationary) and cleans
    up. Once all have acted, every agent's utility is computed in one array
    pass against the previous tick's utilities and the tick-start garbage
-   snapshot (nothing inside the loops reads utility)
+   snapshot (nothing inside the loops reads utility). A clean tick, one that
+   starts with no standing garbage, takes no snapshot: its dirt term is
+   epsilon0 * 0 for every agent
 5. house waste generation (prepark)
 6. metrics row + invariant checks
 
@@ -33,6 +37,10 @@ spawn plus one randrange for the entrance when it fires; per wanderer one
 random on (re)targeting, one randrange per move, one random per dwell start;
 one randrange per resident walk; one random per litter decision reached; per
 house one random for emission plus one for river-vs-ground when it emits.
+Each "randrange" here is dynamics.randbelow: the getrandbits rejection loop
+that random.Random.randrange(n) runs for n > 0, so it leaves the generator
+in the same state; tests/test_dynamics.py::TestRandbelow holds it to that on
+the running interpreter.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from .dynamics import (
     crowding_penalty,
     diffuse_excitement,
     downhill_step_table,
+    randbelow,
     step_agent,
     step_resident,
     utilities_by_cell,
@@ -154,8 +163,6 @@ class SimState:
     walk: list[bytes] = field(default_factory=list)
     tick: int = 0
     next_agent_id: int = 0
-    # set once diffusion returned its input unchanged; it is skipped from then on
-    field_settled: bool = False
 
 
 @dataclass
@@ -206,6 +213,16 @@ def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
     return tuple(zip(xs.tolist(), ys.tolist()))
 
 
+def load_grid(config: SimConfig) -> TerrainGrid:
+    """The configured map, read from its terrain and elevation files."""
+    return load_terrain_files(
+        config.terrain_file,
+        config.elevation_file,
+        legend=config.legend,
+        hotspot_base=config.hotspot_base_excitement,
+    )
+
+
 def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimState:
     """Build the tick-0 state for the configured scenario.
 
@@ -215,12 +232,7 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
     """
     config.validate()
     if grid is None:
-        grid = load_terrain_files(
-            config.terrain_file,
-            config.elevation_file,
-            legend=config.legend,
-            hotspot_base=config.hotspot_base_excitement,
-        )
+        grid = load_grid(config)
     if grid.n_river == 0:
         raise ConfigError("map has no river cells; the dirtiness index is undefined")
 
@@ -341,13 +353,8 @@ def step(state: SimState) -> SimState:
         _build_houses(state, min(config.houses_per_tick, config.houses - len(state.houses)))
 
     # 2. excitement diffusion, until its fixed point
-    if not state.field_settled:
-        diffused = diffuse_excitement(state.field, grid)
-        # compared as raw bits: a fixed point must repeat the exact doubles
-        state.field_settled = np.array_equal(
-            diffused.p.view(np.uint64), state.field.p.view(np.uint64)
-        )
-        state.field = diffused
+    if not state.field.settled:
+        state.field = diffuse_excitement(state.field, grid)
 
     # 3. visitor despawn, then spawn
     if not prepark:
@@ -363,14 +370,16 @@ def step(state: SimState) -> SimState:
                     staying.append(a)
             state.agents = staying
             if rng.random() < config.visitor_spawn_rate:
-                x, y = coord = state.entrances[rng.randrange(len(state.entrances))]
+                x, y = coord = state.entrances[randbelow(rng, len(state.entrances))]
                 _spawn_agent(state, AgentKind.VISITOR, coord)
                 everyone[y][x] += 1
 
     # 4. agent actions, ascending id order; penalties read the tick-start
     # garbage values, never this tick's drops
     previous_utilities = utilities_by_cell(state.agents)
-    garbage_snapshot = state.garbage.in_place.copy()
+    # a tick that starts with no standing garbage needs only the grid's shape
+    garbage_snapshot = (state.garbage.in_place.copy() if state.garbage.in_place_total
+                        else (grid.height, grid.width))
     try:
         if prepark:
             # home and cell lie on the grid: a longer range admits no more cells

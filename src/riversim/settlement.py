@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import randbelow
 from .landscape import (
     BUILDABLE_CODE,
     Coord,
@@ -122,7 +123,7 @@ def place_next_house(state, rng) -> Coord | None:
     """Place one house on the best available site; return its cell, or None if none is legal.
 
     Ties within score_tolerance of the maximum are broken uniformly at
-    random; each call consumes exactly one rng.randrange draw. Reads and
+    random; each call consumes exactly one randbelow draw. Reads and
     updates state.open_sites and state.neighbor_count.
     """
     config = state.config
@@ -134,7 +135,7 @@ def place_next_house(state, rng) -> Coord | None:
     top = score[open_sites].max()
     band = open_sites & (score >= top - config.score_tolerance)
     ys, xs = np.nonzero(band)
-    i = rng.randrange(len(ys))
+    i = randbelow(rng, len(ys))
     x, y = int(xs[i]), int(ys[i])
     open_sites[y, x] = False
     r = config.neighbor_radius

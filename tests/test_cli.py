@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import riversim
-from riversim import cli
+from riversim import cli, engine
 from riversim.config import SimConfig, load_config
 from riversim.engine import CSV_HEADER, InvariantViolation
 from riversim.landscape import default_map_paths, load_terrain_files
@@ -129,7 +129,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"cannot read {broken} file {bad}" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "o" / "metrics_0.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_elevation_exits_2_naming_the_cell(self, tmp_path, capsys):
         terrain, elevation = default_map_paths()
@@ -146,7 +146,28 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "'nan' at row 2, column 5 is not a finite number" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "o" / "metrics_0.csv").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scenario", ["prepark", "park"])
+    def test_seeds_share_one_map_load(self, tmp_path, monkeypatch, scenario):
+        config = write_config(tmp_path / "sim.ini", scenario=scenario, ticks=25)
+        loads = []
+        real = engine.load_terrain_files
+        monkeypatch.setattr(engine, "load_terrain_files",
+                            lambda *args, **kwargs: loads.append(1) or real(*args, **kwargs))
+        out = tmp_path / "all"
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "1,2,3"]) == 0
+        assert len(loads) == 1
+        monkeypatch.undo()
+        for seed in (1, 2, 3):
+            alone = tmp_path / f"seed{seed}"
+            assert cli.main(["run", "--config", str(config), "--out", str(alone),
+                             "--seeds", str(seed)]) == 0
+            names = sorted(p.name for p in alone.iterdir())
+            assert names == sorted(p.name for p in out.iterdir() if p.name.endswith(f"_{seed}.csv"))
+            for name in names:
+                assert (alone / name).read_bytes() == (out / name).read_bytes()
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini", ticks=5)
@@ -158,7 +179,7 @@ class TestRunCommand:
         assert out.read_text() == "keep"
 
     def test_invariant_halt_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
-        def explode(config):
+        def explode(config, grid):
             raise InvariantViolation(17, "synthetic breach")
 
         monkeypatch.setattr(cli, "run", explode)

@@ -19,6 +19,7 @@ from riversim.dynamics import (
     crowding_penalty,
     diffuse_excitement,
     downhill_step_table,
+    randbelow,
     sample_geometric,
     step_agent,
     step_resident,
@@ -27,7 +28,7 @@ from riversim.dynamics import (
 )
 from riversim.landscape import walkable_distance_field
 
-from conftest import grid_from, walled_park_map
+from conftest import grid_from, make_config, walled_park_map
 from reference import (
     bf_agent_utility,
     bf_crowding_penalty,
@@ -132,6 +133,58 @@ class TestDiffusion:
             diffuse_excitement(field, grid)
 
 
+class TestWindowedDiffusion:
+    """Diffusion that recomputes only the rows next to the last step's
+    changed rows equals the whole-map oracle bit for bit on every tick, and
+    settles on the tick the full comparison names."""
+
+    @staticmethod
+    def random_map(rng, h, w):
+        cells = [[rng.choice("...t#") for _ in range(w)] for _ in range(h)]
+        corners_and_edges = [(x, y) for y in range(h) for x in range(w)
+                             if x in (0, w - 1) or y in (0, h - 1)]
+        for x, y in rng.sample(corners_and_edges, min(len(corners_and_edges), rng.randint(1, 3))):
+            cells[y][x] = "H"
+        cells[rng.randrange(h)][rng.randrange(w)] = "H"
+        return "\n".join("".join(row) for row in cells)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("shape", ["row", "column", "grid"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chain_equals_bruteforce_until_settled(self, mu, shape, seed):
+        rng = random.Random(f"{seed}-{shape}-{mu}")
+        n = rng.randint(2, 16)
+        h, w = {"row": (1, n), "column": (n, 1),
+                "grid": (rng.randint(2, 9), rng.randint(2, 9))}[shape]
+        grid = grid_from(self.random_map(rng, h, w))
+        field = ExcitementField.from_grid(grid, mu)
+        sources = field.sources
+        p = field.p.copy()
+        for _ in range(5000):
+            field = diffuse_excitement(field, grid)
+            expected = bf_diffuse(p, mu, grid.walkable_mask, sources)
+            assert field.p.tobytes() == expected.tobytes()
+            fresh = ExcitementField(p=field.p.copy(), mu=mu, sources=sources)
+            assert field.neighbor_sum.tobytes() == fresh.neighbor_sum.tobytes()
+            settled = expected.tobytes() == p.tobytes()
+            assert field.settled == settled
+            p = expected
+            if settled:
+                break
+        else:
+            pytest.fail("the field never settled")
+
+    def test_hand_built_field_diffuses_everywhere(self):
+        grid = all_open(5, 4)
+        p = np.zeros((4, 5))
+        p[0, 0] = p[3, 4] = 1.0
+        field = make_field(grid, p, mu=0.9)
+        assert field.changed_rows is None and not field.settled
+        out = diffuse_excitement(field, grid)
+        assert out.p.tobytes() == bf_diffuse(p, 0.9, grid.walkable_mask, ()).tobytes()
+        assert out.changed_rows == (0, 4)
+
+
 class TestUtility:
     def test_zero_everywhere(self):
         grid = all_open(3, 3)
@@ -183,6 +236,27 @@ class TestCrowdingPenalty:
         garbage = np.zeros((5, 5), dtype=np.int64)
         utilities = {(4, 4): 5.0, (2, 2): 3.0}  # own cell is not a neighbor
         assert crowding_penalty((2, 2), utilities, garbage, 1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("rho", [0.0, -0.0, 0.1])
+    @pytest.mark.parametrize("epsilon0", [0.0, -0.0, 0.1])
+    def test_clean_map_equals_zero_grid_bit_for_bit(self, rho, epsilon0):
+        # validation admits -0.0, and rho * (negative sum) is -0.0 at rho 0.0
+        make_config(rho=rho, epsilon0=epsilon0)
+        nprng = np.random.default_rng(4)
+        h, w = 5, 6
+        coords = [(x, y) for y in range(h) for x in range(w)]
+        utilities = {c: float(nprng.normal()) for c in coords if nprng.random() < 0.6}
+        utilities[(0, 0)] = -0.0
+        zero = np.zeros((h, w), dtype=np.int64)
+        xs = np.array([x for x, _ in coords])
+        ys = np.array([y for _, y in coords])
+        expected = np.array([bf_crowding_penalty(c, utilities, zero, rho, epsilon0)
+                             for c in coords])
+        for garbage in ((h, w), zero):
+            batch = crowding_penalty((xs, ys), utilities, garbage, rho, epsilon0)
+            assert batch.tobytes() == expected.tobytes()
+            single = [crowding_penalty(c, utilities, garbage, rho, epsilon0) for c in coords]
+            assert np.array(single).tobytes() == expected.tobytes()
 
     def test_utilities_by_cell_sums_cohabitants(self):
         agents = [
@@ -242,6 +316,23 @@ class TestBatchedUtilityOracle:
         agent_utility((1, 1), field, 0.0)
         diffuse_excitement(field, grid)
         assert len(calls) == 1
+
+
+class TestRandbelow:
+    """randbelow consumes the generator exactly as random.Random.randrange(n)
+    does on the running interpreter: a CPython that changes randrange's
+    rejection loop fails here instead of silently changing every run."""
+
+    SIZES = list(range(1, 301)) + [2**31 - 1, 2**31, 2**32 + 1, 10**12 + 39, 2**53 + 1,
+                                   3 * 2**64 + 7]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_values_and_state_equal_randrange(self, seed):
+        fast, slow = random.Random(seed), random.Random(seed)
+        sizes = self.SIZES + random.Random(-seed).choices(self.SIZES, k=300)
+        for n in sizes:
+            assert randbelow(fast, n) == slow.randrange(n)
+            assert fast.getstate() == slow.getstate()
 
 
 class TestHotspotChoice:

@@ -6,7 +6,12 @@ import pytest
 
 from riversim import engine
 from riversim.config import ConfigError
-from riversim.dynamics import AgentKind, ExcitementField, diffuse_excitement
+from riversim.dynamics import (
+    AgentKind,
+    ExcitementField,
+    diffuse_excitement,
+    utilities_by_cell,
+)
 from riversim.engine import (
     CSV_HEADER,
     InvariantViolation,
@@ -19,6 +24,7 @@ from riversim.engine import (
 from riversim.landscape import compute_river_features, walkable_distance_field
 
 from conftest import grid_from, make_config
+from reference import bf_agent_utility, bf_crowding_penalty
 
 RIVER_ONLY = "~..\n...\n..."
 
@@ -271,6 +277,37 @@ class TestDiffusionFixedPoint:
             assert state.field.p.tobytes() == reference.p.tobytes()
         assert settled_at is not None and settled_at < 100
         assert calls == list(range(1, settled_at + 1))
+
+
+class TestCleanTicks:
+    def test_utilities_equal_oracle_as_garbage_comes_and_goes(self):
+        # members stand on two adjacent hotspots; garbage dropped next to them
+        # before a tick is read by that tick's penalty, then cleaned up in it,
+        # so the standing garbage at tick start goes 0 -> >0 -> 0 (twice)
+        grid = grid_from(".......\n..HH...\n.......\n~~~~~~~")
+        config = make_config(scenario="park", seed=4, n_community=4, visitor_spawn_rate=0.0,
+                             community_stationary=True, cleanup_capacity=2)
+        state = init_scenario(config, grid=grid)
+        at_start = []
+        for tick in range(1, 31):
+            if tick in (6, 7, 20):
+                state.garbage.drop_at((1, 1))
+                state.garbage.drop_at((4, 2))
+                state.garbage.drop_at((4, 2))
+            previous = utilities_by_cell(state.agents)
+            garbage = state.garbage.in_place.copy()
+            at_start.append(state.garbage.in_place_total)
+            step(state)
+            expected = [
+                bf_agent_utility(a.coord, state.field.p,
+                                 bf_crowding_penalty(a.coord, previous, garbage,
+                                                     config.rho, config.epsilon0))
+                for a in state.agents
+            ]
+            assert (np.array([a.utility for a in state.agents]).tobytes()
+                    == np.array(expected).tobytes())
+        assert at_start[4:8] == [0, 3, 3, 0] and at_start[18:21] == [0, 3, 0]
+        assert state.garbage.collected_total == 9
 
 
 class TestDeterminism:

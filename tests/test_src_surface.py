@@ -14,6 +14,10 @@ Fields are matched by bare name, not by class, so a field shares the fate
 of any same-named attribute read elsewhere: ``TerrainGrid.legend`` went
 unflagged while unread because ``config.legend`` is read.
 
+No module in src/riversim calls ``randrange``: every index draw goes
+through ``dynamics.randbelow``, whose equality with ``randrange`` is tested
+on the running interpreter.
+
 The names ``perfbench/tracing.py`` patches on the riversim modules must all
 exist, and each counting probe that takes a fixed number of arguments must
 still bind its target's signature, so a src change that breaks a traced
@@ -140,6 +144,18 @@ def test_field_guard_sees_dataclasses(tmp_path):
         encoding="utf-8",
     )
     assert unread_fields(tmp_path) == ["mod.A.written", "mod.B.never"]
+
+
+def test_no_randrange_call_in_src():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "randrange"
+    ]
+    assert not calls, "randrange called in src/riversim (use dynamics.randbelow): " + ", ".join(calls)
 
 
 # The counting probes with a fixed parameter list, and how many positional
