@@ -86,10 +86,13 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
             config.validate()
         except ConfigError as exc:
             return _config_error(str(exc))
-    # only the seed differs between runs: read the map once, before --out exists
+    # only the seed differs between runs: read the map once, and build the
+    # first seed's state (which meets every map-dependent config error),
+    # before --out exists
     try:
         grid = load_grid(config)
-    except TerrainError as exc:
+        state = init_scenario(replace(config, seed=seeds[0]), grid)
+    except (ConfigError, TerrainError) as exc:
         return _config_error(str(exc))
 
     try:
@@ -110,7 +113,9 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
     for seed in seeds:
         seeded = replace(config, seed=seed)
         try:
-            result = run(seeded, grid)
+            # the first seed runs the state built above; later seeds build theirs
+            result = run(seeded, grid, state)
+            state = None
         except InvariantViolation as exc:
             print(f"invariant halt (seed {seed}): {exc}", file=sys.stderr)
             return EXIT_INVARIANT

@@ -14,9 +14,11 @@ point. A field built by hand has no band and diffuses over the whole map.
 An agent's utility is its neighborhood excitement average minus a penalty
 that grows with neighboring agents' previous-tick utilities (crowding) and
 with garbage around the cell (dirtiness). Penalty and utility are computed
-for all agents in one array pass after every agent has acted; each sum keeps
-the fixed MOORE_OFFSETS order, so every value is bit-identical to summing
-agent by agent.
+for all agents in one array pass after every agent has acted, from the
+cells and utilities gathered at tick start (utilities_by_cell): one
+bincount sums the utilities per cell in agent order, and the neighbour sums
+add the 8 gathered rows in MOORE_OFFSETS order, so every value is
+bit-identical to summing agent by agent.
 
 Wanderers pick a hotspot with probability proportional to base excitement,
 walk downhill on that hotspot's BFS distance field, dwell a geometric number
@@ -28,6 +30,9 @@ random walk on a walk table of the same form, built at prepark set-up: one
 byte per cell whose bits name its walkable neighbours. A resident's move
 masks that byte with the neighbours that keep it within home_range of home
 on each axis, then draws one of "stay" and the remaining steps.
+step_agent and step_resident trust their caller that the agent stands on a
+walkable cell: the tick loop checks every agent's cell once, in one array
+gather, before any agent acts (see engine.py).
 
 Every draw of an index below n goes through randbelow, which consumes the
 generator exactly as random.Random.randrange(n) does (see its docstring).
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +68,6 @@ DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     tuple(offset for k, offset in enumerate(MOORE_OFFSETS) if mask >> k & 1)
     for mask in range(256)
 )
-
-
-class AgentStateError(RuntimeError):
-    """An agent broke a movement invariant (e.g. stands on water)."""
 
 
 class AgentKind(Enum):
@@ -165,7 +166,7 @@ def diffuse_excitement(field: ExcitementField, grid: TerrainGrid) -> ExcitementF
     band = p[y0:y1]
     np.multiply(field.neighbor_sum[y0:y1], field.mu, out=band)
     band /= float(NEIGHBORHOOD_SIZE)
-    band[~grid.walkable_mask[y0:y1]] = 0.0
+    np.copyto(band, 0.0, where=~grid.walkable_mask[y0:y1])
     # a diffused field already holds every source at its base, so outside
     # the band this rewrites the same bits
     for (x, y), base in field.sources:
@@ -177,46 +178,56 @@ def diffuse_excitement(field: ExcitementField, grid: TerrainGrid) -> ExcitementF
                            base_sum=field.neighbor_sum)
 
 
-def utilities_by_cell(agents: Sequence[Agent]) -> dict[Coord, float]:
-    """Sum of agents' last utilities per occupied cell (empty cells absent)."""
-    out: dict[Coord, float] = {}
-    for agent in agents:
-        out[agent.coord] = out.get(agent.coord, 0.0) + agent.utility
-    return out
+def agent_cells(agents: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray]:
+    """The agents' cells as index arrays (xs, ys), in agent order."""
+    coords = np.fromiter(chain.from_iterable([a.coord for a in agents]), np.intp, 2 * len(agents))
+    return coords[0::2], coords[1::2]
+
+
+def utilities_by_cell(agents: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The agents' cells and last utilities, in agent order: (xs, ys,
+    utilities). crowding_penalty sums the utilities per cell in this order."""
+    xs, ys = agent_cells(agents)
+    return xs, ys, np.fromiter([a.utility for a in agents], np.float64, len(agents))
 
 
 def crowding_penalty(
-    coords: Coord | tuple[np.ndarray, np.ndarray],
-    utilities: Mapping[Coord, float],
+    coords: tuple[np.ndarray, np.ndarray],
+    occupants: tuple[np.ndarray, np.ndarray, np.ndarray],
     garbage: np.ndarray | tuple[int, int],
     rho: float,
     epsilon0: float,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Penalty from crowded neighbors and garbage around each cell.
 
-    `coords` is one (x, y) or a pair of index arrays (xs, ys); the result has
-    one value per coordinate. `utilities` maps occupied cells to the summed
-    previous-tick utilities of the agents standing there (see
-    utilities_by_cell); the dirtiness term counts garbage units on the cell
-    itself plus its 8 neighbors; rho and epsilon0 weigh the two terms.
-    `garbage` is the grid of garbage units, or only its (height, width) when
-    every cell holds none. Off-grid neighbors contribute zero.
+    `coords` is a pair of index arrays (xs, ys); the result has one value per
+    coordinate. `occupants` is (xs, ys, utilities) of the agents whose
+    previous-tick utilities crowd their neighbours (see utilities_by_cell);
+    the agents on one cell count with their utilities summed in agent order.
+    The dirtiness term counts garbage units on the cell itself plus its 8
+    neighbors; rho and epsilon0 weigh the two terms. `garbage` is the grid
+    of garbage units, or only its (height, width) when every cell holds none.
+    Off-grid neighbors contribute zero.
     """
     clean = isinstance(garbage, tuple)
     h, w = garbage if clean else garbage.shape
     stride = w + 2  # row length of the zero-bordered grids below, which are kept flat
-    xs = np.asarray(coords[0], dtype=np.intp)
-    ys = np.asarray(coords[1], dtype=np.intp)
+    xs, ys = coords
     at = (ys + 1) * stride + xs + 1
-    by_cell = np.zeros((h + 2) * stride, dtype=np.float64)
-    cells = np.fromiter(chain.from_iterable(utilities), np.intp, 2 * len(utilities))
-    by_cell[(cells[1::2] + 1) * stride + cells[0::2] + 1] = np.fromiter(
-        utilities.values(), np.float64, len(utilities)
-    )
-    neighbors = [at + (dy * stride + dx) for dx, dy in MOORE_OFFSETS]
-    neighbor_utility = 0.0
-    for neighbor in neighbors:
-        neighbor_utility = neighbor_utility + by_cell[neighbor]
+    # one row per neighbour, in MOORE_OFFSETS order
+    neighbors = at + np.array([dy * stride + dx for dx, dy in MOORE_OFFSETS])[:, None]
+    cell_xs, cell_ys, utilities = occupants
+    # bincount adds each cell's weights in input order from +0.0, as a sum
+    # agent by agent does; no cell's sum is -0.0, so starting the neighbour
+    # sum from the first row instead of from 0.0 keeps every bit
+    by_cell = np.bincount((cell_ys + 1) * stride + cell_xs + 1, weights=utilities,
+                          minlength=(h + 2) * stride)
+    rows = by_cell[neighbors]
+    # row after row: np.add.reduce over the rows would add them pairwise when
+    # there is a single coordinate
+    neighbor_utility = rows[0] + rows[1]
+    for row in rows[2:]:
+        neighbor_utility += row
     if clean:
         # the same bits as epsilon0 times a count of 0, -0.0 included
         dirt = epsilon0 * 0
@@ -224,22 +235,20 @@ def crowding_penalty(
         bordered_garbage = np.zeros((h + 2, stride), dtype=np.int64)
         bordered_garbage[1:-1, 1:-1] = garbage
         bordered_garbage = bordered_garbage.ravel()
-        local_garbage = bordered_garbage[at]
-        for neighbor in neighbors:
-            local_garbage = local_garbage + bordered_garbage[neighbor]
-        dirt = epsilon0 * local_garbage
+        # integer counts: the order of the adds does not matter
+        dirt = epsilon0 * (bordered_garbage[at] + np.add.reduce(bordered_garbage[neighbors], axis=0))
     return rho * neighbor_utility / float(NEIGHBORHOOD_SIZE) + dirt
 
 
 def agent_utility(
-    coords: Coord | tuple[np.ndarray, np.ndarray],
+    coords: tuple[np.ndarray, np.ndarray],
     field: ExcitementField,
-    penalty: float | np.ndarray,
-) -> float | np.ndarray:
+    penalty: np.ndarray,
+) -> np.ndarray:
     """Neighborhood excitement average minus the crowding/dirtiness penalty.
 
-    `coords` is one (x, y) or a pair of index arrays (xs, ys), with one
-    penalty per coordinate; the result has one value per coordinate.
+    `coords` is a pair of index arrays (xs, ys), with one penalty per
+    coordinate; the result has one value per coordinate.
     """
     xs, ys = coords
     return field.neighbor_sum[ys, xs] / float(NEIGHBORHOOD_SIZE) - penalty
@@ -332,10 +341,6 @@ def step_agent(
     ticks, then clear the target.
     """
     x, y = agent.coord
-    if not grid.walkable_rows[y][x]:
-        raise AgentStateError(
-            f"agent {agent.id} is standing on non-walkable cell {agent.coord}"
-        )
     if agent.target_hotspot is None:
         agent.target_hotspot = choose_next_hotspot(None, grid.hotspots, rng)
         agent.dwell_remaining = None
@@ -393,9 +398,7 @@ def _home_range_masks(home_range: int) -> tuple[tuple[int, ...], tuple[int, ...]
     )
 
 
-def step_resident(
-    agent: Agent, grid: TerrainGrid, walk: Sequence[bytes], rng, home_range: int
-) -> None:
+def step_resident(agent: Agent, walk: Sequence[bytes], rng, home_range: int) -> None:
     """Home-anchored random walk: move to (or stay on) a walkable cell within
     home_range of home, uniformly; consumes exactly one randbelow draw.
 
@@ -403,10 +406,6 @@ def step_resident(
     cell, then the walkable neighbours within range in MOORE_OFFSETS order.
     """
     x, y = agent.coord
-    if not grid.walkable_rows[y][x]:
-        raise AgentStateError(
-            f"agent {agent.id} is standing on non-walkable cell {agent.coord}"
-        )
     hx, hy = agent.home
     x_masks, y_masks = _home_range_masks(home_range)
     limit = home_range + 1

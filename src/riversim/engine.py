@@ -10,15 +10,19 @@ Phase order inside one tick is fixed:
    next to a row that the last step changed (ExcitementField.changed_rows);
    the field is settled once a step changes no row
 3. visitor despawn then spawn (park)
-4. agents act in ascending id order, in one loop per scenario: in the
-   prepark every agent is a resident and takes one walk step; in the park a
-   visitor moves, picks up litter on arrival and decides on littering while
-   it dwells, and a community member moves (unless stationary) and cleans
-   up. Once all have acted, every agent's utility is computed in one array
-   pass against the previous tick's utilities and the tick-start garbage
-   snapshot (nothing inside the loops reads utility). A clean tick, one that
-   starts with no standing garbage, takes no snapshot: its dirt term is
-   epsilon0 * 0 for every agent
+4. one gather of every agent's tick-start cell and last utility
+   (dynamics.utilities_by_cell); the cells are checked against the walkable
+   mask at once, and an agent off walkable ground (put there by a library
+   caller between steps) halts the run with InvariantViolation naming it,
+   before any agent acts or draws. Then agents act in ascending id order,
+   in one loop per scenario: in the prepark every agent is a resident and
+   takes one walk step; in the park a visitor moves, picks up litter on
+   arrival and decides on littering while it dwells, and a community member
+   moves (unless stationary) and cleans up. Once all have acted, every
+   agent's utility is computed in one array pass against the gathered
+   utilities and the tick-start garbage snapshot (nothing inside the loops
+   reads utility). A clean tick, one that starts with no standing garbage,
+   takes no snapshot: its dirt term is epsilon0 * 0 for every agent
 5. house waste generation (prepark)
 6. metrics row + invariant checks
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -59,8 +62,8 @@ from .dynamics import (
     MOVED,
     Agent,
     AgentKind,
-    AgentStateError,
     ExcitementField,
+    agent_cells,
     agent_utility,
     crowding_penalty,
     diffuse_excitement,
@@ -319,6 +322,17 @@ def _record_metrics(state: SimState, littering: int) -> None:
     ))
 
 
+def _halt_if_stranded(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Halt naming the first agent off walkable ground; (xs, ys) are the
+    agents' coordinates in agent order."""
+    stranded = ~state.grid.walkable_mask[ys, xs]
+    if stranded.any():
+        agent = state.agents[int(stranded.argmax())]
+        raise InvariantViolation(
+            state.tick, f"agent {agent.id} occupies non-walkable cell {agent.coord}"
+        )
+
+
 def _check_invariants(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
     """Halt on an unbalanced garbage ledger or an agent off walkable ground;
     (xs, ys) are the agents' coordinates in agent order."""
@@ -330,12 +344,7 @@ def _check_invariants(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
             f"generated={garbage.generated_total} standing={garbage.in_place_total} "
             f"river={garbage.river_total} collected={garbage.collected_total}",
         )
-    stranded = ~state.grid.walkable_mask[ys, xs]
-    if stranded.any():
-        agent = state.agents[int(stranded.argmax())]
-        raise InvariantViolation(
-            state.tick, f"agent {agent.id} occupies non-walkable cell {agent.coord}"
-        )
+    _halt_if_stranded(state, xs, ys)
 
 
 def step(state: SimState) -> SimState:
@@ -375,61 +384,63 @@ def step(state: SimState) -> SimState:
                 everyone[y][x] += 1
 
     # 4. agent actions, ascending id order; penalties read the tick-start
-    # garbage values, never this tick's drops
-    previous_utilities = utilities_by_cell(state.agents)
+    # utilities and garbage values, never this tick's moves or drops
+    occupants = utilities_by_cell(state.agents)
+    # the steps below trust every agent to stand on walkable ground
+    _halt_if_stranded(state, occupants[0], occupants[1])
+    garbage = state.garbage
     # a tick that starts with no standing garbage needs only the grid's shape
-    garbage_snapshot = (state.garbage.in_place.copy() if state.garbage.in_place_total
+    garbage_snapshot = (garbage.in_place.copy() if garbage.in_place_total
                         else (grid.height, grid.width))
-    try:
-        if prepark:
-            # home and cell lie on the grid: a longer range admits no more cells
-            home_range = min(config.resident_range, max(grid.width, grid.height))
-            for agent in state.agents:
-                step_resident(agent, grid, state.walk, rng, home_range)
-        else:
-            # visitors exist only where occupancy does; a move shifts one count
-            occupancy = state.occupancy
-            for agent in state.agents:
-                if agent.kind is AgentKind.VISITOR:
-                    x, y = agent.coord
-                    event = step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
-                    if event == MOVED or event == ARRIVED:
-                        everyone = occupancy[0]
-                        nx, ny = agent.coord
-                        everyone[y][x] -= 1
-                        everyone[ny][nx] += 1
-                        if event == ARRIVED:
-                            agent.carrying_litter = True
-                    elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
-                        nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
-                        if visitor_litter_decision(agent, nearby, community_near, rng, config):
-                            _drop_litter(state, agent.coord)
-                            agent.carrying_litter = False
-                            littering += 1
-                else:
-                    if not config.community_stationary:
-                        if occupancy is None:
-                            step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
-                        else:
-                            x, y = agent.coord
-                            event = step_agent(agent, grid, state.step_tables, rng, config.dwell_p)
-                            if event == MOVED or event == ARRIVED:
-                                nx, ny = agent.coord
-                                for counts in occupancy:
-                                    counts[y][x] -= 1
-                                    counts[ny][nx] += 1
-                    if state.garbage.in_place_total:
-                        community_cleanup(agent.coord, state.garbage, config)
-    except AgentStateError as exc:
-        raise InvariantViolation(tick, str(exc)) from exc
+    if prepark:
+        # home and cell lie on the grid: a longer range admits no more cells
+        home_range = min(config.resident_range, max(grid.width, grid.height))
+        walk = state.walk
+        for agent in state.agents:
+            step_resident(agent, walk, rng, home_range)
+    else:
+        # visitors exist only where occupancy does; a move shifts one count
+        occupancy = state.occupancy
+        step_tables, dwell_p = state.step_tables, config.dwell_p
+        stationary = config.community_stationary
+        visitor = AgentKind.VISITOR
+        for agent in state.agents:
+            if agent.kind is visitor:
+                x, y = agent.coord
+                event = step_agent(agent, grid, step_tables, rng, dwell_p)
+                if event == MOVED or event == ARRIVED:
+                    everyone = occupancy[0]
+                    nx, ny = agent.coord
+                    everyone[y][x] -= 1
+                    everyone[ny][nx] += 1
+                    if event == ARRIVED:
+                        agent.carrying_litter = True
+                elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
+                    nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
+                    if visitor_litter_decision(agent, nearby, community_near, rng, config):
+                        _drop_litter(state, agent.coord)
+                        agent.carrying_litter = False
+                        littering += 1
+            else:
+                if not stationary:
+                    if occupancy is None:
+                        step_agent(agent, grid, step_tables, rng, dwell_p)
+                    else:
+                        x, y = agent.coord
+                        event = step_agent(agent, grid, step_tables, rng, dwell_p)
+                        if event == MOVED or event == ARRIVED:
+                            nx, ny = agent.coord
+                            for counts in occupancy:
+                                counts[y][x] -= 1
+                                counts[ny][nx] += 1
+                if garbage.in_place_total:
+                    community_cleanup(agent.coord, garbage, config)
     # every agent's utility in one pass; nothing in the loop above reads it
-    agents = state.agents
-    coords = np.fromiter(chain.from_iterable([a.coord for a in agents]), np.intp, 2 * len(agents))
-    xs, ys = coords[0::2], coords[1::2]
-    penalties = crowding_penalty((xs, ys), previous_utilities, garbage_snapshot,
+    xs, ys = agent_cells(state.agents)
+    penalties = crowding_penalty((xs, ys), occupants, garbage_snapshot,
                                  config.rho, config.epsilon0)
     utilities = agent_utility((xs, ys), state.field, penalties)
-    for agent, utility in zip(agents, utilities.tolist()):
+    for agent, utility in zip(state.agents, utilities.tolist()):
         agent.utility = utility
 
     # 5. domestic waste
@@ -457,9 +468,13 @@ def render_frame(state: SimState) -> str:
     return "\n".join("".join(row) for row in rows) + "\n"
 
 
-def run(config: SimConfig, grid: TerrainGrid | None = None) -> RunResult:
-    """Initialize and advance config.ticks ticks; collect metrics and frames."""
-    state = init_scenario(config, grid=grid)
+def run(config: SimConfig, grid: TerrainGrid | None = None,
+        state: SimState | None = None) -> RunResult:
+    """Advance config.ticks ticks from state, a tick-0 state that
+    init_scenario(config, grid) built, or from a new one; collect metrics and
+    frames."""
+    if state is None:
+        state = init_scenario(config, grid=grid)
     frames: list[tuple[int, str]] = []
     if config.frame_every:
         frames.append((0, render_frame(state)))

@@ -119,7 +119,6 @@ class TerrainGrid:
     branch_markers: frozenset[Coord]
     chars: tuple[str, ...]     # original map rows, for frame rendering
     walkable_mask: np.ndarray  # (H, W) bool
-    walkable_rows: tuple[tuple[bool, ...], ...]  # same data, cheap scalar reads
     n_river: int
 
     def in_bounds(self, coord: Coord) -> bool:
@@ -128,7 +127,7 @@ class TerrainGrid:
 
     def is_walkable(self, coord: Coord) -> bool:
         x, y = coord
-        return self.walkable_rows[y][x]
+        return bool(self.walkable_mask[y, x])
 
 
 @dataclass(frozen=True)
@@ -407,7 +406,6 @@ def load_terrain(
         branch_markers=frozenset(branch_markers),
         chars=tuple(rows),
         walkable_mask=walk,
-        walkable_rows=tuple(map(tuple, walk.tolist())),
         n_river=int(np.count_nonzero(river_mask)),
     )
 

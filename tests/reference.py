@@ -47,7 +47,6 @@ from riversim.dynamics import (
     MOVED,
     RETARGETED,
     AgentKind,
-    AgentStateError,
     choose_next_hotspot,
     sample_geometric,
 )
@@ -201,6 +200,16 @@ def _neighbors_row_major(x, y):
                 yield x + dx, y + dy
 
 
+def bf_utilities_by_cell(agents):
+    """Sum of agents' last utilities per occupied cell, added in agent order
+    from 0.0 (empty cells absent): the per-cell sums bf_crowding_penalty
+    reads."""
+    out = {}
+    for agent in agents:
+        out[agent.coord] = out.get(agent.coord, 0.0) + agent.utility
+    return out
+
+
 def bf_crowding_penalty(coord, utilities, garbage, rho, epsilon0):
     """Crowding/dirtiness penalty of one cell: rho times the mean of the 8
     neighbors' summed utilities (off-grid and empty cells count 0.0) plus
@@ -256,8 +265,6 @@ def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
     randrange, if that distance is below the agent's own; otherwise
     re-target. Same events and RNG draws as dynamics.step_agent."""
     x, y = agent.coord
-    if not grid.walkable_mask[y, x]:
-        raise AgentStateError(f"agent {agent.id} is standing on non-walkable cell {agent.coord}")
     if agent.target_hotspot is None:
         agent.target_hotspot = choose_next_hotspot(None, grid.hotspots, rng)
         agent.dwell_remaining = None
@@ -298,8 +305,6 @@ def bf_step_resident(agent, grid, rng, home_range):
     """One resident tick: collect the current cell, then every on-grid
     walkable Moore neighbour within home_range of home, and move to one of
     them by one randrange."""
-    if not grid.is_walkable(agent.coord):
-        raise AgentStateError(f"agent {agent.id} is standing on non-walkable cell {agent.coord}")
     hx, hy = agent.home
     x, y = agent.coord
     candidates = [agent.coord]

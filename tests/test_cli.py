@@ -148,6 +148,38 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("entrance, message", [
+        ("500,500", "park.entrances coordinate (500, 500) is out of bounds"),
+        ("0,20", "park.entrances coordinate (0, 20) is not walkable"),
+    ])
+    def test_map_dependent_config_error_creates_no_out(self, tmp_path, capsys, entrance,
+                                                       message):
+        config = write_config(tmp_path / "sim.ini", scenario="park", ticks=5,
+                              extra=f"[park]\nentrances = {entrance}")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["prepark", "park"])
+    def test_each_seed_sets_up_once(self, tmp_path, monkeypatch, scenario):
+        # the first seed's state is built before --out exists and then run;
+        # no seed builds its state twice
+        config = write_config(tmp_path / "sim.ini", scenario=scenario, ticks=5)
+        built = []
+        real = cli.init_scenario
+        def counted(seeded, grid):
+            built.append(seeded.seed)
+            return real(seeded, grid)
+
+        monkeypatch.setattr(cli, "init_scenario", counted)
+        monkeypatch.setattr(engine, "init_scenario", counted)
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
+                         "--seeds", "4,2,9"]) == 0
+        assert built == [4, 2, 9]
+
     @pytest.mark.parametrize("scenario", ["prepark", "park"])
     def test_seeds_share_one_map_load(self, tmp_path, monkeypatch, scenario):
         config = write_config(tmp_path / "sim.ini", scenario=scenario, ticks=25)
@@ -179,7 +211,7 @@ class TestRunCommand:
         assert out.read_text() == "keep"
 
     def test_invariant_halt_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
-        def explode(config, grid):
+        def explode(config, grid, state):
             raise InvariantViolation(17, "synthetic breach")
 
         monkeypatch.setattr(cli, "run", explode)

@@ -12,7 +12,6 @@ from riversim.dynamics import (
     RETARGETED,
     Agent,
     AgentKind,
-    AgentStateError,
     ExcitementField,
     agent_utility,
     choose_next_hotspot,
@@ -35,6 +34,7 @@ from reference import (
     bf_diffuse,
     bf_step_agent,
     bf_step_resident,
+    bf_utilities_by_cell,
 )
 
 
@@ -185,57 +185,85 @@ class TestWindowedDiffusion:
         assert out.changed_rows == (0, 4)
 
 
+def cells(*coords):
+    """Index arrays (xs, ys) of the given (x, y) cells."""
+    return np.array([x for x, _ in coords], dtype=np.intp), np.array([y for _, y in coords],
+                                                                   dtype=np.intp)
+
+
+def utility_at(coord, field, penalty):
+    """agent_utility of one cell, checked against bf_agent_utility bit for bit."""
+    (value,) = agent_utility(cells(coord), field, np.array([penalty])).tolist()
+    assert value == bf_agent_utility(coord, field.p, penalty)
+    return value
+
+
+def penalty_at(coord, agents, garbage, rho, epsilon0):
+    """crowding_penalty of one cell, checked against bf_crowding_penalty bit
+    for bit."""
+    (value,) = crowding_penalty(cells(coord), utilities_by_cell(agents), garbage,
+                                rho, epsilon0).tolist()
+    assert value == bf_crowding_penalty(coord, bf_utilities_by_cell(agents), garbage,
+                                        rho, epsilon0)
+    return value
+
+
+def visitors(*placed):
+    """Agents in id order from (coord, last utility) pairs."""
+    return [Agent(i, AgentKind.VISITOR, c, utility=u) for i, (c, u) in enumerate(placed)]
+
+
 class TestUtility:
     def test_zero_everywhere(self):
         grid = all_open(3, 3)
         field = make_field(grid, np.zeros((3, 3)), mu=0.9)
-        assert agent_utility((1, 1), field, 0.0) == 0.0
+        assert utility_at((1, 1), field, 0.0) == 0.0
 
     def test_uniform_neighborhood(self):
         grid = all_open(3, 3)
         field = make_field(grid, np.full((3, 3), 0.8), mu=0.9)
-        assert agent_utility((1, 1), field, 0.1) == pytest.approx(0.7)
+        assert utility_at((1, 1), field, 0.1) == pytest.approx(0.7)
 
     def test_corner_keeps_divisor_eight(self):
         grid = all_open(3, 3)
         field = make_field(grid, np.full((3, 3), 0.8), mu=0.9)
         # corner has 3 in-bounds neighbors: 2.4 / 8 = 0.3
-        assert agent_utility((0, 0), field, 0.0) == pytest.approx(0.3)
+        assert utility_at((0, 0), field, 0.0) == pytest.approx(0.3)
 
     def test_monotone_in_each_neighbor(self):
         grid = all_open(3, 3)
         base = np.full((3, 3), 0.2)
-        reference = agent_utility((1, 1), make_field(grid, base, 0.9), 0.0)
+        reference = utility_at((1, 1), make_field(grid, base, 0.9), 0.0)
         for y in range(3):
             for x in range(3):
                 if (x, y) == (1, 1):
                     continue
                 bumped = base.copy()
                 bumped[y, x] += 0.5
-                assert agent_utility((1, 1), make_field(grid, bumped, 0.9), 0.0) > reference
+                assert utility_at((1, 1), make_field(grid, bumped, 0.9), 0.0) > reference
 
 
 class TestCrowdingPenalty:
     def test_empty_neighborhood_is_zero(self):
         garbage = np.zeros((5, 5), dtype=np.int64)
-        assert crowding_penalty((2, 2), {}, garbage, 0.5, 0.05) == 0.0
+        assert penalty_at((2, 2), [], garbage, 0.5, 0.05) == 0.0
 
     def test_garbage_term(self):
         garbage = np.zeros((5, 5), dtype=np.int64)
         garbage[2, 2] = 1  # the agent's own cell counts
         garbage[1, 2] = 2
         garbage[3, 3] = 1
-        assert crowding_penalty((2, 2), {}, garbage, 0.0, 0.05) == pytest.approx(0.2)
+        assert penalty_at((2, 2), [], garbage, 0.0, 0.05) == pytest.approx(0.2)
 
     def test_neighbor_utility_term(self):
         garbage = np.zeros((5, 5), dtype=np.int64)
-        utilities = {(1, 2): 0.8}
-        assert crowding_penalty((2, 2), utilities, garbage, 1.0, 0.0) == pytest.approx(0.1)
+        agents = visitors(((1, 2), 0.8))
+        assert penalty_at((2, 2), agents, garbage, 1.0, 0.0) == pytest.approx(0.1)
 
     def test_out_of_range_agents_ignored(self):
         garbage = np.zeros((5, 5), dtype=np.int64)
-        utilities = {(4, 4): 5.0, (2, 2): 3.0}  # own cell is not a neighbor
-        assert crowding_penalty((2, 2), utilities, garbage, 1.0, 0.0) == 0.0
+        agents = visitors(((4, 4), 5.0), ((2, 2), 3.0))  # own cell is not a neighbor
+        assert penalty_at((2, 2), agents, garbage, 1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("rho", [0.0, -0.0, 0.1])
     @pytest.mark.parametrize("epsilon0", [0.0, -0.0, 0.1])
@@ -245,30 +273,34 @@ class TestCrowdingPenalty:
         nprng = np.random.default_rng(4)
         h, w = 5, 6
         coords = [(x, y) for y in range(h) for x in range(w)]
-        utilities = {c: float(nprng.normal()) for c in coords if nprng.random() < 0.6}
-        utilities[(0, 0)] = -0.0
+        agents = visitors(*[(c, float(nprng.normal())) for c in coords if nprng.random() < 0.6])
+        agents += visitors(((0, 0), -0.0))
         zero = np.zeros((h, w), dtype=np.int64)
-        xs = np.array([x for x, _ in coords])
-        ys = np.array([y for _, y in coords])
+        utilities = bf_utilities_by_cell(agents)
         expected = np.array([bf_crowding_penalty(c, utilities, zero, rho, epsilon0)
                              for c in coords])
         for garbage in ((h, w), zero):
-            batch = crowding_penalty((xs, ys), utilities, garbage, rho, epsilon0)
+            batch = crowding_penalty(cells(*coords), utilities_by_cell(agents), garbage,
+                                     rho, epsilon0)
             assert batch.tobytes() == expected.tobytes()
-            single = [crowding_penalty(c, utilities, garbage, rho, epsilon0) for c in coords]
+            single = [crowding_penalty(cells(c), utilities_by_cell(agents), garbage,
+                                       rho, epsilon0)[0] for c in coords]
             assert np.array(single).tobytes() == expected.tobytes()
 
     def test_utilities_by_cell_sums_cohabitants(self):
-        agents = [
-            Agent(0, AgentKind.VISITOR, (1, 1), utility=0.25),
-            Agent(1, AgentKind.VISITOR, (1, 1), utility=0.5),
-            Agent(2, AgentKind.VISITOR, (2, 2), utility=-0.1),
-        ]
-        assert utilities_by_cell(agents) == {(1, 1): 0.75, (2, 2): -0.1}
+        agents = visitors(((1, 1), 0.25), ((2, 2), -0.1), ((1, 1), 0.5))
+        xs, ys, utilities = utilities_by_cell(agents)
+        assert (xs.tolist(), ys.tolist(), utilities.tolist()) == ([1, 2, 1], [1, 2, 1],
+                                                                  [0.25, -0.1, 0.5])
+        # (0, 1) neighbours both cohabitants of (1, 1), and not (2, 2)
+        garbage = np.zeros((3, 3), dtype=np.int64)
+        assert penalty_at((0, 1), agents, garbage, 8.0, 0.0) == 0.75
 
 
 class TestBatchedUtilityOracle:
-    """The array pass over all agents equals the per-agent loops bit for bit."""
+    """The array pass over all agents equals the per-agent loops bit for bit:
+    crowding_penalty against bf_crowding_penalty on the per-cell sums that
+    bf_utilities_by_cell adds agent by agent."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_batched_penalty_and_utility_equal_oracle(self, seed):
@@ -277,35 +309,39 @@ class TestBatchedUtilityOracle:
         edge_cells = [(x, y) for y in range(h) for x in range(w)
                       if x in (0, w - 1) or y in (0, h - 1)]
         random_cells = [(int(nprng.integers(w)), int(nprng.integers(h))) for _ in range(40)]
-        # every corner and edge cell, and several agents on some cells
-        coords = edge_cells + random_cells + random_cells[:10]
-        agents = [
-            Agent(i, AgentKind.VISITOR, c, utility=float(nprng.normal()))
-            for i, c in enumerate(coords)
-        ]
+        # every corner and edge cell, and up to a dozen agents on some cells,
+        # so a cell's sum depends on the order of its adds
+        start = edge_cells + random_cells + random_cells[:10] * 3 + random_cells[:1] * 8
+        magnitudes = nprng.choice([1e-9, 1.0, 1e9], size=len(start))
+        agents = visitors(*[(c, float(u)) for c, u in
+                            zip(start, nprng.normal(size=len(start)) * magnitudes)])
+        agents[int(nprng.integers(len(agents)))].utility = -0.0
         assert any(a.utility < 0 for a in agents)
-        utilities = utilities_by_cell(agents)
-        garbage = nprng.integers(0, 4, size=(h, w))
+        occupants = utilities_by_cell(agents)
+        utilities = bf_utilities_by_cell(agents)
+        # the penalty is taken where each agent ends the tick: a step away
+        # from its tick-start cell, clipped to the map
+        moved = [(min(max(x + int(nprng.integers(-1, 2)), 0), w - 1),
+                  min(max(y + int(nprng.integers(-1, 2)), 0), h - 1)) for x, y in start]
         p = nprng.random((h, w))
         field = ExcitementField(p=p, mu=0.9, sources=())
         rho, epsilon0 = float(nprng.random()), float(nprng.random())
-        xs = np.array([x for x, _ in coords])
-        ys = np.array([y for _, y in coords])
-
-        penalties = crowding_penalty((xs, ys), utilities, garbage, rho, epsilon0)
-        values = agent_utility((xs, ys), field, penalties)
-
-        expected = [
-            bf_crowding_penalty(c, utilities, garbage, rho, epsilon0)
-            for c in coords
-        ]
-        assert penalties.tolist() == expected
-        assert values.tolist() == [
-            bf_agent_utility(c, p, penalty) for c, penalty in zip(coords, expected)
-        ]
-        for c, penalty in zip(coords, expected):
-            assert crowding_penalty(c, utilities, garbage, rho, epsilon0) == penalty
-            assert agent_utility(c, field, penalty) == bf_agent_utility(c, p, penalty)
+        dirty = nprng.integers(0, 4, size=(h, w))
+        for garbage, oracle_garbage in ((dirty, dirty), ((h, w), np.zeros((h, w), np.int64))):
+            penalties = crowding_penalty(cells(*moved), occupants, garbage, rho, epsilon0)
+            values = agent_utility(cells(*moved), field, penalties)
+            expected = [bf_crowding_penalty(c, utilities, oracle_garbage, rho, epsilon0)
+                        for c in moved]
+            assert penalties.tobytes() == np.array(expected).tobytes()
+            assert values.tobytes() == np.array(
+                [bf_agent_utility(c, p, penalty) for c, penalty in zip(moved, expected)]
+            ).tobytes()
+            # one cell at a time: a single coordinate sums its rows in the
+            # same order
+            for c, penalty in zip(moved, expected):
+                assert penalty_at(c, agents, oracle_garbage, rho, epsilon0) == penalty
+                assert crowding_penalty(cells(c), occupants, garbage, rho,
+                                        epsilon0).tobytes() == np.array([penalty]).tobytes()
 
     def test_neighbor_sum_is_computed_once_per_field(self, monkeypatch):
         grid = all_open(4, 3)
@@ -313,7 +349,7 @@ class TestBatchedUtilityOracle:
         calls = []
         real = dynamics._moore_sum
         monkeypatch.setattr(dynamics, "_moore_sum", lambda p: calls.append(1) or real(p))
-        agent_utility((1, 1), field, 0.0)
+        agent_utility(cells((1, 1)), field, np.zeros(1))
         diffuse_excitement(field, grid)
         assert len(calls) == 1
 
@@ -472,11 +508,6 @@ class TestStepAgent:
         events = [step_agent(agent, grid, tables, rng, dwell_p=0.5) for _ in range(4)]
         assert events == [DWELLING, DWELLING, DWELLING, DWELL_ENDED]
 
-    def test_nonwalkable_position_rejected(self):
-        grid, tables, agent = wander_setup("H.t..", (2, 0))
-        with pytest.raises(AgentStateError):
-            step_agent(agent, grid, tables, random.Random(0), dwell_p=0.25)
-
     def test_distance_never_increases_en_route(self):
         grid, tables, agent = wander_setup("H.........\n..........\n..........", (9, 2))
         (dist,) = walkable_distance_field(grid, [(0, 0)])
@@ -542,7 +573,7 @@ class TestResidentWalk:
         walk = walk_table(grid.walkable_mask)
         rng = random.Random(9)
         for _ in range(200):
-            step_resident(agent, grid, walk, rng, home_range=2)
+            step_resident(agent, walk, rng, home_range=2)
             x, y = agent.coord
             assert grid.is_walkable((x, y))
             assert max(abs(x - 1), abs(y - 1)) <= 2
@@ -551,17 +582,8 @@ class TestResidentWalk:
         grid = grid_from("t.t\n.#.\nt.t", legend=None)
         # center cell is obstacle; use the walkable cell at (1, 0) boxed by range 0
         agent = Agent(0, AgentKind.RESIDENT, (1, 0), home=(1, 0))
-        step_resident(agent, grid, walk_table(grid.walkable_mask), random.Random(0),
-                      home_range=0)
+        step_resident(agent, walk_table(grid.walkable_mask), random.Random(0), home_range=0)
         assert agent.coord == (1, 0)
-
-    def test_nonwalkable_position_rejected_without_a_draw(self):
-        grid = grid_from("..#..")
-        agent = Agent(0, AgentKind.RESIDENT, (2, 0), home=(2, 0))
-        rng, replay = random.Random(4), random.Random(4)
-        with pytest.raises(AgentStateError):
-            step_resident(agent, grid, walk_table(grid.walkable_mask), rng, home_range=1)
-        assert rng.getstate() == replay.getstate()
 
     def test_walk_table_matches_neighbour_scan(self):
         # random small maps with obstacles, trees and water, so residents
@@ -595,7 +617,7 @@ class TestResidentWalk:
                     hx, hy = home
                     outside += max(abs(x - hx), abs(y - hy)) > home_range
                     edge += x in (0, w - 1) or y in (0, h - 1)
-                    step_resident(fast, grid, walk, fast_rng, home_range)
+                    step_resident(fast, walk, fast_rng, home_range)
                     bf_step_resident(slow, grid, slow_rng, home_range)
                     assert fast.coord == slow.coord
                     assert fast_rng.getstate() == slow_rng.getstate()

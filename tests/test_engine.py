@@ -10,7 +10,7 @@ from riversim.dynamics import (
     AgentKind,
     ExcitementField,
     diffuse_excitement,
-    utilities_by_cell,
+    randbelow,
 )
 from riversim.engine import (
     CSV_HEADER,
@@ -24,7 +24,7 @@ from riversim.engine import (
 from riversim.landscape import compute_river_features, walkable_distance_field
 
 from conftest import grid_from, make_config
-from reference import bf_agent_utility, bf_crowding_penalty
+from reference import bf_agent_utility, bf_crowding_penalty, bf_utilities_by_cell
 
 RIVER_ONLY = "~..\n...\n..."
 
@@ -294,7 +294,7 @@ class TestCleanTicks:
                 state.garbage.drop_at((1, 1))
                 state.garbage.drop_at((4, 2))
                 state.garbage.drop_at((4, 2))
-            previous = utilities_by_cell(state.agents)
+            previous = bf_utilities_by_cell(state.agents)
             garbage = state.garbage.in_place.copy()
             at_start.append(state.garbage.in_place_total)
             step(state)
@@ -308,6 +308,27 @@ class TestCleanTicks:
                     == np.array(expected).tobytes())
         assert at_start[4:8] == [0, 3, 3, 0] and at_start[18:21] == [0, 3, 0]
         assert state.garbage.collected_total == 9
+
+
+class TestAgentGather:
+    @pytest.mark.parametrize("scenario", ["prepark", "park"])
+    def test_one_gather_of_every_agent_per_tick(self, scenario, default_grid, monkeypatch):
+        # perfbench counts engine.agent_steps as the agents passed here
+        gathered = []
+        real = engine.utilities_by_cell
+        monkeypatch.setattr(engine, "utilities_by_cell",
+                            lambda agents: gathered.append(list(agents)) or real(agents))
+        config = make_config(scenario=scenario, seed=2, houses=30, houses_per_tick=3,
+                             n_community=4, visitor_spawn_rate=0.5, visit_length=8)
+        state = init_scenario(config, grid=default_grid)
+        populations = set()
+        for tick in range(1, 21):
+            step(state)
+            assert len(gathered) == tick
+            assert len(gathered[-1]) == len(state.agents)
+            assert all(a is b for a, b in zip(gathered[-1], state.agents))
+            populations.add(len(state.agents))
+        assert len(populations) > 1
 
 
 class TestDeterminism:
@@ -469,6 +490,42 @@ class TestInvariantHalt:
         with pytest.raises(InvariantViolation,
                            match=r"tick 1: agent 1 occupies non-walkable cell \(0, 20\)"):
             step(state)
+
+    # (scenario knobs, which agent a library caller moves onto the river)
+    STRANDED = {
+        "resident": (dict(scenario="prepark", houses=4), AgentKind.RESIDENT),
+        "wandering_member": (dict(scenario="park", n_community=3, visitor_spawn_rate=0.0),
+                             AgentKind.COMMUNITY_MEMBER),
+        "stationary_member": (dict(scenario="park", n_community=3, visitor_spawn_rate=0.0,
+                                   community_stationary=True), AgentKind.COMMUNITY_MEMBER),
+        "visitor": (dict(scenario="park", n_community=2, visitor_spawn_rate=1.0,
+                         visit_length=50), AgentKind.VISITOR),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STRANDED))
+    def test_stranded_halts_before_any_draw(self, case, default_grid):
+        knobs, kind = self.STRANDED[case]
+        config = make_config(seed=5, **knobs)
+        state = init_scenario(config, grid=default_grid)
+        for _ in range(3):
+            step(state)
+        agent = [a for a in state.agents if a.kind is kind][-1]
+        assert not default_grid.is_walkable((0, 20))
+        agent.coord = (0, 20)
+        before = state.rng.getstate()
+        coords = [a.coord for a in state.agents]
+        replay = random.Random()
+        replay.setstate(before)
+        if case == "visitor":
+            # phase 3 draws for the spawn and its entrance before the check
+            assert replay.random() < config.visitor_spawn_rate
+            randbelow(replay, len(state.entrances))
+        with pytest.raises(InvariantViolation,
+                           match=rf"tick 4: agent {agent.id} occupies non-walkable cell "
+                                 r"\(0, 20\)"):
+            step(state)
+        assert state.rng.getstate() == replay.getstate()
+        assert [a.coord for a in state.agents][:len(coords)] == coords
 
 
 def random_park_map(rng, width, height):
