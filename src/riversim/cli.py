@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import SCENARIO_PREPARK, ConfigError, default_config_text, load_config
-from .engine import CSV_HEADER, InvariantViolation, init_scenario, load_grid, metrics_to_csv, run
+from .engine import CSV_HEADER, InvariantViolation, metrics_to_csv, prepare, run
 from .landscape import TerrainError
 
 EXIT_OK = 0
@@ -73,25 +73,16 @@ def _refuse_existing(paths: list[Path], force: bool) -> bool:
     return False
 
 
-def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
+def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
             frame_every: int | None) -> int:
+    # only the seed differs between runs: one set-up serves them all, and
+    # building it before --out exists meets every map-dependent config error
     try:
         config = load_config(config_path)
-    except (ConfigError, TerrainError) as exc:
-        return _config_error(str(exc))
-
-    if frame_every is not None:
-        config = replace(config, frame_every=frame_every)
-        try:
-            config.validate()
-        except ConfigError as exc:
-            return _config_error(str(exc))
-    # only the seed differs between runs: read the map once, and build the
-    # first seed's state (which meets every map-dependent config error),
-    # before --out exists
-    try:
-        grid = load_grid(config)
-        state = init_scenario(replace(config, seed=seeds[0]), grid)
+        seeds = (config.seed,) if raw_seeds is None else _parse_seeds(raw_seeds)
+        if frame_every is not None:
+            config = replace(config, frame_every=frame_every)
+        setup = prepare(config)
     except (ConfigError, TerrainError) as exc:
         return _config_error(str(exc))
 
@@ -111,17 +102,11 @@ def cmd_run(config_path: Path, out: Path, seeds: tuple[int, ...], force: bool,
         return EXIT_REFUSED
 
     for seed in seeds:
-        seeded = replace(config, seed=seed)
         try:
-            # the first seed runs the state built above; later seeds build theirs
-            result = run(seeded, grid, state)
-            state = None
+            result = run(replace(config, seed=seed), setup=setup)
         except InvariantViolation as exc:
             print(f"invariant halt (seed {seed}): {exc}", file=sys.stderr)
             return EXIT_INVARIANT
-        except (ConfigError, TerrainError) as exc:
-            print(f"config error (seed {seed}): {exc}", file=sys.stderr)
-            return EXIT_CONFIG
 
         metrics_path = out / f"metrics_{seed}.csv"
         try:
@@ -271,7 +256,7 @@ def cmd_validate(config_path: Path | None, print_defaults: bool) -> int:
     if config_path is not None:
         try:
             config = load_config(config_path)
-            init_scenario(config)
+            prepare(config)
         except (ConfigError, TerrainError) as exc:
             return _config_error(str(exc))
         print(f"config OK: scenario={config.scenario}, ticks={config.ticks}, "
@@ -292,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario for a list of seeds")
     p_run.add_argument("--config", required=True, type=Path)
     p_run.add_argument("--out", required=True, type=Path)
-    p_run.add_argument("--seeds", default="0", help="comma-separated seed list")
+    p_run.add_argument("--seeds", help="comma-separated seed list (default: the config's seed)")
     p_run.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p_run.add_argument("--frame-every", type=int, default=None,
                        help="write a frame snapshot every N ticks")
@@ -313,11 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        try:
-            seeds = _parse_seeds(args.seeds)
-        except ConfigError as exc:
-            return _config_error(str(exc))
-        return cmd_run(args.config, args.out, seeds, args.force, args.frame_every)
+        return cmd_run(args.config, args.out, args.seeds, args.force, args.frame_every)
     if args.command == "compare":
         return cmd_compare(args.pre, args.post, args.out, args.force)
     return cmd_validate(args.config, args.print_defaults)

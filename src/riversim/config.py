@@ -33,14 +33,6 @@ class ConfigError(ValueError):
     """Invalid configuration value or file."""
 
 
-def _default_terrain() -> str:
-    return str(default_map_paths()[0])
-
-
-def _default_elevation() -> str | None:
-    return str(default_map_paths()[1])
-
-
 # The legal ranges a knob may declare, each one chained comparison. A range
 # with no finite upper bound stops below math.inf, so NaN, inf and -inf fail
 # every range, and an int of any size compares exactly, with no float().
@@ -64,8 +56,8 @@ class SimConfig:
     ticks: int = _knob("run", ">= 0", default=1000)
     frame_every: int = _knob("run", ">= 0", default=0)
 
-    terrain_file: str = _knob("terrain", default_factory=_default_terrain)
-    elevation_file: str | None = _knob("terrain", default_factory=_default_elevation)
+    terrain_file: str = _knob("terrain", default_factory=lambda: str(default_map_paths()[0]))
+    elevation_file: str | None = _knob("terrain", default_factory=lambda: str(default_map_paths()[1]))
     legend: dict[str, str] = _knob("terrain", default_factory=lambda: dict(DEFAULT_LEGEND))
     hotspot_base_excitement: float = _knob("terrain", "> 0", default=1.0)
     d_streams: int = _knob("terrain", ">= 0", default=3)
@@ -228,6 +220,10 @@ def load_config(path: str | Path) -> SimConfig:
             if key not in SECTION_FIELDS[section]:
                 raise ConfigError(f"unknown config key {section}.{key} in {path}")
             setattr(config, key, _convert(section, key, raw, config))
+    # the bundled elevation sheet fits the bundled map only; a map without one lies flat
+    if parser.has_option("terrain", "terrain_file") and not parser.has_option(
+            "terrain", "elevation_file"):
+        config.elevation_file = None
 
     base = path.parent
     if config.terrain_file and not Path(config.terrain_file).is_absolute():

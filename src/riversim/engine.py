@@ -1,5 +1,10 @@
 """Tick loop, scenario construction, metrics, and invariant enforcement.
 
+Set-up comes in two parts: ``prepare`` builds, once per run, the ``Setup``
+that every seed shares (config, map and the scenario's static fields), and
+``start`` builds one seed's tick-0 ``SimState`` on it, which holds only what
+the seed changes. ``init_scenario`` and ``run`` do both.
+
 Phase order inside one tick is fixed:
 
 1. settlement growth (prepark): up to houses_per_tick houses, each with its
@@ -50,7 +55,7 @@ the running interpreter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,10 +140,29 @@ def metrics_to_csv(rows: list[MetricsRow]) -> str:
     return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
 
 
+@dataclass(frozen=True)
+class Setup:
+    """What every seed of a run shares, built once by prepare: the validated
+    config, the map, and the scenario's static fields."""
+
+    config: SimConfig
+    grid: TerrainGrid
+    # park only: per hotspot, the step table built from its BFS layer (rows
+    # of bytes, see downhill_step_table); the entrances; and, under
+    # riverside_drift, the cells next to the river, where litter washes in
+    step_tables: list[list[bytes]] = field(default_factory=list)
+    entrances: tuple[Coord, ...] = ()
+    riverside: np.ndarray | None = None
+    # prepark only: the static placement fields and the residents' walk
+    # table (rows of bytes, see dynamics.walk_table)
+    placement: PlacementFields | None = None
+    walk: list[bytes] = field(default_factory=list)
+
+
 @dataclass
 class SimState:
     config: SimConfig
-    grid: TerrainGrid
+    setup: Setup
     field: ExcitementField
     garbage: GarbageField
     rng: random.Random
@@ -146,24 +170,15 @@ class SimState:
     houses: list[Coord] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
     build_log: list[BuildRecord] = field(default_factory=list)
-    # park only: per hotspot, the step table built from its BFS layer (rows
-    # of bytes, see downhill_step_table); the entrances; and, under
-    # riverside_drift, the cells next to the river, where litter washes in
-    step_tables: list[list[bytes]] = field(default_factory=list)
-    entrances: tuple[Coord, ...] = ()
-    riverside: np.ndarray | None = None
     # park with visitor spawning only: (all agents, community members) per
     # cell, each a list of rows of ints, kept in step with every spawn,
     # despawn and move; _watchers reads them
     occupancy: tuple[list[list[int]], list[list[int]]] | None = None
-    # prepark only: the static placement fields; the sites still open to a
-    # house and the float count of houses within neighbor_radius of each cell,
-    # both updated in place by place_next_house; and the residents' walk table
-    # (rows of bytes, see dynamics.walk_table)
-    placement: PlacementFields | None = None
+    # prepark only: the sites still open to a house and the float count of
+    # houses within neighbor_radius of each cell, both updated in place by
+    # place_next_house
     open_sites: np.ndarray | None = None
     neighbor_count: np.ndarray | None = None
-    walk: list[bytes] = field(default_factory=list)
     tick: int = 0
     next_agent_id: int = 0
 
@@ -216,71 +231,77 @@ def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
     return tuple(zip(xs.tolist(), ys.tolist()))
 
 
-def load_grid(config: SimConfig) -> TerrainGrid:
-    """The configured map, read from its terrain and elevation files."""
-    return load_terrain_files(
-        config.terrain_file,
-        config.elevation_file,
-        legend=config.legend,
-        hotspot_base=config.hotspot_base_excitement,
-    )
-
-
-def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimState:
-    """Build the tick-0 state for the configured scenario.
-
-    prepark: grow the settlement to its target (unless growth is spread over
-    ticks) and house one resident per house. park: place community members
-    round-robin on the hotspots and arm visitor spawning.
-    """
+def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
+    """Validate config, read its map unless grid is given, and build the
+    scenario's static fields; raises every map-dependent ConfigError."""
     config.validate()
     if grid is None:
-        grid = load_grid(config)
+        grid = load_terrain_files(
+            config.terrain_file,
+            config.elevation_file,
+            legend=config.legend,
+            hotspot_base=config.hotspot_base_excitement,
+        )
     if grid.n_river == 0:
         raise ConfigError("map has no river cells; the dirtiness index is undefined")
-
-    state = SimState(
-        config=config,
-        grid=grid,
-        field=ExcitementField.from_grid(grid, config.mu),
-        garbage=GarbageField.zeros(grid.width, grid.height),
-        rng=random.Random(config.seed),
-    )
 
     if config.scenario == SCENARIO_PREPARK:
         rivers = compute_river_features(grid, config.d_streams, config.d_branch)
         roads = compute_road_features(grid)
-        state.placement = compute_placement_fields(grid, rivers, roads, config)
-        state.open_sites = state.placement.legal_static.copy()
+        return Setup(config, grid,
+                     placement=compute_placement_fields(grid, rivers, roads, config),
+                     walk=walk_table(grid.walkable_mask))
+    if not grid.hotspots:
+        raise ConfigError("park scenario requires at least one hotspot on the map")
+    hotspot_dist = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+    entrances = _resolve_entrances(config, grid, hotspot_dist)
+    if config.visitor_spawn_rate > 0 and not entrances:
+        raise ConfigError("no walkable map-edge entrance reaches a hotspot")
+    return Setup(config, grid,
+                 step_tables=[downhill_step_table(layer) for layer in hotspot_dist],
+                 entrances=entrances,
+                 riverside=riverside_mask(grid) if config.riverside_drift else None)
+
+
+def start(setup: Setup, seed: int) -> SimState:
+    """One seed's tick-0 state on setup: the prepark's settlement (unless
+    growth is spread over ticks) with a resident per house, or the park's
+    community members, round-robin on the hotspots, and visitor spawning."""
+    config = replace(setup.config, seed=seed)
+    grid = setup.grid
+    state = SimState(
+        config=config,
+        setup=setup,
+        field=ExcitementField.from_grid(grid, config.mu),
+        garbage=GarbageField.zeros(grid.width, grid.height),
+        rng=random.Random(seed),
+    )
+
+    if config.scenario == SCENARIO_PREPARK:
+        state.open_sites = setup.placement.legal_static.copy()
         state.neighbor_count = np.zeros((grid.height, grid.width), dtype=np.float64)
-        state.walk = walk_table(grid.walkable_mask)
         if config.houses_per_tick == 0:
             _build_houses(state, config.houses)
     else:
-        if not grid.hotspots:
-            raise ConfigError("park scenario requires at least one hotspot on the map")
-        hotspot_dist = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
-        state.step_tables = [downhill_step_table(layer) for layer in hotspot_dist]
-        state.entrances = _resolve_entrances(config, grid, hotspot_dist)
-        if config.riverside_drift:
-            state.riverside = riverside_mask(grid)
-        if config.visitor_spawn_rate > 0 and not state.entrances:
-            raise ConfigError("no walkable map-edge entrance reaches a hotspot")
         for i in range(config.n_community):
             hotspot = grid.hotspots[i % len(grid.hotspots)]
             _spawn_agent(state, AgentKind.COMMUNITY_MEMBER, hotspot.coord, home=hotspot.coord)
         # only visitors ask who is watching, and only spawning makes visitors
         if config.visitor_spawn_rate > 0:
             everyone = [[0] * grid.width for _ in range(grid.height)]
-            members = [[0] * grid.width for _ in range(grid.height)]
             for agent in state.agents:
                 x, y = agent.coord
                 everyone[y][x] += 1
-                members[y][x] += 1
-            state.occupancy = (everyone, members)
+            # every agent so far is a community member
+            state.occupancy = (everyone, [row[:] for row in everyone])
 
     _record_metrics(state, littering=0)
     return state
+
+
+def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimState:
+    """The tick-0 state of config.seed: start(prepare(config, grid), config.seed)."""
+    return start(prepare(config, grid), config.seed)
 
 
 def _watchers(occupancy: tuple[list[list[int]], list[list[int]]], me: Agent,
@@ -298,7 +319,7 @@ def _watchers(occupancy: tuple[list[list[int]], list[list[int]]], me: Agent,
 
 def _drop_litter(state: SimState, coord: Coord) -> None:
     x, y = coord
-    if state.config.riverside_drift and state.riverside[y, x]:
+    if state.config.riverside_drift and state.setup.riverside[y, x]:
         state.garbage.dump_to_river()
     else:
         state.garbage.drop_at(coord)
@@ -306,7 +327,7 @@ def _drop_litter(state: SimState, coord: Coord) -> None:
 
 def _record_metrics(state: SimState, littering: int) -> None:
     garbage = state.garbage
-    dirt = dirtiness_index(garbage, state.grid)
+    dirt = dirtiness_index(garbage, state.setup.grid)
     population = len(state.agents)
     per_capita = (garbage.in_place_total + garbage.river_total) / max(population, 1)
     state.metrics.append(MetricsRow(
@@ -325,7 +346,7 @@ def _record_metrics(state: SimState, littering: int) -> None:
 def _halt_if_stranded(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
     """Halt naming the first agent off walkable ground; (xs, ys) are the
     agents' coordinates in agent order."""
-    stranded = ~state.grid.walkable_mask[ys, xs]
+    stranded = ~state.setup.grid.walkable_mask[ys, xs]
     if stranded.any():
         agent = state.agents[int(stranded.argmax())]
         raise InvariantViolation(
@@ -351,7 +372,7 @@ def step(state: SimState) -> SimState:
     """Advance the world one tick (mutates and returns state)."""
     config = state.config
     rng = state.rng
-    grid = state.grid
+    grid = state.setup.grid
     state.tick += 1
     tick = state.tick
     prepark = config.scenario == SCENARIO_PREPARK
@@ -379,7 +400,7 @@ def step(state: SimState) -> SimState:
                     staying.append(a)
             state.agents = staying
             if rng.random() < config.visitor_spawn_rate:
-                x, y = coord = state.entrances[randbelow(rng, len(state.entrances))]
+                x, y = coord = state.setup.entrances[randbelow(rng, len(state.setup.entrances))]
                 _spawn_agent(state, AgentKind.VISITOR, coord)
                 everyone[y][x] += 1
 
@@ -395,13 +416,13 @@ def step(state: SimState) -> SimState:
     if prepark:
         # home and cell lie on the grid: a longer range admits no more cells
         home_range = min(config.resident_range, max(grid.width, grid.height))
-        walk = state.walk
+        walk = state.setup.walk
         for agent in state.agents:
             step_resident(agent, walk, rng, home_range)
     else:
         # visitors exist only where occupancy does; a move shifts one count
         occupancy = state.occupancy
-        step_tables, dwell_p = state.step_tables, config.dwell_p
+        step_tables, dwell_p = state.setup.step_tables, config.dwell_p
         stationary = config.community_stationary
         visitor = AgentKind.VISITOR
         for agent in state.agents:
@@ -456,7 +477,7 @@ def step(state: SimState) -> SimState:
 def render_frame(state: SimState) -> str:
     """Text snapshot: the terrain map with garbage digits (saturating at 9),
     'h' for houses, and 'A' for agents layered on top."""
-    rows = [list(line) for line in state.grid.chars]
+    rows = [list(line) for line in state.setup.grid.chars]
     in_place = state.garbage.in_place
     for y, x in zip(*np.nonzero(in_place)):
         rows[y][x] = str(min(9, int(in_place[y, x])))
@@ -469,12 +490,13 @@ def render_frame(state: SimState) -> str:
 
 
 def run(config: SimConfig, grid: TerrainGrid | None = None,
-        state: SimState | None = None) -> RunResult:
-    """Advance config.ticks ticks from state, a tick-0 state that
-    init_scenario(config, grid) built, or from a new one; collect metrics and
-    frames."""
-    if state is None:
-        state = init_scenario(config, grid=grid)
+        setup: Setup | None = None) -> RunResult:
+    """Advance config.ticks ticks from the tick-0 state of config.seed and
+    collect metrics and frames; setup, prepare(config, grid) unless given,
+    may come from a config that differs from this one only in its seed."""
+    if setup is None:
+        setup = prepare(config, grid)
+    state = start(setup, config.seed)
     frames: list[tuple[int, str]] = []
     if config.frame_every:
         frames.append((0, render_frame(state)))

@@ -131,7 +131,7 @@ def place_next_house(state, rng) -> Coord | None:
     if not open_sites.any():
         return None
     neighbor_count = state.neighbor_count
-    score = state.placement.base_score + config.w_neighbor * neighbor_count
+    score = state.setup.placement.base_score + config.w_neighbor * neighbor_count
     top = score[open_sites].max()
     band = open_sites & (score >= top - config.score_tolerance)
     ys, xs = np.nonzero(band)

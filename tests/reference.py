@@ -335,10 +335,10 @@ def bf_watchers(agents, me, radius):
 def bf_place_next_house(state, rng):
     """Place one house, rebuilding the occupancy and neighbour-count grids
     from state.houses; same site, score and RNG draw as
-    settlement.place_next_house. Reads only state.placement, never the
+    settlement.place_next_house. Reads only state.setup.placement, never the
     state's open_sites or neighbor_count grids."""
     config = state.config
-    fields = state.placement
+    fields = state.setup.placement
     h, w = fields.legal_static.shape
     occupied = np.zeros((h, w), dtype=bool)
     neighbor_count = np.zeros((h, w), dtype=np.float64)

@@ -138,7 +138,7 @@ class TestCriterion3PlacementLegality:
             replayed = []
             for record in state.build_log:
                 coord = (record.x, record.y)
-                rules = forbidden_site(coord, state.grid, features, roads, replayed, config)
+                rules = forbidden_site(coord, state.setup.grid, features, roads, replayed, config)
                 if rules:
                     violations += 1
                 if features.dist_to_river[record.y, record.x] < config.river_buffer:

@@ -165,32 +165,56 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("scenario", ["prepark", "park"])
     def test_each_seed_sets_up_once(self, tmp_path, monkeypatch, scenario):
-        # the first seed's state is built before --out exists and then run;
-        # no seed builds its state twice
+        # one seed-free set-up, built before --out exists, then one tick-0
+        # state per seed on it, in --seeds order
         config = write_config(tmp_path / "sim.ini", scenario=scenario, ticks=5)
-        built = []
-        real = cli.init_scenario
-        def counted(seeded, grid):
-            built.append(seeded.seed)
-            return real(seeded, grid)
+        prepared, started = [], []
+        real_prepare, real_start = engine.prepare, engine.start
 
-        monkeypatch.setattr(cli, "init_scenario", counted)
-        monkeypatch.setattr(engine, "init_scenario", counted)
+        def counted_prepare(config, grid=None):
+            prepared.append((tmp_path / "o").exists())
+            return real_prepare(config, grid)
+
+        def counted_start(setup, seed):
+            started.append(seed)
+            return real_start(setup, seed)
+
+        monkeypatch.setattr(cli, "prepare", counted_prepare)
+        monkeypatch.setattr(engine, "prepare", counted_prepare)
+        monkeypatch.setattr(engine, "start", counted_start)
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
                          "--seeds", "4,2,9"]) == 0
-        assert built == [4, 2, 9]
+        assert prepared == [False]
+        assert started == [4, 2, 9]
+
+    def test_seeds_default_to_the_config_seed(self, tmp_path):
+        terrain, elevation = default_map_paths()
+        config = tmp_path / "sim.ini"
+        config.write_text(f"[run]\nseed = 5\nticks = 10\n[terrain]\n"
+                          f"terrain_file = {terrain}\nelevation_file = {elevation}\n")
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        assert cli.main(["run", "--config", str(config), "--out", str(default)]) == 0
+        assert cli.main(["run", "--config", str(config), "--out", str(explicit),
+                         "--seeds", "5"]) == 0
+        assert sorted(p.name for p in default.iterdir()) == ["buildlog_5.csv", "metrics_5.csv"]
+        for name in ("buildlog_5.csv", "metrics_5.csv"):
+            assert (default / name).read_bytes() == (explicit / name).read_bytes()
 
     @pytest.mark.parametrize("scenario", ["prepark", "park"])
     def test_seeds_share_one_map_load(self, tmp_path, monkeypatch, scenario):
+        # the map and the scenario's static fields are built once for all seeds
         config = write_config(tmp_path / "sim.ini", scenario=scenario, ticks=25)
-        loads = []
-        real = engine.load_terrain_files
-        monkeypatch.setattr(engine, "load_terrain_files",
-                            lambda *args, **kwargs: loads.append(1) or real(*args, **kwargs))
+        static = {"park": "walkable_distance_field", "prepark": "compute_placement_fields"}
+        calls = {name: 0 for name in ("load_terrain_files", static[scenario])}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(engine, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
         out = tmp_path / "all"
         assert cli.main(["run", "--config", str(config), "--out", str(out),
                          "--seeds", "1,2,3"]) == 0
-        assert len(loads) == 1
+        assert calls == dict.fromkeys(calls, 1)
         monkeypatch.undo()
         for seed in (1, 2, 3):
             alone = tmp_path / f"seed{seed}"
@@ -200,6 +224,15 @@ class TestRunCommand:
             assert names == sorted(p.name for p in out.iterdir() if p.name.endswith(f"_{seed}.csv"))
             for name in names:
                 assert (alone / name).read_bytes() == (out / name).read_bytes()
+
+    def test_small_map_without_elevation_runs_flat(self, tmp_path):
+        # it used to read the bundled 26-row elevation sheet and exit 2
+        (tmp_path / "map.txt").write_text("~~~~~~\n......\n......\n......\n")
+        config = tmp_path / "sim.ini"
+        config.write_text("[run]\nticks = 3\n[terrain]\nterrain_file = map.txt\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert len((out / "metrics_0.csv").read_text().splitlines()) == 1 + 4
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini", ticks=5)
@@ -211,7 +244,7 @@ class TestRunCommand:
         assert out.read_text() == "keep"
 
     def test_invariant_halt_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
-        def explode(config, grid, state):
+        def explode(config, grid=None, setup=None):
             raise InvariantViolation(17, "synthetic breach")
 
         monkeypatch.setattr(cli, "run", explode)
@@ -401,6 +434,14 @@ class TestValidateCommand:
 
     def test_no_arguments_exit_2(self, capsys):
         assert cli.main(["validate"]) == 2
+
+    def test_builds_the_set_up_only(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("validate placed a house")
+
+        monkeypatch.setattr(engine, "place_next_house", refuse)
+        config = write_config(tmp_path / "sim.ini")
+        assert cli.main(["validate", "--config", str(config)]) == 0
 
     @pytest.mark.parametrize("case", ["missing_terrain", "park_without_hotspot"])
     def test_rejects_what_run_rejects_at_setup(self, tmp_path, capsys, case):

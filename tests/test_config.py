@@ -9,6 +9,7 @@ from riversim.config import (
     parse_entrances,
     parse_legend,
 )
+from riversim.engine import prepare
 from riversim.landscape import default_map_paths
 
 # Every float knob; each must be finite.
@@ -195,6 +196,20 @@ class TestFileLoading:
         config = load_config(tmp_path / "sim.ini")
         assert config.terrain_file == str(tmp_path / "map.txt")
         assert config.elevation_file is None
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_own_map_without_elevation_lies_flat(self, tmp_path, explicit):
+        # a map shaped like the bundled one must not take the bundled relief
+        terrain, elevation = default_map_paths()
+        (tmp_path / "map.txt").write_text(terrain.read_text())
+        text = "[terrain]\nterrain_file = map.txt\n"
+        if explicit:
+            text += f"elevation_file = {elevation}\n"
+        (tmp_path / "sim.ini").write_text(text)
+        config = load_config(tmp_path / "sim.ini")
+        assert config.elevation_file == (str(elevation) if explicit else None)
+        grid = prepare(config).grid
+        assert grid.elevation.any() == explicit
 
     def test_unknown_section_rejected(self, tmp_path):
         (tmp_path / "sim.ini").write_text("[weather]\nrain = yes\n")

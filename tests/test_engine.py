@@ -17,6 +17,7 @@ from riversim.engine import (
     InvariantViolation,
     init_scenario,
     metrics_to_csv,
+    prepare,
     render_frame,
     run,
     step,
@@ -101,17 +102,17 @@ class TestInitScenario:
 
     def test_auto_entrances_reach_hotspots(self, default_grid):
         config = make_config(scenario="park")
-        state = init_scenario(config, grid=default_grid)
+        entrances = prepare(config, grid=default_grid).entrances
         hotspot_dist = walkable_distance_field(
             default_grid, [h.coord for h in default_grid.hotspots]
         )
-        assert state.entrances
-        for x, y in state.entrances:
+        assert entrances
+        for x, y in entrances:
             assert x in (0, default_grid.width - 1) or y in (0, default_grid.height - 1)
             assert default_grid.is_walkable((x, y))
             assert np.isfinite(hotspot_dist[:, y, x]).any()
         # the south bank is cut off by the river and must not be an entrance
-        assert not any(y >= 21 for _, y in state.entrances)
+        assert not any(y >= 21 for _, y in entrances)
 
 
 class TestParkSetup:
@@ -124,7 +125,7 @@ class TestParkSetup:
         for drift in (False, True):
             config = make_config(scenario="park", riverside_drift=drift, ticks=5)
             state = engine.run(config, grid=default_grid).state
-            assert (state.riverside is not None) == drift
+            assert (state.setup.riverside is not None) == drift
 
     def test_riverside_mask_is_distance_one_from_river(self):
         # random maps with river cells on the map edge, branch markers,
@@ -142,10 +143,10 @@ class TestParkSetup:
             grid = grid_from("\n".join("".join(row) for row in cells))
             config = make_config(scenario="park", seed=trial, riverside_drift=True,
                                  visitor_spawn_rate=0.0)
-            state = init_scenario(config, grid=grid)
+            riverside = prepare(config, grid=grid).riverside
             expected = compute_river_features(grid).dist_to_river == 1
-            assert state.riverside.dtype == bool
-            assert np.array_equal(state.riverside, expected)
+            assert riverside.dtype == bool
+            assert np.array_equal(riverside, expected)
 
 
 class TestStep:
@@ -519,7 +520,7 @@ class TestInvariantHalt:
         if case == "visitor":
             # phase 3 draws for the spawn and its entrance before the check
             assert replay.random() < config.visitor_spawn_rate
-            randbelow(replay, len(state.entrances))
+            randbelow(replay, len(state.setup.entrances))
         with pytest.raises(InvariantViolation,
                            match=rf"tick 4: agent {agent.id} occupies non-walkable cell "
                                  r"\(0, 20\)"):
@@ -544,8 +545,8 @@ def random_park_map(rng, width, height):
 
 def fresh_counts(state):
     """(all agents, community members) per cell, counted from state.agents."""
-    everyone = [[0] * state.grid.width for _ in range(state.grid.height)]
-    members = [[0] * state.grid.width for _ in range(state.grid.height)]
+    everyone = [[0] * state.setup.grid.width for _ in range(state.setup.grid.height)]
+    members = [[0] * state.setup.grid.width for _ in range(state.setup.grid.height)]
     for agent in state.agents:
         x, y = agent.coord
         everyone[y][x] += 1
@@ -586,7 +587,7 @@ class TestWatcherCounts:
         def checked(occupancy, me, radius):
             out = watched(occupancy, me, radius)
             assert out == bf_watchers(current["state"].agents, me, radius)
-            grid = current["state"].grid
+            grid = current["state"].setup.grid
             decisions.append(me.coord in {(0, 0), (grid.width - 1, 0), (0, grid.height - 1),
                                           (grid.width - 1, grid.height - 1)})
             return out

@@ -145,7 +145,7 @@ def _assert_invariants(state) -> None:
     garbage = state.garbage
     standing = int(garbage.in_place.sum())
     assert garbage.generated_total == standing + garbage.river_total + garbage.collected_total
-    walk = state.grid.walkable_mask
+    walk = state.setup.grid.walkable_mask
     for agent in state.agents:
         x, y = agent.coord
         assert walk[y, x], (state.tick, agent.id, agent.coord)

@@ -196,7 +196,7 @@ class TestPlacement:
         # enumerate every legal site's score by the per-cell reference path
         for seed in range(10):
             state = prepark_state(FLAT_TEXT, seed=seed)
-            grid, config = state.grid, state.config
+            grid, config = state.setup.grid, state.config
             features, roads = placement_features(grid, config)
             scores = {}
             for y in range(grid.height):
@@ -221,7 +221,7 @@ class TestPlacement:
         # a shadow rng replaying one randrange over the same band must land
         # on the same coordinate and end in the same state
         fresh = prepark_state(FLAT_TEXT, seed=3)
-        fields = fresh.placement
+        fields = fresh.setup.placement
         legal = fields.legal_static
         top = fields.base_score[legal].max()
         band = legal & (fields.base_score >= top - fresh.config.score_tolerance)
@@ -259,7 +259,7 @@ class TestIncrementalPlacement:
             slow = init_scenario(config, grid=grid)
             for tick in range(w * h + 1):
                 fast.tick = slow.tick = tick
-                score = fast.placement.base_score + config.w_neighbor * fast.neighbor_count
+                score = fast.setup.placement.base_score + config.w_neighbor * fast.neighbor_count
                 if fast.open_sites.any():
                     top = score[fast.open_sites].max()
                     band = fast.open_sites & (score >= top - config.score_tolerance)
@@ -289,7 +289,7 @@ class TestGrowth:
     def test_growth_stops_at_capacity(self):
         text = "~####\n#...#\n#####"
         state = prepark_state(text, river_buffer=1, seed=1)
-        grid, config = state.grid, state.config
+        grid, config = state.setup.grid, state.config
         features, roads = placement_features(grid, config)
         capacity = sum(
             1
@@ -304,7 +304,7 @@ class TestGrowth:
         for seed in (0, 5):
             state = prepark_state(FLAT_TEXT, seed=seed)
             _build_houses(state, 25)
-            grid, config = state.grid, state.config
+            grid, config = state.setup.grid, state.config
             features, roads = placement_features(grid, config)
             replayed = []
             for house in state.houses:
