@@ -57,7 +57,7 @@ class SimConfig:
     frame_every: int = _knob("run", ">= 0", default=0)
 
     terrain_file: str = _knob("terrain", default_factory=lambda: str(default_map_paths()[0]))
-    elevation_file: str | None = _knob("terrain", default_factory=lambda: str(default_map_paths()[1]))
+    elevation_file: str | None = _knob("terrain", default=None)  # None: see map_files
     legend: dict[str, str] = _knob("terrain", default_factory=lambda: dict(DEFAULT_LEGEND))
     hotspot_base_excitement: float = _knob("terrain", "> 0", default=1.0)
     d_streams: int = _knob("terrain", ">= 0", default=3)
@@ -114,6 +114,13 @@ class SimConfig:
             validate_legend(self.legend)
         except TerrainError as exc:
             _fail("legend", f"is invalid: {exc}")
+
+    def map_files(self) -> tuple[str, str | None]:
+        """Terrain and elevation files; only the bundled map comes with a sheet."""
+        bundled_map, bundled_sheet = default_map_paths()
+        if not self.elevation_file and Path(self.terrain_file) == bundled_map:
+            return self.terrain_file, str(bundled_sheet)
+        return self.terrain_file, self.elevation_file or None
 
 
 _SECTION_OF: dict[str, str] = {spec.name: spec.metadata["section"] for spec in fields(SimConfig)}
@@ -220,10 +227,6 @@ def load_config(path: str | Path) -> SimConfig:
             if key not in SECTION_FIELDS[section]:
                 raise ConfigError(f"unknown config key {section}.{key} in {path}")
             setattr(config, key, _convert(section, key, raw, config))
-    # the bundled elevation sheet fits the bundled map only; a map without one lies flat
-    if parser.has_option("terrain", "terrain_file") and not parser.has_option(
-            "terrain", "elevation_file"):
-        config.elevation_file = None
 
     base = path.parent
     if config.terrain_file and not Path(config.terrain_file).is_absolute():

@@ -5,37 +5,33 @@ that every seed shares (config, map and the scenario's static fields), and
 ``start`` builds one seed's tick-0 ``SimState`` on it, which holds only what
 the seed changes. ``init_scenario`` and ``run`` do both.
 
-Phase order inside one tick is fixed:
+One tick is a skeleton that both scenarios share, around two steps of the
+scenario; ``step`` reads config.scenario once to pick them:
 
-1. settlement growth (prepark): up to houses_per_tick houses, each with its
-   resident, by the helper that builds them all at set-up when that is 0
-2. excitement diffusion, until the field reaches its fixed point (the map
-   and the sources never change, so a step that returns its input bit for
-   bit would do so on every later tick). Each step recomputes only the rows
-   next to a row that the last step changed (ExcitementField.changed_rows);
-   the field is settled once a step changes no row
-3. visitor despawn then spawn (park)
-4. one gather of every agent's tick-start cell and last utility
-   (dynamics.utilities_by_cell); the cells are checked against the walkable
-   mask at once, and an agent off walkable ground (put there by a library
-   caller between steps) halts the run with InvariantViolation naming it,
-   before any agent acts or draws. Then agents act in ascending id order,
-   in one loop per scenario: in the prepark every agent is a resident and
-   takes one walk step; in the park a visitor moves, picks up litter on
-   arrival and decides on littering while it dwells, and a community member
-   moves (unless stationary) and cleans up. Once all have acted, every
-   agent's utility is computed in one array pass against the gathered
-   utilities and the tick-start garbage snapshot (nothing inside the loops
-   reads utility). A clean tick, one that starts with no standing garbage,
-   takes no snapshot: its dirt term is epsilon0 * 0 for every agent
-5. house waste generation (prepark)
+1. the scenario's arrivals: prepark settlement growth, up to
+   houses_per_tick houses, each with its resident (all are built at set-up
+   when that is 0), or park visitor despawn then spawn
+2. excitement diffusion, until the field reaches its fixed point: the map
+   and the sources never change, so once a step changes no row
+   (ExcitementField.changed_rows) no later step would
+3. one gather of every agent's tick-start cell and last utility
+   (dynamics.utilities_by_cell), checked against the walkable mask at once:
+   an agent off walkable ground (put there between steps) halts the run
+   with InvariantViolation naming it, before any agent acts or draws; then
+   the garbage snapshot, unless the tick starts with no standing garbage
+4. the scenario's actions, agents in ascending id order: each resident
+   takes one walk step, then each house may emit waste; or a visitor moves,
+   picks up litter on arrival and decides on littering while it dwells, and
+   a community member moves (unless stationary) and cleans up
+5. every agent's utility in one array pass against the gathered utilities
+   and the snapshot (step 4 neither reads utility nor reaches the snapshot)
 6. metrics row + invariant checks
 
 A park that spawns visitors keeps two per-cell head counts on the state
 (``SimState.occupancy``): every agent, and community members only. Set-up
-counts the community members; phase 3 takes each despawned visitor off its
-cell and puts each new one on its entrance; in phase 4 every step that moves
-an agent moves its count. A litter decision reads who is watching off the
+counts the community members; step 1 takes each despawned visitor off its
+cell and puts each new one on its entrance; in step 4 every move of an
+agent moves its count. A litter decision reads who is watching off the
 counts in the (2 * warn_radius + 1)² window around the visitor, so it costs
 the same however many agents the park holds.
 
@@ -191,7 +187,7 @@ class RunResult:
 
 
 def _spawn_agent(state: SimState, kind: AgentKind, coord: Coord, *,
-                 home: Coord | None = None) -> Agent:
+                 home: Coord | None = None) -> None:
     agent = Agent(
         id=state.next_agent_id,
         kind=kind,
@@ -201,7 +197,6 @@ def _spawn_agent(state: SimState, kind: AgentKind, coord: Coord, *,
     )
     state.next_agent_id += 1
     state.agents.append(agent)
-    return agent
 
 
 def _build_houses(state: SimState, n: int) -> None:
@@ -237,8 +232,7 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
     config.validate()
     if grid is None:
         grid = load_terrain_files(
-            config.terrain_file,
-            config.elevation_file,
+            *config.map_files(),
             legend=config.legend,
             hotspot_base=config.hotspot_base_excitement,
         )
@@ -368,44 +362,97 @@ def _check_invariants(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
     _halt_if_stranded(state, xs, ys)
 
 
-def step(state: SimState) -> SimState:
-    """Advance the world one tick (mutates and returns state)."""
-    config = state.config
-    rng = state.rng
-    grid = state.setup.grid
-    state.tick += 1
-    tick = state.tick
-    prepark = config.scenario == SCENARIO_PREPARK
+def _prepark_walk_and_waste(state: SimState) -> int:
+    """Prepark step 4: the resident walk, then house waste; no one litters."""
+    config, rng, grid = state.config, state.rng, state.setup.grid
+    # home and cell lie on the grid: a longer range admits no more cells
+    home_range = min(config.resident_range, max(grid.width, grid.height))
+    walk = state.setup.walk
+    for agent in state.agents:
+        step_resident(agent, walk, rng, home_range)
+    generate_domestic_waste(state.houses, state.garbage, rng, config)
+    return 0
+
+
+def _park_turnover(state: SimState) -> None:
+    config, tick, rng = state.config, state.tick, state.rng
+    # only spawning makes visitors, so without it there is none to despawn
+    if config.visitor_spawn_rate > 0:
+        everyone = state.occupancy[0]
+        staying = []
+        for a in state.agents:
+            if a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length:
+                x, y = a.coord
+                everyone[y][x] -= 1
+            else:
+                staying.append(a)
+        state.agents = staying
+        if rng.random() < config.visitor_spawn_rate:
+            x, y = coord = state.setup.entrances[randbelow(rng, len(state.setup.entrances))]
+            _spawn_agent(state, AgentKind.VISITOR, coord)
+            everyone[y][x] += 1
+
+
+def _park_agents(state: SimState) -> int:
+    """Park step 4: visitors and community members act; returns the litterings."""
+    config, rng, grid = state.config, state.rng, state.setup.grid
+    garbage = state.garbage
     littering = 0
+    # visitors exist only where occupancy does; a move shifts one count
+    occupancy = state.occupancy
+    step_tables, dwell_p = state.setup.step_tables, config.dwell_p
+    stationary = config.community_stationary
+    visitor = AgentKind.VISITOR
+    for agent in state.agents:
+        if agent.kind is visitor:
+            x, y = agent.coord
+            event = step_agent(agent, grid, step_tables, rng, dwell_p)
+            if event == MOVED or event == ARRIVED:
+                everyone = occupancy[0]
+                nx, ny = agent.coord
+                everyone[y][x] -= 1
+                everyone[ny][nx] += 1
+                if event == ARRIVED:
+                    agent.carrying_litter = True
+            elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
+                nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
+                if visitor_litter_decision(agent, nearby, community_near, rng, config):
+                    _drop_litter(state, agent.coord)
+                    agent.carrying_litter = False
+                    littering += 1
+        else:
+            if not stationary:
+                if occupancy is None:
+                    step_agent(agent, grid, step_tables, rng, dwell_p)
+                else:
+                    x, y = agent.coord
+                    event = step_agent(agent, grid, step_tables, rng, dwell_p)
+                    if event == MOVED or event == ARRIVED:
+                        nx, ny = agent.coord
+                        for counts in occupancy:
+                            counts[y][x] -= 1
+                            counts[ny][nx] += 1
+            if garbage.in_place_total:
+                community_cleanup(agent.coord, garbage, config)
+    return littering
 
-    # 1. settlement growth spread over the run
-    if prepark:
+
+def step(state: SimState) -> SimState:
+    """Advance the world one tick (mutates and returns state); see the module docstring."""
+    config, grid = state.config, state.setup.grid
+    state.tick += 1
+    # 1. the scenario's arrivals, and its actions for step 4
+    if config.scenario == SCENARIO_PREPARK:
         _build_houses(state, min(config.houses_per_tick, config.houses - len(state.houses)))
-
+        act = _prepark_walk_and_waste
+    else:
+        _park_turnover(state)
+        act = _park_agents
     # 2. excitement diffusion, until its fixed point
     if not state.field.settled:
         state.field = diffuse_excitement(state.field, grid)
-
-    # 3. visitor despawn, then spawn
-    if not prepark:
-        # only spawning makes visitors, so without it there is none to despawn
-        if config.visitor_spawn_rate > 0:
-            everyone = state.occupancy[0]
-            staying = []
-            for a in state.agents:
-                if a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length:
-                    x, y = a.coord
-                    everyone[y][x] -= 1
-                else:
-                    staying.append(a)
-            state.agents = staying
-            if rng.random() < config.visitor_spawn_rate:
-                x, y = coord = state.setup.entrances[randbelow(rng, len(state.setup.entrances))]
-                _spawn_agent(state, AgentKind.VISITOR, coord)
-                everyone[y][x] += 1
-
-    # 4. agent actions, ascending id order; penalties read the tick-start
-    # utilities and garbage values, never this tick's moves or drops
+    # 3. the tick-start gather; penalties read these utilities and garbage
+    # values, never this tick's moves or drops
     occupants = utilities_by_cell(state.agents)
     # the steps below trust every agent to stand on walkable ground
     _halt_if_stranded(state, occupants[0], occupants[1])
@@ -413,61 +460,15 @@ def step(state: SimState) -> SimState:
     # a tick that starts with no standing garbage needs only the grid's shape
     garbage_snapshot = (garbage.in_place.copy() if garbage.in_place_total
                         else (grid.height, grid.width))
-    if prepark:
-        # home and cell lie on the grid: a longer range admits no more cells
-        home_range = min(config.resident_range, max(grid.width, grid.height))
-        walk = state.setup.walk
-        for agent in state.agents:
-            step_resident(agent, walk, rng, home_range)
-    else:
-        # visitors exist only where occupancy does; a move shifts one count
-        occupancy = state.occupancy
-        step_tables, dwell_p = state.setup.step_tables, config.dwell_p
-        stationary = config.community_stationary
-        visitor = AgentKind.VISITOR
-        for agent in state.agents:
-            if agent.kind is visitor:
-                x, y = agent.coord
-                event = step_agent(agent, grid, step_tables, rng, dwell_p)
-                if event == MOVED or event == ARRIVED:
-                    everyone = occupancy[0]
-                    nx, ny = agent.coord
-                    everyone[y][x] -= 1
-                    everyone[ny][nx] += 1
-                    if event == ARRIVED:
-                        agent.carrying_litter = True
-                elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
-                    nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
-                    if visitor_litter_decision(agent, nearby, community_near, rng, config):
-                        _drop_litter(state, agent.coord)
-                        agent.carrying_litter = False
-                        littering += 1
-            else:
-                if not stationary:
-                    if occupancy is None:
-                        step_agent(agent, grid, step_tables, rng, dwell_p)
-                    else:
-                        x, y = agent.coord
-                        event = step_agent(agent, grid, step_tables, rng, dwell_p)
-                        if event == MOVED or event == ARRIVED:
-                            nx, ny = agent.coord
-                            for counts in occupancy:
-                                counts[y][x] -= 1
-                                counts[ny][nx] += 1
-                if garbage.in_place_total:
-                    community_cleanup(agent.coord, garbage, config)
-    # every agent's utility in one pass; nothing in the loop above reads it
+    # 4. the scenario's actions, agents in ascending id order
+    littering = act(state)
+    # 5. every agent's utility in one pass; nothing in act reads it
     xs, ys = agent_cells(state.agents)
     penalties = crowding_penalty((xs, ys), occupants, garbage_snapshot,
                                  config.rho, config.epsilon0)
     utilities = agent_utility((xs, ys), state.field, penalties)
     for agent, utility in zip(state.agents, utilities.tolist()):
         agent.utility = utility
-
-    # 5. domestic waste
-    if prepark:
-        generate_domestic_waste(state.houses, state.garbage, rng, config)
-
     # 6. metrics and invariants
     _record_metrics(state, littering)
     _check_invariants(state, xs, ys)

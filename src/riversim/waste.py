@@ -55,7 +55,7 @@ class GarbageField:
         return self.generated_total == self.in_place_total + self.river_total + self.collected_total
 
 
-def generate_domestic_waste(houses, garbage: GarbageField, rng, config) -> GarbageField:
+def generate_domestic_waste(houses, garbage: GarbageField, rng, config) -> None:
     """Each house cell emits at most one unit this tick (probability
     waste_rate); the unit lands in the river with probability dump_to_river,
     otherwise it stacks on that cell."""
@@ -65,7 +65,6 @@ def generate_domestic_waste(houses, garbage: GarbageField, rng, config) -> Garba
                 garbage.dump_to_river()
             else:
                 garbage.drop_at(coord)
-    return garbage
 
 
 def visitor_litter_decision(
@@ -82,12 +81,10 @@ def visitor_litter_decision(
     return rng.random() < config.litter_p
 
 
-def community_cleanup(member_coord: Coord, garbage: GarbageField, config) -> GarbageField:
+def community_cleanup(member_coord: Coord, garbage: GarbageField, config) -> None:
     """Collect up to cleanup_capacity units from the member's cell and its 8
     neighbors, nearest cell first (ties row-major)."""
     remaining = config.cleanup_capacity
-    if remaining <= 0 or garbage.in_place_total == 0:
-        return garbage
     h, w = garbage.in_place.shape
     x, y = member_coord
     cells = [member_coord]
@@ -103,7 +100,6 @@ def community_cleanup(member_coord: Coord, garbage: GarbageField, config) -> Gar
             take = min(units, remaining)
             garbage.collect_at((cx, cy), take)
             remaining -= take
-    return garbage
 
 
 def dirtiness_index(garbage: GarbageField, grid: TerrainGrid) -> float:

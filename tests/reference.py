@@ -33,10 +33,21 @@ checks, the oracle for the walk table ``dynamics.step_resident`` reads.
 ``bf_watchers`` scans every agent for the ones within Chebyshev radius of a
 visitor, the oracle for ``engine._watchers``, which sums the per-cell
 occupancy counts the state keeps.
+
+``bf_run`` is a whole run built from these oracles and the draw schedule in
+the ``engine`` module docstring, the oracle for ``engine.run``: placement
+fields from the per-cell rules, BFS distance fields instead of step tables,
+agents scanned in id order, watchers found by a full scan, diffusion on
+every tick with no fixed-point shortcut, and ``rng.randrange`` wherever the
+engine draws an index. Its phases keep the order the tick loop first had:
+growth, diffusion, visitor despawn then spawn, agent actions, the utility
+pass, house waste, metrics.
 """
 
 import math
+import random
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,11 +57,17 @@ from riversim.dynamics import (
     DWELLING,
     MOVED,
     RETARGETED,
+    Agent,
     AgentKind,
     choose_next_hotspot,
     sample_geometric,
 )
-from riversim.landscape import BUILDABLE_CODE
+from riversim.landscape import (
+    BUILDABLE_CODE,
+    RIVER_CODE,
+    compute_river_features,
+    compute_road_features,
+)
 from riversim.settlement import BuildRecord
 
 RULE_NOT_BUILDABLE = "NotBuildable"
@@ -431,3 +448,164 @@ def site_preference_score(coord, grid, features, roads, houses, config):
         float(features.dist_to_river[y, x]), float(config.river_far_cap)
     )
     return config.w_neighbor * neighbors + road_term + river_term
+
+
+def buildlog_csv(records):
+    """The build log as ``riversim run`` writes it."""
+    lines = ["tick,x,y,score"] + [f"{r.tick},{r.x},{r.y},{r.score:.6f}" for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _bf_metrics_line(tick, agents, houses, garbage, n_river, littering):
+    in_place = int(garbage["in_place"].sum())
+    river = garbage["river"]
+    per_capita = (in_place + river) / max(len(agents), 1)
+    return (f"{tick},{len(agents)},{len(houses)},{in_place},{river},{garbage['collected']},"
+            f"{river / n_river:.6f},{per_capita:.6f},{littering}")
+
+
+def _bf_placement(grid, config):
+    """The static legality mask and base score, one cell at a time."""
+    features = compute_river_features(grid, config.d_streams, config.d_branch)
+    roads = compute_road_features(grid)
+    legal = np.zeros((grid.height, grid.width), dtype=bool)
+    base = np.zeros((grid.height, grid.width))
+    for y in range(grid.height):
+        for x in range(grid.width):
+            legal[y, x] = not forbidden_site((x, y), grid, features, roads, (), config)
+            base[y, x] = site_preference_score((x, y), grid, features, roads, (), config)
+    return SimpleNamespace(legal_static=legal, base_score=base)
+
+
+def _bf_entrances(config, grid, dist_fields):
+    """Configured entrances, or every walkable map-edge cell that reaches a
+    hotspot, in row-major order."""
+    if config.entrances is not None:
+        return list(config.entrances)
+    out = []
+    for y in range(grid.height):
+        for x in range(grid.width):
+            edge = x in (0, grid.width - 1) or y in (0, grid.height - 1)
+            if edge and grid.walkable_mask[y, x] and any(
+                    math.isfinite(d[y, x]) for d in dist_fields):
+                out.append((x, y))
+    return out
+
+
+def _bf_cleanup(coord, garbage, capacity):
+    """Collect up to capacity units from the cell, then from its on-grid
+    neighbours in row-major order."""
+    h, w = garbage["in_place"].shape
+    x, y = coord
+    cells = [coord] + [(nx, ny) for nx, ny in _neighbors_row_major(x, y)
+                       if 0 <= nx < w and 0 <= ny < h]
+    for cx, cy in cells:
+        take = min(int(garbage["in_place"][cy, cx]), capacity)
+        garbage["in_place"][cy, cx] -= take
+        garbage["collected"] += take
+        capacity -= take
+
+
+def bf_run(config, grid):
+    """Run config.ticks ticks of config.seed on grid the slow way; returns
+    the metrics CSV text, the build log records, the final agents and the
+    final excitement field."""
+    rng = random.Random(config.seed)
+    prepark = config.scenario == "prepark"
+    walkable = grid.walkable_mask
+    sources = [(h.coord, h.base_excitement) for h in grid.hotspots]
+    p = np.zeros((grid.height, grid.width))
+    for (x, y), base in sources:
+        p[y, x] = base
+    river_cells = [(int(x), int(y)) for y, x in zip(*np.nonzero(grid.cells == RIVER_CODE))]
+    n_river = len(river_cells)
+    garbage = {"in_place": np.zeros((grid.height, grid.width), dtype=np.int64),
+               "river": 0, "collected": 0, "generated": 0}
+    agents = []
+    state = SimpleNamespace(config=config, tick=0, houses=[], build_log=[], next_id=0)
+
+    def spawn(kind, coord, home=None):
+        agents.append(Agent(id=state.next_id, kind=kind, coord=coord, home=home,
+                            spawn_tick=state.tick))
+        state.next_id += 1
+
+    def grow(n):
+        for _ in range(n):
+            coord = bf_place_next_house(state, rng)
+            if coord is None:
+                break
+            spawn(AgentKind.RESIDENT, coord, home=coord)
+
+    if prepark:
+        state.setup = SimpleNamespace(placement=_bf_placement(grid, config))
+        if config.houses_per_tick == 0:
+            grow(config.houses)
+    else:
+        dist_fields = [bf_walkable_bfs(walkable, h.coord) for h in grid.hotspots]
+        entrances = _bf_entrances(config, grid, dist_fields)
+        riverside = bf_chebyshev_distances(walkable.shape, river_cells) == 1
+        for i in range(config.n_community):
+            coord = grid.hotspots[i % len(grid.hotspots)].coord
+            spawn(AgentKind.COMMUNITY_MEMBER, coord, home=coord)
+    lines = [_bf_metrics_line(0, agents, state.houses, garbage, n_river, 0)]
+
+    for tick in range(1, config.ticks + 1):
+        state.tick = tick
+        littering = 0
+        if prepark:
+            grow(min(config.houses_per_tick, config.houses - len(state.houses)))
+        p = bf_diffuse(p, config.mu, walkable, sources)
+        if not prepark:
+            agents[:] = [a for a in agents if not (
+                a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length)]
+            if config.visitor_spawn_rate > 0 and rng.random() < config.visitor_spawn_rate:
+                spawn(AgentKind.VISITOR, entrances[rng.randrange(len(entrances))])
+        for a in agents:
+            assert walkable[a.coord[1], a.coord[0]], (tick, a.id, a.coord)
+        utilities = bf_utilities_by_cell(agents)
+        snapshot = garbage["in_place"].copy()
+
+        for a in agents:
+            if a.kind is AgentKind.RESIDENT:
+                bf_step_resident(a, grid, rng, config.resident_range)
+            elif a.kind is AgentKind.VISITOR:
+                event = bf_step_agent(a, grid, dist_fields, rng, config.dwell_p)
+                if event == ARRIVED:
+                    a.carrying_litter = True
+                elif a.carrying_litter and event in (DWELLING, DWELL_ENDED):
+                    nearby, community = bf_watchers(agents, a, config.warn_radius)
+                    if (not community and nearby < config.warn_threshold
+                            and rng.random() < config.litter_p):
+                        x, y = a.coord
+                        if config.riverside_drift and riverside[y, x]:
+                            garbage["river"] += 1
+                        else:
+                            garbage["in_place"][y, x] += 1
+                        garbage["generated"] += 1
+                        a.carrying_litter = False
+                        littering += 1
+            else:
+                if not config.community_stationary:
+                    bf_step_agent(a, grid, dist_fields, rng, config.dwell_p)
+                _bf_cleanup(a.coord, garbage, config.cleanup_capacity)
+
+        for a in agents:
+            penalty = bf_crowding_penalty(a.coord, utilities, snapshot, config.rho, config.epsilon0)
+            a.utility = bf_agent_utility(a.coord, p, penalty)
+
+        for x, y in state.houses:
+            if rng.random() < config.waste_rate:
+                garbage["generated"] += 1
+                if rng.random() < config.dump_to_river:
+                    garbage["river"] += 1
+                else:
+                    garbage["in_place"][y, x] += 1
+
+        standing = int(garbage["in_place"].sum())
+        assert garbage["generated"] == standing + garbage["river"] + garbage["collected"], tick
+        lines.append(_bf_metrics_line(tick, agents, state.houses, garbage, n_river, littering))
+
+    header = ("tick,population,n_houses,total_in_place,river_total,collected_total,"
+              "dirtiness,garbage_per_capita,littering_events")
+    return SimpleNamespace(metrics_csv="\n".join([header] + lines) + "\n",
+                           build_log=state.build_log, agents=agents, field=p)

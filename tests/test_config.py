@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from riversim.config import (
@@ -10,7 +11,7 @@ from riversim.config import (
     parse_legend,
 )
 from riversim.engine import prepare
-from riversim.landscape import default_map_paths
+from riversim.landscape import default_map_paths, load_terrain_files
 
 # Every float knob; each must be finite.
 FLOAT_KNOBS = [
@@ -103,10 +104,10 @@ class TestConfigSurface:
                                         "waste", "park"]
 
     def test_default_config_text(self):
-        terrain, elevation = default_map_paths()
+        terrain, _ = default_map_paths()
         assert default_config_text() == (
             "[run]\nscenario = prepark\nseed = 0\nticks = 1000\nframe_every = 0\n\n"
-            f"[terrain]\nterrain_file = {terrain}\nelevation_file = {elevation}\n"
+            f"[terrain]\nterrain_file = {terrain}\nelevation_file = \n"
             "legend = ~:River, r:Riverbank, =:Road, .:Buildable, d:Delta, t:Trees, "
             "p:ParkPath, #:Obstacle, H:Hotspot, B:Branch\n"
             "hotspot_base_excitement = 1.0\nd_streams = 3\nd_branch = 2\n\n"
@@ -211,6 +212,12 @@ class TestFileLoading:
         grid = prepare(config).grid
         assert grid.elevation.any() == explicit
 
+    def test_empty_elevation_file_next_to_bundled_map_reads_its_sheet(self, tmp_path):
+        # an empty elevation_file names no sheet, so the bundled map keeps its own
+        (tmp_path / "sim.ini").write_text("[terrain]\nelevation_file =\n")
+        grid = prepare(load_config(tmp_path / "sim.ini")).grid
+        assert np.array_equal(grid.elevation, load_terrain_files(*default_map_paths()).elevation)
+
     def test_unknown_section_rejected(self, tmp_path):
         (tmp_path / "sim.ini").write_text("[weather]\nrain = yes\n")
         with pytest.raises(ConfigError, match=r"\[weather\]"):
@@ -251,3 +258,46 @@ class TestFileLoading:
     def test_inline_comments_stripped(self, tmp_path):
         (tmp_path / "sim.ini").write_text("[dynamics]\nmu = 0.5  # damping\n")
         assert load_config(tmp_path / "sim.ini").mu == 0.5
+
+
+class TestMapFiles:
+    """One rule for library configs and config files alike: the bundled map
+    comes with its elevation sheet; any other map lies flat unless
+    elevation_file names its sheet."""
+
+    SHORT_MAP = "=====\n.....\n.....\n~~~~~\n.....\n"
+
+    def test_library_config_with_own_map_lies_flat(self, tmp_path):
+        (tmp_path / "m5.txt").write_text(self.SHORT_MAP)
+        grid = prepare(SimConfig(terrain_file=str(tmp_path / "m5.txt"))).grid
+        assert grid.height == 5
+        assert not grid.elevation.any()
+
+    def test_default_and_empty_file_read_the_bundled_sheet(self, tmp_path):
+        bundled = load_terrain_files(*default_map_paths()).elevation
+        assert bundled.any()
+        (tmp_path / "empty.ini").write_text("")
+        for config in (SimConfig(), load_config(tmp_path / "empty.ini")):
+            assert np.array_equal(prepare(config).grid.elevation, bundled)
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_explicit_elevation_file_wins(self, tmp_path, from_file):
+        (tmp_path / "m5.txt").write_text(self.SHORT_MAP)
+        (tmp_path / "e5.txt").write_text("1 1 1 1 1\n1 1 1 1 1\n0 0 0 0 0\n0 0 0 0 0\n0 0 0 0 0\n")
+        if from_file:
+            (tmp_path / "sim.ini").write_text(
+                "[terrain]\nterrain_file = m5.txt\nelevation_file = e5.txt\n")
+            config = load_config(tmp_path / "sim.ini")
+        else:
+            config = SimConfig(terrain_file=str(tmp_path / "m5.txt"),
+                               elevation_file=str(tmp_path / "e5.txt"))
+        assert prepare(config).grid.elevation[:2].all()
+
+    def test_library_config_with_elevation_but_bundled_map_reads_it(self, tmp_path):
+        # a sheet named next to the bundled map replaces the bundled sheet
+        terrain, elevation = default_map_paths()
+        rows = len(terrain.read_text().splitlines())
+        width = len(terrain.read_text().splitlines()[0])
+        (tmp_path / "flat.txt").write_text("\n".join(" ".join(["0"] * width) for _ in range(rows)))
+        grid = prepare(SimConfig(elevation_file=str(tmp_path / "flat.txt"))).grid
+        assert not grid.elevation.any()

@@ -518,7 +518,7 @@ class TestInvariantHalt:
         replay = random.Random()
         replay.setstate(before)
         if case == "visitor":
-            # phase 3 draws for the spawn and its entrance before the check
+            # step 1 draws for the spawn and its entrance before the check
             assert replay.random() < config.visitor_spawn_rate
             randbelow(replay, len(state.setup.entrances))
         with pytest.raises(InvariantViolation,
