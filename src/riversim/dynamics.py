@@ -35,7 +35,9 @@ walkable cell: the tick loop checks every agent's cell once, in one array
 gather, before any agent acts (see engine.py).
 
 Every draw of an index below n goes through randbelow, which consumes the
-generator exactly as random.Random.randrange(n) does (see its docstring).
+generator exactly as random.Random.randrange(n) does (see its docstring);
+step_resident, one call per tick for every resident, runs that loop inline,
+and tests/test_whole_run.py checks it against one randrange per resident.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     tuple(offset for k, offset in enumerate(MOORE_OFFSETS) if mask >> k & 1)
     for mask in range(256)
 )
+
+# (n, n.bit_length(), steps) per walk-table mask; a resident has n = 1 + len(steps) choices
+_WALK_DRAWS = tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in DOWNHILL_STEPS)
 
 
 class AgentKind(Enum):
@@ -261,7 +266,8 @@ def randbelow(rng, n: int) -> int:
     rejection loop over getrandbits(n.bit_length()); this is that loop, so
     the value and the generator state after it are the same.
     tests/test_dynamics.py::TestRandbelow checks both against randrange on
-    the running interpreter.
+    the running interpreter. step_resident holds the one inlined copy of
+    this loop.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
@@ -398,25 +404,32 @@ def _home_range_masks(home_range: int) -> tuple[tuple[int, ...], tuple[int, ...]
     )
 
 
-def step_resident(agent: Agent, walk: Sequence[bytes], rng, home_range: int) -> None:
-    """Home-anchored random walk: move to (or stay on) a walkable cell within
-    home_range of home, uniformly; consumes exactly one randbelow draw.
+def step_resident(residents: Sequence[Agent], walk: Sequence[bytes], rng,
+                  home_range: int) -> None:
+    """One tick of the home-anchored random walk for every resident, in list
+    order: each moves to (or stays on) a walkable cell within home_range of
+    home, uniformly, and consumes exactly one randbelow draw.
 
     `walk` is the walk table (see walk_table). The choices are the current
     cell, then the walkable neighbours within range in MOORE_OFFSETS order.
     """
-    x, y = agent.coord
-    hx, hy = agent.home
     x_masks, y_masks = _home_range_masks(home_range)
     limit = home_range + 1
-    ox = x - hx + limit
-    oy = y - hy + limit
-    if 0 <= ox <= 2 * limit and 0 <= oy <= 2 * limit:
-        mask = walk[y][x] & x_masks[ox] & y_masks[oy]
-    else:
-        mask = 0
-    steps = DOWNHILL_STEPS[mask]
-    i = randbelow(rng, 1 + len(steps))
-    if i:
-        dx, dy = steps[i - 1]
-        agent.coord = (x + dx, y + dy)
+    span = 2 * limit
+    getrandbits = rng.getrandbits
+    for agent in residents:
+        x, y = agent.coord
+        hx, hy = agent.home
+        ox = x - hx + limit
+        oy = y - hy + limit
+        if 0 <= ox <= span and 0 <= oy <= span:
+            n, k, steps = _WALK_DRAWS[walk[y][x] & x_masks[ox] & y_masks[oy]]
+        else:
+            n, k, steps = _WALK_DRAWS[0]
+        # randbelow(rng, n), inlined
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        if i:
+            dx, dy = steps[i - 1]
+            agent.coord = (x + dx, y + dy)

@@ -42,10 +42,11 @@ spawn plus one randrange for the entrance when it fires; per wanderer one
 random on (re)targeting, one randrange per move, one random per dwell start;
 one randrange per resident walk; one random per litter decision reached; per
 house one random for emission plus one for river-vs-ground when it emits.
-Each "randrange" here is dynamics.randbelow: the getrandbits rejection loop
-that random.Random.randrange(n) runs for n > 0, so it leaves the generator
-in the same state; tests/test_dynamics.py::TestRandbelow holds it to that on
-the running interpreter.
+Each "randrange" here is dynamics.randbelow, inlined in step_resident: the
+getrandbits rejection loop that random.Random.randrange(n) runs for n > 0,
+so it leaves the generator in the same state;
+tests/test_dynamics.py::TestRandbelow holds it to that on the running
+interpreter.
 """
 
 from __future__ import annotations
@@ -170,10 +171,10 @@ class SimState:
     # cell, each a list of rows of ints, kept in step with every spawn,
     # despawn and move; _watchers reads them
     occupancy: tuple[list[list[int]], list[list[int]]] | None = None
-    # prepark only: the sites still open to a house and the float count of
-    # houses within neighbor_radius of each cell, both updated in place by
-    # place_next_house
-    open_sites: np.ndarray | None = None
+    # prepark only: the float count of houses within neighbor_radius of each
+    # cell, and each site's placement score (-inf where no house may go),
+    # both updated in place by place_next_house
+    site_score: np.ndarray | None = None
     neighbor_count: np.ndarray | None = None
     tick: int = 0
     next_agent_id: int = 0
@@ -272,8 +273,11 @@ def start(setup: Setup, seed: int) -> SimState:
     )
 
     if config.scenario == SCENARIO_PREPARK:
-        state.open_sites = setup.placement.legal_static.copy()
+        placement = setup.placement
         state.neighbor_count = np.zeros((grid.height, grid.width), dtype=np.float64)
+        state.site_score = np.where(
+            placement.legal_static,
+            placement.base_score + config.w_neighbor * state.neighbor_count, -np.inf)
         if config.houses_per_tick == 0:
             _build_houses(state, config.houses)
     else:
@@ -367,9 +371,7 @@ def _prepark_walk_and_waste(state: SimState) -> int:
     config, rng, grid = state.config, state.rng, state.setup.grid
     # home and cell lie on the grid: a longer range admits no more cells
     home_range = min(config.resident_range, max(grid.width, grid.height))
-    walk = state.setup.walk
-    for agent in state.agents:
-        step_resident(agent, walk, rng, home_range)
+    step_resident(state.agents, state.setup.walk, rng, home_range)
     generate_domestic_waste(state.houses, state.garbage, rng, config)
     return 0
 
@@ -416,7 +418,7 @@ def _park_agents(state: SimState) -> int:
                     agent.carrying_litter = True
             elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
                 nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
-                if visitor_litter_decision(agent, nearby, community_near, rng, config):
+                if visitor_litter_decision(nearby, community_near, rng, config):
                     _drop_litter(state, agent.coord)
                     agent.carrying_litter = False
                     littering += 1

@@ -11,13 +11,14 @@ top-scoring sites (within score_tolerance), spending exactly one RNG draw.
 This module places one house per call; ``engine`` drives growth, placing
 houses before tick 0 or a few per tick and housing a resident in each.
 
-Only two grids depend on the houses: the sites still open to a house and
-the number of houses within neighbor_radius of each cell. They live on the
-simulation state, are built once at set-up (a copy of the static legality
-mask and zeros), and each placement updates them in place: it closes its
-own cell and adds 1.0 over its clipped neighbour window. The counts are
-small integers, exact in any order, so the score of every cell is the same
-as if the grids were rebuilt from all houses.
+Only two grids depend on the houses: neighbor_count, the houses within
+neighbor_radius of each cell, and site_score, base_score + w_neighbor *
+neighbor_count on the sites still open and -inf elsewhere. They live on the
+simulation state, are built once at set-up, and each placement updates
+them in place: it closes its own cell, adds 1.0 to the counts over its
+clipped neighbour window and rescores that window's open sites with the
+same expression. The counts are small integers, exact in any order, so
+every score has the same bits as if the grids were rebuilt from all houses.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class PlacementFields:
     legal_static is True where no house-independent rule fires; base_score is
     the road + river part of the preference score. Neither changes as houses
     are added: the Occupied rule and the neighbor-count term live in the
-    state's open_sites and neighbor_count grids (see place_next_house).
+    state's site_score and neighbor_count grids (see place_next_house).
     """
 
     legal_static: np.ndarray
@@ -123,23 +124,25 @@ def place_next_house(state, rng) -> Coord | None:
     """Place one house on the best available site; return its cell, or None if none is legal.
 
     Ties within score_tolerance of the maximum are broken uniformly at
-    random; each call consumes exactly one randbelow draw. Reads and
-    updates state.open_sites and state.neighbor_count.
+    random, in row-major order; each call consumes exactly one randbelow
+    draw. Reads and updates state.site_score and state.neighbor_count.
     """
     config = state.config
-    open_sites = state.open_sites
-    if not open_sites.any():
+    site_score = state.site_score
+    top = site_score.max()
+    if top == -np.inf:
         return None
-    neighbor_count = state.neighbor_count
-    score = state.setup.placement.base_score + config.w_neighbor * neighbor_count
-    top = score[open_sites].max()
-    band = open_sites & (score >= top - config.score_tolerance)
-    ys, xs = np.nonzero(band)
-    i = randbelow(rng, len(ys))
-    x, y = int(xs[i]), int(ys[i])
-    open_sites[y, x] = False
+    band = np.flatnonzero(site_score >= top - config.score_tolerance)
+    y, x = divmod(int(band[randbelow(rng, len(band))]), site_score.shape[1])
+    score = float(site_score[y, x])
+    site_score[y, x] = -np.inf
     r = config.neighbor_radius
-    neighbor_count[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] += 1.0
+    window = np.s_[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1]
+    state.neighbor_count[window] += 1.0
+    rescored = site_score[window]
+    np.add(state.setup.placement.base_score[window],
+           config.w_neighbor * state.neighbor_count[window],
+           out=rescored, where=rescored != -np.inf)
     state.houses.append((x, y))
-    state.build_log.append(BuildRecord(tick=state.tick, x=x, y=y, score=float(score[y, x])))
+    state.build_log.append(BuildRecord(tick=state.tick, x=x, y=y, score=score))
     return x, y

@@ -59,16 +59,22 @@ def generate_domestic_waste(houses, garbage: GarbageField, rng, config) -> None:
     """Each house cell emits at most one unit this tick (probability
     waste_rate); the unit lands in the river with probability dump_to_river,
     otherwise it stacks on that cell."""
-    for coord in houses:
-        if rng.random() < config.waste_rate:
-            if rng.random() < config.dump_to_river:
-                garbage.dump_to_river()
+    random, waste_rate, dump_to_river = rng.random, config.waste_rate, config.dump_to_river
+    river = ground = 0
+    for x, y in houses:
+        if random() < waste_rate:
+            if random() < dump_to_river:
+                river += 1
             else:
-                garbage.drop_at(coord)
+                garbage.in_place[y, x] += 1
+                ground += 1
+    garbage.river_total += river
+    garbage.in_place_total += ground
+    garbage.generated_total += river + ground
 
 
 def visitor_litter_decision(
-    agent, nearby_agent_count: int, community_within_radius: bool, rng, config
+    nearby_agent_count: int, community_within_radius: bool, rng, config
 ) -> bool:
     """Whether a carrying visitor drops their leftovers right here.
 

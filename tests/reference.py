@@ -26,7 +26,8 @@ cell, the oracle for the windowed min and max of the stream labels in
 
 ``bf_place_next_house`` rebuilds the occupancy and neighbour-count grids from
 every house on each call, the oracle for ``settlement.place_next_house``,
-which keeps those grids on the state across placements. ``bf_step_resident``
+which keeps the neighbour counts and the site scores on the state across
+placements. ``bf_step_resident``
 is the resident walk as an 8-neighbour scan with bounds and home-range
 checks, the oracle for the walk table ``dynamics.step_resident`` reads.
 
@@ -353,7 +354,7 @@ def bf_place_next_house(state, rng):
     """Place one house, rebuilding the occupancy and neighbour-count grids
     from state.houses; same site, score and RNG draw as
     settlement.place_next_house. Reads only state.setup.placement, never the
-    state's open_sites or neighbor_count grids."""
+    state's site_score or neighbor_count grids."""
     config = state.config
     fields = state.setup.placement
     h, w = fields.legal_static.shape

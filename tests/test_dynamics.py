@@ -573,7 +573,7 @@ class TestResidentWalk:
         walk = walk_table(grid.walkable_mask)
         rng = random.Random(9)
         for _ in range(200):
-            step_resident(agent, walk, rng, home_range=2)
+            step_resident([agent], walk, rng, home_range=2)
             x, y = agent.coord
             assert grid.is_walkable((x, y))
             assert max(abs(x - 1), abs(y - 1)) <= 2
@@ -582,7 +582,7 @@ class TestResidentWalk:
         grid = grid_from("t.t\n.#.\nt.t", legend=None)
         # center cell is obstacle; use the walkable cell at (1, 0) boxed by range 0
         agent = Agent(0, AgentKind.RESIDENT, (1, 0), home=(1, 0))
-        step_resident(agent, walk_table(grid.walkable_mask), random.Random(0), home_range=0)
+        step_resident([agent], walk_table(grid.walkable_mask), random.Random(0), home_range=0)
         assert agent.coord == (1, 0)
 
     def test_walk_table_matches_neighbour_scan(self):
@@ -617,8 +617,48 @@ class TestResidentWalk:
                     hx, hy = home
                     outside += max(abs(x - hx), abs(y - hy)) > home_range
                     edge += x in (0, w - 1) or y in (0, h - 1)
-                    step_resident(fast, walk, fast_rng, home_range)
+                    step_resident([fast], walk, fast_rng, home_range)
                     bf_step_resident(slow, grid, slow_rng, home_range)
                     assert fast.coord == slow.coord
                     assert fast_rng.getstate() == slow_rng.getstate()
         assert outside > 0 and edge > 0
+
+    def test_one_call_steps_the_list_in_order(self):
+        # one step_resident call over a list against bf_step_resident agent
+        # by agent on one shared RNG: boxed-in residents, residents on the
+        # edge of home_range, home_range 0, and residents moved out of range
+        # by hand between ticks (they take the no-step branch)
+        rng = random.Random(43)
+        boxed = on_edge = out_of_range = 0
+        for trial in range(30):
+            w, h = rng.randint(2, 9), rng.randint(2, 9)
+            cells = [[rng.choice("....#~") for _ in range(w)] for _ in range(h)]
+            cells[rng.randrange(h)][rng.randrange(w)] = "."
+            grid = grid_from("\n".join("".join(row) for row in cells))
+            walk = walk_table(grid.walkable_mask)
+            ys, xs = np.nonzero(grid.walkable_mask)
+            open_cells = list(zip(xs.tolist(), ys.tolist()))
+            home_range = trial % 3
+            homes = [rng.choice(open_cells) for _ in range(rng.randint(1, 12))]
+            fast = [Agent(i, AgentKind.RESIDENT, home, home=home) for i, home in enumerate(homes)]
+            slow = [Agent(i, AgentKind.RESIDENT, home, home=home) for i, home in enumerate(homes)]
+            seed = rng.random()
+            fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+            for tick in range(20):
+                if tick % 7 == 6:
+                    moved = rng.randrange(len(homes))
+                    far = rng.choice(open_cells)
+                    fast[moved].coord = slow[moved].coord = far
+                for agent in fast:
+                    x, y = agent.coord
+                    hx, hy = agent.home
+                    reach = max(abs(x - hx), abs(y - hy))
+                    out_of_range += reach > home_range
+                    on_edge += reach == home_range > 0
+                    boxed += walk[y][x] == 0
+                step_resident(fast, walk, fast_rng, home_range)
+                for agent in slow:
+                    bf_step_resident(agent, grid, slow_rng, home_range)
+                assert [a.coord for a in fast] == [a.coord for a in slow]
+                assert fast_rng.getstate() == slow_rng.getstate()
+        assert boxed > 0 and on_edge > 0 and out_of_range > 0

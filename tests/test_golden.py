@@ -311,8 +311,8 @@ def test_dense_crowd_case_is_decided_by_the_count(monkeypatch):
     decisions = []
     decide = engine.visitor_litter_decision
 
-    def record(agent, nearby, community_near, rng, config):
-        drop = decide(agent, nearby, community_near, rng, config)
+    def record(nearby, community_near, rng, config):
+        drop = decide(nearby, community_near, rng, config)
         decisions.append((nearby >= config.warn_threshold, community_near, drop))
         return drop
 

@@ -232,13 +232,26 @@ class TestPlacement:
         assert shadow.getstate() == state.rng.getstate()
 
 
+def site_score_rebuilt(state):
+    """The state's site_score rebuilt from its houses alone."""
+    fields, config = state.setup.placement, state.config
+    open_sites = fields.legal_static.copy()
+    neighbor_count = np.zeros(open_sites.shape)
+    r = config.neighbor_radius
+    for x, y in state.houses:
+        open_sites[y, x] = False
+        neighbor_count[max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] += 1.0
+    return np.where(open_sites, fields.base_score + config.w_neighbor * neighbor_count, -np.inf)
+
+
 class TestIncrementalPlacement:
     def test_matches_rebuild_from_houses(self):
         # random maps with obstacles, trees, roads and optional elevation;
         # neighbor_radius 0-3 and tolerances wide enough for many-way ties;
         # each map is filled until no legal site is left. After every call
         # the grids kept on the state and the rebuild from all houses agree
-        # on the site, the bits of the logged score and the RNG state.
+        # on the site, the bits of the logged score and the RNG state, and
+        # site_score equals its own rebuild from the houses bit for bit.
         rng = random.Random(17)
         exhausted = edge = ties = 0
         for trial in range(36):
@@ -259,10 +272,9 @@ class TestIncrementalPlacement:
             slow = init_scenario(config, grid=grid)
             for tick in range(w * h + 1):
                 fast.tick = slow.tick = tick
-                score = fast.setup.placement.base_score + config.w_neighbor * fast.neighbor_count
-                if fast.open_sites.any():
-                    top = score[fast.open_sites].max()
-                    band = fast.open_sites & (score >= top - config.score_tolerance)
+                score = fast.site_score
+                if score.max() > -np.inf:
+                    band = score >= score.max() - config.score_tolerance
                     ties += np.count_nonzero(band) > 1
                 house = place_next_house(fast, fast.rng)
                 expected = bf_place_next_house(slow, slow.rng)
@@ -275,6 +287,7 @@ class TestIncrementalPlacement:
                 got, want = fast.build_log[-1], slow.build_log[-1]
                 assert (got.tick, got.x, got.y) == (want.tick, want.x, want.y)
                 assert struct.pack("<d", got.score) == struct.pack("<d", want.score)
+                assert site_score_rebuilt(fast).tobytes() == fast.site_score.tobytes()
                 x, y = house
                 edge += x in (0, w - 1) or y in (0, h - 1)
         assert exhausted == 36 and edge > 0 and ties > 0

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from riversim.dynamics import Agent, AgentKind
 from riversim.waste import (
     GarbageField,
     community_cleanup,
@@ -81,30 +80,27 @@ class TestDomesticWaste:
 
 
 class TestLitterDecision:
-    def visitor(self):
-        return Agent(0, AgentKind.VISITOR, (1, 1), carrying_litter=True)
-
     def test_community_presence_always_suppresses(self):
         config = make_config(litter_p=1.0)
         rng = random.Random(0)
         for _ in range(20):
-            assert visitor_litter_decision(self.visitor(), 0, True, rng, config) is False
+            assert visitor_litter_decision(0, True, rng, config) is False
 
     def test_alone_with_certain_litter(self):
         config = make_config(litter_p=1.0)
-        assert visitor_litter_decision(self.visitor(), 0, False, random.Random(0), config) is True
+        assert visitor_litter_decision(0, False, random.Random(0), config) is True
 
     def test_threshold_boundary_suppresses(self):
         config = make_config(litter_p=1.0, warn_threshold=2)
-        assert visitor_litter_decision(self.visitor(), 2, False, random.Random(0), config) is False
-        assert visitor_litter_decision(self.visitor(), 1, False, random.Random(0), config) is True
+        assert visitor_litter_decision(2, False, random.Random(0), config) is False
+        assert visitor_litter_decision(1, False, random.Random(0), config) is True
 
     def test_probability_respected(self):
         config = make_config(litter_p=0.25)
         rng = random.Random(21)
         n = 20000
         hits = sum(
-            visitor_litter_decision(self.visitor(), 0, False, rng, config) for _ in range(n)
+            visitor_litter_decision(0, False, rng, config) for _ in range(n)
         )
         assert abs(hits - n * 0.25) <= 3 * math.sqrt(n * 0.25 * 0.75)
 
