@@ -36,8 +36,8 @@ gather, before any agent acts (see engine.py).
 
 Every draw of an index below n goes through randbelow, which consumes the
 generator exactly as random.Random.randrange(n) does (see its docstring);
-step_resident, one call per tick for every resident, runs that loop inline,
-and tests/test_whole_run.py checks it against one randrange per resident.
+step_resident and step_agent run that loop inline, and
+tests/test_whole_run.py checks both against one randrange per agent.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +73,8 @@ DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
 
 # (n, n.bit_length(), steps) per walk-table mask; a resident has n = 1 + len(steps) choices
 _WALK_DRAWS = tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in DOWNHILL_STEPS)
+# the same per step-table mask; a wanderer en route has n = len(steps) choices
+_STEP_DRAWS = tuple((len(s), len(s).bit_length(), s) for s in DOWNHILL_STEPS)
 
 
 class AgentKind(Enum):
@@ -266,8 +268,8 @@ def randbelow(rng, n: int) -> int:
     rejection loop over getrandbits(n.bit_length()); this is that loop, so
     the value and the generator state after it are the same.
     tests/test_dynamics.py::TestRandbelow checks both against randrange on
-    the running interpreter. step_resident holds the one inlined copy of
-    this loop.
+    the running interpreter. step_resident and step_agent hold the two
+    inlined copies of this loop.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
@@ -330,13 +332,14 @@ def downhill_step_table(dist: np.ndarray) -> list[bytes]:
 
 
 def step_agent(
-    agent: Agent,
-    grid: TerrainGrid,
+    agents: Sequence[Agent],
+    hotspots: Sequence[Hotspot],
     step_tables: Sequence[Sequence[bytes]],
     rng,
     dwell_p: float,
-) -> str:
-    """Advance a wandering agent one tick; returns what happened.
+) -> Iterator[str]:
+    """Advance each wandering agent one tick, in list order, yielding what
+    happened to it before drawing for the next one.
 
     Without a target: pick one (one rng.random draw). En route: step to a
     walkable neighbor that strictly reduces BFS distance to the target the
@@ -344,33 +347,40 @@ def step_agent(
     choice); the choices come from the target's step table (see
     downhill_step_table). If no neighbor improves, the target is unreachable
     and gets re-sampled. At the target: dwell for a geometric number of
-    ticks, then clear the target.
+    ticks, then clear the target. A draw the caller makes between two
+    next() calls falls between those two agents' draws.
     """
-    x, y = agent.coord
-    if agent.target_hotspot is None:
-        agent.target_hotspot = choose_next_hotspot(None, grid.hotspots, rng)
+    coords = [h.coord for h in hotspots]
+    getrandbits = rng.getrandbits
+    for agent in agents:
+        target = agent.target_hotspot
+        if target is not None:
+            at = coords[target]
+            if agent.coord == at:
+                if agent.dwell_remaining is None:
+                    agent.dwell_remaining = sample_geometric(dwell_p, rng)
+                agent.dwell_remaining -= 1
+                if agent.dwell_remaining > 0:
+                    yield DWELLING
+                else:
+                    agent.target_hotspot = agent.dwell_remaining = None
+                    yield DWELL_ENDED
+                continue
+            x, y = agent.coord
+            n, k, steps = _STEP_DRAWS[step_tables[target][y][x]]
+            if n:
+                # randbelow(rng, n), inlined
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                dx, dy = steps[i]
+                agent.coord = (x + dx, y + dy)
+                yield ARRIVED if agent.coord == at else MOVED
+                continue
+        # no target yet, or no neighbour brings the target closer
+        agent.target_hotspot = choose_next_hotspot(target, hotspots, rng)
         agent.dwell_remaining = None
-        return RETARGETED
-
-    target = grid.hotspots[agent.target_hotspot].coord
-    if agent.coord != target:
-        steps = DOWNHILL_STEPS[step_tables[agent.target_hotspot][y][x]]
-        if steps:
-            dx, dy = steps[randbelow(rng, len(steps))]
-            agent.coord = (x + dx, y + dy)
-            return ARRIVED if agent.coord == target else MOVED
-        agent.target_hotspot = choose_next_hotspot(agent.target_hotspot, grid.hotspots, rng)
-        agent.dwell_remaining = None
-        return RETARGETED
-
-    if agent.dwell_remaining is None:
-        agent.dwell_remaining = sample_geometric(dwell_p, rng)
-    agent.dwell_remaining -= 1
-    if agent.dwell_remaining <= 0:
-        agent.target_hotspot = None
-        agent.dwell_remaining = None
-        return DWELL_ENDED
-    return DWELLING
+        yield RETARGETED
 
 
 def walk_table(walkable: np.ndarray) -> list[bytes]:

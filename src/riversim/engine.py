@@ -42,11 +42,13 @@ spawn plus one randrange for the entrance when it fires; per wanderer one
 random on (re)targeting, one randrange per move, one random per dwell start;
 one randrange per resident walk; one random per litter decision reached; per
 house one random for emission plus one for river-vs-ground when it emits.
-Each "randrange" here is dynamics.randbelow, inlined in step_resident: the
-getrandbits rejection loop that random.Random.randrange(n) runs for n > 0,
-so it leaves the generator in the same state;
+Each "randrange" here is dynamics.randbelow, inlined in step_resident and
+step_agent: the getrandbits rejection loop that random.Random.randrange(n)
+runs for n > 0, so it leaves the generator in the same state;
 tests/test_dynamics.py::TestRandbelow holds it to that on the running
-interpreter.
+interpreter. One step_agent generator per tick steps the wanderers and
+draws for the next one only when asked, so a visitor's litter decision
+falls between its own move and the next wanderer's.
 """
 
 from __future__ import annotations
@@ -377,18 +379,19 @@ def _prepark_walk_and_waste(state: SimState) -> int:
 
 
 def _park_turnover(state: SimState) -> None:
-    config, tick, rng = state.config, state.tick, state.rng
+    config, rng = state.config, state.rng
     # only spawning makes visitors, so without it there is none to despawn
     if config.visitor_spawn_rate > 0:
         everyone = state.occupancy[0]
-        staying = []
-        for a in state.agents:
-            if a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length:
-                x, y = a.coord
-                everyone[y][x] -= 1
-            else:
-                staying.append(a)
-        state.agents = staying
+        agents, visitor = state.agents, AgentKind.VISITOR
+        # visitors spawned at or before last_gone have stayed visit_length ticks
+        last_gone = state.tick - config.visit_length
+        state.agents = [a for a in agents if a.kind is not visitor or a.spawn_tick > last_gone]
+        if len(state.agents) < len(agents):
+            for a in agents:
+                if a.kind is visitor and a.spawn_tick <= last_gone:
+                    x, y = a.coord
+                    everyone[y][x] -= 1
         if rng.random() < config.visitor_spawn_rate:
             x, y = coord = state.setup.entrances[randbelow(rng, len(state.setup.entrances))]
             _spawn_agent(state, AgentKind.VISITOR, coord)
@@ -397,18 +400,21 @@ def _park_turnover(state: SimState) -> None:
 
 def _park_agents(state: SimState) -> int:
     """Park step 4: visitors and community members act; returns the litterings."""
-    config, rng, grid = state.config, state.rng, state.setup.grid
+    config, rng = state.config, state.rng
     garbage = state.garbage
     littering = 0
     # visitors exist only where occupancy does; a move shifts one count
     occupancy = state.occupancy
-    step_tables, dwell_p = state.setup.step_tables, config.dwell_p
     stationary = config.community_stationary
     visitor = AgentKind.VISITOR
+    wanderers = [a for a in state.agents if a.kind is visitor] if stationary else state.agents
+    # one generator steps the wanderers in list order, one per next()
+    moves = step_agent(wanderers, state.setup.grid.hotspots, state.setup.step_tables, rng,
+                       config.dwell_p)
     for agent in state.agents:
         if agent.kind is visitor:
             x, y = agent.coord
-            event = step_agent(agent, grid, step_tables, rng, dwell_p)
+            event = next(moves)
             if event == MOVED or event == ARRIVED:
                 everyone = occupancy[0]
                 nx, ny = agent.coord
@@ -425,10 +431,10 @@ def _park_agents(state: SimState) -> int:
         else:
             if not stationary:
                 if occupancy is None:
-                    step_agent(agent, grid, step_tables, rng, dwell_p)
+                    next(moves)
                 else:
                     x, y = agent.coord
-                    event = step_agent(agent, grid, step_tables, rng, dwell_p)
+                    event = next(moves)
                     if event == MOVED or event == ARRIVED:
                         nx, ny = agent.coord
                         for counts in occupancy:

@@ -89,10 +89,13 @@ def visitor_litter_decision(
 
 def community_cleanup(member_coord: Coord, garbage: GarbageField, config) -> None:
     """Collect up to cleanup_capacity units from the member's cell and its 8
-    neighbors, nearest cell first (ties row-major)."""
+    neighbors, nearest cell first (ties row-major); a window, clipped to
+    the map, that holds no garbage returns at once."""
+    x, y = member_coord
+    if not garbage.in_place[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2].any():
+        return
     remaining = config.cleanup_capacity
     h, w = garbage.in_place.shape
-    x, y = member_coord
     cells = [member_coord]
     for dx, dy in MOORE_OFFSETS:
         nx, ny = x + dx, y + dy

@@ -509,8 +509,8 @@ def _bf_cleanup(coord, garbage, capacity):
 
 def bf_run(config, grid):
     """Run config.ticks ticks of config.seed on grid the slow way; returns
-    the metrics CSV text, the build log records, the final agents and the
-    final excitement field."""
+    the metrics CSV text, the build log records, the final agents, the
+    final excitement field and the final standing garbage grid."""
     rng = random.Random(config.seed)
     prepark = config.scenario == "prepark"
     walkable = grid.walkable_mask
@@ -609,4 +609,5 @@ def bf_run(config, grid):
     header = ("tick,population,n_houses,total_in_place,river_total,collected_total,"
               "dirtiness,garbage_per_capita,littering_events")
     return SimpleNamespace(metrics_csv="\n".join([header] + lines) + "\n",
-                           build_log=state.build_log, agents=agents, field=p)
+                           build_log=state.build_log, agents=agents, field=p,
+                           garbage=garbage["in_place"])

@@ -450,7 +450,7 @@ class TestStepAgent:
     def test_adjacent_agent_arrives_in_one_tick(self):
         grid, tables, agent = wander_setup("H....", (1, 0))
         agent.target_hotspot = 0
-        event = step_agent(agent, grid, tables, random.Random(0), dwell_p=0.25)
+        event = next(step_agent([agent], grid.hotspots, tables, random.Random(0), dwell_p=0.25))
         assert event == ARRIVED
         assert agent.coord == (0, 0)
 
@@ -461,7 +461,7 @@ class TestStepAgent:
         rng = random.Random(1)
         events = []
         for _ in range(k):
-            events.append(step_agent(agent, grid, tables, rng, dwell_p=0.25))
+            events.append(next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25)))
         assert events[-1] == ARRIVED
         assert all(e == MOVED for e in events[:-1])
         assert agent.coord == (0, 0)
@@ -471,7 +471,7 @@ class TestStepAgent:
         grid, tables, agent = wander_setup("H.t.H\n..t..\n..t..", (3, 1))
         agent.target_hotspot = 0
         rng = random.Random(2)
-        event = step_agent(agent, grid, tables, rng, dwell_p=0.25)
+        event = next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25))
         assert event == RETARGETED
         assert agent.coord == (3, 1)
         assert agent.target_hotspot == 1
@@ -479,7 +479,7 @@ class TestStepAgent:
 
     def test_untargeted_agent_picks_target_first(self):
         grid, tables, agent = wander_setup("H....", (3, 0))
-        event = step_agent(agent, grid, tables, random.Random(0), dwell_p=0.25)
+        event = next(step_agent([agent], grid.hotspots, tables, random.Random(0), dwell_p=0.25))
         assert event == RETARGETED
         assert agent.target_hotspot == 0
         assert agent.coord == (3, 0)
@@ -488,7 +488,7 @@ class TestStepAgent:
         grid, tables, agent = wander_setup("H....", (0, 0))
         agent.target_hotspot = 0
         rng = random.Random(0)
-        event = step_agent(agent, grid, tables, rng, dwell_p=1.0)
+        event = next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=1.0))
         assert event == DWELL_ENDED
         assert agent.target_hotspot is None
         assert agent.dwell_remaining is None
@@ -501,11 +501,12 @@ class TestStepAgent:
             def random(self):
                 return 0.9  # geometric(0.5) -> 4 ticks
 
-            def randrange(self, n):
+            def getrandbits(self, k):
                 return 0
 
         rng = FixedRng()
-        events = [step_agent(agent, grid, tables, rng, dwell_p=0.5) for _ in range(4)]
+        events = [next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.5))
+                  for _ in range(4)]
         assert events == [DWELLING, DWELLING, DWELLING, DWELL_ENDED]
 
     def test_distance_never_increases_en_route(self):
@@ -515,7 +516,7 @@ class TestStepAgent:
         rng = random.Random(3)
         d = dist[agent.coord[1], agent.coord[0]]
         while agent.coord != (0, 0):
-            step_agent(agent, grid, tables, rng, dwell_p=0.25)
+            next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25))
             nd = dist[agent.coord[1], agent.coord[0]]
             assert nd == d - 1
             d = nd
@@ -546,7 +547,7 @@ class TestStepTables:
                         mask = tables[target][fast.coord[1]][fast.coord[0]]
                         ties += bin(mask).count("1") > 1
                         unreachable += mask == 0
-                    event = step_agent(fast, grid, tables, fast_rng, dwell_p=0.3)
+                    event = next(step_agent([fast], grid.hotspots, tables, fast_rng, dwell_p=0.3))
                     expected = bf_step_agent(slow, grid, layers, slow_rng, dwell_p=0.3)
                     assert (event, fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
                         expected, slow.coord, slow.target_hotspot, slow.dwell_remaining
@@ -561,9 +562,44 @@ class TestStepTables:
         agent.target_hotspot = 0
         rng, replay = random.Random(5), random.Random(5)
         assert dynamics.DOWNHILL_STEPS[tables[0][0][2]] == ((-1, 0),)
-        step_agent(agent, grid, tables, rng, dwell_p=0.25)
+        next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25))
         replay.randrange(1)
         assert rng.getstate() == replay.getstate()
+
+    def test_one_call_steps_the_list_in_order(self):
+        # one step_agent call per tick over up to 12 agents against
+        # bf_step_agent agent by agent on one shared RNG; on half the ticks
+        # the caller draws between two yields, as a litter decision does.
+        # After every yield the event, the agent and the RNG state agree.
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(30):
+            grid = grid_from(walled_park_map(rng, rng.randint(3, 10), rng.randint(3, 10)))
+            layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+            tables = [downhill_step_table(layer) for layer in layers]
+            ys, xs = np.nonzero(grid.walkable_mask)
+            starts = [(int(xs[i]), int(ys[i]))
+                      for i in (rng.randrange(len(xs)) for _ in range(rng.randint(1, 12)))]
+            targets = [rng.choice([None, rng.randrange(len(grid.hotspots))]) for _ in starts]
+            fast = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
+                    for i, (c, t) in enumerate(zip(starts, targets))]
+            slow = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
+                    for i, (c, t) in enumerate(zip(starts, targets))]
+            seed = rng.random()
+            fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+            for tick in range(25):
+                moves = step_agent(fast, grid.hotspots, tables, fast_rng, dwell_p=0.3)
+                for f, s in zip(fast, slow):
+                    event = next(moves)
+                    expected = bf_step_agent(s, grid, layers, slow_rng, dwell_p=0.3)
+                    seen.add(event)
+                    assert (event, f.coord, f.target_hotspot, f.dwell_remaining) == (
+                        expected, s.coord, s.target_hotspot, s.dwell_remaining
+                    )
+                    assert fast_rng.getstate() == slow_rng.getstate()
+                    if tick % 2:
+                        assert fast_rng.random() == slow_rng.random()
+        assert seen == {RETARGETED, MOVED, ARRIVED, DWELLING, DWELL_ENDED}
 
 
 class TestResidentWalk:

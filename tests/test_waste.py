@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from riversim.landscape import MOORE_OFFSETS
 from riversim.waste import (
     GarbageField,
     community_cleanup,
@@ -155,6 +157,42 @@ class TestCommunityCleanup:
         garbage.drop_at((1, 0))
         community_cleanup((0, 0), garbage, config)
         assert garbage.collected_total == 2
+
+    # a 6x4 map, so rows and columns cannot be swapped unnoticed
+    @pytest.mark.parametrize("member", [
+        (2, 0), (0, 2), (3, 3), (5, 1),          # row 0, column 0, last row, last column
+        (0, 0), (5, 0), (0, 3), (5, 3),          # the corners
+    ])
+    def test_garbage_on_a_clipped_window_is_collected(self, member):
+        # garbage only on the member's cell or only on one on-grid neighbour
+        # of a member on the map's edge is still collected
+        config = make_config(cleanup_capacity=1)
+        x, y = member
+        for dx, dy in ((0, 0),) + MOORE_OFFSETS:
+            cell = (x + dx, y + dy)
+            if not (0 <= cell[0] < 6 and 0 <= cell[1] < 4):
+                continue
+            garbage = GarbageField.zeros(6, 4)
+            garbage.drop_at(cell)
+            community_cleanup(member, garbage, config)
+            assert (garbage.collected_total, garbage.in_place_total) == (1, 0), cell
+            assert garbage.ledger_balanced()
+
+    def test_clean_window_leaves_everything_untouched(self):
+        # garbage on every cell just outside the member's 3x3 window
+        config = make_config(cleanup_capacity=9)
+        garbage = GarbageField.zeros(7, 7)
+        for x in range(7):
+            for y in range(7):
+                if max(abs(x - 3), abs(y - 3)) == 2:
+                    garbage.drop_at((x, y))
+        before = garbage.in_place.copy()
+        ledger = (garbage.generated_total, garbage.in_place_total, garbage.river_total,
+                  garbage.collected_total)
+        community_cleanup((3, 3), garbage, config)
+        assert np.array_equal(garbage.in_place, before)
+        assert (garbage.generated_total, garbage.in_place_total, garbage.river_total,
+                garbage.collected_total) == ledger
 
 
 class TestDirtinessIndex:

@@ -7,10 +7,27 @@ draws lean toward the cases where composition faults show: visits of length
 0, several visitors near one another, small warning thresholds and radii,
 diffusion factors at which the field settles within the run.
 
+Two more generators aim at the park paths where the paper's question is
+decided, which the uniform draws reach only thinly (swarm testing: switch a
+feature set on together rather than draw each knob alone):
+
+- ``make_litter_case``: garbage-heavy parks. Visitors almost always litter,
+  one to three roaming community members with small capacities clean up,
+  and hotspots sit next to each other, next to the river and on the map's
+  edge, so cleanup meets garbage on several cells of its window, on clipped
+  windows, and litter drifts into the river under ``riverside_drift``. The
+  test asserts that at least half of its cases collect garbage and at least
+  a quarter drift litter into the river.
+- ``make_crowd_case``: crowds of 60 to 120 agents on maps of about 20x20
+  for 60 ticks, with and without visitor spawning, so the occupancy counts
+  and the watcher windows hold many agents.
+
 The two runs must agree byte for byte on the metrics CSV and the build log,
-on the final agents and their utilities as float bits, and on the final
-excitement field as float bits. A park whose spawning finds no entrance is
-rejected at set-up with ConfigError, and such a case is discarded.
+on the final agents and their utilities as float bits, on the final
+excitement field as float bits, and on the final standing garbage grid. A
+park whose spawning finds no entrance is rejected at set-up with
+ConfigError; such a uniform case is discarded, and the two aimed generators
+make none.
 """
 
 import random
@@ -27,6 +44,7 @@ from reference import bf_run, buildlog_csv
 
 MAX_SIDE = 9
 MAX_TICKS = 40
+CROWD_TICKS = 60
 
 # buildable land and roads mostly, so that settlements grow and agents roam
 CELLS = "......==rpptd#"
@@ -70,14 +88,25 @@ def _config(rng: random.Random, scenario: str) -> SimConfig:
     )
 
 
+def _river_map(rng: random.Random, width: int, height: int, cells: str) -> tuple[list, int]:
+    """Rows of map characters with one full river row, and that row."""
+    rows = [[rng.choice(cells) for _ in range(width)] for _ in range(height)]
+    river_row = rng.randrange(height)
+    rows[river_row] = ["~"] * width
+    return rows, river_row
+
+
+def _load(rows: list, config: SimConfig, elevation: str | None = None):
+    return load_terrain("\n".join("".join(row) for row in rows), elevation,
+                        hotspot_base=config.hotspot_base_excitement)
+
+
 def make_case(case_seed: int):
     """(config, grid) of one generated case."""
     rng = random.Random(case_seed)
     width, height = rng.randint(3, MAX_SIDE), rng.randint(3, MAX_SIDE)
     scenario = rng.choice(["prepark", "park"])
-    cells = [[rng.choice(CELLS) for _ in range(width)] for _ in range(height)]
-    river_row = rng.randrange(height)
-    cells[river_row] = ["~"] * width
+    cells, river_row = _river_map(rng, width, height, CELLS)
     if scenario == "park":
         land = [y for y in range(height) if y != river_row]
         for _ in range(rng.randint(1, 3)):
@@ -87,23 +116,98 @@ def make_case(case_seed: int):
         elevation = "\n".join(" ".join(str(rng.randint(-3, 9)) for _ in range(width))
                               for _ in range(height))
     config = _config(rng, scenario)
-    grid = load_terrain("\n".join("".join(row) for row in cells), elevation,
-                        hotspot_base=config.hotspot_base_excitement)
-    return config, grid
+    return config, _load(cells, config, elevation)
+
+
+def make_litter_case(case_seed: int):
+    """(config, grid) of one garbage-heavy park."""
+    rng = random.Random(case_seed)
+    width, height = rng.randint(3, MAX_SIDE), rng.randint(3, MAX_SIDE)
+    rows, river_row = _river_map(rng, width, height, "......=pr")
+    drift = rng.random() < 0.5
+    land = [(x, y) for y in range(height) if y != river_row for x in range(width)]
+    banks = [(x, y) for x, y in land if abs(y - river_row) == 1]
+    edges = [(x, y) for x, y in land if x in (0, width - 1) or y in (0, height - 1)]
+    # the first hotspot on the river bank (mostly, under drift), on the map's
+    # edge or anywhere on land; each other one mostly next to an earlier one,
+    # so that garbage lies on neighbouring cells
+    hotspots = [rng.choice(banks if drift and rng.random() < 0.7 else rng.choice([edges, land]))]
+    for _ in range(rng.randint(1, 3)):
+        x, y = rng.choice(hotspots)
+        near = [c for c in land if max(abs(c[0] - x), abs(c[1] - y)) == 1]
+        cell = rng.choice(near if near and rng.random() < 0.6 else land)
+        if cell not in hotspots:
+            hotspots.append(cell)
+    for x, y in hotspots:
+        rows[y][x] = "H"
+    config = SimConfig(
+        scenario="park",
+        seed=rng.randrange(2**16),
+        ticks=rng.randint(30, 60),
+        hotspot_base_excitement=rng.uniform(0.1, 5.0),
+        mu=rng.choice([0.0, 0.5, rng.random()]),
+        rho=rng.uniform(0.0, 2.0),
+        epsilon0=rng.uniform(0.1, 1.0),
+        dwell_p=rng.uniform(0.2, 0.8),
+        litter_p=rng.choice([1.0, rng.uniform(0.8, 1.0)]),
+        warn_threshold=rng.choice([20, 100]),
+        warn_radius=rng.choice([0, 0, 1]),
+        cleanup_capacity=rng.randint(1, 3),
+        riverside_drift=drift,
+        visitor_spawn_rate=rng.uniform(0.6, 1.0),
+        visit_length=rng.randint(10, 30),
+        n_community=rng.randint(1, min(3, len(hotspots) - 1)) if len(hotspots) > 1 else 1,
+    )
+    return config, _load(rows, config)
+
+
+def make_crowd_case(case_seed: int):
+    """(config, grid) of one park holding 60 to 120 agents at its peak; odd
+    seeds spawn a visitor every tick, even seeds hold only community members."""
+    rng = random.Random(case_seed)
+    width, height = rng.randint(17, 21), rng.randint(17, 21)
+    rows, river_row = _river_map(rng, width, height, ".........=prt#")
+    land = [y for y in range(height) if y != river_row]
+    for _ in range(rng.randint(3, 8)):
+        rows[rng.choice(land)][rng.randrange(width)] = "H"
+    spawning = case_seed % 2 == 1
+    if spawning:
+        # the visitors at the peak number min(visit_length, ticks)
+        visit_length = rng.randint(50, CROWD_TICKS)
+        n_community = rng.randint(60 - visit_length, 20)
+    else:
+        visit_length, n_community = 0, rng.randint(60, 120)
+    config = SimConfig(
+        scenario="park",
+        seed=rng.randrange(2**16),
+        ticks=CROWD_TICKS,
+        hotspot_base_excitement=rng.uniform(0.1, 5.0),
+        mu=rng.choice([0.0, 0.5, rng.random()]),
+        rho=rng.uniform(0.0, 2.0),
+        epsilon0=rng.random(),
+        dwell_p=rng.uniform(0.1, 0.8),
+        litter_p=rng.choice([1.0, rng.random()]),
+        warn_threshold=rng.randint(1, 25),
+        warn_radius=rng.randint(0, 3),
+        cleanup_capacity=rng.randint(0, 3),
+        riverside_drift=rng.random() < 0.5,
+        visitor_spawn_rate=1.0 if spawning else 0.0,
+        visit_length=visit_length,
+        n_community=n_community,
+        community_stationary=rng.random() < 0.25,
+    )
+    return config, _load(rows, config)
 
 
 def _bits(values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(st.integers(0, 2**32 - 1))
-def test_engine_run_matches_reference_run(case_seed):
-    config, grid = make_case(case_seed)
-    try:
-        result = run(config, grid)
-    except ConfigError:
-        reject()
+def _assert_runs_agree(config, grid):
+    """Run config on grid with engine.run and with bf_run and compare the
+    outputs; returns the engine's final state. Raises ConfigError when set-up
+    rejects the case."""
+    result = run(config, grid)
     expected = bf_run(config, grid)
     state = result.state
     assert metrics_to_csv(result.metrics) == expected.metrics_csv
@@ -113,3 +217,46 @@ def test_engine_run_matches_reference_run(case_seed):
         (a.id, a.kind, a.coord) for a in expected.agents]
     assert _bits([a.utility for a in state.agents]) == _bits([a.utility for a in expected.agents])
     assert state.field.p.tobytes() == expected.field.tobytes()
+    assert np.array_equal(state.garbage.in_place, expected.garbage)
+    return state
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_engine_run_matches_reference_run(case_seed):
+    config, grid = make_case(case_seed)
+    try:
+        _assert_runs_agree(config, grid)
+    except ConfigError:
+        reject()
+
+
+LITTER_CASES = 60
+CROWD_CASES = 20
+
+
+def test_garbage_heavy_parks_match_reference_run():
+    collected = drifted = 0
+    for case_seed in range(LITTER_CASES):
+        config, grid = make_litter_case(case_seed)
+        try:
+            state = _assert_runs_agree(config, grid)
+        except AssertionError as error:
+            raise AssertionError(f"litter case {case_seed}") from error
+        collected += state.garbage.collected_total > 0
+        drifted += config.riverside_drift and state.garbage.river_total > 0
+    # the generator must keep feeding cleanup and drift
+    assert collected >= LITTER_CASES // 2
+    assert drifted >= LITTER_CASES // 4
+
+
+def test_crowds_match_reference_run():
+    peaks = []
+    for case_seed in range(CROWD_CASES):
+        config, grid = make_crowd_case(case_seed)
+        try:
+            state = _assert_runs_agree(config, grid)
+        except AssertionError as error:
+            raise AssertionError(f"crowd case {case_seed}") from error
+        peaks.append(max(row.population for row in state.metrics))
+    assert all(60 <= peak <= 120 for peak in peaks), peaks
