@@ -2,7 +2,8 @@
 
 Each knob is declared once, as a SimConfig field that names its INI section,
 its default and its legal range (see _knob and _RANGES); SECTION_FIELDS and
-validate are derived from those declarations. Float knobs must be finite.
+validate are derived from those declarations. Float knobs must be finite,
+and dwell_p large enough that 1 - dwell_p rounds below 1.
 Config files are INI-style text with one section per concern (see
 SECTION_FIELDS). All values have defaults, so an empty file is a valid
 config that runs the bundled riverside map; ``riversim validate
@@ -108,6 +109,9 @@ class SimConfig:
             if within is not None and not _RANGES[within](value):
                 finite = "finite and " if isinstance(value, float) else ""
                 _fail(spec.name, f"must be {finite}{within}, got {value}")
+        if 1.0 - self.dwell_p == 1.0:
+            # a geometric dwell divides by log(1 - dwell_p), which is 0 here
+            _fail("dwell_p", f"is too small: 1 - dwell_p rounds to 1, got {self.dwell_p}")
         if not self.terrain_file:
             _fail("terrain_file", "must point at a terrain map")
         try:

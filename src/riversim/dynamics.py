@@ -25,7 +25,10 @@ walk downhill on that hotspot's BFS distance field, dwell a geometric number
 of ticks, then pick the next one. The map never changes, so each hotspot's
 downhill moves are worked out once, at set-up, into a step table: one byte
 per cell whose bits name the neighbours a wanderer may step to. A move reads
-one byte instead of scanning 8 neighbours. Residents do a home-anchored
+one byte instead of scanning 8 neighbours. The picks are worked out at
+set-up too, into draw tables: per excluded hotspot (none, or the target
+being left), the other hotspots' running weight sums and their total, so a
+pick is one bisect (see hotspot_draw_tables). Residents do a home-anchored
 random walk on a walk table of the same form, built at prepark set-up: one
 byte per cell whose bits name its walkable neighbours. A resident's move
 masks that byte with the neighbours that keep it within home_range of home
@@ -43,10 +46,11 @@ tests/test_whole_run.py checks both against one randrange per agent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,6 +79,9 @@ DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
 _WALK_DRAWS = tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in DOWNHILL_STEPS)
 # the same per step-table mask; a wanderer en route has n = len(steps) choices
 _STEP_DRAWS = tuple((len(s), len(s).bit_length(), s) for s in DOWNHILL_STEPS)
+
+# one entry of hotspot_draw_tables: (candidate indices, bounds, total weight)
+HotspotDraw = tuple[list[int], list[float], float]
 
 
 class AgentKind(Enum):
@@ -286,29 +293,51 @@ def sample_geometric(p: float, rng) -> int:
     return int(math.log(1.0 - u) / math.log(1.0 - p)) + 1
 
 
-def choose_next_hotspot(current: int | None, hotspots: Sequence[Hotspot], rng) -> int:
-    """Sample a hotspot index != current, weighted by base excitement.
+def hotspot_draw_tables(hotspots: Sequence[Hotspot]) -> dict[int | None, HotspotDraw]:
+    """What choose_next_hotspot draws from, one entry per excluded hotspot:
+    None (an agent without a target), then each index.
 
-    A single hotspot is always returned outright; otherwise one rng.random()
-    draw is consumed.
+    An entry holds the candidates (every other hotspot, in index order), one
+    bound per candidate and the total weight. The bounds are the running
+    sums of the candidates' base excitements, added from 0.0 in index order
+    as a scan adds them; where a negative weight makes them fall, their
+    running maximum, whose first value above a draw is still the first
+    running sum above it. The total is sum() of the weights, which Python
+    3.12+ compensates, so it need not equal the last running sum. With fewer
+    than two hotspots no entry has bounds: there is nothing to draw.
     """
     n = len(hotspots)
-    if n == 0:
-        raise ValueError("no hotspots configured")
-    if n == 1:
-        return 0
-    indices = [i for i in range(n) if i != current]
-    weights = [hotspots[i].base_excitement for i in indices]
-    total = sum(weights)
+    if n < 2:
+        return {current: (list(range(n)), [], 0.0) for current in (None, *range(n))}
+    base = [h.base_excitement for h in hotspots]
+    tables = {}
+    for current in (None, *range(n)):
+        k = n if current is None else current
+        weights = base[:k] + base[k + 1:]
+        bounds = list(accumulate(weights, initial=0.0))[1:]
+        if min(weights) < 0:
+            bounds = list(accumulate(bounds, max))
+        tables[current] = ([*range(k), *range(k + 1, n)], bounds, sum(weights))
+    return tables
+
+
+def choose_next_hotspot(draw: HotspotDraw, rng) -> int:
+    """Sample a hotspot from one entry of hotspot_draw_tables, weighted by
+    base excitement.
+
+    One rng.random() draw times the total picks the first candidate whose
+    running sum exceeds it, or the last candidate when none does. A lone
+    hotspot is returned outright, with no draw.
+    """
+    indices, bounds, total = draw
+    if not bounds:
+        if not indices:
+            raise ValueError("no hotspots configured")
+        return indices[0]
     if total <= 0:
         raise ValueError("hotspot excitement weights sum to zero")
-    r = rng.random() * total
-    acc = 0.0
-    for i, wgt in zip(indices, weights):
-        acc += wgt
-        if r < acc:
-            return i
-    return indices[-1]
+    i = bisect_right(bounds, rng.random() * total)
+    return indices[min(i, len(indices) - 1)]
 
 
 def downhill_step_table(dist: np.ndarray) -> list[bytes]:
@@ -335,6 +364,7 @@ def step_agent(
     agents: Sequence[Agent],
     hotspots: Sequence[Hotspot],
     step_tables: Sequence[Sequence[bytes]],
+    draw_tables: dict[int | None, HotspotDraw],
     rng,
     dwell_p: float,
 ) -> Iterator[str]:
@@ -346,9 +376,11 @@ def step_agent(
     most, ties broken uniformly (one randbelow draw, even for a single
     choice); the choices come from the target's step table (see
     downhill_step_table). If no neighbor improves, the target is unreachable
-    and gets re-sampled. At the target: dwell for a geometric number of
-    ticks, then clear the target. A draw the caller makes between two
-    next() calls falls between those two agents' draws.
+    and gets re-sampled among the others. A pick reads the draw_tables
+    entry of the hotspot it excludes (see hotspot_draw_tables). At the
+    target: dwell for a geometric number of ticks, then clear the target. A
+    draw the caller makes between two next() calls falls between those two
+    agents' draws.
     """
     coords = [h.coord for h in hotspots]
     getrandbits = rng.getrandbits
@@ -378,7 +410,7 @@ def step_agent(
                 yield ARRIVED if agent.coord == at else MOVED
                 continue
         # no target yet, or no neighbour brings the target closer
-        agent.target_hotspot = choose_next_hotspot(target, hotspots, rng)
+        agent.target_hotspot = choose_next_hotspot(draw_tables[target], rng)
         agent.dwell_remaining = None
         yield RETARGETED
 

@@ -39,8 +39,9 @@ A single random.Random(seed) drives the run and every draw happens in the
 order above, so a (config, seed) pair replays to byte-identical metrics.
 Draw schedule: one randrange per house placement; one random for visitor
 spawn plus one randrange for the entrance when it fires; per wanderer one
-random on (re)targeting, one randrange per move, one random per dwell start;
-one randrange per resident walk; one random per litter decision reached; per
+random on (re)targeting (none when the map has a single hotspot), one
+randrange per move, one random per dwell start (none at dwell_p = 1); one
+randrange per resident walk; one random per litter decision reached; per
 house one random for emission plus one for river-vs-ground when it emits.
 Each "randrange" here is dynamics.randbelow, inlined in step_resident and
 step_agent: the getrandbits rejection loop that random.Random.randrange(n)
@@ -67,11 +68,13 @@ from .dynamics import (
     Agent,
     AgentKind,
     ExcitementField,
+    HotspotDraw,
     agent_cells,
     agent_utility,
     crowding_penalty,
     diffuse_excitement,
     downhill_step_table,
+    hotspot_draw_tables,
     randbelow,
     step_agent,
     step_resident,
@@ -147,9 +150,12 @@ class Setup:
     config: SimConfig
     grid: TerrainGrid
     # park only: per hotspot, the step table built from its BFS layer (rows
-    # of bytes, see downhill_step_table); the entrances; and, under
+    # of bytes, see downhill_step_table); per excluded hotspot, the draw
+    # table a wanderer picks its next hotspot from (see
+    # dynamics.hotspot_draw_tables); the entrances; and, under
     # riverside_drift, the cells next to the river, where litter washes in
     step_tables: list[list[bytes]] = field(default_factory=list)
+    draw_tables: dict[int | None, HotspotDraw] = field(default_factory=dict)
     entrances: tuple[Coord, ...] = ()
     riverside: np.ndarray | None = None
     # prepark only: the static placement fields and the residents' walk
@@ -256,6 +262,7 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
         raise ConfigError("no walkable map-edge entrance reaches a hotspot")
     return Setup(config, grid,
                  step_tables=[downhill_step_table(layer) for layer in hotspot_dist],
+                 draw_tables=hotspot_draw_tables(grid.hotspots),
                  entrances=entrances,
                  riverside=riverside_mask(grid) if config.riverside_drift else None)
 
@@ -312,9 +319,12 @@ def _watchers(occupancy: tuple[list[list[int]], list[list[int]]], me: Agent,
     everyone, members = occupancy
     x, y = me.coord
     x0, x1 = max(x - radius, 0), min(x + radius + 1, len(everyone[0]))
-    rows = range(max(y - radius, 0), min(y + radius + 1, len(everyone)))
-    count = sum(sum(everyone[row][x0:x1]) for row in rows) - 1  # not me
-    return count, any(any(members[row][x0:x1]) for row in rows)
+    y0, y1 = max(y - radius, 0), min(y + radius + 1, len(everyone))
+    count, watched = -1, False  # -1: not me
+    for all_row, member_row in zip(everyone[y0:y1], members[y0:y1]):
+        count += sum(all_row[x0:x1])
+        watched = watched or any(member_row[x0:x1])
+    return count, watched
 
 
 def _drop_litter(state: SimState, coord: Coord) -> None:
@@ -409,8 +419,9 @@ def _park_agents(state: SimState) -> int:
     visitor = AgentKind.VISITOR
     wanderers = [a for a in state.agents if a.kind is visitor] if stationary else state.agents
     # one generator steps the wanderers in list order, one per next()
-    moves = step_agent(wanderers, state.setup.grid.hotspots, state.setup.step_tables, rng,
-                       config.dwell_p)
+    setup = state.setup
+    moves = step_agent(wanderers, setup.grid.hotspots, setup.step_tables, setup.draw_tables,
+                       rng, config.dwell_p)
     for agent in state.agents:
         if agent.kind is visitor:
             x, y = agent.coord

@@ -15,7 +15,11 @@ for the placement-legality acceptance criterion.
 ``bf_walkable_bfs`` is a queue BFS from one source, the oracle for each layer
 of the stacked ``walkable_distance_field``; ``bf_step_agent`` is the
 wanderer move as an 8-neighbour scan of the distance field, the oracle for
-the step tables ``dynamics.step_agent`` reads.
+the step tables ``dynamics.step_agent`` reads. ``bf_choose_next_hotspot``
+rebuilds the candidates and their weights on every pick and scans the
+running sum, the oracle for the draw tables
+``dynamics.hotspot_draw_tables`` builds and ``choose_next_hotspot``
+bisects.
 
 ``bf_nearest_cell_fields`` is the nearest-source search as one whole-grid
 pass per source cell, in row-major source order, the oracle for the exact
@@ -38,9 +42,10 @@ occupancy counts the state keeps.
 ``bf_run`` is a whole run built from these oracles and the draw schedule in
 the ``engine`` module docstring, the oracle for ``engine.run``: placement
 fields from the per-cell rules, BFS distance fields instead of step tables,
-agents scanned in id order, watchers found by a full scan, diffusion on
-every tick with no fixed-point shortcut, and ``rng.randrange`` wherever the
-engine draws an index. Its phases keep the order the tick loop first had:
+hotspot picks by a linear scan instead of draw tables, agents scanned in id
+order, watchers found by a full scan, diffusion on every tick with no
+fixed-point shortcut, and ``rng.randrange`` wherever the engine draws an
+index. Its phases keep the order the tick loop first had:
 growth, diffusion, visitor despawn then spawn, agent actions, the utility
 pass, house waste, metrics.
 """
@@ -60,7 +65,6 @@ from riversim.dynamics import (
     RETARGETED,
     Agent,
     AgentKind,
-    choose_next_hotspot,
     sample_geometric,
 )
 from riversim.landscape import (
@@ -276,6 +280,31 @@ def bf_walkable_bfs(walkable, source):
     return dist
 
 
+def bf_choose_next_hotspot(current, hotspots, rng):
+    """Sample a hotspot index != current, weighted by base excitement.
+
+    A single hotspot is always returned outright; otherwise one rng.random()
+    draw is consumed.
+    """
+    n = len(hotspots)
+    if n == 0:
+        raise ValueError("no hotspots configured")
+    if n == 1:
+        return 0
+    indices = [i for i in range(n) if i != current]
+    weights = [hotspots[i].base_excitement for i in indices]
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("hotspot excitement weights sum to zero")
+    r = rng.random() * total
+    acc = 0.0
+    for i, wgt in zip(indices, weights):
+        acc += wgt
+        if r < acc:
+            return i
+    return indices[-1]
+
+
 def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
     """One wanderer tick, scanning the 8 neighbours on the target's BFS
     distance field (dist_fields[i] is an (H, W) array): step to a walkable
@@ -284,7 +313,7 @@ def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
     re-target. Same events and RNG draws as dynamics.step_agent."""
     x, y = agent.coord
     if agent.target_hotspot is None:
-        agent.target_hotspot = choose_next_hotspot(None, grid.hotspots, rng)
+        agent.target_hotspot = bf_choose_next_hotspot(None, grid.hotspots, rng)
         agent.dwell_remaining = None
         return RETARGETED
     target = grid.hotspots[agent.target_hotspot].coord
@@ -306,7 +335,7 @@ def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
         if best is not None and best < dist[y, x]:
             agent.coord = ties[rng.randrange(len(ties))]
             return ARRIVED if agent.coord == target else MOVED
-        agent.target_hotspot = choose_next_hotspot(agent.target_hotspot, grid.hotspots, rng)
+        agent.target_hotspot = bf_choose_next_hotspot(agent.target_hotspot, grid.hotspots, rng)
         agent.dwell_remaining = None
         return RETARGETED
     if agent.dwell_remaining is None:

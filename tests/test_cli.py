@@ -55,6 +55,18 @@ class TestRunCommand:
         assert code == 2
         assert "dynamics.mu" in capsys.readouterr().err
 
+    def test_dwell_p_too_small_for_a_geometric_dwell_exits_2(self, tmp_path, capsys):
+        # 1 - 1e-300 rounds to 1: the dwell draw would divide by log(1.0) = 0
+        config = write_config(tmp_path / "sim.ini", scenario="park", ticks=5,
+                              extra="\n[dynamics]\ndwell_p = 1e-300\n")
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(config), "--out", str(out), "--seeds", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: dynamics.dwell_p ")
+        assert not out.exists()
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        assert "dynamics.dwell_p" in capsys.readouterr().err
+
     def test_overwrite_refused_without_force(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini", ticks=5)
         out = tmp_path / "out"

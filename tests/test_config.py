@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from riversim.config import (
     parse_entrances,
     parse_legend,
 )
+from riversim.dynamics import sample_geometric
 from riversim.engine import prepare
 from riversim.landscape import default_map_paths, load_terrain_files
 
@@ -48,6 +52,10 @@ class TestValidation:
         ("epsilon0", -0.5, "dynamics.epsilon0"),
         ("dwell_p", 0.0, "dynamics.dwell_p"),
         ("dwell_p", 1.2, "dynamics.dwell_p"),
+        # 1 - dwell_p rounds to 1, so log(1 - dwell_p) would be 0
+        ("dwell_p", 1e-300, "dynamics.dwell_p"),
+        ("dwell_p", 5e-324, "dynamics.dwell_p"),
+        ("dwell_p", 2.0**-54, "dynamics.dwell_p"),
         ("waste_rate", 1.1, "waste.waste_rate"),
         ("dump_to_river", -0.2, "waste.dump_to_river"),
         ("litter_p", 7.0, "waste.litter_p"),
@@ -65,6 +73,13 @@ class TestValidation:
         config = SimConfig(**{field: value})
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
             config.validate()
+
+    def test_smallest_usable_dwell_p_accepted(self):
+        # the least float above 2**-54 leaves 1 - dwell_p below 1, so the
+        # geometric dwell has a finite, non-zero log to divide by
+        dwell_p = math.nextafter(2.0**-54, 1.0)
+        SimConfig(dwell_p=dwell_p).validate()
+        assert sample_geometric(dwell_p, random.Random(0)) >= 1
 
     def test_scenario_normalized(self):
         config = SimConfig(scenario="PrePark")

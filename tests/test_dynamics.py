@@ -18,6 +18,7 @@ from riversim.dynamics import (
     crowding_penalty,
     diffuse_excitement,
     downhill_step_table,
+    hotspot_draw_tables,
     randbelow,
     sample_geometric,
     step_agent,
@@ -25,11 +26,12 @@ from riversim.dynamics import (
     utilities_by_cell,
     walk_table,
 )
-from riversim.landscape import walkable_distance_field
+from riversim.landscape import Hotspot, walkable_distance_field
 
 from conftest import grid_from, make_config, walled_park_map
 from reference import (
     bf_agent_utility,
+    bf_choose_next_hotspot,
     bf_crowding_penalty,
     bf_diffuse,
     bf_step_agent,
@@ -371,38 +373,46 @@ class TestRandbelow:
             assert fast.getstate() == slow.getstate()
 
 
+def pick(current, hotspots, rng):
+    """One choose_next_hotspot pick, from freshly built draw tables."""
+    return choose_next_hotspot(hotspot_draw_tables(hotspots)[current], rng)
+
+
 class TestHotspotChoice:
     def test_single_hotspot_always_chosen(self):
         grid = grid_from("H..\n...")
         rng = random.Random(0)
-        for _ in range(5):
-            assert choose_next_hotspot(0, grid.hotspots, rng) == 0
+        state = rng.getstate()
+        for current in (0, None) * 3:
+            assert pick(current, grid.hotspots, rng) == 0
+        # a lone hotspot draws nothing
+        assert rng.getstate() == state
 
     def test_two_equal_hotspots_split_evenly(self):
         grid = grid_from("H.H\n...")
+        draw = hotspot_draw_tables(grid.hotspots)[None]
         rng = random.Random(123)
         counts = [0, 0]
         n = 10000
         for _ in range(n):
-            counts[choose_next_hotspot(None, grid.hotspots, rng)] += 1
+            counts[choose_next_hotspot(draw, rng)] += 1
         # chi-square with 1 dof; critical value at p=0.01 is 6.635
         expected = n / 2
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 6.635
 
     def test_current_target_excluded_and_renormalized(self):
-        from riversim.landscape import Hotspot
-
         hotspots = (
             Hotspot((0, 0), 1.0),
             Hotspot((2, 0), 2.0),
             Hotspot((4, 0), 1.0),
         )
+        draw = hotspot_draw_tables(hotspots)[1]
         rng = random.Random(7)
         counts = {0: 0, 2: 0}
         n = 10000
         for _ in range(n):
-            choice = choose_next_hotspot(1, hotspots, rng)
+            choice = choose_next_hotspot(draw, rng)
             assert choice != 1
             counts[choice] += 1
         # with the weight-2 hotspot excluded, the remaining 1:1 weights split evenly
@@ -410,19 +420,95 @@ class TestHotspotChoice:
         assert chi2 < 6.635
 
     def test_weighted_sampling_follows_base_excitement(self):
-        from riversim.landscape import Hotspot
-
         hotspots = (Hotspot((0, 0), 1.0), Hotspot((2, 0), 3.0))
+        draw = hotspot_draw_tables(hotspots)[None]
         rng = random.Random(11)
         n = 12000
-        hits = sum(choose_next_hotspot(None, hotspots, rng) for _ in range(n))
+        hits = sum(choose_next_hotspot(draw, rng) for _ in range(n))
         expected = n * 0.75
         chi2 = (hits - expected) ** 2 / expected + ((n - hits) - n * 0.25) ** 2 / (n * 0.25)
         assert chi2 < 6.635
 
     def test_no_hotspots_rejected(self):
-        with pytest.raises(ValueError):
-            choose_next_hotspot(None, (), random.Random(0))
+        # the tables build; the pick raises
+        tables = hotspot_draw_tables(())
+        with pytest.raises(ValueError, match="no hotspots configured"):
+            choose_next_hotspot(tables[None], random.Random(0))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_weights_summing_to_zero_or_less_rejected(self, weight):
+        tables = hotspot_draw_tables([Hotspot((i, 0), weight) for i in range(3)])
+        for current in (None, 0, 1, 2):
+            with pytest.raises(ValueError, match="sum to zero"):
+                choose_next_hotspot(tables[current], random.Random(0))
+
+    @staticmethod
+    def _weight_sets(rng):
+        """Hotspot weight lists: random unequal positive weights for every n
+        in 2..70, repeated tenths (whose running sum falls short of the
+        compensated sum() on Python 3.12+), and signed weights, some of
+        which sum to zero or less."""
+        for n in range(2, 71):
+            yield [rng.uniform(0.01, 5.0) for _ in range(n)]
+        for k in range(2, 31):
+            yield [0.1] * k
+        for _ in range(40):
+            yield [rng.uniform(-1.0, 3.0) for _ in range(rng.randint(2, 12))]
+
+    def test_draws_match_linear_scan(self):
+        # draw for draw against the linear scan, on two generators from one
+        # seed: same pick (or the same error) and the same generator state
+        # for every excluded hotspot
+        rng = random.Random(5)
+        raised = 0
+        for weights in self._weight_sets(rng):
+            hotspots = [Hotspot((i, 0), w) for i, w in enumerate(weights)]
+            tables = hotspot_draw_tables(hotspots)
+            assert list(tables) == [None, *range(len(hotspots))]
+            seed = rng.random()
+            fast, slow = random.Random(seed), random.Random(seed)
+            for current in [None, *range(len(hotspots))] * 3:
+                try:
+                    expected = bf_choose_next_hotspot(current, hotspots, slow)
+                except ValueError:
+                    raised += 1
+                    with pytest.raises(ValueError):
+                        choose_next_hotspot(tables[current], fast)
+                    continue
+                assert choose_next_hotspot(tables[current], fast) == expected
+                assert fast.getstate() == slow.getstate()
+        assert raised > 0
+
+    @pytest.mark.parametrize("u,weights,expected", [
+        (0.5, [1.0, 1.0], 1),            # r == 1.0, the first running sum
+        (0.5, [1.0, 0.0, 1.0], 2),       # and a zero weight is skipped
+        (0.0, [0.0, 0.0, 2.0], 2),       # r == 0.0 skips leading zero weights
+    ])
+    def test_draw_on_a_running_sum_takes_the_next_candidate(self, u, weights, expected):
+        # the scan picks the first candidate whose running sum exceeds r
+        class FixedRng:
+            def random(self):
+                return u
+
+        hotspots = [Hotspot((i, 0), w) for i, w in enumerate(weights)]
+        assert pick(None, hotspots, FixedRng()) == expected
+        assert bf_choose_next_hotspot(None, hotspots, FixedRng()) == expected
+
+    def test_draw_past_last_running_sum_picks_last_candidate(self):
+        # a draw of 1.0 scales to the total itself, which is not below the
+        # last running sum: the scan falls through to its last candidate
+        class FixedRng:
+            def random(self):
+                return 1.0
+
+        hotspots = [Hotspot((i, 0), 0.1) for i in range(11)]
+        tables = hotspot_draw_tables(hotspots)
+        for current in (None, 3, 10):
+            indices, bounds, total = tables[current]
+            assert total >= bounds[-1]
+            last = indices[-1]
+            assert choose_next_hotspot(tables[current], FixedRng()) == last
+            assert bf_choose_next_hotspot(current, hotspots, FixedRng()) == last
 
 
 class TestGeometricDwell:
@@ -443,58 +529,61 @@ def wander_setup(text, agent_coord, hotspot_base=1.0):
     layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
     tables = [downhill_step_table(layer) for layer in layers]
     agent = Agent(0, AgentKind.VISITOR, agent_coord)
-    return grid, tables, agent
+    return grid, tables, hotspot_draw_tables(grid.hotspots), agent
 
 
 class TestStepAgent:
     def test_adjacent_agent_arrives_in_one_tick(self):
-        grid, tables, agent = wander_setup("H....", (1, 0))
+        grid, tables, draws, agent = wander_setup("H....", (1, 0))
         agent.target_hotspot = 0
-        event = next(step_agent([agent], grid.hotspots, tables, random.Random(0), dwell_p=0.25))
+        event = next(step_agent([agent], grid.hotspots, tables, draws, random.Random(0),
+                                dwell_p=0.25))
         assert event == ARRIVED
         assert agent.coord == (0, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_corridor_arrival_takes_exactly_k_ticks(self, k):
-        grid, tables, agent = wander_setup("H....", (k, 0))
+        grid, tables, draws, agent = wander_setup("H....", (k, 0))
         agent.target_hotspot = 0
         rng = random.Random(1)
         events = []
         for _ in range(k):
-            events.append(next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25)))
+            events.append(next(step_agent([agent], grid.hotspots, tables, draws, rng,
+                                          dwell_p=0.25)))
         assert events[-1] == ARRIVED
         assert all(e == MOVED for e in events[:-1])
         assert agent.coord == (0, 0)
 
     def test_unreachable_target_resampled_without_moving(self):
         # two hotspots; the left one is walled off from the agent
-        grid, tables, agent = wander_setup("H.t.H\n..t..\n..t..", (3, 1))
+        grid, tables, draws, agent = wander_setup("H.t.H\n..t..\n..t..", (3, 1))
         agent.target_hotspot = 0
         rng = random.Random(2)
-        event = next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25))
+        event = next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.25))
         assert event == RETARGETED
         assert agent.coord == (3, 1)
         assert agent.target_hotspot == 1
         assert grid.is_walkable(agent.coord)
 
     def test_untargeted_agent_picks_target_first(self):
-        grid, tables, agent = wander_setup("H....", (3, 0))
-        event = next(step_agent([agent], grid.hotspots, tables, random.Random(0), dwell_p=0.25))
+        grid, tables, draws, agent = wander_setup("H....", (3, 0))
+        event = next(step_agent([agent], grid.hotspots, tables, draws, random.Random(0),
+                                dwell_p=0.25))
         assert event == RETARGETED
         assert agent.target_hotspot == 0
         assert agent.coord == (3, 0)
 
     def test_dwell_then_release(self):
-        grid, tables, agent = wander_setup("H....", (0, 0))
+        grid, tables, draws, agent = wander_setup("H....", (0, 0))
         agent.target_hotspot = 0
         rng = random.Random(0)
-        event = next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=1.0))
+        event = next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=1.0))
         assert event == DWELL_ENDED
         assert agent.target_hotspot is None
         assert agent.dwell_remaining is None
 
     def test_long_dwell_reports_dwelling(self):
-        grid, tables, agent = wander_setup("H....", (0, 0))
+        grid, tables, draws, agent = wander_setup("H....", (0, 0))
         agent.target_hotspot = 0
 
         class FixedRng:
@@ -505,18 +594,18 @@ class TestStepAgent:
                 return 0
 
         rng = FixedRng()
-        events = [next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.5))
+        events = [next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.5))
                   for _ in range(4)]
         assert events == [DWELLING, DWELLING, DWELLING, DWELL_ENDED]
 
     def test_distance_never_increases_en_route(self):
-        grid, tables, agent = wander_setup("H.........\n..........\n..........", (9, 2))
+        grid, tables, draws, agent = wander_setup("H.........\n..........\n..........", (9, 2))
         (dist,) = walkable_distance_field(grid, [(0, 0)])
         agent.target_hotspot = 0
         rng = random.Random(3)
         d = dist[agent.coord[1], agent.coord[0]]
         while agent.coord != (0, 0):
-            next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25))
+            next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.25))
             nd = dist[agent.coord[1], agent.coord[0]]
             assert nd == d - 1
             d = nd
@@ -533,6 +622,7 @@ class TestStepTables:
             grid = grid_from(walled_park_map(rng, rng.randint(3, 12), rng.randint(3, 12)))
             layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
             tables = [downhill_step_table(layer) for layer in layers]
+            draws = hotspot_draw_tables(grid.hotspots)
             ys, xs = np.nonzero(grid.walkable_mask)
             for _ in range(4):
                 i = rng.randrange(len(xs))
@@ -547,7 +637,8 @@ class TestStepTables:
                         mask = tables[target][fast.coord[1]][fast.coord[0]]
                         ties += bin(mask).count("1") > 1
                         unreachable += mask == 0
-                    event = next(step_agent([fast], grid.hotspots, tables, fast_rng, dwell_p=0.3))
+                    event = next(step_agent([fast], grid.hotspots, tables, draws, fast_rng,
+                                            dwell_p=0.3))
                     expected = bf_step_agent(slow, grid, layers, slow_rng, dwell_p=0.3)
                     assert (event, fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
                         expected, slow.coord, slow.target_hotspot, slow.dwell_remaining
@@ -558,11 +649,11 @@ class TestStepTables:
     def test_single_step_still_draws(self):
         # a corridor cell has one downhill step, and the move still consumes
         # one randrange, as the draw schedule promises
-        grid, tables, agent = wander_setup("H....", (2, 0))
+        grid, tables, draws, agent = wander_setup("H....", (2, 0))
         agent.target_hotspot = 0
         rng, replay = random.Random(5), random.Random(5)
         assert dynamics.DOWNHILL_STEPS[tables[0][0][2]] == ((-1, 0),)
-        next(step_agent([agent], grid.hotspots, tables, rng, dwell_p=0.25))
+        next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.25))
         replay.randrange(1)
         assert rng.getstate() == replay.getstate()
 
@@ -577,6 +668,7 @@ class TestStepTables:
             grid = grid_from(walled_park_map(rng, rng.randint(3, 10), rng.randint(3, 10)))
             layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
             tables = [downhill_step_table(layer) for layer in layers]
+            draws = hotspot_draw_tables(grid.hotspots)
             ys, xs = np.nonzero(grid.walkable_mask)
             starts = [(int(xs[i]), int(ys[i]))
                       for i in (rng.randrange(len(xs)) for _ in range(rng.randint(1, 12)))]
@@ -588,7 +680,7 @@ class TestStepTables:
             seed = rng.random()
             fast_rng, slow_rng = random.Random(seed), random.Random(seed)
             for tick in range(25):
-                moves = step_agent(fast, grid.hotspots, tables, fast_rng, dwell_p=0.3)
+                moves = step_agent(fast, grid.hotspots, tables, draws, fast_rng, dwell_p=0.3)
                 for f, s in zip(fast, slow):
                     event = next(moves)
                     expected = bf_step_agent(s, grid, layers, slow_rng, dwell_p=0.3)

@@ -2,9 +2,12 @@
 
 Each generated case is a map of at most 12x12 cells in the default legend,
 an optional elevation sheet of the same shape, and an in-range config for
-either scenario with at most 30 ticks; in some cases one float knob is NaN
-or infinite instead, and set-up must then raise ConfigError. Set-up must
-either succeed or raise ConfigError/TerrainError. A run that sets up keeps
+either scenario with at most 30 ticks. Each float knob sits, one time in
+four, at an edge of its legal range instead: an included end, the smallest
+positive float, 1e-300, the float just below 1, or the largest finite
+float. In some cases one float knob is NaN or infinite, and set-up must
+then raise ConfigError. Set-up must either succeed or raise
+ConfigError/TerrainError. A run that sets up keeps
 the garbage ledger balanced and every agent on a walkable cell at every
 tick, and two ``riversim run`` invocations give byte-identical outputs.
 ``riversim validate`` on the same file exits 2 exactly when set-up raised,
@@ -22,14 +25,16 @@ writes no traceback.
 import contextlib
 import io
 import math
+import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riversim import cli
-from riversim.config import SECTION_FIELDS, ConfigError, load_config
+from riversim.config import SECTION_FIELDS, ConfigError, SimConfig, load_config
 from riversim.engine import CSV_HEADER, init_scenario, step
 from riversim.landscape import DEFAULT_LEGEND, TerrainError
 
@@ -83,6 +88,18 @@ FLOAT_KNOBS = (
 
 _SECTION = {name: section for section, names in SECTION_FIELDS.items() for name in names}
 
+TINY = 5e-324  # the smallest positive float
+BELOW_ONE = math.nextafter(1.0, 0.0)
+# per legal range (config._RANGES), its included ends and the floats just
+# inside each end
+EDGES = {
+    ">= 0": (0.0, TINY, 1e-300, sys.float_info.max),
+    "> 0": (TINY, 1e-300, sys.float_info.max),
+    "within [0, 1]": (0.0, TINY, 1e-300, BELOW_ONE, 1.0),
+    "within (0, 1]": (TINY, 1e-300, BELOW_ONE, 1.0),
+}
+_WITHIN = {spec.name: spec.metadata["within"] for spec in fields(SimConfig)}
+
 
 @st.composite
 def cases(draw):
@@ -98,6 +115,9 @@ def cases(draw):
         elevation = [" ".join(str(v) for v in draw(st.lists(levels, min_size=width, max_size=width)))
                      for _ in range(height)]
     values = {name: draw(strategy) for name, strategy in CONFIG_FIELDS.items()}
+    for name in FLOAT_KNOBS:
+        if draw(st.integers(0, 3)) == 0:
+            values[name] = draw(st.sampled_from(EDGES[_WITHIN[name]]))
     if draw(st.integers(0, 4)) == 0:
         values[draw(st.sampled_from(FLOAT_KNOBS))] = draw(
             st.sampled_from([math.nan, math.inf, -math.inf]))

@@ -20,7 +20,9 @@ feature set on together rather than draw each knob alone):
   a quarter drift litter into the river.
 - ``make_crowd_case``: crowds of 60 to 120 agents on maps of about 20x20
   for 60 ticks, with and without visitor spawning, so the occupancy counts
-  and the watcher windows hold many agents.
+  and the watcher windows hold many agents. Beside the spawned visitors the
+  community ranges from none to dense, so litter decisions meet windows
+  with and without a member in them.
 
 The two runs must agree byte for byte on the metrics CSV and the build log,
 on the final agents and their utilities as float bits, on the final
@@ -163,7 +165,9 @@ def make_litter_case(case_seed: int):
 
 def make_crowd_case(case_seed: int):
     """(config, grid) of one park holding 60 to 120 agents at its peak; odd
-    seeds spawn a visitor every tick, even seeds hold only community members."""
+    seeds spawn a visitor every tick, even seeds hold only community members.
+    The spawning seeds cycle through three community densities beside the
+    visitors: none, a few members, and 30 or more."""
     rng = random.Random(case_seed)
     width, height = rng.randint(17, 21), rng.randint(17, 21)
     rows, river_row = _river_map(rng, width, height, ".........=prt#")
@@ -172,9 +176,17 @@ def make_crowd_case(case_seed: int):
         rows[rng.choice(land)][rng.randrange(width)] = "H"
     spawning = case_seed % 2 == 1
     if spawning:
+        density = case_seed // 2 % 3
         # the visitors at the peak number min(visit_length, ticks)
-        visit_length = rng.randint(50, CROWD_TICKS)
-        n_community = rng.randint(60 - visit_length, 20)
+        visit_length = rng.randint(CROWD_TICKS if density == 0 else 50, CROWD_TICKS + 20)
+        visitors = min(visit_length, CROWD_TICKS)
+        least = 60 - visitors
+        if density == 0:
+            n_community = 0
+        elif density == 1:
+            n_community = rng.randint(max(least, 1), least + 4)
+        else:
+            n_community = rng.randint(30, 120 - visitors)
     else:
         visit_length, n_community = 0, rng.randint(60, 120)
     config = SimConfig(
