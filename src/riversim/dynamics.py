@@ -20,19 +20,20 @@ bincount sums the utilities per cell in agent order, and the neighbour sums
 add the 8 gathered rows in MOORE_OFFSETS order, so every value is
 bit-identical to summing agent by agent.
 
-Wanderers pick a hotspot with probability proportional to base excitement,
-walk downhill on that hotspot's BFS distance field, dwell a geometric number
-of ticks, then pick the next one. The map never changes, so each hotspot's
-downhill moves are worked out once, at set-up, into a step table: one byte
-per cell whose bits name the neighbours a wanderer may step to. A move reads
-one byte instead of scanning 8 neighbours. The picks are worked out at
-set-up too, into draw tables: per excluded hotspot (none, or the target
-being left), the other hotspots' running weight sums and their total, so a
-pick is one bisect (see hotspot_draw_tables). Residents do a home-anchored
-random walk on a walk table of the same form, built at prepark set-up: one
-byte per cell whose bits name its walkable neighbours. A resident's move
-masks that byte with the neighbours that keep it within home_range of home
-on each axis, then draws one of "stay" and the remaining steps.
+Every hotspot has the config's hotspot_base_excitement. Wanderers pick a
+hotspot with probability proportional to it, walk downhill on that
+hotspot's BFS distance field, dwell a geometric number of ticks, then pick
+the next one. The map never changes, so each hotspot's downhill moves are
+worked out once, at set-up, into a step table: one byte per cell whose bits
+name the neighbours a wanderer may step to. A move reads one byte instead
+of scanning 8 neighbours. Picks read one draw table built at set-up too:
+the running sums of the equal weights and two totals, so a pick is one
+bisect that lands where a weighted linear scan would (see hotspot_draw).
+Residents do a home-anchored random walk on a walk table of the same form,
+built at prepark set-up: one byte per cell whose bits name its walkable
+neighbours. A resident's move masks that byte with the neighbours that keep
+it within home_range of home on each axis, then draws one of "stay" and the
+remaining steps.
 step_agent and step_resident trust their caller that the agent stands on a
 walkable cell: the tick loop checks every agent's cell once, in one array
 gather, before any agent acts (see engine.py).
@@ -55,7 +56,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .landscape import MOORE_OFFSETS, Coord, Hotspot, TerrainGrid, moore_views
+from .landscape import MOORE_OFFSETS, Coord, TerrainGrid, moore_views
 
 # The interaction neighborhood is the 8 surrounding cells; not configurable.
 NEIGHBORHOOD_SIZE = 8
@@ -80,8 +81,8 @@ _WALK_DRAWS = tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in DOWNHILL
 # the same per step-table mask; a wanderer en route has n = len(steps) choices
 _STEP_DRAWS = tuple((len(s), len(s).bit_length(), s) for s in DOWNHILL_STEPS)
 
-# one entry of hotspot_draw_tables: (candidate indices, bounds, total weight)
-HotspotDraw = tuple[list[int], list[float], float]
+# what hotspot_draw returns: (bounds, total of all weights, total of all but one)
+HotspotDraw = tuple[list[float], float, float]
 
 
 class AgentKind(Enum):
@@ -117,9 +118,10 @@ class ExcitementField:
     base_sum: np.ndarray | None = None
 
     @classmethod
-    def from_grid(cls, grid: TerrainGrid, mu: float) -> "ExcitementField":
+    def from_grid(cls, grid: TerrainGrid, mu: float, base: float) -> "ExcitementField":
+        """The tick-0 field: every hotspot at base, every other cell at 0."""
         p = np.zeros((grid.height, grid.width), dtype=np.float64)
-        sources = tuple((h.coord, h.base_excitement) for h in grid.hotspots)
+        sources = tuple((coord, base) for coord in grid.hotspots)
         for (x, y), base in sources:
             p[y, x] = base
         return cls(p=p, mu=mu, sources=sources)
@@ -293,51 +295,34 @@ def sample_geometric(p: float, rng) -> int:
     return int(math.log(1.0 - u) / math.log(1.0 - p)) + 1
 
 
-def hotspot_draw_tables(hotspots: Sequence[Hotspot]) -> dict[int | None, HotspotDraw]:
-    """What choose_next_hotspot draws from, one entry per excluded hotspot:
-    None (an agent without a target), then each index.
+def hotspot_draw(n: int, base: float) -> HotspotDraw:
+    """What choose_next_hotspot draws from, for n hotspots of excitement base.
 
-    An entry holds the candidates (every other hotspot, in index order), one
-    bound per candidate and the total weight. The bounds are the running
-    sums of the candidates' base excitements, added from 0.0 in index order
-    as a scan adds them; where a negative weight makes them fall, their
-    running maximum, whose first value above a draw is still the first
-    running sum above it. The total is sum() of the weights, which Python
-    3.12+ compensates, so it need not equal the last running sum. With fewer
-    than two hotspots no entry has bounds: there is nothing to draw.
+    The bounds are the running sums of n copies of base, added from 0.0 as
+    a weighted scan adds them; the first m of them are the bounds of any m
+    candidates. The totals are sum() of n and of n - 1 copies, which Python
+    3.12+ compensates, so neither need equal its last running sum.
     """
-    n = len(hotspots)
-    if n < 2:
-        return {current: (list(range(n)), [], 0.0) for current in (None, *range(n))}
-    base = [h.base_excitement for h in hotspots]
-    tables = {}
-    for current in (None, *range(n)):
-        k = n if current is None else current
-        weights = base[:k] + base[k + 1:]
-        bounds = list(accumulate(weights, initial=0.0))[1:]
-        if min(weights) < 0:
-            bounds = list(accumulate(bounds, max))
-        tables[current] = ([*range(k), *range(k + 1, n)], bounds, sum(weights))
-    return tables
+    weights = [base] * n
+    return list(accumulate(weights, initial=0.0))[1:], sum(weights), sum(weights[1:])
 
 
-def choose_next_hotspot(draw: HotspotDraw, rng) -> int:
-    """Sample a hotspot from one entry of hotspot_draw_tables, weighted by
-    base excitement.
+def choose_next_hotspot(draw: HotspotDraw, current: int | None, rng) -> int:
+    """Sample a hotspot other than current from hotspot_draw's table.
 
-    One rng.random() draw times the total picks the first candidate whose
+    The candidates are every hotspot, or every one but current. One
+    rng.random() draw times their total picks the first candidate whose
     running sum exceeds it, or the last candidate when none does. A lone
     hotspot is returned outright, with no draw.
     """
-    indices, bounds, total = draw
-    if not bounds:
-        if not indices:
-            raise ValueError("no hotspots configured")
-        return indices[0]
-    if total <= 0:
-        raise ValueError("hotspot excitement weights sum to zero")
-    i = bisect_right(bounds, rng.random() * total)
-    return indices[min(i, len(indices) - 1)]
+    bounds, total_all, total_others = draw
+    if len(bounds) == 1:
+        return 0
+    m, total = (len(bounds), total_all) if current is None else (len(bounds) - 1, total_others)
+    # base > 0 keeps the bounds from falling, so the clamp to m - 1 picks
+    # as a bisect of the first m bounds would
+    i = min(bisect_right(bounds, rng.random() * total), m - 1)
+    return i if current is None or i < current else i + 1
 
 
 def downhill_step_table(dist: np.ndarray) -> list[bytes]:
@@ -362,9 +347,9 @@ def downhill_step_table(dist: np.ndarray) -> list[bytes]:
 
 def step_agent(
     agents: Sequence[Agent],
-    hotspots: Sequence[Hotspot],
+    hotspots: Sequence[Coord],
     step_tables: Sequence[Sequence[bytes]],
-    draw_tables: dict[int | None, HotspotDraw],
+    draw: HotspotDraw,
     rng,
     dwell_p: float,
 ) -> Iterator[str]:
@@ -376,18 +361,16 @@ def step_agent(
     most, ties broken uniformly (one randbelow draw, even for a single
     choice); the choices come from the target's step table (see
     downhill_step_table). If no neighbor improves, the target is unreachable
-    and gets re-sampled among the others. A pick reads the draw_tables
-    entry of the hotspot it excludes (see hotspot_draw_tables). At the
+    and gets re-sampled among the others (see choose_next_hotspot). At the
     target: dwell for a geometric number of ticks, then clear the target. A
     draw the caller makes between two next() calls falls between those two
     agents' draws.
     """
-    coords = [h.coord for h in hotspots]
     getrandbits = rng.getrandbits
     for agent in agents:
         target = agent.target_hotspot
         if target is not None:
-            at = coords[target]
+            at = hotspots[target]
             if agent.coord == at:
                 if agent.dwell_remaining is None:
                     agent.dwell_remaining = sample_geometric(dwell_p, rng)
@@ -410,7 +393,7 @@ def step_agent(
                 yield ARRIVED if agent.coord == at else MOVED
                 continue
         # no target yet, or no neighbour brings the target closer
-        agent.target_hotspot = choose_next_hotspot(draw_tables[target], rng)
+        agent.target_hotspot = choose_next_hotspot(draw, target, rng)
         agent.dwell_remaining = None
         yield RETARGETED
 

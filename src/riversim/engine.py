@@ -74,7 +74,7 @@ from .dynamics import (
     crowding_penalty,
     diffuse_excitement,
     downhill_step_table,
-    hotspot_draw_tables,
+    hotspot_draw,
     randbelow,
     step_agent,
     step_resident,
@@ -150,12 +150,12 @@ class Setup:
     config: SimConfig
     grid: TerrainGrid
     # park only: per hotspot, the step table built from its BFS layer (rows
-    # of bytes, see downhill_step_table); per excluded hotspot, the draw
-    # table a wanderer picks its next hotspot from (see
-    # dynamics.hotspot_draw_tables); the entrances; and, under
-    # riverside_drift, the cells next to the river, where litter washes in
+    # of bytes, see downhill_step_table); the one draw table a wanderer
+    # picks its next hotspot from (see dynamics.hotspot_draw); the
+    # entrances; and, under riverside_drift, the cells next to the river,
+    # where litter washes in
     step_tables: list[list[bytes]] = field(default_factory=list)
-    draw_tables: dict[int | None, HotspotDraw] = field(default_factory=dict)
+    draw: HotspotDraw | None = None
     entrances: tuple[Coord, ...] = ()
     riverside: np.ndarray | None = None
     # prepark only: the static placement fields and the residents' walk
@@ -240,11 +240,7 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
     scenario's static fields; raises every map-dependent ConfigError."""
     config.validate()
     if grid is None:
-        grid = load_terrain_files(
-            *config.map_files(),
-            legend=config.legend,
-            hotspot_base=config.hotspot_base_excitement,
-        )
+        grid = load_terrain_files(*config.map_files(), legend=config.legend)
     if grid.n_river == 0:
         raise ConfigError("map has no river cells; the dirtiness index is undefined")
 
@@ -256,13 +252,13 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
                      walk=walk_table(grid.walkable_mask))
     if not grid.hotspots:
         raise ConfigError("park scenario requires at least one hotspot on the map")
-    hotspot_dist = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+    hotspot_dist = walkable_distance_field(grid, grid.hotspots)
     entrances = _resolve_entrances(config, grid, hotspot_dist)
     if config.visitor_spawn_rate > 0 and not entrances:
         raise ConfigError("no walkable map-edge entrance reaches a hotspot")
     return Setup(config, grid,
                  step_tables=[downhill_step_table(layer) for layer in hotspot_dist],
-                 draw_tables=hotspot_draw_tables(grid.hotspots),
+                 draw=hotspot_draw(len(grid.hotspots), config.hotspot_base_excitement),
                  entrances=entrances,
                  riverside=riverside_mask(grid) if config.riverside_drift else None)
 
@@ -276,7 +272,7 @@ def start(setup: Setup, seed: int) -> SimState:
     state = SimState(
         config=config,
         setup=setup,
-        field=ExcitementField.from_grid(grid, config.mu),
+        field=ExcitementField.from_grid(grid, config.mu, config.hotspot_base_excitement),
         garbage=GarbageField.zeros(grid.width, grid.height),
         rng=random.Random(seed),
     )
@@ -291,8 +287,7 @@ def start(setup: Setup, seed: int) -> SimState:
             _build_houses(state, config.houses)
     else:
         for i in range(config.n_community):
-            hotspot = grid.hotspots[i % len(grid.hotspots)]
-            _spawn_agent(state, AgentKind.COMMUNITY_MEMBER, hotspot.coord, home=hotspot.coord)
+            _spawn_agent(state, AgentKind.COMMUNITY_MEMBER, grid.hotspots[i % len(grid.hotspots)])
         # only visitors ask who is watching, and only spawning makes visitors
         if config.visitor_spawn_rate > 0:
             everyone = [[0] * grid.width for _ in range(grid.height)]
@@ -420,8 +415,8 @@ def _park_agents(state: SimState) -> int:
     wanderers = [a for a in state.agents if a.kind is visitor] if stationary else state.agents
     # one generator steps the wanderers in list order, one per next()
     setup = state.setup
-    moves = step_agent(wanderers, setup.grid.hotspots, setup.step_tables, setup.draw_tables,
-                       rng, config.dwell_p)
+    moves = step_agent(wanderers, setup.grid.hotspots, setup.step_tables, setup.draw, rng,
+                       config.dwell_p)
     for agent in state.agents:
         if agent.kind is visitor:
             x, y = agent.coord

@@ -2,10 +2,13 @@
 
 A map is a rectangular block of legend characters plus an optional
 whitespace-separated elevation sheet of the same shape. Loading produces an
-immutable TerrainGrid. ``compute_river_features`` / ``compute_road_features``
-derive the distance fields and masks that only the prepark placement rules
-consume; the park reads just ``riverside_mask`` (the cells next to the
-river, where litter drifts in) and the hotspots' ``walkable_distance_field``.
+immutable TerrainGrid. A hotspot is a marked cell and nothing more: the
+grid lists their coordinates in row-major order, and set-up gives every one
+the config's ``hotspot_base_excitement``. ``compute_river_features`` /
+``compute_road_features`` derive the distance fields and masks that only
+the prepark placement rules consume; the park reads just ``riverside_mask``
+(the cells next to the river, where litter drifts in) and the hotspots'
+``walkable_distance_field``.
 
 Conventions used throughout the package:
 
@@ -101,12 +104,6 @@ MOORE_OFFSETS: tuple[tuple[int, int], ...] = (
 
 
 @dataclass(frozen=True)
-class Hotspot:
-    coord: Coord
-    base_excitement: float
-
-
-@dataclass(frozen=True)
 class TerrainGrid:
     """Static world description; all arrays are read-only after load."""
 
@@ -115,7 +112,7 @@ class TerrainGrid:
     cells: np.ndarray          # (H, W) uint8 class codes
     elevation: np.ndarray      # (H, W) float64
     stream_labels: np.ndarray  # (H, W) int32, 0 = not river
-    hotspots: tuple[Hotspot, ...]
+    hotspots: tuple[Coord, ...]  # hotspot marker cells, row-major
     branch_markers: frozenset[Coord]
     chars: tuple[str, ...]     # original map rows, for frame rendering
     walkable_mask: np.ndarray  # (H, W) bool
@@ -320,13 +317,12 @@ def load_terrain(
     elevation_text: str | None = None,
     *,
     legend: Mapping[str, str] | None = None,
-    hotspot_base: float = 1.0,
 ) -> TerrainGrid:
     """Parse a character map (and optional elevation sheet) into a TerrainGrid.
 
     Rows must all have the same width. Hotspot marker cells become ParkPath
-    cells and register a hotspot with excitement ``hotspot_base``; branch
-    marker cells become River cells that always count as branch points.
+    cells listed in ``hotspots``; branch marker cells become River cells
+    that always count as branch points.
     A missing elevation sheet means elevation 0 everywhere.
     """
     active = dict(DEFAULT_LEGEND) if legend is None else dict(legend)
@@ -344,7 +340,7 @@ def load_terrain(
     codes = {ch: _NAME_CODES[name] for ch, name in active.items()}
     markers = {ch for ch, name in active.items() if name in (HOTSPOT_MARKER, BRANCH_MARKER)}
     cells = np.zeros((height, width), dtype=np.uint8)
-    hotspots: list[Hotspot] = []
+    hotspots: list[Coord] = []
     branch_markers: set[Coord] = set()
     for y, row in enumerate(rows):
         if len(row) != width:
@@ -361,7 +357,7 @@ def load_terrain(
         for x, ch in enumerate(row):
             name = active[ch]
             if name == HOTSPOT_MARKER:
-                hotspots.append(Hotspot((x, y), hotspot_base))
+                hotspots.append((x, y))
             elif name == BRANCH_MARKER:
                 branch_markers.add((x, y))
 
@@ -415,15 +411,12 @@ def load_terrain_files(
     elevation_path: str | Path | None = None,
     *,
     legend: Mapping[str, str] | None = None,
-    hotspot_base: float = 1.0,
 ) -> TerrainGrid:
     terrain_text = _read_text(terrain_path, "terrain")
     elevation_text = None
     if elevation_path is not None:
         elevation_text = _read_text(elevation_path, "elevation")
-    return load_terrain(
-        terrain_text, elevation_text, legend=legend, hotspot_base=hotspot_base
-    )
+    return load_terrain(terrain_text, elevation_text, legend=legend)
 
 
 def _read_text(path: str | Path, what: str) -> str:

@@ -112,7 +112,6 @@ def community_cleanup(member_coord: Coord, garbage: GarbageField, config) -> Non
 
 
 def dirtiness_index(garbage: GarbageField, grid: TerrainGrid) -> float:
-    """Cumulative river load per river cell."""
-    if grid.n_river == 0:
-        raise ValueError("dirtiness index undefined on a river-free grid")
+    """Cumulative river load per river cell; set-up refuses maps without
+    river cells (engine.prepare), so n_river is never 0 here."""
     return garbage.river_total / grid.n_river

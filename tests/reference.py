@@ -17,9 +17,8 @@ of the stacked ``walkable_distance_field``; ``bf_step_agent`` is the
 wanderer move as an 8-neighbour scan of the distance field, the oracle for
 the step tables ``dynamics.step_agent`` reads. ``bf_choose_next_hotspot``
 rebuilds the candidates and their weights on every pick and scans the
-running sum, the oracle for the draw tables
-``dynamics.hotspot_draw_tables`` builds and ``choose_next_hotspot``
-bisects.
+running sum, the oracle for the one draw table ``dynamics.hotspot_draw``
+builds and ``choose_next_hotspot`` bisects.
 
 ``bf_nearest_cell_fields`` is the nearest-source search as one whole-grid
 pass per source cell, in row-major source order, the oracle for the exact
@@ -280,22 +279,17 @@ def bf_walkable_bfs(walkable, source):
     return dist
 
 
-def bf_choose_next_hotspot(current, hotspots, rng):
-    """Sample a hotspot index != current, weighted by base excitement.
+def bf_choose_next_hotspot(current, n, base, rng):
+    """Sample an index != current among n hotspots, each weighted by base.
 
     A single hotspot is always returned outright; otherwise one rng.random()
     draw is consumed.
     """
-    n = len(hotspots)
-    if n == 0:
-        raise ValueError("no hotspots configured")
     if n == 1:
         return 0
     indices = [i for i in range(n) if i != current]
-    weights = [hotspots[i].base_excitement for i in indices]
+    weights = [base for _ in indices]
     total = sum(weights)
-    if total <= 0:
-        raise ValueError("hotspot excitement weights sum to zero")
     r = rng.random() * total
     acc = 0.0
     for i, wgt in zip(indices, weights):
@@ -305,18 +299,20 @@ def bf_choose_next_hotspot(current, hotspots, rng):
     return indices[-1]
 
 
-def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
+def bf_step_agent(agent, grid, dist_fields, rng, dwell_p, base):
     """One wanderer tick, scanning the 8 neighbours on the target's BFS
     distance field (dist_fields[i] is an (H, W) array): step to a walkable
     neighbour of least distance, ties in row-major order broken by one
     randrange, if that distance is below the agent's own; otherwise
-    re-target. Same events and RNG draws as dynamics.step_agent."""
+    re-target, every hotspot weighted by base. Same events and RNG draws as
+    dynamics.step_agent."""
+    n = len(grid.hotspots)
     x, y = agent.coord
     if agent.target_hotspot is None:
-        agent.target_hotspot = bf_choose_next_hotspot(None, grid.hotspots, rng)
+        agent.target_hotspot = bf_choose_next_hotspot(None, n, base, rng)
         agent.dwell_remaining = None
         return RETARGETED
-    target = grid.hotspots[agent.target_hotspot].coord
+    target = grid.hotspots[agent.target_hotspot]
     if agent.coord != target:
         dist = dist_fields[agent.target_hotspot]
         best = None
@@ -335,7 +331,7 @@ def bf_step_agent(agent, grid, dist_fields, rng, dwell_p):
         if best is not None and best < dist[y, x]:
             agent.coord = ties[rng.randrange(len(ties))]
             return ARRIVED if agent.coord == target else MOVED
-        agent.target_hotspot = bf_choose_next_hotspot(agent.target_hotspot, grid.hotspots, rng)
+        agent.target_hotspot = bf_choose_next_hotspot(agent.target_hotspot, n, base, rng)
         agent.dwell_remaining = None
         return RETARGETED
     if agent.dwell_remaining is None:
@@ -543,7 +539,8 @@ def bf_run(config, grid):
     rng = random.Random(config.seed)
     prepark = config.scenario == "prepark"
     walkable = grid.walkable_mask
-    sources = [(h.coord, h.base_excitement) for h in grid.hotspots]
+    base = config.hotspot_base_excitement
+    sources = [(coord, base) for coord in grid.hotspots]
     p = np.zeros((grid.height, grid.width))
     for (x, y), base in sources:
         p[y, x] = base
@@ -571,12 +568,11 @@ def bf_run(config, grid):
         if config.houses_per_tick == 0:
             grow(config.houses)
     else:
-        dist_fields = [bf_walkable_bfs(walkable, h.coord) for h in grid.hotspots]
+        dist_fields = [bf_walkable_bfs(walkable, coord) for coord in grid.hotspots]
         entrances = _bf_entrances(config, grid, dist_fields)
         riverside = bf_chebyshev_distances(walkable.shape, river_cells) == 1
         for i in range(config.n_community):
-            coord = grid.hotspots[i % len(grid.hotspots)].coord
-            spawn(AgentKind.COMMUNITY_MEMBER, coord, home=coord)
+            spawn(AgentKind.COMMUNITY_MEMBER, grid.hotspots[i % len(grid.hotspots)])
     lines = [_bf_metrics_line(0, agents, state.houses, garbage, n_river, 0)]
 
     for tick in range(1, config.ticks + 1):
@@ -599,7 +595,7 @@ def bf_run(config, grid):
             if a.kind is AgentKind.RESIDENT:
                 bf_step_resident(a, grid, rng, config.resident_range)
             elif a.kind is AgentKind.VISITOR:
-                event = bf_step_agent(a, grid, dist_fields, rng, config.dwell_p)
+                event = bf_step_agent(a, grid, dist_fields, rng, config.dwell_p, base)
                 if event == ARRIVED:
                     a.carrying_litter = True
                 elif a.carrying_litter and event in (DWELLING, DWELL_ENDED):
@@ -616,7 +612,7 @@ def bf_run(config, grid):
                         littering += 1
             else:
                 if not config.community_stationary:
-                    bf_step_agent(a, grid, dist_fields, rng, config.dwell_p)
+                    bf_step_agent(a, grid, dist_fields, rng, config.dwell_p, base)
                 _bf_cleanup(a.coord, garbage, config.cleanup_capacity)
 
         for a in agents:

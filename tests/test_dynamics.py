@@ -18,7 +18,7 @@ from riversim.dynamics import (
     crowding_penalty,
     diffuse_excitement,
     downhill_step_table,
-    hotspot_draw_tables,
+    hotspot_draw,
     randbelow,
     sample_geometric,
     step_agent,
@@ -26,7 +26,9 @@ from riversim.dynamics import (
     utilities_by_cell,
     walk_table,
 )
-from riversim.landscape import Hotspot, walkable_distance_field
+from riversim import load_terrain
+from riversim.config import ConfigError
+from riversim.landscape import walkable_distance_field
 
 from conftest import grid_from, make_config, walled_park_map
 from reference import (
@@ -159,7 +161,7 @@ class TestWindowedDiffusion:
         h, w = {"row": (1, n), "column": (n, 1),
                 "grid": (rng.randint(2, 9), rng.randint(2, 9))}[shape]
         grid = grid_from(self.random_map(rng, h, w))
-        field = ExcitementField.from_grid(grid, mu)
+        field = ExcitementField.from_grid(grid, mu, rng.uniform(0.1, 5.0))
         sources = field.sources
         p = field.p.copy()
         for _ in range(5000):
@@ -373,142 +375,119 @@ class TestRandbelow:
             assert fast.getstate() == slow.getstate()
 
 
-def pick(current, hotspots, rng):
-    """One choose_next_hotspot pick, from freshly built draw tables."""
-    return choose_next_hotspot(hotspot_draw_tables(hotspots)[current], rng)
+def pick(current, n, rng, base=1.0):
+    """One choose_next_hotspot pick among n hotspots of excitement base."""
+    return choose_next_hotspot(hotspot_draw(n, base), current, rng)
+
+
+class FixedRng:
+    """A generator whose every random() returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class TestHotspotChoice:
     def test_single_hotspot_always_chosen(self):
-        grid = grid_from("H..\n...")
         rng = random.Random(0)
         state = rng.getstate()
         for current in (0, None) * 3:
-            assert pick(current, grid.hotspots, rng) == 0
+            assert pick(current, 1, rng) == 0
         # a lone hotspot draws nothing
         assert rng.getstate() == state
 
     def test_two_equal_hotspots_split_evenly(self):
-        grid = grid_from("H.H\n...")
-        draw = hotspot_draw_tables(grid.hotspots)[None]
+        draw = hotspot_draw(2, 1.0)
         rng = random.Random(123)
         counts = [0, 0]
         n = 10000
         for _ in range(n):
-            counts[choose_next_hotspot(draw, rng)] += 1
+            counts[choose_next_hotspot(draw, None, rng)] += 1
         # chi-square with 1 dof; critical value at p=0.01 is 6.635
         expected = n / 2
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 6.635
 
     def test_current_target_excluded_and_renormalized(self):
-        hotspots = (
-            Hotspot((0, 0), 1.0),
-            Hotspot((2, 0), 2.0),
-            Hotspot((4, 0), 1.0),
-        )
-        draw = hotspot_draw_tables(hotspots)[1]
+        draw = hotspot_draw(3, 2.0)
         rng = random.Random(7)
         counts = {0: 0, 2: 0}
         n = 10000
         for _ in range(n):
-            choice = choose_next_hotspot(draw, rng)
+            choice = choose_next_hotspot(draw, 1, rng)
             assert choice != 1
             counts[choice] += 1
-        # with the weight-2 hotspot excluded, the remaining 1:1 weights split evenly
+        # with hotspot 1 excluded, the other two split evenly
         chi2 = sum((c - n / 2) ** 2 / (n / 2) for c in counts.values())
         assert chi2 < 6.635
 
-    def test_weighted_sampling_follows_base_excitement(self):
-        hotspots = (Hotspot((0, 0), 1.0), Hotspot((2, 0), 3.0))
-        draw = hotspot_draw_tables(hotspots)[None]
-        rng = random.Random(11)
-        n = 12000
-        hits = sum(choose_next_hotspot(draw, rng) for _ in range(n))
-        expected = n * 0.75
-        chi2 = (hits - expected) ** 2 / expected + ((n - hits) - n * 0.25) ** 2 / (n * 0.25)
-        assert chi2 < 6.635
-
-    def test_no_hotspots_rejected(self):
-        # the tables build; the pick raises
-        tables = hotspot_draw_tables(())
-        with pytest.raises(ValueError, match="no hotspots configured"):
-            choose_next_hotspot(tables[None], random.Random(0))
-
     @pytest.mark.parametrize("weight", [0.0, -1.0])
     def test_weights_summing_to_zero_or_less_rejected(self, weight):
-        tables = hotspot_draw_tables([Hotspot((i, 0), weight) for i in range(3)])
-        for current in (None, 0, 1, 2):
-            with pytest.raises(ValueError, match="sum to zero"):
-                choose_next_hotspot(tables[current], random.Random(0))
+        # a hotspot's weight is the config knob, which refuses them, and the
+        # loader takes no weight of its own
+        with pytest.raises(TypeError):
+            load_terrain("~H.H", hotspot_base=weight)
+        with pytest.raises(ConfigError, match="hotspot_base_excitement"):
+            make_config(scenario="park", hotspot_base_excitement=weight)
 
-    @staticmethod
-    def _weight_sets(rng):
-        """Hotspot weight lists: random unequal positive weights for every n
-        in 2..70, repeated tenths (whose running sum falls short of the
-        compensated sum() on Python 3.12+), and signed weights, some of
-        which sum to zero or less."""
-        for n in range(2, 71):
-            yield [rng.uniform(0.01, 5.0) for _ in range(n)]
-        for k in range(2, 31):
-            yield [0.1] * k
-        for _ in range(40):
-            yield [rng.uniform(-1.0, 3.0) for _ in range(rng.randint(2, 12))]
+    BASES = (0.1, 1 / 3, 1.0)
 
     def test_draws_match_linear_scan(self):
         # draw for draw against the linear scan, on two generators from one
-        # seed: same pick (or the same error) and the same generator state
-        # for every excluded hotspot
+        # seed: the same pick and the same generator state, for n = 1..70,
+        # every excluded hotspot and fixed and random bases
         rng = random.Random(5)
-        raised = 0
-        for weights in self._weight_sets(rng):
-            hotspots = [Hotspot((i, 0), w) for i, w in enumerate(weights)]
-            tables = hotspot_draw_tables(hotspots)
-            assert list(tables) == [None, *range(len(hotspots))]
-            seed = rng.random()
-            fast, slow = random.Random(seed), random.Random(seed)
-            for current in [None, *range(len(hotspots))] * 3:
-                try:
-                    expected = bf_choose_next_hotspot(current, hotspots, slow)
-                except ValueError:
-                    raised += 1
-                    with pytest.raises(ValueError):
-                        choose_next_hotspot(tables[current], fast)
-                    continue
-                assert choose_next_hotspot(tables[current], fast) == expected
-                assert fast.getstate() == slow.getstate()
-        assert raised > 0
+        for n in range(1, 71):
+            for base in (*self.BASES, rng.uniform(0.01, 5.0), rng.uniform(0.01, 5.0)):
+                draw = hotspot_draw(n, base)
+                seed = rng.random()
+                fast, slow = random.Random(seed), random.Random(seed)
+                for current in [None, *range(n)] * 2:
+                    assert choose_next_hotspot(draw, current, fast) == (
+                        bf_choose_next_hotspot(current, n, base, slow))
+                    assert fast.getstate() == slow.getstate()
+
+    def test_fixed_draws_on_every_bound_match_linear_scan(self):
+        # a draw that scales to a running sum exactly, and a draw of 1.0,
+        # with no hotspot excluded and with the first, second, middle,
+        # second-last and last excluded (test_draws_match_linear_scan
+        # covers every one); the scan picks the first candidate whose
+        # running sum exceeds the scaled draw
+        on_bound = 0
+        for base in self.BASES:
+            for n in range(2, 71):
+                draw = bounds, total_all, total_others = hotspot_draw(n, base)
+                for current in [None, *sorted({0, 1, n // 2, n - 2, n - 1})]:
+                    total = total_all if current is None else total_others
+                    m = n if current is None else n - 1
+                    for u in [b / total for b in bounds[:m]] + [1.0]:
+                        on_bound += u * total in bounds[:m]
+                        assert choose_next_hotspot(draw, current, FixedRng(u)) == (
+                            bf_choose_next_hotspot(current, n, base, FixedRng(u)))
+        assert on_bound > 0
 
     @pytest.mark.parametrize("u,weights,expected", [
         (0.5, [1.0, 1.0], 1),            # r == 1.0, the first running sum
-        (0.5, [1.0, 0.0, 1.0], 2),       # and a zero weight is skipped
-        (0.0, [0.0, 0.0, 2.0], 2),       # r == 0.0 skips leading zero weights
+        (0.5, [0.5] * 4, 2),             # r == 1.0, the second running sum
+        (0.0, [2.0] * 3, 0),             # r == 0.0 lies below every running sum
     ])
     def test_draw_on_a_running_sum_takes_the_next_candidate(self, u, weights, expected):
         # the scan picks the first candidate whose running sum exceeds r
-        class FixedRng:
-            def random(self):
-                return u
-
-        hotspots = [Hotspot((i, 0), w) for i, w in enumerate(weights)]
-        assert pick(None, hotspots, FixedRng()) == expected
-        assert bf_choose_next_hotspot(None, hotspots, FixedRng()) == expected
+        (base,) = set(weights)
+        assert pick(None, len(weights), FixedRng(u), base) == expected
+        assert bf_choose_next_hotspot(None, len(weights), base, FixedRng(u)) == expected
 
     def test_draw_past_last_running_sum_picks_last_candidate(self):
         # a draw of 1.0 scales to the total itself, which is not below the
         # last running sum: the scan falls through to its last candidate
-        class FixedRng:
-            def random(self):
-                return 1.0
-
-        hotspots = [Hotspot((i, 0), 0.1) for i in range(11)]
-        tables = hotspot_draw_tables(hotspots)
-        for current in (None, 3, 10):
-            indices, bounds, total = tables[current]
-            assert total >= bounds[-1]
-            last = indices[-1]
-            assert choose_next_hotspot(tables[current], FixedRng()) == last
-            assert bf_choose_next_hotspot(current, hotspots, FixedRng()) == last
+        bounds, total_all, total_others = hotspot_draw(11, 0.1)
+        assert total_all >= bounds[10] and total_others >= bounds[9]
+        for current, last in ((None, 10), (3, 10), (10, 9)):
+            assert pick(current, 11, FixedRng(1.0), 0.1) == last
+            assert bf_choose_next_hotspot(current, 11, 0.1, FixedRng(1.0)) == last
 
 
 class TestGeometricDwell:
@@ -524,12 +503,12 @@ class TestGeometricDwell:
         assert mean == pytest.approx(4.0, rel=0.05)
 
 
-def wander_setup(text, agent_coord, hotspot_base=1.0):
-    grid = grid_from(text, hotspot_base=hotspot_base)
-    layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+def wander_setup(text, agent_coord):
+    grid = grid_from(text)
+    layers = walkable_distance_field(grid, grid.hotspots)
     tables = [downhill_step_table(layer) for layer in layers]
     agent = Agent(0, AgentKind.VISITOR, agent_coord)
-    return grid, tables, hotspot_draw_tables(grid.hotspots), agent
+    return grid, tables, hotspot_draw(len(grid.hotspots), 1.0), agent
 
 
 class TestStepAgent:
@@ -620,9 +599,10 @@ class TestStepTables:
         ties = unreachable = 0
         for _ in range(30):
             grid = grid_from(walled_park_map(rng, rng.randint(3, 12), rng.randint(3, 12)))
-            layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+            layers = walkable_distance_field(grid, grid.hotspots)
             tables = [downhill_step_table(layer) for layer in layers]
-            draws = hotspot_draw_tables(grid.hotspots)
+            base = rng.uniform(0.1, 5.0)
+            draws = hotspot_draw(len(grid.hotspots), base)
             ys, xs = np.nonzero(grid.walkable_mask)
             for _ in range(4):
                 i = rng.randrange(len(xs))
@@ -633,13 +613,13 @@ class TestStepTables:
                 fast_rng, slow_rng = random.Random(seed), random.Random(seed)
                 for _ in range(40):
                     target = fast.target_hotspot
-                    if target is not None and fast.coord != grid.hotspots[target].coord:
+                    if target is not None and fast.coord != grid.hotspots[target]:
                         mask = tables[target][fast.coord[1]][fast.coord[0]]
                         ties += bin(mask).count("1") > 1
                         unreachable += mask == 0
                     event = next(step_agent([fast], grid.hotspots, tables, draws, fast_rng,
                                             dwell_p=0.3))
-                    expected = bf_step_agent(slow, grid, layers, slow_rng, dwell_p=0.3)
+                    expected = bf_step_agent(slow, grid, layers, slow_rng, 0.3, base)
                     assert (event, fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
                         expected, slow.coord, slow.target_hotspot, slow.dwell_remaining
                     )
@@ -666,9 +646,10 @@ class TestStepTables:
         seen = set()
         for _ in range(30):
             grid = grid_from(walled_park_map(rng, rng.randint(3, 10), rng.randint(3, 10)))
-            layers = walkable_distance_field(grid, [h.coord for h in grid.hotspots])
+            layers = walkable_distance_field(grid, grid.hotspots)
             tables = [downhill_step_table(layer) for layer in layers]
-            draws = hotspot_draw_tables(grid.hotspots)
+            base = rng.uniform(0.1, 5.0)
+            draws = hotspot_draw(len(grid.hotspots), base)
             ys, xs = np.nonzero(grid.walkable_mask)
             starts = [(int(xs[i]), int(ys[i]))
                       for i in (rng.randrange(len(xs)) for _ in range(rng.randint(1, 12)))]
@@ -683,7 +664,7 @@ class TestStepTables:
                 moves = step_agent(fast, grid.hotspots, tables, draws, fast_rng, dwell_p=0.3)
                 for f, s in zip(fast, slow):
                     event = next(moves)
-                    expected = bf_step_agent(s, grid, layers, slow_rng, dwell_p=0.3)
+                    expected = bf_step_agent(s, grid, layers, slow_rng, 0.3, base)
                     seen.add(event)
                     assert (event, f.coord, f.target_hotspot, f.dwell_remaining) == (
                         expected, s.coord, s.target_hotspot, s.dwell_remaining

@@ -72,9 +72,16 @@ class TestInitScenario:
         state = init_scenario(config, grid=default_grid)
         members = [a for a in state.agents if a.kind is AgentKind.COMMUNITY_MEMBER]
         assert len(members) == 7
-        hotspot_coords = [h.coord for h in default_grid.hotspots]
-        expected = [hotspot_coords[i % len(hotspot_coords)] for i in range(7)]
+        hotspots = default_grid.hotspots
+        expected = [hotspots[i % len(hotspots)] for i in range(7)]
         assert [m.coord for m in members] == expected
+
+    def test_only_residents_have_a_home(self, default_grid):
+        # step_resident alone reads home; members walk between hotspots
+        park = init_scenario(make_config(scenario="park", n_community=3), grid=default_grid)
+        assert [a.home for a in park.agents] == [None] * 3
+        prepark = init_scenario(make_config(scenario="prepark", houses=3), grid=default_grid)
+        assert [a.home for a in prepark.agents] == prepark.houses
 
     def test_same_config_same_initial_state(self, default_grid):
         config = make_config(scenario="prepark", seed=9)
@@ -86,6 +93,14 @@ class TestInitScenario:
         grid = grid_from("~..\n...")
         with pytest.raises(ConfigError, match="hotspot"):
             init_scenario(make_config(scenario="park"), grid=grid)
+
+    def test_passed_grid_takes_config_hotspot_excitement(self):
+        # the grid carries no excitement: every hotspot gets the config's
+        grid = grid_from("~~~~\n.H.H\nH...")
+        config = make_config(scenario="park", hotspot_base_excitement=2.5)
+        state = init_scenario(config, grid=grid)
+        assert [state.field.p[y, x] for x, y in grid.hotspots] == [2.5, 2.5, 2.5]
+        assert state.field.sources == tuple((coord, 2.5) for coord in grid.hotspots)
 
     def test_river_free_map_rejected(self):
         grid = grid_from("...\n...")
@@ -103,9 +118,7 @@ class TestInitScenario:
     def test_auto_entrances_reach_hotspots(self, default_grid):
         config = make_config(scenario="park")
         entrances = prepare(config, grid=default_grid).entrances
-        hotspot_dist = walkable_distance_field(
-            default_grid, [h.coord for h in default_grid.hotspots]
-        )
+        hotspot_dist = walkable_distance_field(default_grid, default_grid.hotspots)
         assert entrances
         for x, y in entrances:
             assert x in (0, default_grid.width - 1) or y in (0, default_grid.height - 1)
@@ -248,7 +261,7 @@ class TestStep:
     def test_field_bounded_by_source_base_over_run(self, default_grid):
         config = make_config(scenario="park", seed=5, n_community=3)
         state = init_scenario(config, grid=default_grid)
-        top = max(h.base_excitement for h in default_grid.hotspots)
+        top = config.hotspot_base_excitement
         for _ in range(200):
             step(state)
             assert state.field.p.min() >= 0.0
@@ -267,7 +280,7 @@ class TestDiffusionFixedPoint:
 
         monkeypatch.setattr(engine, "diffuse_excitement", counting_diffuse)
         state = init_scenario(config, grid=grid)
-        reference = ExcitementField.from_grid(grid, config.mu)
+        reference = ExcitementField.from_grid(grid, config.mu, config.hotspot_base_excitement)
         settled_at = None
         for tick in range(1, 121):
             step(state)
@@ -432,7 +445,7 @@ class TestCommunityEffects:
         member = state.agents[0]
         state.garbage.drop_at(member.coord)
         step(state)
-        assert member.coord == default_grid.hotspots[0].coord
+        assert member.coord == default_grid.hotspots[0]
         assert state.garbage.collected_total == 1
 
     def test_park_river_stays_clean_without_drift(self, default_grid):

@@ -139,13 +139,11 @@ class TestLoading:
         assert np.all(grid.elevation == 0.0)
 
     def test_hotspot_marker(self):
-        grid = grid_from(".H.\n...", hotspot_base=2.5)
+        grid = grid_from(".H.\n..H\nH..")
         assert grid.cells[0, 1] == CLASS_CODES[TerrainClass.PARK_PATH]
-        assert len(grid.hotspots) == 1
-        hotspot = grid.hotspots[0]
-        assert hotspot.coord == (1, 0)
-        assert hotspot.base_excitement == 2.5
-        assert grid.is_walkable(hotspot.coord)
+        # row-major, as the community members' round-robin reads them
+        assert grid.hotspots == ((1, 0), (2, 1), (0, 2))
+        assert all(grid.is_walkable(coord) for coord in grid.hotspots)
 
     def test_branch_marker_is_river(self):
         grid = grid_from(".B.\n...")
@@ -261,7 +259,7 @@ class TestDistanceFields:
         rng = random.Random(12)
         for _ in range(25):
             grid = grid_from(walled_park_map(rng, rng.randint(3, 15), rng.randint(3, 15)))
-            sources = [h.coord for h in grid.hotspots] + [(0, 0)]
+            sources = [*grid.hotspots, (0, 0)]
             layers = walkable_distance_field(grid, sources)
             assert layers.shape == (len(sources), grid.height, grid.width)
             for layer, source in zip(layers, sources):

@@ -207,11 +207,6 @@ class TestDirtinessIndex:
             garbage.dump_to_river()
         assert dirtiness_index(garbage, grid) == 2.0
 
-    def test_river_free_grid_rejected(self):
-        grid = grid_from("...\n...")
-        with pytest.raises(ValueError):
-            dirtiness_index(GarbageField.zeros(3, 2), grid)
-
     def test_non_decreasing_under_dumping(self):
         grid = grid_from("~..\n...")
         garbage = GarbageField.zeros(3, 2)

@@ -98,9 +98,8 @@ def _river_map(rng: random.Random, width: int, height: int, cells: str) -> tuple
     return rows, river_row
 
 
-def _load(rows: list, config: SimConfig, elevation: str | None = None):
-    return load_terrain("\n".join("".join(row) for row in rows), elevation,
-                        hotspot_base=config.hotspot_base_excitement)
+def _load(rows: list, elevation: str | None = None):
+    return load_terrain("\n".join("".join(row) for row in rows), elevation)
 
 
 def make_case(case_seed: int):
@@ -118,7 +117,7 @@ def make_case(case_seed: int):
         elevation = "\n".join(" ".join(str(rng.randint(-3, 9)) for _ in range(width))
                               for _ in range(height))
     config = _config(rng, scenario)
-    return config, _load(cells, config, elevation)
+    return config, _load(cells, elevation)
 
 
 def make_litter_case(case_seed: int):
@@ -160,7 +159,7 @@ def make_litter_case(case_seed: int):
         visit_length=rng.randint(10, 30),
         n_community=rng.randint(1, min(3, len(hotspots) - 1)) if len(hotspots) > 1 else 1,
     )
-    return config, _load(rows, config)
+    return config, _load(rows)
 
 
 def make_crowd_case(case_seed: int):
@@ -208,7 +207,7 @@ def make_crowd_case(case_seed: int):
         n_community=n_community,
         community_stationary=rng.random() < 0.25,
     )
-    return config, _load(rows, config)
+    return config, _load(rows)
 
 
 def _bits(values) -> bytes:
