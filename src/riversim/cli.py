@@ -167,6 +167,14 @@ class ScenarioStats:
     total_littering: int
 
 
+def _mean(values: list[float]) -> float:
+    """Added in order from 0.0 (sum() compensates on Python 3.12+), over the count."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def summarize_metrics(files: list[list[dict[str, float]]]) -> ScenarioStats:
     deltas = []
     per_capita = []
@@ -177,12 +185,12 @@ def summarize_metrics(files: list[list[dict[str, float]]]) -> ScenarioStats:
             deltas.append((rows[-1]["dirtiness"] - rows[0]["dirtiness"]) / ticks)
         else:
             deltas.append(0.0)
-        per_capita.append(sum(r["garbage_per_capita"] for r in rows) / len(rows))
+        per_capita.append(_mean([r["garbage_per_capita"] for r in rows]))
         littering += sum(int(r["littering_events"]) for r in rows)
     return ScenarioStats(
         n_files=len(files),
-        mean_delta_dirtiness=sum(deltas) / len(deltas),
-        mean_garbage_per_capita=sum(per_capita) / len(per_capita),
+        mean_delta_dirtiness=_mean(deltas),
+        mean_garbage_per_capita=_mean(per_capita),
         total_littering=littering,
     )
 

@@ -5,6 +5,8 @@ neighbors (the divisor stays 8 at boundaries, so the field contracts),
 hotspot sources are re-clamped to their base level, and non-walkable cells
 stay pinned at zero. A field keeps its Moore neighbor sum once computed, so
 the sum serves both agent utility on this tick and diffusion on the next.
+The sum adds 8 contiguous slices of one zero-bordered flat copy of the
+rows, in MOORE_OFFSETS order from +0.0, as a per-cell loop would.
 A diffused field also keeps the band of rows where its p differs from the
 last field's. A cell whose 3x3 block holds no changed cell reads
 bit-identical inputs, so the next step recomputes p, and the new field's
@@ -27,8 +29,12 @@ the next one. The map never changes, so each hotspot's downhill moves are
 worked out once, at set-up, into a step table: one byte per cell whose bits
 name the neighbours a wanderer may step to. A move reads one byte instead
 of scanning 8 neighbours. Picks read one draw table built at set-up too:
-the running sums of the equal weights and two totals, so a pick is one
-bisect that lands where a weighted linear scan would (see hotspot_draw).
+the running sums of the equal weights, the last two of which are the
+totals, so a pick is one bisect that lands where a weighted linear scan
+would (see hotspot_draw). step_agent steps a whole list of wanderers in one
+generator that yields only the events a caller acts on (retarget, arrival,
+dwelling, dwell end), never a plain step, and moves each agent's head count
+in the grids it is given.
 Residents do a home-anchored random walk on a walk table of the same form,
 built at prepark set-up: one byte per cell whose bits name its walkable
 neighbours. A resident's move masks that byte with the neighbours that keep
@@ -61,9 +67,8 @@ from .landscape import MOORE_OFFSETS, Coord, TerrainGrid, moore_views
 # The interaction neighborhood is the 8 surrounding cells; not configurable.
 NEIGHBORHOOD_SIZE = 8
 
-# Events reported by step_agent.
+# Events reported by step_agent; a plain move reports none.
 RETARGETED = "retargeted"
-MOVED = "moved"
 ARRIVED = "arrived"
 DWELLING = "dwelling"
 DWELL_ENDED = "dwell_ended"
@@ -146,15 +151,22 @@ class ExcitementField:
 
 def _moore_sum(p: np.ndarray, y0: int = 0, y1: int | None = None) -> np.ndarray:
     """Moore neighbor sum of p on rows y0..y1-1 (by default every row)."""
-    y1 = p.shape[0] if y1 is None else y1
-    lo = max(y0 - 1, 0)
-    # rows lo..y1 of p hold every on-grid neighbour of rows y0..y1-1
-    views = moore_views(p[lo:y1 + 1], 0.0)
+    h, w = p.shape
+    y1 = h if y1 is None else y1
+    stride = w + 2
+    # rows y0-1..y1 of p, zero-bordered and flat with one more zero at each
+    # end: neighbour (dx, dy) of a cell lies dy*stride + dx away from it
+    flat = np.zeros((y1 - y0 + 2) * stride + 2)
+    lo, hi = max(y0 - 1, 0), min(y1 + 1, h)
+    flat[1:-1].reshape(-1, stride)[lo - y0 + 1:hi - y0 + 1, 1:-1] = p[lo:hi]
+    n = (y1 - y0) * stride
     # Fixed order (MOORE_OFFSETS) from +0.0; an off-grid +0.0 changes no bit.
-    total = np.zeros((y1 - y0, p.shape[1]))
-    for view in views:
-        total += view[y0 - lo:y1 - lo]
-    return total
+    # The sums on the two border columns wrap across rows and are dropped.
+    total = np.zeros(n)
+    for dx, dy in MOORE_OFFSETS:
+        start = 1 + (1 + dy) * stride + dx
+        total += flat[start:start + n]
+    return total.reshape(-1, stride)[:, 1:-1]
 
 
 def _grown(rows: tuple[int, int], h: int) -> tuple[int, int]:
@@ -187,9 +199,8 @@ def diffuse_excitement(field: ExcitementField, grid: TerrainGrid) -> ExcitementF
     # the band this rewrites the same bits
     for (x, y), base in field.sources:
         p[y, x] = base
-    w = grid.width
-    cells = np.flatnonzero(band.view(np.uint64) != field.p[y0:y1].view(np.uint64))
-    changed = (y0 + int(cells[0]) // w, y0 + int(cells[-1]) // w + 1) if cells.size else (0, 0)
+    rows = np.flatnonzero((band.view(np.uint64) != field.p[y0:y1].view(np.uint64)).any(axis=1))
+    changed = (y0 + int(rows[0]), y0 + int(rows[-1]) + 1) if rows.size else (0, 0)
     return ExcitementField(p=p, mu=field.mu, sources=field.sources, changed_rows=changed,
                            base_sum=field.neighbor_sum)
 
@@ -300,11 +311,12 @@ def hotspot_draw(n: int, base: float) -> HotspotDraw:
 
     The bounds are the running sums of n copies of base, added from 0.0 as
     a weighted scan adds them; the first m of them are the bounds of any m
-    candidates. The totals are sum() of n and of n - 1 copies, which Python
-    3.12+ compensates, so neither need equal its last running sum.
+    candidates. The totals of n and of n - 1 copies are the last two running
+    sums, added in order on every interpreter (sum() compensates on Python
+    3.12+).
     """
-    weights = [base] * n
-    return list(accumulate(weights, initial=0.0))[1:], sum(weights), sum(weights[1:])
+    sums = list(accumulate([base] * n, initial=0.0))
+    return sums[1:], sums[-1], sums[-2]
 
 
 def choose_next_hotspot(draw: HotspotDraw, current: int | None, rng) -> int:
@@ -352,9 +364,11 @@ def step_agent(
     draw: HotspotDraw,
     rng,
     dwell_p: float,
-) -> Iterator[str]:
-    """Advance each wandering agent one tick, in list order, yielding what
-    happened to it before drawing for the next one.
+    counts: Sequence[list[list[int]]] = (),
+) -> Iterator[tuple[Agent, str]]:
+    """Advance each wandering agent one tick, in list order, yielding
+    (agent, event) for every step but a plain move before drawing for the
+    next agent.
 
     Without a target: pick one (one rng.random draw). En route: step to a
     walkable neighbor that strictly reduces BFS distance to the target the
@@ -362,9 +376,10 @@ def step_agent(
     choice); the choices come from the target's step table (see
     downhill_step_table). If no neighbor improves, the target is unreachable
     and gets re-sampled among the others (see choose_next_hotspot). At the
-    target: dwell for a geometric number of ticks, then clear the target. A
-    draw the caller makes between two next() calls falls between those two
-    agents' draws.
+    target: dwell for a geometric number of ticks, then clear the target.
+    Each move also moves the agent's head count in every grid of `counts`
+    (rows of ints per cell). A draw the caller makes on an event falls
+    between that agent's draws and the next one's.
     """
     getrandbits = rng.getrandbits
     for agent in agents:
@@ -376,10 +391,10 @@ def step_agent(
                     agent.dwell_remaining = sample_geometric(dwell_p, rng)
                 agent.dwell_remaining -= 1
                 if agent.dwell_remaining > 0:
-                    yield DWELLING
+                    yield agent, DWELLING
                 else:
                     agent.target_hotspot = agent.dwell_remaining = None
-                    yield DWELL_ENDED
+                    yield agent, DWELL_ENDED
                 continue
             x, y = agent.coord
             n, k, steps = _STEP_DRAWS[step_tables[target][y][x]]
@@ -389,13 +404,17 @@ def step_agent(
                 while i >= n:
                     i = getrandbits(k)
                 dx, dy = steps[i]
-                agent.coord = (x + dx, y + dy)
-                yield ARRIVED if agent.coord == at else MOVED
+                nx, ny = agent.coord = (x + dx, y + dy)
+                for grid in counts:
+                    grid[y][x] -= 1
+                    grid[ny][nx] += 1
+                if agent.coord == at:
+                    yield agent, ARRIVED
                 continue
         # no target yet, or no neighbour brings the target closer
         agent.target_hotspot = choose_next_hotspot(draw, target, rng)
         agent.dwell_remaining = None
-        yield RETARGETED
+        yield agent, RETARGETED
 
 
 def walk_table(walkable: np.ndarray) -> list[bytes]:

@@ -19,10 +19,12 @@ scenario; ``step`` reads config.scenario once to pick them:
    an agent off walkable ground (put there between steps) halts the run
    with InvariantViolation naming it, before any agent acts or draws; then
    the garbage snapshot, unless the tick starts with no standing garbage
-4. the scenario's actions, agents in ascending id order: each resident
-   takes one walk step, then each house may emit waste; or a visitor moves,
-   picks up litter on arrival and decides on littering while it dwells, and
-   a community member moves (unless stationary) and cleans up
+4. the scenario's actions: each resident in id order takes one walk step,
+   then each house may emit waste; or each community member in id order
+   moves (unless stationary), then each cleans up, then each visitor in id
+   order moves, picks up litter on arrival and decides on littering while
+   it dwells. Cleanup draws nothing and moves no one, and no visitor has
+   littered yet, so this equals acting agent by agent in id order
 5. every agent's utility in one array pass against the gathered utilities
    and the snapshot (step 4 neither reads utility nor reaches the snapshot)
 6. metrics row + invariant checks
@@ -30,8 +32,8 @@ scenario; ``step`` reads config.scenario once to pick them:
 A park that spawns visitors keeps two per-cell head counts on the state
 (``SimState.occupancy``): every agent, and community members only. Set-up
 counts the community members; step 1 takes each despawned visitor off its
-cell and puts each new one on its entrance; in step 4 every move of an
-agent moves its count. A litter decision reads who is watching off the
+cell and puts each new one on its entrance; in step 4 step_agent moves an
+agent's counts with each of its moves. A litter decision reads who is watching off the
 counts in the (2 * warn_radius + 1)² window around the visitor, so it costs
 the same however many agents the park holds.
 
@@ -47,14 +49,17 @@ Each "randrange" here is dynamics.randbelow, inlined in step_resident and
 step_agent: the getrandbits rejection loop that random.Random.randrange(n)
 runs for n > 0, so it leaves the generator in the same state;
 tests/test_dynamics.py::TestRandbelow holds it to that on the running
-interpreter. One step_agent generator per tick steps the wanderers and
-draws for the next one only when asked, so a visitor's litter decision
-falls between its own move and the next wanderer's.
+interpreter. A park tick runs two step_agent generators: one over the
+moving community members, drained at once, then one over the visitors,
+which yields on every event but a plain step and draws for the next
+visitor only when asked, so a visitor's litter decision falls between its
+own move and the next visitor's.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,7 +69,6 @@ from .dynamics import (
     ARRIVED,
     DWELL_ENDED,
     DWELLING,
-    MOVED,
     Agent,
     AgentKind,
     ExcitementField,
@@ -404,50 +408,39 @@ def _park_turnover(state: SimState) -> None:
 
 
 def _park_agents(state: SimState) -> int:
-    """Park step 4: visitors and community members act; returns the litterings."""
-    config, rng = state.config, state.rng
+    """Park step 4: community members walk, then clean up, then visitors act;
+    returns the litterings."""
+    config, rng, setup = state.config, state.rng, state.setup
     garbage = state.garbage
-    littering = 0
-    # visitors exist only where occupancy does; a move shifts one count
+    # start spawns the members first and turnover keeps the order, so the
+    # members are the first n_community agents and the rest are visitors
+    members = state.agents[:config.n_community]
+    visitors = state.agents[config.n_community:]
+    # only a park that spawns visitors keeps occupancy, and step_agent moves it
     occupancy = state.occupancy
-    stationary = config.community_stationary
-    visitor = AgentKind.VISITOR
-    wanderers = [a for a in state.agents if a.kind is visitor] if stationary else state.agents
-    # one generator steps the wanderers in list order, one per next()
-    setup = state.setup
-    moves = step_agent(wanderers, setup.grid.hotspots, setup.step_tables, setup.draw, rng,
-                       config.dwell_p)
-    for agent in state.agents:
-        if agent.kind is visitor:
-            x, y = agent.coord
-            event = next(moves)
-            if event == MOVED or event == ARRIVED:
-                everyone = occupancy[0]
-                nx, ny = agent.coord
-                everyone[y][x] -= 1
-                everyone[ny][nx] += 1
-                if event == ARRIVED:
-                    agent.carrying_litter = True
-            elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
-                nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
-                if visitor_litter_decision(nearby, community_near, rng, config):
-                    _drop_litter(state, agent.coord)
-                    agent.carrying_litter = False
-                    littering += 1
-        else:
-            if not stationary:
-                if occupancy is None:
-                    next(moves)
-                else:
-                    x, y = agent.coord
-                    event = next(moves)
-                    if event == MOVED or event == ARRIVED:
-                        nx, ny = agent.coord
-                        for counts in occupancy:
-                            counts[y][x] -= 1
-                            counts[ny][nx] += 1
-            if garbage.in_place_total:
-                community_cleanup(agent.coord, garbage, config)
+    wander = (setup.grid.hotspots, setup.step_tables, setup.draw, rng, config.dwell_p)
+    # cleanup neither draws nor moves anyone, and no visitor has acted yet
+    # this tick, so walking every member before any cleans changes nothing
+    if not config.community_stationary:
+        deque(step_agent(members, *wander, occupancy or ()), 0)
+    for member in members:
+        if not garbage.in_place_total:
+            break
+        community_cleanup(member.coord, garbage, config)
+    if not visitors:
+        return 0
+    littering = 0
+    # a visitor is counted in the all-agent grid only; a litter draw falls
+    # between that visitor's draws and the next one's
+    for agent, event in step_agent(visitors, *wander, occupancy[:1]):
+        if event == ARRIVED:
+            agent.carrying_litter = True
+        elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
+            nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
+            if visitor_litter_decision(nearby, community_near, rng, config):
+                _drop_litter(state, agent.coord)
+                agent.carrying_litter = False
+                littering += 1
     return littering
 
 

@@ -60,7 +60,6 @@ from riversim.dynamics import (
     ARRIVED,
     DWELL_ENDED,
     DWELLING,
-    MOVED,
     RETARGETED,
     Agent,
     AgentKind,
@@ -73,6 +72,10 @@ from riversim.landscape import (
     compute_road_features,
 )
 from riversim.settlement import BuildRecord
+
+# the event bf_step_agent reports for a plain move, for which
+# dynamics.step_agent reports none
+MOVED = "moved"
 
 RULE_NOT_BUILDABLE = "NotBuildable"
 RULE_OCCUPIED = "Occupied"
@@ -289,7 +292,10 @@ def bf_choose_next_hotspot(current, n, base, rng):
         return 0
     indices = [i for i in range(n) if i != current]
     weights = [base for _ in indices]
-    total = sum(weights)
+    # the total is the last running sum, added in order from 0.0
+    total = 0.0
+    for wgt in weights:
+        total += wgt
     r = rng.random() * total
     acc = 0.0
     for i, wgt in zip(indices, weights):

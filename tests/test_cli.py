@@ -287,6 +287,23 @@ class TestCompareCommand:
         assert "damping_ratio,,1.000000" in csv_text
         assert "damping ratio" in capsys.readouterr().out
 
+    def test_means_add_in_order(self):
+        # ten 0.1s added in order from 0.0 make 0.9999999999999999, so each
+        # mean is just below 0.1 on every interpreter; sum() on Python 3.12+
+        # compensates and gives exactly 0.1
+        in_order = 0.0
+        for _ in range(10):
+            in_order += 0.1
+        in_order /= 10
+        assert in_order != 0.1
+        row = {"dirtiness": 0.0, "garbage_per_capita": 0.1, "littering_events": 0.0}
+        one_file = cli.summarize_metrics([[row] * 10])
+        assert one_file.mean_garbage_per_capita == in_order
+        # each file's mean is 0.1 and each one's dirtiness grows 0.1 a tick
+        ten_files = cli.summarize_metrics([[row, dict(row, dirtiness=0.1)]] * 10)
+        assert ten_files.mean_garbage_per_capita == in_order
+        assert ten_files.mean_delta_dirtiness == in_order
+
     def test_flat_park_dirtiness_gives_ratio_zero(self, tmp_path):
         pre = self.run_seeds(tmp_path, "prepark", "1,2")
         post = self.run_seeds(tmp_path, "park", "1,2")
@@ -443,6 +460,14 @@ class TestValidateCommand:
         path.write_text(text)
         parsed = load_config(path)
         assert parsed == SimConfig()
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # the package runs from a checkout without installing its script
+        env = dict(os.environ, PYTHONPATH=str(Path(riversim.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "riversim", "validate", "--print-defaults"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "[dynamics]" in done.stdout
 
     def test_no_arguments_exit_2(self, capsys):
         assert cli.main(["validate"]) == 2

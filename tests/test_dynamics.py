@@ -8,7 +8,6 @@ from riversim.dynamics import (
     ARRIVED,
     DWELL_ENDED,
     DWELLING,
-    MOVED,
     RETARGETED,
     Agent,
     AgentKind,
@@ -28,10 +27,11 @@ from riversim.dynamics import (
 )
 from riversim import load_terrain
 from riversim.config import ConfigError
-from riversim.landscape import walkable_distance_field
+from riversim.landscape import MOORE_OFFSETS, walkable_distance_field
 
 from conftest import grid_from, make_config, walled_park_map
 from reference import (
+    MOVED,
     bf_agent_utility,
     bf_choose_next_hotspot,
     bf_crowding_penalty,
@@ -187,6 +187,60 @@ class TestWindowedDiffusion:
         out = diffuse_excitement(field, grid)
         assert out.p.tobytes() == bf_diffuse(p, 0.9, grid.walkable_mask, ()).tobytes()
         assert out.changed_rows == (0, 4)
+
+
+def loop_moore_sum(p, y0, y1):
+    """Moore neighbour sums of rows y0..y1-1 of p, one cell at a time, in
+    MOORE_OFFSETS order from +0.0, skipping off-grid neighbours."""
+    h, w = p.shape
+    out = np.zeros((y1 - y0, w))
+    for y in range(y0, y1):
+        for x in range(w):
+            total = 0.0
+            for dx, dy in MOORE_OFFSETS:
+                if 0 <= x + dx < w and 0 <= y + dy < h:
+                    total += float(p[y + dy, x + dx])
+            out[y - y0, x] = total
+    return out
+
+
+class TestMooreSum:
+    """_moore_sum adds the same neighbours in the same order as a per-cell
+    loop, bit for bit, on every band of rows."""
+
+    @staticmethod
+    def assert_every_band_matches(p):
+        h, w = p.shape
+        with np.errstate(over="ignore"):
+            for y0 in range(h + 1):
+                for y1 in range(y0, h + 1):
+                    got = dynamics._moore_sum(p, y0, y1)
+                    assert got.shape == (y1 - y0, w)
+                    assert got.tobytes() == loop_moore_sum(p, y0, y1).tobytes(), (y0, y1)
+            assert dynamics._moore_sum(p).tobytes() == loop_moore_sum(p, 0, h).tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_grids(self, seed):
+        rng = random.Random(seed)
+        shapes = [(1, 1), (1, rng.randint(2, 9)), (rng.randint(2, 9), 1),
+                  (rng.randint(2, 9), rng.randint(2, 9))]
+        for h, w in shapes:
+            values = [0.0, -0.0, np.inf, 1e308, 0.1, 1 / 3, 2.5]
+            p = np.array([[rng.choice(values) if rng.random() < 0.3 else rng.uniform(0, 10)
+                           for _ in range(w)] for _ in range(h)])
+            self.assert_every_band_matches(p)
+
+    def test_all_negative_zero_sums_to_positive_zero(self):
+        p = np.full((3, 4), -0.0)
+        self.assert_every_band_matches(p)
+        assert not np.signbit(dynamics._moore_sum(p)).any()
+
+    def test_field_diffused_at_negative_zero_mu(self):
+        # mu = -0.0 turns every walkable cell but the sources into -0.0
+        grid = grid_from("H..t\n.#..\n...H")
+        field = diffuse_excitement(ExcitementField.from_grid(grid, -0.0, 1.5), grid)
+        assert np.signbit(field.p).any()
+        self.assert_every_band_matches(field.p)
 
 
 def cells(*coords):
@@ -489,6 +543,13 @@ class TestHotspotChoice:
             assert pick(current, 11, FixedRng(1.0), 0.1) == last
             assert bf_choose_next_hotspot(current, 11, 0.1, FixedRng(1.0)) == last
 
+    def test_totals_are_the_last_running_sums(self):
+        # added in order, as Python 3.10/3.11 sum() adds; 3.12+ sum()
+        # compensates and would give 6.0 and 5.9 here
+        bounds, total_all, total_others = hotspot_draw(60, 0.1)
+        assert total_all == bounds[-1] == 5.999999999999995
+        assert total_others == bounds[-2] == 5.899999999999995
+
 
 class TestGeometricDwell:
     def test_p_one_always_one(self):
@@ -511,26 +572,35 @@ def wander_setup(text, agent_coord):
     return grid, tables, hotspot_draw(len(grid.hotspots), 1.0), agent
 
 
+def tick(agents, grid, tables, draws, rng, dwell_p):
+    """Every (agent, event) one step_agent call yields."""
+    return list(step_agent(agents, grid.hotspots, tables, draws, rng, dwell_p))
+
+
+def head_counts(agents, grid):
+    """Agents per cell, as rows of ints."""
+    counts = [[0] * grid.width for _ in range(grid.height)]
+    for agent in agents:
+        x, y = agent.coord
+        counts[y][x] += 1
+    return counts
+
+
 class TestStepAgent:
     def test_adjacent_agent_arrives_in_one_tick(self):
         grid, tables, draws, agent = wander_setup("H....", (1, 0))
         agent.target_hotspot = 0
-        event = next(step_agent([agent], grid.hotspots, tables, draws, random.Random(0),
-                                dwell_p=0.25))
-        assert event == ARRIVED
+        assert tick([agent], grid, tables, draws, random.Random(0), 0.25) == [(agent, ARRIVED)]
         assert agent.coord == (0, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_corridor_arrival_takes_exactly_k_ticks(self, k):
+        # a plain step yields nothing; the last one reports the arrival
         grid, tables, draws, agent = wander_setup("H....", (k, 0))
         agent.target_hotspot = 0
         rng = random.Random(1)
-        events = []
-        for _ in range(k):
-            events.append(next(step_agent([agent], grid.hotspots, tables, draws, rng,
-                                          dwell_p=0.25)))
-        assert events[-1] == ARRIVED
-        assert all(e == MOVED for e in events[:-1])
+        events = [tick([agent], grid, tables, draws, rng, 0.25) for _ in range(k)]
+        assert events == [[]] * (k - 1) + [[(agent, ARRIVED)]]
         assert agent.coord == (0, 0)
 
     def test_unreachable_target_resampled_without_moving(self):
@@ -538,17 +608,14 @@ class TestStepAgent:
         grid, tables, draws, agent = wander_setup("H.t.H\n..t..\n..t..", (3, 1))
         agent.target_hotspot = 0
         rng = random.Random(2)
-        event = next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.25))
-        assert event == RETARGETED
+        assert tick([agent], grid, tables, draws, rng, 0.25) == [(agent, RETARGETED)]
         assert agent.coord == (3, 1)
         assert agent.target_hotspot == 1
         assert grid.is_walkable(agent.coord)
 
     def test_untargeted_agent_picks_target_first(self):
         grid, tables, draws, agent = wander_setup("H....", (3, 0))
-        event = next(step_agent([agent], grid.hotspots, tables, draws, random.Random(0),
-                                dwell_p=0.25))
-        assert event == RETARGETED
+        assert tick([agent], grid, tables, draws, random.Random(0), 0.25) == [(agent, RETARGETED)]
         assert agent.target_hotspot == 0
         assert agent.coord == (3, 0)
 
@@ -556,8 +623,7 @@ class TestStepAgent:
         grid, tables, draws, agent = wander_setup("H....", (0, 0))
         agent.target_hotspot = 0
         rng = random.Random(0)
-        event = next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=1.0))
-        assert event == DWELL_ENDED
+        assert tick([agent], grid, tables, draws, rng, 1.0) == [(agent, DWELL_ENDED)]
         assert agent.target_hotspot is None
         assert agent.dwell_remaining is None
 
@@ -573,9 +639,8 @@ class TestStepAgent:
                 return 0
 
         rng = FixedRng()
-        events = [next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.5))
-                  for _ in range(4)]
-        assert events == [DWELLING, DWELLING, DWELLING, DWELL_ENDED]
+        events = [tick([agent], grid, tables, draws, rng, 0.5) for _ in range(4)]
+        assert events == [[(agent, DWELLING)]] * 3 + [[(agent, DWELL_ENDED)]]
 
     def test_distance_never_increases_en_route(self):
         grid, tables, draws, agent = wander_setup("H.........\n..........\n..........", (9, 2))
@@ -584,17 +649,70 @@ class TestStepAgent:
         rng = random.Random(3)
         d = dist[agent.coord[1], agent.coord[0]]
         while agent.coord != (0, 0):
-            next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.25))
+            tick([agent], grid, tables, draws, rng, 0.25)
             nd = dist[agent.coord[1], agent.coord[0]]
             assert nd == d - 1
             d = nd
+
+
+def check_one_call_steps_the_list_in_order(n_counts):
+    """One step_agent call per tick over up to 12 agents against
+    bf_step_agent agent by agent on one shared RNG, passing n_counts head-count
+    grids; on half the ticks the caller draws on every event, as a litter
+    decision does. Each event the oracle reports other than a move is the
+    next one yielded, and when it is, every agent up to it, the RNG state and
+    every grid agree; so do all of them at the end of the tick."""
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(30):
+        grid = grid_from(walled_park_map(rng, rng.randint(3, 10), rng.randint(3, 10)))
+        layers = walkable_distance_field(grid, grid.hotspots)
+        tables = [downhill_step_table(layer) for layer in layers]
+        base = rng.uniform(0.1, 5.0)
+        draws = hotspot_draw(len(grid.hotspots), base)
+        ys, xs = np.nonzero(grid.walkable_mask)
+        starts = [(int(xs[i]), int(ys[i]))
+                  for i in (rng.randrange(len(xs)) for _ in range(rng.randint(1, 12)))]
+        targets = [rng.choice([None, rng.randrange(len(grid.hotspots))]) for _ in starts]
+        fast = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
+                for i, (c, t) in enumerate(zip(starts, targets))]
+        slow = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
+                for i, (c, t) in enumerate(zip(starts, targets))]
+        # the second grid also counts a head that no move touches
+        still = [Agent(-1, AgentKind.VISITOR, starts[0])]
+        counts = (head_counts(fast, grid), head_counts(fast + still, grid))[:n_counts]
+        seed = rng.random()
+        fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+
+        def agree(upto):
+            for f, s in zip(fast[:upto], slow[:upto]):
+                assert (f.coord, f.target_hotspot, f.dwell_remaining) == (
+                    s.coord, s.target_hotspot, s.dwell_remaining)
+            assert fast_rng.getstate() == slow_rng.getstate()
+            assert counts == (head_counts(fast, grid),
+                              head_counts(fast + still, grid))[:n_counts]
+
+        for t in range(25):
+            moves = step_agent(fast, grid.hotspots, tables, draws, fast_rng, 0.3, counts)
+            for i, s in enumerate(slow):
+                expected = bf_step_agent(s, grid, layers, slow_rng, 0.3, base)
+                seen.add(expected)
+                if expected != MOVED:
+                    assert next(moves) == (fast[i], expected)
+                    agree(i + 1)
+                    if t % 2:
+                        assert fast_rng.random() == slow_rng.random()
+            assert next(moves, None) is None
+            agree(len(fast))
+    assert seen == {RETARGETED, MOVED, ARRIVED, DWELLING, DWELL_ENDED}
 
 
 class TestStepTables:
     def test_table_steps_match_neighbour_scan(self):
         # random maps with obstacles, a walled-off hotspot and open ground;
         # after every tick the table step and the 8-neighbour scan agree on
-        # the event, the agent's state and the RNG state
+        # the event (none for a plain move), the agent's state and the RNG
+        # state
         rng = random.Random(21)
         ties = unreachable = 0
         for _ in range(30):
@@ -617,11 +735,11 @@ class TestStepTables:
                         mask = tables[target][fast.coord[1]][fast.coord[0]]
                         ties += bin(mask).count("1") > 1
                         unreachable += mask == 0
-                    event = next(step_agent([fast], grid.hotspots, tables, draws, fast_rng,
-                                            dwell_p=0.3))
+                    events = tick([fast], grid, tables, draws, fast_rng, 0.3)
                     expected = bf_step_agent(slow, grid, layers, slow_rng, 0.3, base)
-                    assert (event, fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
-                        expected, slow.coord, slow.target_hotspot, slow.dwell_remaining
+                    assert events == ([] if expected == MOVED else [(fast, expected)])
+                    assert (fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
+                        slow.coord, slow.target_hotspot, slow.dwell_remaining
                     )
                     assert fast_rng.getstate() == slow_rng.getstate()
         assert ties > 0 and unreachable > 0
@@ -633,46 +751,16 @@ class TestStepTables:
         agent.target_hotspot = 0
         rng, replay = random.Random(5), random.Random(5)
         assert dynamics.DOWNHILL_STEPS[tables[0][0][2]] == ((-1, 0),)
-        next(step_agent([agent], grid.hotspots, tables, draws, rng, dwell_p=0.25))
+        assert tick([agent], grid, tables, draws, rng, 0.25) == []
         replay.randrange(1)
         assert rng.getstate() == replay.getstate()
 
     def test_one_call_steps_the_list_in_order(self):
-        # one step_agent call per tick over up to 12 agents against
-        # bf_step_agent agent by agent on one shared RNG; on half the ticks
-        # the caller draws between two yields, as a litter decision does.
-        # After every yield the event, the agent and the RNG state agree.
-        rng = random.Random(47)
-        seen = set()
-        for _ in range(30):
-            grid = grid_from(walled_park_map(rng, rng.randint(3, 10), rng.randint(3, 10)))
-            layers = walkable_distance_field(grid, grid.hotspots)
-            tables = [downhill_step_table(layer) for layer in layers]
-            base = rng.uniform(0.1, 5.0)
-            draws = hotspot_draw(len(grid.hotspots), base)
-            ys, xs = np.nonzero(grid.walkable_mask)
-            starts = [(int(xs[i]), int(ys[i]))
-                      for i in (rng.randrange(len(xs)) for _ in range(rng.randint(1, 12)))]
-            targets = [rng.choice([None, rng.randrange(len(grid.hotspots))]) for _ in starts]
-            fast = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
-                    for i, (c, t) in enumerate(zip(starts, targets))]
-            slow = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
-                    for i, (c, t) in enumerate(zip(starts, targets))]
-            seed = rng.random()
-            fast_rng, slow_rng = random.Random(seed), random.Random(seed)
-            for tick in range(25):
-                moves = step_agent(fast, grid.hotspots, tables, draws, fast_rng, dwell_p=0.3)
-                for f, s in zip(fast, slow):
-                    event = next(moves)
-                    expected = bf_step_agent(s, grid, layers, slow_rng, 0.3, base)
-                    seen.add(event)
-                    assert (event, f.coord, f.target_hotspot, f.dwell_remaining) == (
-                        expected, s.coord, s.target_hotspot, s.dwell_remaining
-                    )
-                    assert fast_rng.getstate() == slow_rng.getstate()
-                    if tick % 2:
-                        assert fast_rng.random() == slow_rng.random()
-        assert seen == {RETARGETED, MOVED, ARRIVED, DWELLING, DWELL_ENDED}
+        check_one_call_steps_the_list_in_order(0)
+
+    @pytest.mark.parametrize("n_counts", [1, 2])
+    def test_counts_follow_every_move(self, n_counts):
+        check_one_call_steps_the_list_in_order(n_counts)
 
 
 class TestResidentWalk:

@@ -210,6 +210,24 @@ class TestStep:
         # one spawn per tick, five tick lifetime -> population settles at 5
         assert state.metrics[-1].population == 5
 
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_members_come_first_in_id_order(self, default_grid, stationary):
+        # the park's agent loop takes the first n_community agents as the
+        # community members: start spawns them first, turnover keeps the order
+        config = make_config(scenario="park", seed=3, visitor_spawn_rate=0.7, visit_length=5,
+                             n_community=3, community_stationary=stationary)
+        state = init_scenario(config, grid=default_grid)
+        members = list(state.agents)
+        most_visitors = 0
+        for _ in range(200):
+            step(state)
+            assert all(a is m for a, m in zip(state.agents[:3], members))
+            assert [(a.id, a.kind) for a in state.agents[:3]] == [
+                (i, AgentKind.COMMUNITY_MEMBER) for i in range(3)]
+            assert all(a.kind is AgentKind.VISITOR for a in state.agents[3:])
+            most_visitors = max(most_visitors, len(state.agents) - 3)
+        assert most_visitors > 1
+
     def test_houses_per_tick_growth(self, default_grid):
         config = make_config(scenario="prepark", houses=12, houses_per_tick=2)
         state = init_scenario(config, grid=default_grid)
