@@ -135,11 +135,6 @@ SECTION_FIELDS: dict[str, tuple[str, ...]] = {
     for section in dict.fromkeys(_SECTION_OF.values())
 }
 
-_BOOL_WORDS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
-
 
 def _fail(field_name: str, message: str) -> None:
     raise ConfigError(f"{_SECTION_OF[field_name]}.{field_name} {message}")
@@ -195,16 +190,13 @@ def _convert(section: str, key: str, raw: str, config: SimConfig):
     target = type(current) if current is not None else str
     try:
         if target is bool:
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError
-            return _BOOL_WORDS[word]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if target is int:
             return int(raw)
         if target is float:
             return float(raw)
         return raw
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(
             f"{section}.{key}: expected {target.__name__}, got {raw!r}"
         ) from None

@@ -28,13 +28,13 @@ hotspot's BFS distance field, dwell a geometric number of ticks, then pick
 the next one. The map never changes, so each hotspot's downhill moves are
 worked out once, at set-up, into a step table: one byte per cell whose bits
 name the neighbours a wanderer may step to. A move reads one byte instead
-of scanning 8 neighbours. Picks read one draw table built at set-up too:
-the running sums of the equal weights, the last two of which are the
-totals, so a pick is one bisect that lands where a weighted linear scan
-would (see hotspot_draw). step_agent steps a whole list of wanderers in one
-generator that yields only the events a caller acts on (retarget, arrival,
-dwelling, dwell end), never a plain step, and moves each agent's head count
-in the grids it is given.
+of scanning 8 neighbours. Picks read one draw list built at set-up too:
+the running sums of the equal weights, where the total of the first m
+hotspots is the m-th sum, so a pick is one bisect that lands where a
+weighted linear scan would (see hotspot_draw). step_agent steps a whole
+list of wanderers in one generator that yields only the events a caller
+acts on (retarget, arrival, dwelling, dwell end), never a plain step, and
+moves each agent's head count in the grids it is given.
 Residents do a home-anchored random walk on a walk table of the same form,
 built at prepark set-up: one byte per cell whose bits name its walkable
 neighbours. A resident's move masks that byte with the neighbours that keep
@@ -85,9 +85,6 @@ DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
 _WALK_DRAWS = tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in DOWNHILL_STEPS)
 # the same per step-table mask; a wanderer en route has n = len(steps) choices
 _STEP_DRAWS = tuple((len(s), len(s).bit_length(), s) for s in DOWNHILL_STEPS)
-
-# what hotspot_draw returns: (bounds, total of all weights, total of all but one)
-HotspotDraw = tuple[list[float], float, float]
 
 
 class AgentKind(Enum):
@@ -306,35 +303,40 @@ def sample_geometric(p: float, rng) -> int:
     return int(math.log(1.0 - u) / math.log(1.0 - p)) + 1
 
 
-def hotspot_draw(n: int, base: float) -> HotspotDraw:
-    """What choose_next_hotspot draws from, for n hotspots of excitement base.
-
-    The bounds are the running sums of n copies of base, added from 0.0 as
-    a weighted scan adds them; the first m of them are the bounds of any m
-    candidates. The totals of n and of n - 1 copies are the last two running
-    sums, added in order on every interpreter (sum() compensates on Python
-    3.12+).
+def hotspot_draw(n: int, base: float) -> list[float]:
+    """What choose_next_hotspot draws from, for n hotspots of excitement base:
+    the running sums of n copies of base, added from 0.0 as a weighted scan
+    adds them. The first m of them are the bounds of any m candidates, and
+    the m-th is their total, added in order on every interpreter (sum()
+    compensates on Python 3.12+).
     """
-    sums = list(accumulate([base] * n, initial=0.0))
-    return sums[1:], sums[-1], sums[-2]
+    return list(accumulate([base] * n, initial=0.0))[1:]
 
 
-def choose_next_hotspot(draw: HotspotDraw, current: int | None, rng) -> int:
-    """Sample a hotspot other than current from hotspot_draw's table.
+def choose_next_hotspot(bounds: Sequence[float], current: int | None, rng) -> int:
+    """Sample a hotspot other than current from hotspot_draw's bounds.
 
     The candidates are every hotspot, or every one but current. One
     rng.random() draw times their total picks the first candidate whose
     running sum exceeds it, or the last candidate when none does. A lone
     hotspot is returned outright, with no draw.
     """
-    bounds, total_all, total_others = draw
     if len(bounds) == 1:
         return 0
-    m, total = (len(bounds), total_all) if current is None else (len(bounds) - 1, total_others)
+    m = len(bounds) if current is None else len(bounds) - 1
     # base > 0 keeps the bounds from falling, so the clamp to m - 1 picks
     # as a bisect of the first m bounds would
-    i = min(bisect_right(bounds, rng.random() * total), m - 1)
+    i = min(bisect_right(bounds, rng.random() * bounds[m - 1]), m - 1)
     return i if current is None or i < current else i + 1
+
+
+def _bit_rows(bits: Sequence[np.ndarray]) -> list[bytes]:
+    """8 boolean grids packed into one bytes row per grid row, one byte per
+    cell, whose bit k is bits[k] at that cell."""
+    mask = np.zeros(bits[0].shape, dtype=np.uint8)
+    for k, bit in enumerate(bits):
+        mask |= bit.view(np.uint8) << k
+    return [row.tobytes() for row in mask]
 
 
 def downhill_step_table(dist: np.ndarray) -> list[bytes]:
@@ -351,17 +353,14 @@ def downhill_step_table(dist: np.ndarray) -> list[bytes]:
     neighbours = moore_views(dist, np.inf)
     best = np.minimum.reduce(neighbours)
     improves = best < dist
-    mask = np.zeros(dist.shape, dtype=np.uint8)
-    for k, neighbour in enumerate(neighbours):
-        mask |= ((neighbour == best) & improves).view(np.uint8) << k
-    return [row.tobytes() for row in mask]
+    return _bit_rows([(neighbour == best) & improves for neighbour in neighbours])
 
 
 def step_agent(
     agents: Sequence[Agent],
     hotspots: Sequence[Coord],
     step_tables: Sequence[Sequence[bytes]],
-    draw: HotspotDraw,
+    draw: Sequence[float],
     rng,
     dwell_p: float,
     counts: Sequence[list[list[int]]] = (),
@@ -423,10 +422,7 @@ def walk_table(walkable: np.ndarray) -> list[bytes]:
     Returns one bytes row per grid row, one byte per cell; bit k is set when
     Moore neighbour k (MOORE_OFFSETS order) lies on the grid and is walkable.
     """
-    mask = np.zeros(walkable.shape, dtype=np.uint8)
-    for k, neighbour in enumerate(moore_views(walkable, False)):
-        mask |= neighbour.view(np.uint8) << k
-    return [row.tobytes() for row in mask]
+    return _bit_rows(moore_views(walkable, False))
 
 
 @cache

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from .dynamics import (
     Agent,
     AgentKind,
     ExcitementField,
-    HotspotDraw,
     agent_cells,
     agent_utility,
     crowding_penalty,
@@ -154,12 +153,12 @@ class Setup:
     config: SimConfig
     grid: TerrainGrid
     # park only: per hotspot, the step table built from its BFS layer (rows
-    # of bytes, see downhill_step_table); the one draw table a wanderer
-    # picks its next hotspot from (see dynamics.hotspot_draw); the
-    # entrances; and, under riverside_drift, the cells next to the river,
-    # where litter washes in
+    # of bytes, see downhill_step_table); the running sums of the hotspots'
+    # weights, the one list a wanderer picks its next hotspot from (see
+    # dynamics.hotspot_draw); the entrances; and, under riverside_drift,
+    # the cells next to the river, where litter washes in
     step_tables: list[list[bytes]] = field(default_factory=list)
-    draw: HotspotDraw | None = None
+    draw: list[float] = field(default_factory=list)
     entrances: tuple[Coord, ...] = ()
     riverside: np.ndarray | None = None
     # prepark only: the static placement fields and the residents' walk
@@ -241,8 +240,11 @@ def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
 
 def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
     """Validate config, read its map unless grid is given, and build the
-    scenario's static fields; raises every map-dependent ConfigError."""
+    scenario's static fields; raises every map-dependent ConfigError. The
+    set-up keeps its own copy of config, so a later change to config leaves
+    it as built."""
     config.validate()
+    config = replace(config, legend=dict(config.legend))
     if grid is None:
         grid = load_terrain_files(*config.map_files(), legend=config.legend)
     if grid.n_river == 0:
@@ -501,9 +503,15 @@ def run(config: SimConfig, grid: TerrainGrid | None = None,
         setup: Setup | None = None) -> RunResult:
     """Advance config.ticks ticks from the tick-0 state of config.seed and
     collect metrics and frames; setup, prepare(config, grid) unless given,
-    may come from a config that differs from this one only in its seed."""
+    must come from a config that differs from this one only in its seed
+    (ValueError names the first other knob that differs)."""
     if setup is None:
         setup = prepare(config, grid)
+    for spec in fields(config):
+        ours, its = getattr(config, spec.name), getattr(setup.config, spec.name)
+        if spec.name != "seed" and ours != its:
+            raise ValueError(f"config.{spec.name} is {ours!r}, but the set-up was "
+                             f"prepared with {its!r}; only the seed may differ")
     state = start(setup, config.seed)
     frames: list[tuple[int, str]] = []
     if config.frame_every:

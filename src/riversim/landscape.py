@@ -5,10 +5,10 @@ whitespace-separated elevation sheet of the same shape. Loading produces an
 immutable TerrainGrid. A hotspot is a marked cell and nothing more: the
 grid lists their coordinates in row-major order, and set-up gives every one
 the config's ``hotspot_base_excitement``. ``compute_river_features`` /
-``compute_road_features`` derive the distance fields and masks that only
-the prepark placement rules consume; the park reads just ``riverside_mask``
-(the cells next to the river, where litter drifts in) and the hotspots'
-``walkable_distance_field``.
+``compute_road_features`` derive the stream components, distance fields
+and masks that only the prepark placement rules consume; the park reads
+just ``riverside_mask`` (the cells next to the river, where litter drifts
+in) and the hotspots' ``walkable_distance_field``.
 
 Conventions used throughout the package:
 
@@ -17,7 +17,9 @@ Conventions used throughout the package:
 * All grid distances are Chebyshev (the metric induced by the 8-cell Moore
   neighborhood).
 * Every whole-grid Moore stencil reads its neighbours through
-  ``moore_views``, the one place that decides what off-grid cells read.
+  ``moore_views``, which decides what off-grid cells read, except the
+  excitement field's neighbour sum: ``dynamics._moore_sum`` borders its
+  own flat copy of the rows with zeros, so that it adds contiguous slices.
 * Every nearest-source question (river and road distance, the below-river
   and highland taboos) is answered by ``nearest_cell_fields``; ties resolve
   by smallest Chebyshev distance, then squared Euclidean, then row-major.
@@ -111,7 +113,6 @@ class TerrainGrid:
     height: int
     cells: np.ndarray          # (H, W) uint8 class codes
     elevation: np.ndarray      # (H, W) float64
-    stream_labels: np.ndarray  # (H, W) int32, 0 = not river
     hotspots: tuple[Coord, ...]  # hotspot marker cells, row-major
     branch_markers: frozenset[Coord]
     chars: tuple[str, ...]     # original map rows, for frame rendering
@@ -385,11 +386,9 @@ def load_terrain(
                     )
                 elevation[y, x] = value
 
-    river_mask = cells == RIVER_CODE
-    stream_labels = _label_streams(river_mask)
     walk = np.isin(cells, [CLASS_CODES[cls] for cls in _WALKABLE])
 
-    for arr in (cells, elevation, stream_labels, walk):
+    for arr in (cells, elevation, walk):
         arr.flags.writeable = False
 
     return TerrainGrid(
@@ -397,12 +396,11 @@ def load_terrain(
         height=height,
         cells=cells,
         elevation=elevation,
-        stream_labels=stream_labels,
         hotspots=tuple(hotspots),
         branch_markers=frozenset(branch_markers),
         chars=tuple(rows),
         walkable_mask=walk,
-        n_river=int(np.count_nonzero(river_mask)),
+        n_river=int(np.count_nonzero(cells == RIVER_CODE)),
     )
 
 
@@ -447,7 +445,7 @@ def compute_river_features(
 
     # smallest and largest stream label within d_streams of each cell; two
     # labels differ there exactly when two streams are that close
-    labels = grid.stream_labels
+    labels = _label_streams(river)
     no_label = np.iinfo(labels.dtype).max
     lo = np.where(labels > 0, labels, no_label)
     hi = labels

@@ -1,10 +1,11 @@
 import random
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from riversim import engine
+from riversim import engine, landscape
 from riversim.config import ConfigError
 from riversim.dynamics import (
     AgentKind,
@@ -22,7 +23,7 @@ from riversim.engine import (
     run,
     step,
 )
-from riversim.landscape import compute_river_features, walkable_distance_field
+from riversim.landscape import compute_river_features, load_terrain, walkable_distance_field
 
 from conftest import grid_from, make_config
 from reference import bf_agent_utility, bf_crowding_penalty, bf_utilities_by_cell
@@ -140,6 +141,36 @@ class TestParkSetup:
             state = engine.run(config, grid=default_grid).state
             assert (state.setup.riverside is not None) == drift
 
+    def test_park_labels_no_streams(self, monkeypatch):
+        # only the prepark's between-streams taboo reads the stream labels
+        def refuse(*args, **kwargs):
+            raise AssertionError("park set-up labelled the river's streams")
+
+        monkeypatch.setattr(landscape, "_label_streams", refuse)
+        # the bundled map, loaded by prepare itself
+        prepare(make_config(scenario="park", riverside_drift=True))
+        # the criterion-9 layout: a road, six hotspots above a river
+        # flanked by riverbank rows
+        rows = ["." * 200] * 200
+        rows[0] = "=" * 200
+        rows[148] = "".join("H" if x in (20, 50, 90, 120, 160, 185) else "." for x in range(200))
+        rows[149] = rows[151] = "r" * 200
+        rows[150] = "~" * 200
+        desk = load_terrain("\n".join(rows))
+        prepare(make_config(scenario="park", n_community=500, visitor_spawn_rate=0.0), grid=desk)
+
+    def test_prepark_labels_streams_once(self, monkeypatch):
+        calls = []
+        label = landscape._label_streams
+
+        def counted(mask):
+            calls.append(mask)
+            return label(mask)
+
+        monkeypatch.setattr(landscape, "_label_streams", counted)
+        prepare(make_config(scenario="prepark"))
+        assert len(calls) == 1
+
     def test_riverside_mask_is_distance_one_from_river(self):
         # random maps with river cells on the map edge, branch markers,
         # obstacles and trees; the mask the park keeps must be exactly the
@@ -160,6 +191,32 @@ class TestParkSetup:
             expected = compute_river_features(grid).dist_to_river == 1
             assert riverside.dtype == bool
             assert np.array_equal(riverside, expected)
+
+
+class TestSharedSetup:
+    def test_run_refuses_a_config_other_than_the_setups(self, default_grid):
+        config = make_config(scenario="park", ticks=5)
+        setup = prepare(config, grid=default_grid)
+        # ticks is declared before rho, so it is the knob named
+        with pytest.raises(ValueError, match=r"config\.ticks is 3, .* only the seed may differ"):
+            run(replace(config, ticks=3, rho=9.0, seed=2), setup=setup)
+        with pytest.raises(ValueError, match=r"config\.rho is 9\.0, .* with 0\.1;"):
+            run(replace(config, rho=9.0), setup=setup)
+        result = run(replace(config, seed=2), setup=setup)
+        assert len(result.metrics) == 6
+        assert result.state.config == replace(setup.config, seed=2)
+        assert result.metrics == run(replace(config, seed=2), grid=default_grid).metrics
+
+    def test_setup_keeps_its_own_config(self, default_grid):
+        config = make_config(scenario="park")
+        setup = prepare(config, grid=default_grid)
+        config.rho = 7.0
+        config.legend["x"] = "River"
+        assert setup.config.rho == 0.1
+        assert "x" not in setup.config.legend
+        assert setup.config == make_config(scenario="park")
+        with pytest.raises(ValueError, match=r"config\.legend"):
+            run(replace(config, rho=0.1), setup=setup)
 
 
 class TestStep:

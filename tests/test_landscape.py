@@ -6,6 +6,7 @@ import pytest
 from riversim.landscape import (
     CLASS_CODES,
     MOORE_OFFSETS,
+    RIVER_CODE,
     TerrainClass,
     TerrainError,
     compute_river_features,
@@ -15,6 +16,7 @@ from riversim.landscape import (
     nearest_cell_fields,
     shifted,
     walkable_distance_field,
+    _label_streams,
 )
 
 from conftest import grid_from, walled_park_map
@@ -26,6 +28,12 @@ from reference import (
     bf_nearest_source,
     bf_walkable_bfs,
 )
+
+
+def stream_labels(grid):
+    """The stream labels compute_river_features reads: 8-connected river
+    components, 1.. in row-major discovery order, 0 off the river."""
+    return _label_streams(grid.cells == RIVER_CODE)
 
 
 def random_map(rng, width, height, river_p=0.2):
@@ -79,30 +87,30 @@ class TestLoading:
             for x in range(3) for y in range(3)
         )
         assert np.all(grid.elevation == 0.0)
-        assert grid.stream_labels.max() == 0
+        assert stream_labels(grid).max() == 0
         assert grid.n_river == 0
 
     def test_single_stream_column(self):
         grid = grid_from(".~.\n.~.\n.~.")
-        labels = grid.stream_labels
+        labels = stream_labels(grid)
         assert set(np.unique(labels)) == {0, 1}
         assert np.all((labels == 1) == (grid.cells == 0))  # river code is 0
         assert grid.n_river == 3
 
     def test_two_separate_streams_get_two_ids(self):
         grid = grid_from("~...~\n~...~\n~...~")
-        assert grid.stream_labels.max() == 2
+        assert stream_labels(grid).max() == 2
 
     def test_components_match_flood_fill(self):
         rng = random.Random(7)
         for _ in range(20):
             w, h = rng.randint(2, 12), rng.randint(2, 12)
             grid = grid_from(random_map(rng, w, h, river_p=0.35))
-            mask = grid.stream_labels > 0
-            expected = set(bf_flood_fill_components(mask))
+            labels = stream_labels(grid)
+            expected = set(bf_flood_fill_components(labels > 0))
             got = set()
-            for sid in range(1, int(grid.stream_labels.max()) + 1):
-                ys, xs = np.nonzero(grid.stream_labels == sid)
+            for sid in range(1, int(labels.max()) + 1):
+                ys, xs = np.nonzero(labels == sid)
                 got.add(frozenset(zip(map(int, xs), map(int, ys))))
             assert got == expected
 
@@ -149,7 +157,7 @@ class TestLoading:
         grid = grid_from(".B.\n...")
         assert grid.cells[0, 1] == CLASS_CODES[TerrainClass.RIVER]
         assert grid.branch_markers == {(1, 0)}
-        assert grid.stream_labels[0, 1] == 1
+        assert stream_labels(grid)[0, 1] == 1
 
     def test_legend_override(self):
         grid = grid_from("www\n...", legend={"w": "River", ".": "Buildable"})
@@ -166,7 +174,7 @@ class TestLoading:
         b = load_terrain(text, elev)
         assert np.array_equal(a.cells, b.cells)
         assert np.array_equal(a.elevation, b.elevation)
-        assert np.array_equal(a.stream_labels, b.stream_labels)
+        assert np.array_equal(stream_labels(a), stream_labels(b))
         assert a.hotspots == b.hotspots
         assert a.chars == b.chars
 
@@ -225,7 +233,7 @@ class TestDistanceFields:
             w, h = rng.randint(2, 20), rng.randint(2, 20)
             grid = grid_from(random_map(rng, w, h, river_p=rng.choice([0.0, 0.1, 0.3])))
             features = compute_river_features(grid)
-            ys, xs = np.nonzero(grid.stream_labels > 0)
+            ys, xs = np.nonzero(stream_labels(grid) > 0)
             sources = list(zip(map(int, xs), map(int, ys)))
             expected = bf_chebyshev_distances((h, w), sources)
             assert np.array_equal(features.dist_to_river, expected)
@@ -233,7 +241,7 @@ class TestDistanceFields:
     def test_dist_zero_exactly_on_river(self):
         grid = grid_from("~..\n...\n..~")
         features = compute_river_features(grid)
-        river = grid.stream_labels > 0
+        river = stream_labels(grid) > 0
         assert np.all((features.dist_to_river == 0) == river)
 
     def test_river_free_map_all_inf_all_false(self):
@@ -327,13 +335,14 @@ class TestRiverFeatures:
             grid = grid_from(random_map(rng, w, h, river_p=0.25))
             d = 2
             features = compute_river_features(grid, d_streams=d)
+            labels = stream_labels(grid)
             for y in range(h):
                 for x in range(w):
                     ids = set()
                     for sy in range(h):
                         for sx in range(w):
-                            if grid.stream_labels[sy, sx] and max(abs(sx - x), abs(sy - y)) <= d:
-                                ids.add(int(grid.stream_labels[sy, sx]))
+                            if labels[sy, sx] and max(abs(sx - x), abs(sy - y)) <= d:
+                                ids.add(int(labels[sy, sx]))
                     assert features.between_streams[y, x] == (len(ids) >= 2)
 
     def test_between_streams_matches_per_stream_dilation(self):
@@ -345,7 +354,7 @@ class TestRiverFeatures:
             grid = grid_from(random_map(rng, w, h, river_p=rng.choice([0.05, 0.2, 0.4, 0.7])))
             for d in (0, 1, rng.randint(2, 5), max(w, h) + rng.randint(0, 3), 10**9):
                 features = compute_river_features(grid, d_streams=d)
-                expected = bf_between_streams(grid.stream_labels, d)
+                expected = bf_between_streams(stream_labels(grid), d)
                 assert np.array_equal(features.between_streams, expected), (d, grid.chars)
 
     def test_straight_stream_has_no_branch(self):
@@ -394,7 +403,7 @@ class TestRiverFeatures:
         assert features.below_river[4, 0]
         # center column is nearest the left river (row-major tie-break at
         # equal chebyshev+euclidean)? verify against brute force instead
-        ys, xs = np.nonzero(grid.stream_labels > 0)
+        ys, xs = np.nonzero(stream_labels(grid) > 0)
         nearest = bf_nearest_source((5, 5), list(zip(map(int, xs), map(int, ys))))
         for y in range(5):
             for x in range(5):
