@@ -504,9 +504,12 @@ def run(config: SimConfig, grid: TerrainGrid | None = None,
     """Advance config.ticks ticks from the tick-0 state of config.seed and
     collect metrics and frames; setup, prepare(config, grid) unless given,
     must come from a config that differs from this one only in its seed
-    (ValueError names the first other knob that differs)."""
+    (ValueError names the first other knob that differs). Passing both grid
+    and setup is a ValueError, since the set-up already holds its grid."""
     if setup is None:
         setup = prepare(config, grid)
+    elif grid is not None:
+        raise ValueError("pass grid or setup, not both: the set-up already holds its grid")
     for spec in fields(config):
         ours, its = getattr(config, spec.name), getattr(setup.config, spec.name)
         if spec.name != "seed" and ours != its:

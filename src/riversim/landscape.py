@@ -8,7 +8,10 @@ the config's ``hotspot_base_excitement``. ``compute_river_features`` /
 ``compute_road_features`` derive the stream components, distance fields
 and masks that only the prepark placement rules consume; the park reads
 just ``riverside_mask`` (the cells next to the river, where litter drifts
-in) and the hotspots' ``walkable_distance_field``.
+in) and the hotspots' ``walkable_distance_field``, one BFS layer per hotspot
+in one stack. Each BFS pass reads only the neighbours of the current ring,
+so a park set-up costs about hotspots x reachable cells, not a pass over
+the whole stack per ring.
 
 Conventions used throughout the package:
 
@@ -205,31 +208,42 @@ def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.n
     Returns an (n, H, W) float array whose layer i holds the number of Moore
     steps from ``sources[i]`` to each cell, moving over walkable cells only;
     ``inf`` where unreachable (everywhere if the source is not walkable).
-    All layers grow together, one BFS ring per pass.
+    The result is the interior view of an (n, H + 2, W + 2) stack whose
+    one-cell border is never walkable, so it is not C-contiguous.
+
+    All layers grow together, and each pass touches only the current ring:
+    a flat offset ``dy * (W + 2) + dx`` from a cell of the stack stays in
+    its layer without wrapping a row, so the next ring is the ring's
+    neighbours that are still unreached. The work is about 8 index
+    operations per reached cell, so about len(sources) x reachable cells,
+    with no pass over the whole stack per ring.
     """
     passable = grid.walkable_mask
     h, w = passable.shape
-    dist = np.full((len(sources), h, w), np.inf)
-    frontier = np.zeros((len(sources), h, w), dtype=bool)
-    for i, (x, y) in enumerate(sources):
-        if passable[y, x]:
-            frontier[i, y, x] = True
-            dist[i, y, x] = 0.0
-    unseen = passable & np.isinf(dist)
+    stride = w + 2
+    # +inf: walkable and not reached yet; -inf: never walkable (made +inf at the end)
+    plane = np.full((h + 2, stride), -np.inf)
+    plane[1:-1, 1:-1][passable] = np.inf
+    dist = np.empty((len(sources), h + 2, stride))
+    dist[...] = plane
+    flat = dist.reshape(-1)
+    ring = np.array([i * plane.size + (y + 1) * stride + x + 1
+                     for i, (x, y) in enumerate(sources) if passable[y, x]], dtype=np.intp)
+    flat[ring] = 0.0
+    steps = np.array([dy * stride + dx for dx, dy in MOORE_OFFSETS], dtype=np.intp)
     d = 0
-    while True:
-        # the views read a bordered copy, so the next ring overwrites the frontier
-        first, *rest = moore_views(frontier, False)
-        np.copyto(frontier, first)
-        for view in rest:
-            frontier |= view
-        frontier &= unseen
-        if not frontier.any():
-            break
+    while ring.size:
         d += 1
-        dist[frontier] = d
-        unseen ^= frontier  # the ring lies inside unseen
-    return dist
+        reached = (steps[:, None] + ring).ravel()
+        reached = reached.compress(flat[reached] == np.inf)
+        # keep one copy of each cell: every copy writes its position there,
+        # and only the copy whose position stayed reads it back
+        position = np.arange(reached.size, dtype=np.float64)
+        flat[reached] = position
+        ring = reached.compress(flat[reached] == position)
+        flat[ring] = d
+    np.abs(dist, out=dist)
+    return dist[:, 1:-1, 1:-1]
 
 
 def nearest_cell_fields(source_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,6 +389,14 @@ def load_terrain(
                 raise TerrainError(
                     f"elevation row {y} has {len(tokens)} values, expected {width}"
                 )
+            try:
+                elevation[y] = list(map(float, tokens))
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(elevation[y]).all():
+                    continue
+            # only a failed row is scanned, for its first bad token
             for x, tok in enumerate(tokens):
                 try:
                     value = float(tok)
@@ -384,7 +406,6 @@ def load_terrain(
                     raise TerrainError(
                         f"elevation value {tok!r} at row {y}, column {x} is not a finite number"
                     )
-                elevation[y, x] = value
 
     walk = np.isin(cells, [CLASS_CODES[cls] for cls in _WALKABLE])
 

@@ -207,6 +207,14 @@ class TestSharedSetup:
         assert result.state.config == replace(setup.config, seed=2)
         assert result.metrics == run(replace(config, seed=2), grid=default_grid).metrics
 
+    def test_run_refuses_a_grid_beside_a_setup(self, default_grid):
+        # the set-up's map would win silently; even its own grid is refused
+        config = make_config(scenario="park", ticks=3)
+        setup = prepare(config, grid=default_grid)
+        for grid in (grid_from("~~~~\n.H..\n...."), default_grid):
+            with pytest.raises(ValueError, match="pass grid or setup, not both"):
+                run(config, grid=grid, setup=setup)
+
     def test_setup_keeps_its_own_config(self, default_grid):
         config = make_config(scenario="park")
         setup = prepare(config, grid=default_grid)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,34 @@ def random_map(rng, width, height, river_p=0.2):
     rows = []
     for _ in range(height):
         rows.append("".join("~" if rng.random() < river_p else "." for _ in range(width)))
+    return "\n".join(rows)
+
+
+def assert_bfs_layers_match(grid, sources):
+    """walkable_distance_field against one queue BFS per source: shape,
+    dtype and every bit of every layer, inf cells included."""
+    layers = walkable_distance_field(grid, sources)
+    assert layers.shape == (len(sources), grid.height, grid.width)
+    assert layers.dtype == np.float64
+    for layer, source in zip(layers, sources):
+        want = bf_walkable_bfs(grid.walkable_mask, source)
+        assert layer.dtype == want.dtype and layer.tobytes() == want.tobytes(), source
+    return layers
+
+
+def every_cell(grid):
+    return [(x, y) for y in range(grid.height) for x in range(grid.width)]
+
+
+def serpentine_map(width, lanes):
+    """A corridor two cells wide that snakes down `lanes` lanes, with a wall
+    row between lanes open at alternating ends: a BFS from one end makes
+    about half as many rings as the corridor has cells."""
+    rows = []
+    for lane in range(lanes):
+        rows += ["." * width] * 2
+        if lane < lanes - 1:
+            rows.append("..".ljust(width, "t") if lane % 2 else "..".rjust(width, "t"))
     return "\n".join(rows)
 
 
@@ -136,6 +165,32 @@ class TestLoading:
     def test_elevation_non_finite_rejected(self, token):
         with pytest.raises(TerrainError, match=f"{token!r} at row 1, column 0 is not a finite number"):
             grid_from("..\n..", f"1 2\n{token} 3")
+
+    def test_elevation_errors_come_in_row_major_order(self):
+        # each row is counted, then parsed, before the next row is read
+        terrain = "\n".join(["..."] * 6)
+        rows = ["1 2 3"] * 6
+        rows[2], rows[5] = "1 x 3", "1 2"
+        with pytest.raises(TerrainError, match=r"'x' at row 2, column 1 is not"):
+            grid_from(terrain, "\n".join(rows))
+        rows[2] = "1 2 3"
+        with pytest.raises(TerrainError, match="elevation row 5 has 2 values, expected 3"):
+            grid_from(terrain, "\n".join(rows))
+        rows[5], rows[3], rows[4] = "1 2 3", "1 nan 3", "y 2 3"
+        with pytest.raises(TerrainError, match=r"'nan' at row 3, column 1 is not"):
+            grid_from(terrain, "\n".join(rows))
+
+    @pytest.mark.parametrize("row, bad", [("inf 2 x", "'inf' at row 0, column 0"),
+                                          ("1 1e999 x", "'1e999' at row 0, column 1"),
+                                          ("1 x nan", "'x' at row 0, column 1"),
+                                          ("1 2 -inf", "'-inf' at row 0, column 2")])
+    def test_elevation_reports_the_first_bad_token_of_a_row(self, row, bad):
+        with pytest.raises(TerrainError, match=f"{bad} is not a finite number"):
+            grid_from("...\n...", f"{row}\n1 2 3")
+
+    def test_elevation_accepts_what_float_accepts(self):
+        grid = grid_from("...", "1_0 +2.5e1 -0")
+        assert grid.elevation.tolist() == [[10.0, 25.0, 0.0]]
 
     def test_elevation_parsed(self):
         grid = grid_from("..\n..", "1 2\n3.5 -4")
@@ -267,11 +322,65 @@ class TestDistanceFields:
         rng = random.Random(12)
         for _ in range(25):
             grid = grid_from(walled_park_map(rng, rng.randint(3, 15), rng.randint(3, 15)))
-            sources = [*grid.hotspots, (0, 0)]
-            layers = walkable_distance_field(grid, sources)
-            assert layers.shape == (len(sources), grid.height, grid.width)
-            for layer, source in zip(layers, sources):
-                assert layer.tobytes() == bf_walkable_bfs(grid.walkable_mask, source).tobytes()
+            assert_bfs_layers_match(grid, [*grid.hotspots, (0, 0)])
+
+    @pytest.mark.parametrize("text", [".", "t", "......", "..t...", ".\n.\n.\n.", ".\n.\nt\n.\n."])
+    def test_bfs_on_one_cell_row_and_column_maps(self, text):
+        # a source on every cell, the unwalkable ones included
+        grid = grid_from(text)
+        assert_bfs_layers_match(grid, every_cell(grid))
+
+    def test_bfs_without_sources_is_an_empty_stack(self):
+        grid = grid_from("...\n.t.")
+        layers = assert_bfs_layers_match(grid, [])
+        assert layers.shape == (0, 2, 3)
+
+    def test_bfs_from_unwalkable_sources(self):
+        grid = grid_from("~.t\n.#.\n..~")
+        layers = assert_bfs_layers_match(grid, [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2)])
+        assert [bool(np.isinf(layer).all()) for layer in layers] == [True, False, True, True, True]
+
+    def test_bfs_with_more_than_64_sources(self):
+        rng = random.Random(64)
+        grid = grid_from(walled_park_map(rng, 13, 11))
+        cells = every_cell(grid)
+        assert_bfs_layers_match(grid, [rng.choice(cells) for _ in range(70)] + cells[:3])
+
+    def test_bfs_on_walled_off_islands(self):
+        # obstacle walls cut the map into 3 x 3 rooms, some split again by trees
+        rng = random.Random(5)
+        for _ in range(5):
+            cells = [[rng.choice(".....t") for _ in range(14)] for _ in range(14)]
+            for i in range(14):
+                for j in (4, 9):
+                    cells[i][j] = cells[j][i] = "#"
+            grid = grid_from("\n".join("".join(row) for row in cells))
+            layers = assert_bfs_layers_match(grid, [(x, y) for y in (0, 6, 12) for x in (1, 7, 11)])
+            assert np.isinf(layers[0, 5:, :]).all() and np.isinf(layers[0, :, 5:]).all()
+
+    def test_bfs_temporaries_stay_near_the_ring_size(self):
+        # a BFS that kept duplicate cells in its ring would grow it about
+        # threefold per step on open ground, to megabytes on this 10 x 10 map
+        grid = grid_from("\n".join(["." * 10] * 10))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            layers = walkable_distance_field(grid, [(0, 9)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        stack_bytes = 12 * 12 * 8
+        assert layers[0, 0, 9] == 9.0
+        assert stack_bytes <= peak < 32 * stack_bytes
+
+    def test_bfs_along_a_serpentine_corridor(self):
+        grid = grid_from(serpentine_map(24, 5))
+        corridor = int(grid.walkable_mask.sum())
+        layers = assert_bfs_layers_match(grid, [(0, 0), (23, 13), (12, 6)])
+        rings = int(layers[0][np.isfinite(layers[0])].max())
+        assert corridor // 3 < rings <= corridor // 2
 
     def test_nearest_cell_fields_match_per_source_loop(self):
         # bit for bit and dtype for dtype, inf and -1 on empty masks included
