@@ -107,12 +107,6 @@ from .waste import (
     visitor_litter_decision,
 )
 
-CSV_HEADER = (
-    "tick,population,n_houses,total_in_place,river_total,collected_total,"
-    "dirtiness,garbage_per_capita,littering_events"
-)
-
-
 class InvariantViolation(RuntimeError):
     """A simulation invariant broke; carries the tick it happened on."""
 
@@ -141,6 +135,9 @@ class MetricsRow:
         )
 
 
+CSV_HEADER = ",".join(spec.name for spec in fields(MetricsRow))
+
+
 def metrics_to_csv(rows: list[MetricsRow]) -> str:
     return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
 
@@ -155,8 +152,9 @@ class Setup:
     # park only: per hotspot, the step table built from its BFS layer (rows
     # of bytes, see downhill_step_table); the running sums of the hotspots'
     # weights, the one list a wanderer picks its next hotspot from (see
-    # dynamics.hotspot_draw); the entrances; and, under riverside_drift,
-    # the cells next to the river, where litter washes in
+    # dynamics.hotspot_draw); the entrances; and the cells where litter
+    # washes into the river: those next to it under riverside_drift, none
+    # without
     step_tables: list[list[bytes]] = field(default_factory=list)
     draw: list[float] = field(default_factory=list)
     entrances: tuple[Coord, ...] = ()
@@ -241,10 +239,10 @@ def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
 def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
     """Validate config, read its map unless grid is given, and build the
     scenario's static fields; raises every map-dependent ConfigError. The
-    set-up keeps its own copy of config, so a later change to config leaves
-    it as built."""
-    config.validate()
+    set-up validates and keeps its own copy of config, so config is left as
+    given and a later change to it leaves the set-up as built."""
     config = replace(config, legend=dict(config.legend))
+    config.validate()
     if grid is None:
         grid = load_terrain_files(*config.map_files(), legend=config.legend)
     if grid.n_river == 0:
@@ -266,7 +264,8 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
                  step_tables=[downhill_step_table(layer) for layer in hotspot_dist],
                  draw=hotspot_draw(len(grid.hotspots), config.hotspot_base_excitement),
                  entrances=entrances,
-                 riverside=riverside_mask(grid) if config.riverside_drift else None)
+                 riverside=(riverside_mask(grid) if config.riverside_drift
+                            else np.zeros((grid.height, grid.width), dtype=bool)))
 
 
 def start(setup: Setup, seed: int) -> SimState:
@@ -330,7 +329,7 @@ def _watchers(occupancy: tuple[list[list[int]], list[list[int]]], me: Agent,
 
 def _drop_litter(state: SimState, coord: Coord) -> None:
     x, y = coord
-    if state.config.riverside_drift and state.setup.riverside[y, x]:
+    if state.setup.riverside[y, x]:
         state.garbage.dump_to_river()
     else:
         state.garbage.drop_at(coord)
@@ -505,7 +504,10 @@ def run(config: SimConfig, grid: TerrainGrid | None = None,
     collect metrics and frames; setup, prepare(config, grid) unless given,
     must come from a config that differs from this one only in its seed
     (ValueError names the first other knob that differs). Passing both grid
-    and setup is a ValueError, since the set-up already holds its grid."""
+    and setup is a ValueError, since the set-up already holds its grid. Like
+    prepare, run validates its own copy of config and leaves config as given."""
+    config = replace(config)
+    config.validate()
     if setup is None:
         setup = prepare(config, grid)
     elif grid is not None:

@@ -2,7 +2,11 @@
 
 A map is a rectangular block of legend characters plus an optional
 whitespace-separated elevation sheet of the same shape. Loading produces an
-immutable TerrainGrid. A hotspot is a marked cell and nothing more: the
+immutable TerrainGrid. Characters resolve in one ``searchsorted`` of the
+map's code points over the legend's sorted keys, then per-entry tables of
+cell code, walkability and marks: any single character may be a legend key,
+and one missing from the legend is reported before a later row of another
+width. A hotspot is a marked cell and nothing more: the
 grid lists their coordinates in row-major order, and set-up gives every one
 the config's ``hotspot_base_excitement``. ``compute_river_features`` /
 ``compute_road_features`` derive the stream components, distance fields
@@ -23,6 +27,8 @@ Conventions used throughout the package:
   ``moore_views``, which decides what off-grid cells read, except the
   excitement field's neighbour sum: ``dynamics._moore_sum`` borders its
   own flat copy of the rows with zeros, so that it adds contiguous slices.
+  The highland taboo's look-ahead reads slices of one copy of the
+  elevation padded with ``-inf`` (``settlement._highland_mask``).
 * Every nearest-source question (river and road distance, the below-river
   and highland taboos) is answered by ``nearest_cell_fields``; ties resolve
   by smallest Chebyshev distance, then squared Euclidean, then row-major.
@@ -33,6 +39,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,13 +98,13 @@ DEFAULT_LEGEND: dict[str, str] = {
     "B": BRANCH_MARKER,    # River cell forced to count as a branch point
 }
 
-_WALKABLE = frozenset({
+_WALKABLE_CODES = frozenset(CLASS_CODES[c] for c in (
     TerrainClass.ROAD,
     TerrainClass.BUILDABLE,
     TerrainClass.PARK_PATH,
     TerrainClass.RIVERBANK,
     TerrainClass.DELTA,
-})
+))
 
 # Moore neighborhood offsets (dx, dy): row-major scan of the 3x3 block with
 # the center excluded. Every neighbor iteration in the package uses this order.
@@ -158,20 +165,6 @@ class RoadFeatures:
     dist_to_road: np.ndarray
     nearest_road_x: np.ndarray
     nearest_road_y: np.ndarray
-
-
-def shifted(arr: np.ndarray, dx: int, dy: int, fill) -> np.ndarray:
-    """Array whose [y, x] entry is arr[y+dy, x+dx], or `fill` out of bounds."""
-    h, w = arr.shape
-    out = np.full_like(arr, fill)
-    if abs(dx) >= w or abs(dy) >= h:
-        return out  # every source lies off the grid
-    dst_y = slice(max(0, -dy), h - max(0, dy))
-    dst_x = slice(max(0, -dx), w - max(0, dx))
-    src_y = slice(max(0, dy), h - max(0, -dy))
-    src_x = slice(max(0, dx), w - max(0, -dx))
-    out[dst_y, dst_x] = arr[src_y, src_x]
-    return out
 
 
 def moore_views(arr: np.ndarray, fill) -> list[np.ndarray]:
@@ -351,30 +344,26 @@ def load_terrain(
     if width == 0:
         raise TerrainError("terrain row 0 is empty")
 
-    # each legend character resolved to its cell code once per load
-    codes = {ch: _NAME_CODES[name] for ch, name in active.items()}
-    markers = {ch for ch, name in active.items() if name in (HOTSPOT_MARKER, BRANCH_MARKER)}
-    cells = np.zeros((height, width), dtype=np.uint8)
-    hotspots: list[Coord] = []
-    branch_markers: set[Coord] = set()
-    for y, row in enumerate(rows):
-        if len(row) != width:
-            raise TerrainError(f"terrain row {y} has {len(row)} cells, expected {width}")
-        try:
-            cells[y] = [codes[ch] for ch in row]
-        except KeyError:
-            x = next(x for x, ch in enumerate(row) if ch not in codes)
-            raise TerrainError(
-                f"character {row[x]!r} at row {y}, column {x} is not in the legend"
-            ) from None
-        if markers.isdisjoint(row):
-            continue
-        for x, ch in enumerate(row):
-            name = active[ch]
-            if name == HOTSPOT_MARKER:
-                hotspots.append((x, y))
-            elif name == BRANCH_MARKER:
-                branch_markers.add((x, y))
+    # rows up to the first one of another width are resolved, so a bad
+    # character in them is reported before that row
+    good = next((y for y, row in enumerate(rows) if len(row) != width), height)
+    points = np.array(rows[:good], dtype=f"<U{width}").view("<u4").reshape(good, width)
+    # the legend in code point order, one table per column; a last entry
+    # past every code point keeps each search result a valid index
+    legend_rows = sorted((ord(ch), _NAME_CODES[name], name) for ch, name in active.items())
+    legend_rows.append((sys.maxunicode + 1, 0, ""))
+    keys, codes, names = map(np.array, zip(*legend_rows))
+    entry = np.searchsorted(keys, points)
+    unknown = keys[entry] != points
+    if unknown.any():
+        y, x = divmod(int(unknown.argmax()), width)
+        raise TerrainError(f"character {rows[y][x]!r} at row {y}, column {x} is not in the legend")
+    if good < height:
+        raise TerrainError(f"terrain row {good} has {len(rows[good])} cells, expected {width}")
+    cells = codes.astype(np.uint8)[entry]
+    walk = np.array([code in _WALKABLE_CODES for code in codes])[entry]
+    hotspot_y, hotspot_x = np.nonzero((names == HOTSPOT_MARKER)[entry])
+    branch_y, branch_x = np.nonzero((names == BRANCH_MARKER)[entry])
 
     elevation = np.zeros((height, width), dtype=np.float64)
     if elevation_text is not None:
@@ -407,8 +396,6 @@ def load_terrain(
                         f"elevation value {tok!r} at row {y}, column {x} is not a finite number"
                     )
 
-    walk = np.isin(cells, [CLASS_CODES[cls] for cls in _WALKABLE])
-
     for arr in (cells, elevation, walk):
         arr.flags.writeable = False
 
@@ -417,8 +404,8 @@ def load_terrain(
         height=height,
         cells=cells,
         elevation=elevation,
-        hotspots=tuple(hotspots),
-        branch_markers=frozenset(branch_markers),
+        hotspots=tuple(zip(hotspot_x.tolist(), hotspot_y.tolist())),
+        branch_markers=frozenset(zip(branch_x.tolist(), branch_y.tolist())),
         chars=tuple(rows),
         walkable_mask=walk,
         n_river=int(np.count_nonzero(cells == RIVER_CODE)),

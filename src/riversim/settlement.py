@@ -34,7 +34,6 @@ from .landscape import (
     RiverFeatures,
     RoadFeatures,
     TerrainGrid,
-    shifted,
 )
 
 # Compass directions in 45-degree steps, indexed by round(atan2(dy, dx) / 45deg).
@@ -70,7 +69,7 @@ class PlacementFields:
 def _highland_mask(
     grid: TerrainGrid, roads: RoadFeatures, radius: int, delta: float
 ) -> np.ndarray:
-    shape = (grid.height, grid.width)
+    shape = h, w = (grid.height, grid.width)
     out = np.zeros(shape, dtype=bool)
     yy, xx = np.indices(shape)
     vx = roads.nearest_road_x - xx
@@ -79,15 +78,17 @@ def _highland_mask(
     angle = np.arctan2(-vy.astype(np.float64), -vx.astype(np.float64))
     k = np.rint(angle / (np.pi / 4)).astype(np.int64) % 8
     threshold = grid.elevation + delta
-    # a step as long as a map side looks past the edge, where nothing is higher
-    steps = min(radius, max(shape))
+    # a step as long as a map side looks past the edge, where nothing is
+    # higher: -inf pads the elevation by that many cells on every side
+    pad = min(radius, max(shape))
+    padded = np.pad(grid.elevation, pad, constant_values=-np.inf)
     for ki, (dx, dy) in enumerate(_COMPASS8):
         selected = has_direction & (k == ki)
         if not selected.any():
             continue
-        for step in range(1, steps + 1):
-            ahead = shifted(grid.elevation, dx * step, dy * step, -np.inf)
-            out |= selected & (ahead >= threshold)
+        for step in range(1, pad + 1):
+            y0, x0 = pad + dy * step, pad + dx * step
+            out |= selected & (padded[y0:y0 + h, x0:x0 + w] >= threshold)
     return out
 
 

@@ -27,6 +27,11 @@ each stream component on its own and counts the components that reach a
 cell, the oracle for the windowed min and max of the stream labels in
 ``compute_river_features``.
 
+``bf_load_terrain`` reads a map one character at a time, row by row, and
+raises the first error that loop meets, the oracle for the one legend lookup
+of ``landscape.load_terrain``. ``bf_shifted`` moves a grid cell by cell, the
+oracle for each of ``landscape.moore_views``' views.
+
 ``bf_place_next_house`` rebuilds the occupancy and neighbour-count grids from
 every house on each call, the oracle for ``settlement.place_next_house``,
 which keeps the neighbour counts and the site scores on the state across
@@ -67,7 +72,10 @@ from riversim.dynamics import (
 )
 from riversim.landscape import (
     BUILDABLE_CODE,
+    CLASS_CODES,
     RIVER_CODE,
+    TerrainClass,
+    TerrainError,
     compute_river_features,
     compute_road_features,
 )
@@ -87,6 +95,63 @@ RULE_HIGHLAND_BEHIND = "HighlandBehind"
 
 # Compass directions in 45-degree steps, indexed by round(atan2(dy, dx) / 45deg).
 _COMPASS8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+# what each legend name makes of its cell: (terrain class, walkable)
+_BF_NAMES = {
+    "River": (TerrainClass.RIVER, False),
+    "Riverbank": (TerrainClass.RIVERBANK, True),
+    "Road": (TerrainClass.ROAD, True),
+    "Buildable": (TerrainClass.BUILDABLE, True),
+    "Delta": (TerrainClass.DELTA, True),
+    "Trees": (TerrainClass.TREES, False),
+    "ParkPath": (TerrainClass.PARK_PATH, True),
+    "Obstacle": (TerrainClass.OBSTACLE, False),
+    "Hotspot": (TerrainClass.PARK_PATH, True),
+    "Branch": (TerrainClass.RIVER, False),
+}
+
+
+def bf_load_terrain(text, legend):
+    """(cells, walkable, hotspots in row-major order, branch markers, river
+    cell count) of a character map, checked and resolved one character at a
+    time; raises TerrainError with the first error the row loop meets."""
+    rows = [line.rstrip("\r") for line in text.split("\n")]
+    while rows and rows[-1] == "":
+        rows.pop()
+    if not rows:
+        raise TerrainError("terrain text is empty")
+    width = len(rows[0])
+    if width == 0:
+        raise TerrainError("terrain row 0 is empty")
+    cells = np.zeros((len(rows), width), dtype=np.uint8)
+    walkable = np.zeros((len(rows), width), dtype=bool)
+    hotspots, branches = [], set()
+    for y, row in enumerate(rows):
+        if len(row) != width:
+            raise TerrainError(f"terrain row {y} has {len(row)} cells, expected {width}")
+        for x, ch in enumerate(row):
+            if ch not in legend:
+                raise TerrainError(f"character {ch!r} at row {y}, column {x} is not in the legend")
+            cls, walkable[y, x] = _BF_NAMES[legend[ch]]
+            cells[y, x] = CLASS_CODES[cls]
+            if legend[ch] == "Hotspot":
+                hotspots.append((x, y))
+            if legend[ch] == "Branch":
+                branches.add((x, y))
+    return cells, walkable, hotspots, branches, int((cells == RIVER_CODE).sum())
+
+
+def bf_shifted(arr, dx, dy, fill):
+    """Array whose [y, x] entry is arr[y + dy, x + dx], or fill where that
+    cell lies off the grid; filled one cell at a time."""
+    h, w = arr.shape
+    out = np.full_like(arr, fill)
+    for y in range(h):
+        for x in range(w):
+            if 0 <= y + dy < h and 0 <= x + dx < w:
+                out[y, x] = arr[y + dy, x + dx]
+    return out
 
 
 def bf_chebyshev_distances(shape, sources):

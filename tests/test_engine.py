@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riversim import engine, landscape
-from riversim.config import ConfigError
+from riversim.config import ConfigError, SimConfig
 from riversim.dynamics import (
     AgentKind,
     ExcitementField,
@@ -139,7 +139,10 @@ class TestParkSetup:
         for drift in (False, True):
             config = make_config(scenario="park", riverside_drift=drift, ticks=5)
             state = engine.run(config, grid=default_grid).state
-            assert (state.setup.riverside is not None) == drift
+            # without drift no cell washes litter into the river
+            assert state.setup.riverside.dtype == bool
+            assert state.setup.riverside.shape == default_grid.cells.shape
+            assert state.setup.riverside.any() == drift
 
     def test_park_labels_no_streams(self, monkeypatch):
         # only the prepark's between-streams taboo reads the stream labels
@@ -214,6 +217,20 @@ class TestSharedSetup:
         for grid in (grid_from("~~~~\n.H..\n...."), default_grid):
             with pytest.raises(ValueError, match="pass grid or setup, not both"):
                 run(config, grid=grid, setup=setup)
+
+    def test_prepare_and_run_leave_the_callers_config_as_given(self, default_grid):
+        # validation normalises the scenario name, on a copy only
+        config = SimConfig(scenario=" PARK ", ticks=2)
+        setup = prepare(config, grid=default_grid)
+        assert config.scenario == " PARK " and setup.config.scenario == "park"
+        # a set-up prepared from an equal config is accepted
+        result = run(config, setup=prepare(replace(config), grid=default_grid))
+        assert config.scenario == " PARK "
+        assert result.metrics == run(make_config(scenario="park", ticks=2),
+                                     grid=default_grid).metrics
+        assert run(config, setup=setup).metrics == result.metrics
+        assert run(config, grid=default_grid).metrics == result.metrics
+        assert config == SimConfig(scenario=" PARK ", ticks=2)
 
     def test_setup_keeps_its_own_config(self, default_grid):
         config = make_config(scenario="park")

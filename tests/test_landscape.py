@@ -15,7 +15,6 @@ from riversim.landscape import (
     load_terrain,
     moore_views,
     nearest_cell_fields,
-    shifted,
     walkable_distance_field,
     _label_streams,
 )
@@ -25,8 +24,10 @@ from reference import (
     bf_between_streams,
     bf_chebyshev_distances,
     bf_flood_fill_components,
+    bf_load_terrain,
     bf_nearest_cell_fields,
     bf_nearest_source,
+    bf_shifted,
     bf_walkable_bfs,
 )
 
@@ -250,18 +251,99 @@ class TestWalkable:
         assert bool(grid.walkable_mask[0, 0]) is expected
 
 
-class TestShifted:
-    def test_matches_definition_for_every_shift(self):
-        # shifts as large as the grid or larger leave only the fill value
-        arr = np.arange(6.0).reshape(2, 3)
-        for dy in range(-4, 5):
-            for dx in range(-5, 6):
-                got = shifted(arr, dx, dy, -1.0)
-                for y in range(2):
-                    for x in range(3):
-                        inside = 0 <= y + dy < 2 and 0 <= x + dx < 3
-                        expected = arr[y + dy, x + dx] if inside else -1.0
-                        assert got[y, x] == expected, (dx, dy, x, y)
+# map characters beyond ASCII: Latin-1, CJK, astral-plane, NUL, control
+# characters, the last code point, and lone surrogates of both halves
+ODD_CHARACTERS = ["\u00e9", "\u4e2d", "\U0001f600", "\U0010ffff", "\x00", "\x1c",
+                  "\ud800", "\udfff", "\ud83d", " ", "\t"]
+LEGEND_NAMES = [cls.value for cls in TerrainClass] + ["Hotspot", "Branch"]
+
+
+def random_legend(rng):
+    """A legend of 1 to 12 keys from ASCII and ODD_CHARACTERS, each naming a
+    random class or marker."""
+    pool = ODD_CHARACTERS + list(".~=#Hab")
+    return {ch: rng.choice(LEGEND_NAMES) for ch in rng.sample(pool, rng.randint(1, 12))}
+
+
+def assert_loads_like_reference(text, legend):
+    """load_terrain against the per-character loop: the same grid tables,
+    or the same first error."""
+    try:
+        want = bf_load_terrain(text, legend)
+    except TerrainError as exc:
+        with pytest.raises(TerrainError) as got:
+            load_terrain(text, legend=legend)
+        assert str(got.value) == str(exc)
+        return None
+    grid = load_terrain(text, legend=legend)
+    cells, walkable, hotspots, branches, n_river = want
+    assert grid.cells.dtype == np.uint8 and np.array_equal(grid.cells, cells)
+    assert grid.walkable_mask.dtype == bool and np.array_equal(grid.walkable_mask, walkable)
+    assert list(grid.hotspots) == hotspots
+    assert grid.branch_markers == branches
+    assert grid.n_river == n_river
+    return grid
+
+
+class TestLegendLookup:
+    def test_random_maps_and_legends_match_per_character_reference(self):
+        rng = random.Random(24)
+        loaded = 0
+        for _ in range(400):
+            legend = random_legend(rng)
+            keys = list(legend)
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            rows = ["".join(rng.choice(keys) for _ in range(w)) for _ in range(h)]
+            loaded += assert_loads_like_reference("\n".join(rows), legend) is not None
+        assert loaded == 400
+
+    def test_broken_maps_raise_the_first_error_of_the_row_loop(self):
+        # unknown characters and rows of another width, alone or together,
+        # in every order; a row may also be empty, or the whole text
+        rng = random.Random(25)
+        outcomes = set()
+        for _ in range(600):
+            legend = random_legend(rng)
+            keys = list(legend)
+            others = [ch for ch in ODD_CHARACTERS + list(".~=#Hab?") if ch not in legend]
+            w, h = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[rng.choice(keys) for _ in range(w)] for _ in range(h)]
+            for _ in range(rng.randint(0, 2)):
+                rows[rng.randrange(h)][rng.randrange(w)] = rng.choice(others)
+            for _ in range(rng.randint(0, 2)):
+                y = rng.randrange(h)
+                rows[y] = rows[y][:rng.randrange(w)] if rng.random() < 0.5 else rows[y] + [keys[0]]
+            text = "\n".join("".join(row) for row in rows)
+            try:
+                bf_load_terrain(text, legend)
+                outcomes.add("loaded")
+            except TerrainError as exc:
+                message = str(exc)
+                outcomes.add("width" if "expected" in message
+                             else "character" if "legend" in message else "empty")
+            assert_loads_like_reference(text, legend)
+        assert outcomes == {"loaded", "character", "width", "empty"}
+
+    @pytest.mark.parametrize("text, error", [
+        ("ab\nb?\na", r"'\?' at row 1, column 1 is not in the legend"),
+        ("ab\nb\na?", "terrain row 1 has 1 cells, expected 2"),
+        ("ab\nba\n?ab", "terrain row 2 has 3 cells, expected 2"),
+        ("?\nab", r"'\?' at row 0, column 0 is not in the legend"),
+        ("ab\n\nab", "terrain row 1 has 0 cells, expected 2"),
+    ])
+    def test_a_bad_character_is_reported_before_a_later_row_of_another_width(self, text, error):
+        with pytest.raises(TerrainError, match=error):
+            load_terrain(text, legend={"a": "Buildable", "b": "River"})
+
+    def test_any_single_character_may_be_a_legend_key(self):
+        legend = {ch: name for ch, name in zip(ODD_CHARACTERS, LEGEND_NAMES * 2)}
+        text = "".join(ODD_CHARACTERS) + "\n" + "".join(reversed(ODD_CHARACTERS))
+        grid = assert_loads_like_reference(text, legend)
+        assert grid.chars == tuple(text.split("\n"))
+
+    def test_an_empty_legend_knows_no_character(self):
+        with pytest.raises(TerrainError, match=r"'\.' at row 0, column 0 is not in the legend"):
+            load_terrain("..", legend={})
 
 
 class TestMooreViews:
@@ -277,7 +359,7 @@ class TestMooreViews:
         layers = arr.reshape((-1,) + arr.shape[-2:])
         for (dx, dy), view in zip(MOORE_OFFSETS, views):
             assert view.shape == arr.shape and view.dtype == arr.dtype
-            expected = np.stack([shifted(layer, dx, dy, fill) for layer in layers])
+            expected = np.stack([bf_shifted(layer, dx, dy, fill) for layer in layers])
             assert np.array_equal(view.reshape(expected.shape), expected), (dx, dy)
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from riversim.engine import _build_houses, init_scenario
+from riversim.landscape import compute_road_features
 from riversim.settlement import (
+    _highland_mask,
     compute_placement_fields,
     place_next_house,
 )
@@ -19,6 +21,8 @@ from reference import (
     RULE_SI_BAREUBEU,
     RULE_SRI_MADAYUNG,
     RULE_TALAGA_KAHUDANAN,
+    _highland_behind,
+    behind_direction,
     bf_place_next_house,
     forbidden_site,
     site_preference_score,
@@ -143,6 +147,37 @@ class TestPreferenceScore:
             houses.append(new_house)
             after = site_preference_score(candidate, grid, features, roads, houses, config)
             assert after >= before
+
+
+class TestHighlandMask:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, "side", "side + 1", 10**30])
+    def test_matches_per_cell_oracle(self, radius):
+        # random maps from 1x1 up, a few road cells in the open so that
+        # "behind" points every way, and random hills; at a radius of 1 or
+        # more every compass direction fires somewhere
+        rng = random.Random(31)
+        fired = set()
+        for _ in range(40):
+            w, h = rng.randint(1, 12), rng.randint(1, 12)
+            cells = [["."] * w for _ in range(h)]
+            for _ in range(rng.randint(0, 3)):
+                cells[rng.randrange(h)][rng.randrange(w)] = "="
+            elevation = "\n".join(" ".join(str(rng.randint(0, 6)) for _ in range(w))
+                                  for _ in range(h))
+            grid = grid_from("\n".join("".join(row) for row in cells), elevation)
+            roads = compute_road_features(grid)
+            reach = {"side": max(w, h), "side + 1": max(w, h) + 1}.get(radius, radius)
+            delta = rng.choice([0.0, 0.5, 1.0, 2.5])
+            mask = _highland_mask(grid, roads, reach, delta)
+            assert mask.shape == (h, w) and mask.dtype == bool
+            for y in range(h):
+                for x in range(w):
+                    want = _highland_behind((x, y), grid, roads, reach, delta)
+                    assert mask[y, x] == want, (w, h, reach, delta, x, y)
+                    if want:
+                        fired.add(behind_direction((x, y), roads))
+        compass = {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)} - {(0, 0)}
+        assert fired == (set() if radius == 0 else compass)
 
 
 class TestVectorizedAgreement:
