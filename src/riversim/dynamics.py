@@ -25,12 +25,12 @@ bit-identical to summing agent by agent.
 Every hotspot has the config's hotspot_base_excitement. Wanderers pick a
 hotspot with probability proportional to it, walk downhill on that
 hotspot's BFS distance field, dwell a geometric number of ticks, then pick
-the next one. The map never changes, so each hotspot's downhill moves are
-worked out once, at set-up, into a step table: one byte per cell whose bits
-name the neighbours a wanderer may step to. A move reads one byte instead
-of scanning 8 neighbours. Picks read one draw list built at set-up too:
-the running sums of the equal weights, where the total of the first m
-hotspots is the m-th sum, so a pick is one bisect that lands where a
+the next one. The map never changes, so the BFS at set-up marks each
+hotspot's downhill moves in a step table: one byte per cell whose bits name
+the neighbours one ring nearer, where a wanderer may step. A move reads one
+byte instead of scanning 8 neighbours. Picks read one draw list built at
+set-up too: the running sums of the equal weights, where the total of the
+first m hotspots is the m-th sum, so a pick is one bisect that lands where a
 weighted linear scan would (see hotspot_draw). step_agent steps a whole
 list of wanderers in one generator that yields only the events a caller
 acts on (retarget, arrival, dwelling, dwell end), never a plain step, and
@@ -330,32 +330,6 @@ def choose_next_hotspot(bounds: Sequence[float], current: int | None, rng) -> in
     return i if current is None or i < current else i + 1
 
 
-def _bit_rows(bits: Sequence[np.ndarray]) -> list[bytes]:
-    """8 boolean grids packed into one bytes row per grid row, one byte per
-    cell, whose bit k is bits[k] at that cell."""
-    mask = np.zeros(bits[0].shape, dtype=np.uint8)
-    for k, bit in enumerate(bits):
-        mask |= bit.view(np.uint8) << k
-    return [row.tobytes() for row in mask]
-
-
-def downhill_step_table(dist: np.ndarray) -> list[bytes]:
-    """Per-cell bitmask of the steepest downhill steps on one BFS layer.
-
-    `dist` is one layer of walkable_distance_field, so it is inf on every
-    non-walkable cell. Returns one bytes row per grid row, one byte per cell.
-    Bit k of a cell is set when Moore neighbour k (MOORE_OFFSETS order) lies
-    on the grid, is walkable, has the smallest distance among the walkable
-    neighbours, and that smallest distance is below the cell's own. Off-grid
-    and non-walkable neighbours count as inf, so 0 means no neighbour
-    improves.
-    """
-    neighbours = moore_views(dist, np.inf)
-    best = np.minimum.reduce(neighbours)
-    improves = best < dist
-    return _bit_rows([(neighbour == best) & improves for neighbour in neighbours])
-
-
 def step_agent(
     agents: Sequence[Agent],
     hotspots: Sequence[Coord],
@@ -372,8 +346,8 @@ def step_agent(
     Without a target: pick one (one rng.random draw). En route: step to a
     walkable neighbor that strictly reduces BFS distance to the target the
     most, ties broken uniformly (one randbelow draw, even for a single
-    choice); the choices come from the target's step table (see
-    downhill_step_table). If no neighbor improves, the target is unreachable
+    choice); the choices come from the target's step table (its BFS's
+    downhill bits). If no neighbor improves, the target is unreachable
     and gets re-sampled among the others (see choose_next_hotspot). At the
     target: dwell for a geometric number of ticks, then clear the target.
     Each move also moves the agent's head count in every grid of `counts`
@@ -422,7 +396,10 @@ def walk_table(walkable: np.ndarray) -> list[bytes]:
     Returns one bytes row per grid row, one byte per cell; bit k is set when
     Moore neighbour k (MOORE_OFFSETS order) lies on the grid and is walkable.
     """
-    return _bit_rows(moore_views(walkable, False))
+    mask = np.zeros(walkable.shape, dtype=np.uint8)
+    for k, neighbour in enumerate(moore_views(walkable, False)):
+        mask |= neighbour.view(np.uint8) << k
+    return [row.tobytes() for row in mask]
 
 
 @cache

@@ -76,7 +76,6 @@ from .dynamics import (
     agent_utility,
     crowding_penalty,
     diffuse_excitement,
-    downhill_step_table,
     hotspot_draw,
     randbelow,
     step_agent,
@@ -149,8 +148,8 @@ class Setup:
 
     config: SimConfig
     grid: TerrainGrid
-    # park only: per hotspot, the step table built from its BFS layer (rows
-    # of bytes, see downhill_step_table); the running sums of the hotspots'
+    # park only: per hotspot, its downhill bits as rows of bytes (see
+    # landscape.walkable_distance_field); the running sums of the hotspots'
     # weights, the one list a wanderer picks its next hotspot from (see
     # dynamics.hotspot_draw); the entrances; and the cells where litter
     # washes into the river: those next to it under riverside_drift, none
@@ -220,15 +219,18 @@ def _build_houses(state: SimState, n: int) -> None:
 
 def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
                        hotspot_dist: np.ndarray) -> tuple[Coord, ...]:
-    """Park entrances: configured coords, or every walkable map-edge cell
-    from which at least one hotspot is reachable (row-major order);
-    hotspot_dist is the (n_hotspots, H, W) stack of BFS distances."""
+    """Park entrances: the configured coords, or every walkable map-edge
+    cell (row-major order); each must reach a hotspot on hotspot_dist, the
+    (n_hotspots, H, W) stack of BFS distances."""
     if config.entrances is not None:
         for coord in config.entrances:
             if not grid.in_bounds(coord):
                 raise ConfigError(f"park.entrances coordinate {coord} is out of bounds")
             if not grid.is_walkable(coord):
                 raise ConfigError(f"park.entrances coordinate {coord} is not walkable")
+            x, y = coord
+            if not np.isfinite(hotspot_dist[:, y, x]).any():
+                raise ConfigError(f"park.entrances coordinate {coord} reaches no hotspot")
         return tuple(config.entrances)
     candidates = grid.walkable_mask & np.isfinite(hotspot_dist).any(axis=0)
     candidates[1:-1, 1:-1] = False  # map-edge cells only
@@ -256,12 +258,12 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
                      walk=walk_table(grid.walkable_mask))
     if not grid.hotspots:
         raise ConfigError("park scenario requires at least one hotspot on the map")
-    hotspot_dist = walkable_distance_field(grid, grid.hotspots)
+    hotspot_dist, downhill = walkable_distance_field(grid, grid.hotspots)
     entrances = _resolve_entrances(config, grid, hotspot_dist)
     if config.visitor_spawn_rate > 0 and not entrances:
         raise ConfigError("no walkable map-edge entrance reaches a hotspot")
     return Setup(config, grid,
-                 step_tables=[downhill_step_table(layer) for layer in hotspot_dist],
+                 step_tables=[[row.tobytes() for row in layer] for layer in downhill],
                  draw=hotspot_draw(len(grid.hotspots), config.hotspot_base_excitement),
                  entrances=entrances,
                  riverside=(riverside_mask(grid) if config.riverside_drift

@@ -13,9 +13,9 @@ the config's ``hotspot_base_excitement``. ``compute_river_features`` /
 and masks that only the prepark placement rules consume; the park reads
 just ``riverside_mask`` (the cells next to the river, where litter drifts
 in) and the hotspots' ``walkable_distance_field``, one BFS layer per hotspot
-in one stack. Each BFS pass reads only the neighbours of the current ring,
-so a park set-up costs about hotspots x reachable cells, not a pass over
-the whole stack per ring.
+in one stack, with its downhill steps. Each BFS pass reads only the
+neighbours of the current ring, so a park set-up costs about hotspots x
+reachable cells, not a pass over the whole stack per ring.
 
 Conventions used throughout the package:
 
@@ -24,9 +24,10 @@ Conventions used throughout the package:
 * All grid distances are Chebyshev (the metric induced by the 8-cell Moore
   neighborhood).
 * Every whole-grid Moore stencil reads its neighbours through
-  ``moore_views``, which decides what off-grid cells read, except the
-  excitement field's neighbour sum: ``dynamics._moore_sum`` borders its
-  own flat copy of the rows with zeros, so that it adds contiguous slices.
+  ``moore_views``, which decides what off-grid cells read, except two that
+  read contiguous slices of a flat bordered copy: the excitement field's
+  neighbour sum (``dynamics._moore_sum``, zero-bordered) and the downhill
+  steps (the BFS stack, bordered by cells that are never walkable).
   The highland taboo's look-ahead reads slices of one copy of the
   elevation padded with ``-inf`` (``settlement._highland_mask``).
 * Every nearest-source question (river and road distance, the below-river
@@ -168,17 +169,17 @@ class RoadFeatures:
 
 
 def moore_views(arr: np.ndarray, fill) -> list[np.ndarray]:
-    """The 8 Moore neighbour views of arr, in MOORE_OFFSETS order.
+    """The 8 Moore neighbour views of the (H, W) grid arr, in MOORE_OFFSETS
+    order.
 
-    Entry [..., y, x] of view k is arr[..., y + dy, x + dx] for the k-th
-    offset (dx, dy), or `fill` where that cell lies off the grid. The views
-    share one bordered copy of arr on its last two axes, so an (n, H, W)
-    stack works as well as an (H, W) grid.
+    Entry [y, x] of view k is arr[y + dy, x + dx] for the k-th offset
+    (dx, dy), or `fill` where that cell lies off the grid. The views share
+    one bordered copy of arr.
     """
-    h, w = arr.shape[-2:]
-    bordered = np.full(arr.shape[:-2] + (h + 2, w + 2), fill, dtype=arr.dtype)
-    bordered[..., 1:-1, 1:-1] = arr
-    return [bordered[..., 1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx] for dx, dy in MOORE_OFFSETS]
+    h, w = arr.shape
+    bordered = np.full((h + 2, w + 2), fill, dtype=arr.dtype)
+    bordered[1:-1, 1:-1] = arr
+    return [bordered[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx] for dx, dy in MOORE_OFFSETS]
 
 
 def _moore_window(arr: np.ndarray, fill, ufunc: np.ufunc) -> np.ndarray:
@@ -195,21 +196,26 @@ def riverside_mask(grid: TerrainGrid) -> np.ndarray:
     return _moore_window(river, False, np.logical_or) & ~river
 
 
-def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.ndarray:
-    """BFS distance over walkable cells, one layer per source.
+def walkable_distance_field(grid: TerrainGrid,
+                            sources: Sequence[Coord]) -> tuple[np.ndarray, np.ndarray]:
+    """BFS distance over walkable cells, one layer per source, and each
+    layer's downhill steps.
 
-    Returns an (n, H, W) float array whose layer i holds the number of Moore
-    steps from ``sources[i]`` to each cell, moving over walkable cells only;
-    ``inf`` where unreachable (everywhere if the source is not walkable).
-    The result is the interior view of an (n, H + 2, W + 2) stack whose
-    one-cell border is never walkable, so it is not C-contiguous.
+    Returns (dist, downhill), two (n, H, W) stacks. Layer i of dist holds
+    the number of Moore steps from ``sources[i]`` to each cell over walkable
+    cells only; ``inf`` where unreachable (everywhere if the source is not
+    walkable). On a reached cell, bit k of the uint8 downhill is set when
+    Moore neighbour k (MOORE_OFFSETS order) is one ring nearer the source;
+    every other cell reads 0. Both are interior views of stacks whose
+    one-cell border is never walkable, so neither is C-contiguous.
 
     All layers grow together, and each pass touches only the current ring:
     a flat offset ``dy * (W + 2) + dx`` from a cell of the stack stays in
     its layer without wrapping a row, so the next ring is the ring's
     neighbours that are still unreached. The work is about 8 index
     operations per reached cell, so about len(sources) x reachable cells,
-    with no pass over the whole stack per ring.
+    with no pass over the whole stack per ring; the steps then take 8
+    compares per layer, at the same offsets.
     """
     passable = grid.walkable_mask
     h, w = passable.shape
@@ -235,8 +241,19 @@ def walkable_distance_field(grid: TerrainGrid, sources: Sequence[Coord]) -> np.n
         flat[reached] = position
         ring = reached.compress(flat[reached] == position)
         flat[ring] = d
+    # layer by layer, on the n flat cells from (1, 1) to (h, w); NaN, equal
+    # to nothing, stands for d - 1 where d is not finite, so no such cell gets a bit
+    downhill = np.zeros(dist.shape, dtype=np.uint8)
+    marks = downhill.reshape(-1)
+    n = h * stride - 2
+    for start in range(stride + 1, flat.size, plane.size):
+        cells = flat[start:start + n]
+        nearer = np.where(np.isfinite(cells), cells - 1.0, np.nan)
+        bits = marks[start:start + n]
+        for k, step in enumerate(steps):
+            bits |= (flat[start + step:start + step + n] == nearer).view(np.uint8) << k
     np.abs(dist, out=dist)
-    return dist[:, 1:-1, 1:-1]
+    return dist[:, 1:-1, 1:-1], downhill[:, 1:-1, 1:-1]
 
 
 def nearest_cell_fields(source_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

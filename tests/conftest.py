@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from riversim.config import SimConfig
@@ -48,3 +50,38 @@ def walled_park_map(rng, width: int, height: int) -> str:
         if cells[y][x] != "#":
             cells[y][x] = "H"
     return "\n".join("".join(row) for row in cells)
+
+
+def desk_park_map() -> str:
+    """The acceptance criterion-9 map, 200x200: a road along row 0, six
+    hotspots on row 148, and a river on row 150 between two banks."""
+    width = height = 200
+    rows = []
+    for y in range(height):
+        if y == 0:
+            rows.append("=" * width)
+        elif y == 148:
+            row = ["."] * width
+            for hx in (20, 50, 90, 120, 160, 185):
+                row[hx] = "H"
+            rows.append("".join(row))
+        elif y in (149, 151):
+            rows.append("r" * width)
+        elif y == 150:
+            rows.append("~" * width)
+        else:
+            rows.append("." * width)
+    return "\n".join(rows)
+
+
+def traced_peak(call):
+    """(call(), the peak of the memory tracemalloc traced during it)."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

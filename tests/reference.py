@@ -13,7 +13,10 @@ They are the oracle for the vectorized ``compute_placement_fields`` mask and
 for the placement-legality acceptance criterion.
 
 ``bf_walkable_bfs`` is a queue BFS from one source, the oracle for each layer
-of the stacked ``walkable_distance_field``; ``bf_step_agent`` is the
+of the stacked ``walkable_distance_field``, and ``bf_downhill_step_table``
+finds the least walkable neighbours of each cell of one layer in a
+min-reduce over its 8 views, the oracle for the downhill bits the BFS marks
+on every walkable cell; ``bf_step_agent`` is the
 wanderer move as an 8-neighbour scan of the distance field, the oracle for
 the step tables ``dynamics.step_agent`` reads. ``bf_choose_next_hotspot``
 rebuilds the candidates and their weights on every pick and scans the
@@ -78,6 +81,7 @@ from riversim.landscape import (
     TerrainError,
     compute_river_features,
     compute_road_features,
+    moore_views,
 )
 from riversim.settlement import BuildRecord
 
@@ -152,6 +156,27 @@ def bf_shifted(arr, dx, dy, fill):
             if 0 <= y + dy < h and 0 <= x + dx < w:
                 out[y, x] = arr[y + dy, x + dx]
     return out
+
+
+def bf_downhill_step_table(dist):
+    """Per-cell bitmask of the steepest downhill steps on one BFS layer.
+
+    `dist` is one (H, W) layer of walkable_distance_field, so it is inf on
+    every non-walkable cell. Returns an (H, W) uint8 array, one byte per
+    cell. Bit k of a cell is set when Moore neighbour k (MOORE_OFFSETS
+    order) lies on the grid, is walkable, has the smallest distance among
+    the walkable neighbours, and that smallest distance is below the cell's
+    own. Off-grid and non-walkable neighbours count as inf, so 0 means no
+    neighbour improves. Non-walkable cells may get bits here; no wanderer
+    ever stands on one.
+    """
+    neighbours = moore_views(dist, np.inf)
+    best = np.minimum.reduce(neighbours)
+    improves = best < dist
+    mask = np.zeros(dist.shape, dtype=np.uint8)
+    for k, neighbour in enumerate(neighbours):
+        mask |= ((neighbour == best) & improves).view(np.uint8) << k
+    return mask
 
 
 def bf_chebyshev_distances(shape, sources):

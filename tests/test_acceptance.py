@@ -15,7 +15,7 @@ from riversim.dynamics import ExcitementField, diffuse_excitement
 from riversim.engine import init_scenario, metrics_to_csv, run, step
 from riversim.landscape import load_terrain, load_terrain_files, default_map_paths
 
-from conftest import make_config, placement_features
+from conftest import desk_park_map, make_config, placement_features
 from reference import bf_diffuse, forbidden_site
 
 N_SCENARIO_SEEDS = 20
@@ -245,23 +245,7 @@ class TestCriterion8Determinism:
 
 class TestCriterion9Performance:
     def test_desk_scale_run_fits_budget(self):
-        width = height = 200
-        rows = []
-        for y in range(height):
-            if y == 0:
-                rows.append("=" * width)
-            elif y == 148:
-                row = ["."] * width
-                for hx in (20, 50, 90, 120, 160, 185):
-                    row[hx] = "H"
-                rows.append("".join(row))
-            elif y in (149, 151):
-                rows.append("r" * width)
-            elif y == 150:
-                rows.append("~" * width)
-            else:
-                rows.append("." * width)
-        grid = load_terrain("\n".join(rows))
+        grid = load_terrain(desk_park_map())
         config = make_config(
             scenario="park",
             seed=0,

@@ -163,6 +163,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("entrance, message", [
         ("500,500", "park.entrances coordinate (500, 500) is out of bounds"),
         ("0,20", "park.entrances coordinate (0, 20) is not walkable"),
+        # south of the river: such an entrance used to run, its visitors
+        # stuck there, retargeting every tick
+        ("0,22", "park.entrances coordinate (0, 22) reaches no hotspot"),
     ])
     def test_map_dependent_config_error_creates_no_out(self, tmp_path, capsys, entrance,
                                                        message):
@@ -174,6 +177,8 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
         assert not out.exists()
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("scenario", ["prepark", "park"])
     def test_each_seed_sets_up_once(self, tmp_path, monkeypatch, scenario):

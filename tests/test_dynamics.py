@@ -16,7 +16,6 @@ from riversim.dynamics import (
     choose_next_hotspot,
     crowding_penalty,
     diffuse_excitement,
-    downhill_step_table,
     hotspot_draw,
     randbelow,
     sample_geometric,
@@ -565,10 +564,16 @@ class TestGeometricDwell:
         assert mean == pytest.approx(4.0, rel=0.05)
 
 
+def distances_and_step_tables(grid):
+    """The hotspots' BFS layers, and their step tables as prepare builds
+    them: rows of bytes from the downhill bits."""
+    layers, downhill = walkable_distance_field(grid, grid.hotspots)
+    return layers, [[row.tobytes() for row in layer] for layer in downhill]
+
+
 def wander_setup(text, agent_coord):
     grid = grid_from(text)
-    layers = walkable_distance_field(grid, grid.hotspots)
-    tables = [downhill_step_table(layer) for layer in layers]
+    _, tables = distances_and_step_tables(grid)
     agent = Agent(0, AgentKind.VISITOR, agent_coord)
     return grid, tables, hotspot_draw(len(grid.hotspots), 1.0), agent
 
@@ -645,7 +650,7 @@ class TestStepAgent:
 
     def test_distance_never_increases_en_route(self):
         grid, tables, draws, agent = wander_setup("H.........\n..........\n..........", (9, 2))
-        (dist,) = walkable_distance_field(grid, [(0, 0)])
+        (dist,), _ = walkable_distance_field(grid, [(0, 0)])
         agent.target_hotspot = 0
         rng = random.Random(3)
         d = dist[agent.coord[1], agent.coord[0]]
@@ -667,8 +672,7 @@ def check_one_call_steps_the_list_in_order(n_counts):
     seen = set()
     for _ in range(30):
         grid = grid_from(walled_park_map(rng, rng.randint(3, 10), rng.randint(3, 10)))
-        layers = walkable_distance_field(grid, grid.hotspots)
-        tables = [downhill_step_table(layer) for layer in layers]
+        layers, tables = distances_and_step_tables(grid)
         base = rng.uniform(0.1, 5.0)
         draws = hotspot_draw(len(grid.hotspots), base)
         ys, xs = np.nonzero(grid.walkable_mask)
@@ -718,8 +722,7 @@ class TestStepTables:
         ties = unreachable = 0
         for _ in range(30):
             grid = grid_from(walled_park_map(rng, rng.randint(3, 12), rng.randint(3, 12)))
-            layers = walkable_distance_field(grid, grid.hotspots)
-            tables = [downhill_step_table(layer) for layer in layers]
+            layers, tables = distances_and_step_tables(grid)
             base = rng.uniform(0.1, 5.0)
             draws = hotspot_draw(len(grid.hotspots), base)
             ys, xs = np.nonzero(grid.walkable_mask)

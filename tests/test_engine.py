@@ -25,7 +25,7 @@ from riversim.engine import (
 )
 from riversim.landscape import compute_river_features, load_terrain, walkable_distance_field
 
-from conftest import grid_from, make_config
+from conftest import desk_park_map, grid_from, make_config, traced_peak
 from reference import bf_agent_utility, bf_crowding_penalty, bf_utilities_by_cell
 
 RIVER_ONLY = "~..\n...\n..."
@@ -115,11 +115,17 @@ class TestInitScenario:
         water = make_config(scenario="park", entrances=((0, 20),))
         with pytest.raises(ConfigError, match="not walkable"):
             init_scenario(water, grid=default_grid)
+        # south of the river: walkable, but cut off from every hotspot; each
+        # entrance is checked in full before the next
+        south = make_config(scenario="park", entrances=((0, 19), (0, 22), (999, 0)))
+        with pytest.raises(ConfigError,
+                           match=r"^park.entrances coordinate \(0, 22\) reaches no hotspot$"):
+            init_scenario(south, grid=default_grid)
 
     def test_auto_entrances_reach_hotspots(self, default_grid):
         config = make_config(scenario="park")
         entrances = prepare(config, grid=default_grid).entrances
-        hotspot_dist = walkable_distance_field(default_grid, default_grid.hotspots)
+        hotspot_dist, _ = walkable_distance_field(default_grid, default_grid.hotspots)
         assert entrances
         for x, y in entrances:
             assert x in (0, default_grid.width - 1) or y in (0, default_grid.height - 1)
@@ -152,15 +158,21 @@ class TestParkSetup:
         monkeypatch.setattr(landscape, "_label_streams", refuse)
         # the bundled map, loaded by prepare itself
         prepare(make_config(scenario="park", riverside_drift=True))
-        # the criterion-9 layout: a road, six hotspots above a river
-        # flanked by riverbank rows
-        rows = ["." * 200] * 200
-        rows[0] = "=" * 200
-        rows[148] = "".join("H" if x in (20, 50, 90, 120, 160, 185) else "." for x in range(200))
-        rows[149] = rows[151] = "r" * 200
-        rows[150] = "~" * 200
-        desk = load_terrain("\n".join(rows))
+        # and the criterion-9 map
+        desk = load_terrain(desk_park_map())
         prepare(make_config(scenario="park", n_community=500, visitor_spawn_rate=0.0), grid=desk)
+
+    def test_park_set_up_memory_stays_near_the_distance_stack(self):
+        # the criterion-9 map: the BFS's bordered stack of 6 float layers
+        # (1.87 MB) and the step tables marked on it layer by layer; a
+        # second bordered copy of the stack, or a temporary the size of the
+        # stack, would take the peak past this bound
+        desk = load_terrain(desk_park_map())
+        config = make_config(scenario="park", n_community=500, visitor_spawn_rate=0.0)
+        stack_bytes = len(desk.hotspots) * (desk.height + 2) * (desk.width + 2) * 8
+        setup, peak = traced_peak(lambda: prepare(config, grid=desk))
+        assert len(setup.step_tables) == 6
+        assert stack_bytes <= peak < 2.5 * stack_bytes
 
     def test_prepark_labels_streams_once(self, monkeypatch):
         calls = []

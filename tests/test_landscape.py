@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +18,11 @@ from riversim.landscape import (
     _label_streams,
 )
 
-from conftest import grid_from, walled_park_map
+from conftest import grid_from, traced_peak, walled_park_map
 from reference import (
     bf_between_streams,
     bf_chebyshev_distances,
+    bf_downhill_step_table,
     bf_flood_fill_components,
     bf_load_terrain,
     bf_nearest_cell_fields,
@@ -47,13 +47,19 @@ def random_map(rng, width, height, river_p=0.2):
 
 def assert_bfs_layers_match(grid, sources):
     """walkable_distance_field against one queue BFS per source: shape,
-    dtype and every bit of every layer, inf cells included."""
-    layers = walkable_distance_field(grid, sources)
-    assert layers.shape == (len(sources), grid.height, grid.width)
-    assert layers.dtype == np.float64
-    for layer, source in zip(layers, sources):
-        want = bf_walkable_bfs(grid.walkable_mask, source)
+    dtype and every bit of every layer, inf cells included; and its downhill
+    bits against the min-reduce over each layer's 8 neighbour views on every
+    walkable cell, with 0 on every other cell."""
+    layers, downhill = walkable_distance_field(grid, sources)
+    shape = (len(sources), grid.height, grid.width)
+    assert layers.shape == downhill.shape == shape
+    assert layers.dtype == np.float64 and downhill.dtype == np.uint8
+    walkable = grid.walkable_mask
+    for layer, bits, source in zip(layers, downhill, sources):
+        want = bf_walkable_bfs(walkable, source)
         assert layer.dtype == want.dtype and layer.tobytes() == want.tobytes(), source
+        assert np.array_equal(bits[walkable], bf_downhill_step_table(want)[walkable]), source
+        assert not bits[~walkable].any(), source
     return layers
 
 
@@ -348,19 +354,16 @@ class TestLegendLookup:
 
 class TestMooreViews:
     @pytest.mark.parametrize("fill", [False, 0.0, 0, np.inf])
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (4, 7), (3, 1, 6), (2, 5, 4), (4, 3, 1)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (4, 7), (1, 6), (5, 4), (3, 1)])
     def test_views_equal_shifted_for_every_offset(self, fill, shape):
-        # each view is the grid shifted by its Moore offset, in MOORE_OFFSETS
-        # order; a stack is shifted layer by layer
+        # each view is the grid shifted by its Moore offset, in MOORE_OFFSETS order
         rng = np.random.default_rng(sum(shape))
         arr = rng.integers(0, 4, size=shape).astype(np.asarray(fill).dtype)
         views = moore_views(arr, fill)
         assert len(views) == len(MOORE_OFFSETS)
-        layers = arr.reshape((-1,) + arr.shape[-2:])
         for (dx, dy), view in zip(MOORE_OFFSETS, views):
             assert view.shape == arr.shape and view.dtype == arr.dtype
-            expected = np.stack([bf_shifted(layer, dx, dy, fill) for layer in layers])
-            assert np.array_equal(view.reshape(expected.shape), expected), (dx, dy)
+            assert np.array_equal(view, bf_shifted(arr, dx, dy, fill)), (dx, dy)
 
 
 class TestDistanceFields:
@@ -392,7 +395,7 @@ class TestDistanceFields:
     def test_walkable_distance_respects_obstacles(self):
         # wall of trees splits the map; right side unreachable
         grid = grid_from(".t.\n.t.\n.t.")
-        (dist,) = walkable_distance_field(grid, [(0, 0)])
+        (dist,), _ = walkable_distance_field(grid, [(0, 0)])
         assert dist[0, 0] == 0
         assert dist[2, 0] == 2
         assert np.all(np.isinf(dist[:, 1]))
@@ -444,15 +447,7 @@ class TestDistanceFields:
         # a BFS that kept duplicate cells in its ring would grow it about
         # threefold per step on open ground, to megabytes on this 10 x 10 map
         grid = grid_from("\n".join(["." * 10] * 10))
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            layers = walkable_distance_field(grid, [(0, 9)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        (layers, _), peak = traced_peak(lambda: walkable_distance_field(grid, [(0, 9)]))
         stack_bytes = 12 * 12 * 8
         assert layers[0, 0, 9] == 9.0
         assert stack_bytes <= peak < 32 * stack_bytes
