@@ -59,18 +59,23 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _refuse_existing(paths: list[Path], force: bool) -> bool:
+def _refuse_existing(paths: list[Path], force: bool) -> int | None:
+    """EXIT_REFUSED if an output exists (unless force), EXIT_CONFIG if one
+    cannot be checked (its name is too long, say), else None."""
     if force:
-        return False
-    existing = [p for p in paths if p.exists()]
+        return None
+    try:
+        existing = [p for p in paths if p.exists()]
+    except OSError as exc:
+        return _config_error(f"cannot check output path {exc.filename}: {exc.strerror}")
     if existing:
         print(
             f"refusing to overwrite {existing[0]} (and {len(existing) - 1} more); "
             "pass --force to allow",
             file=sys.stderr,
         )
-        return True
-    return False
+        return EXIT_REFUSED
+    return None
 
 
 def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
@@ -80,6 +85,8 @@ def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
     try:
         config = load_config(config_path)
         seeds = (config.seed,) if raw_seeds is None else _parse_seeds(raw_seeds)
+        for seed in seeds:
+            replace(config, seed=seed).validate()
         if frame_every is not None:
             config = replace(config, frame_every=frame_every)
         setup = prepare(config)
@@ -98,8 +105,8 @@ def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
             targets.append(out / f"buildlog_{seed}.csv")
         if config.frame_every:
             targets.append(out / f"frames_{seed}")
-    if _refuse_existing(targets, force):
-        return EXIT_REFUSED
+    if refused := _refuse_existing(targets, force):
+        return refused
 
     for seed in seeds:
         try:
@@ -247,8 +254,8 @@ def cmd_compare(pre_glob: str, post_glob: str, out_dir: Path, force: bool) -> in
     except OSError as exc:
         return _config_error(f"cannot create output directory {out_dir}: {exc}")
     targets = [out_dir / "comparison.txt", out_dir / "comparison.csv"]
-    if _refuse_existing(targets, force):
-        return EXIT_REFUSED
+    if refused := _refuse_existing(targets, force):
+        return refused
     try:
         _write_atomic(targets[0], report)
         _write_atomic(targets[1], "\n".join(csv_lines) + "\n")

@@ -3,7 +3,8 @@
 Each knob is declared once, as a SimConfig field that names its INI section,
 its default and its legal range (see _knob and _RANGES); SECTION_FIELDS and
 validate are derived from those declarations. Float knobs must be finite,
-and dwell_p large enough that 1 - dwell_p rounds below 1.
+and dwell_p large enough that 1 - dwell_p rounds below 1. Seeds are >= 0:
+random.Random seeds from abs(seed), so seed -s would replay seed s.
 Config files are INI-style text with one section per concern (see
 SECTION_FIELDS). All values have defaults, so an empty file is a valid
 config that runs the bundled riverside map; ``riversim validate
@@ -53,7 +54,7 @@ def _knob(section: str, within: str | None = None, **kwargs):
 @dataclass
 class SimConfig:
     scenario: str = _knob("run", default=SCENARIO_PREPARK)
-    seed: int = _knob("run", default=0)
+    seed: int = _knob("run", ">= 0", default=0)
     ticks: int = _knob("run", ">= 0", default=1000)
     frame_every: int = _knob("run", ">= 0", default=0)
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache, cached_property
 from itertools import accumulate, chain
 from typing import Iterator, Sequence
@@ -87,22 +86,16 @@ _WALK_DRAWS = tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in DOWNHILL
 _STEP_DRAWS = tuple((len(s), len(s).bit_length(), s) for s in DOWNHILL_STEPS)
 
 
-class AgentKind(Enum):
-    RESIDENT = "Resident"
-    VISITOR = "Visitor"
-    COMMUNITY_MEMBER = "CommunityMember"
-
-
 @dataclass
 class Agent:
+    """A resident, member or visitor: its place in SimState.agents says which."""
+
     id: int
-    kind: AgentKind
     coord: Coord
     target_hotspot: int | None = None
     dwell_remaining: int | None = None
     carrying_litter: bool = False
     utility: float = 0.0
-    home: Coord | None = None
     spawn_tick: int = 0
 
 
@@ -421,22 +414,22 @@ def _home_range_masks(home_range: int) -> tuple[tuple[int, ...], tuple[int, ...]
     )
 
 
-def step_resident(residents: Sequence[Agent], walk: Sequence[bytes], rng,
-                  home_range: int) -> None:
+def step_resident(residents: Sequence[Agent], homes: Sequence[Coord], walk: Sequence[bytes],
+                  rng, home_range: int) -> None:
     """One tick of the home-anchored random walk for every resident, in list
     order: each moves to (or stays on) a walkable cell within home_range of
-    home, uniformly, and consumes exactly one randbelow draw.
+    its home, uniformly, and consumes exactly one randbelow draw.
 
-    `walk` is the walk table (see walk_table). The choices are the current
-    cell, then the walkable neighbours within range in MOORE_OFFSETS order.
+    homes[i] is the home of residents[i]; `walk` is the walk table (see
+    walk_table). The choices are the current cell, then the walkable
+    neighbours within range in MOORE_OFFSETS order.
     """
     x_masks, y_masks = _home_range_masks(home_range)
     limit = home_range + 1
     span = 2 * limit
     getrandbits = rng.getrandbits
-    for agent in residents:
+    for agent, (hx, hy) in zip(residents, homes):
         x, y = agent.coord
-        hx, hy = agent.home
         ox = x - hx + limit
         oy = y - hy + limit
         if 0 <= ox <= span and 0 <= oy <= span:

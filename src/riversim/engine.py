@@ -70,7 +70,6 @@ from .dynamics import (
     DWELL_ENDED,
     DWELLING,
     Agent,
-    AgentKind,
     ExcitementField,
     agent_cells,
     agent_utility,
@@ -171,6 +170,8 @@ class SimState:
     field: ExcitementField
     garbage: GarbageField
     rng: random.Random
+    # a prepark's agents are its residents, agent i in house i; a park's are
+    # its n_community members, then its visitors in spawn order
     agents: list[Agent] = field(default_factory=list)
     houses: list[Coord] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
@@ -195,17 +196,9 @@ class RunResult:
     state: SimState
 
 
-def _spawn_agent(state: SimState, kind: AgentKind, coord: Coord, *,
-                 home: Coord | None = None) -> None:
-    agent = Agent(
-        id=state.next_agent_id,
-        kind=kind,
-        coord=coord,
-        home=home,
-        spawn_tick=state.tick,
-    )
+def _spawn_agent(state: SimState, coord: Coord) -> None:
+    state.agents.append(Agent(id=state.next_agent_id, coord=coord, spawn_tick=state.tick))
     state.next_agent_id += 1
-    state.agents.append(agent)
 
 
 def _build_houses(state: SimState, n: int) -> None:
@@ -214,7 +207,7 @@ def _build_houses(state: SimState, n: int) -> None:
         coord = place_next_house(state, state.rng)
         if coord is None:
             break
-        _spawn_agent(state, AgentKind.RESIDENT, coord, home=coord)
+        _spawn_agent(state, coord)
 
 
 def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
@@ -273,8 +266,10 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
 def start(setup: Setup, seed: int) -> SimState:
     """One seed's tick-0 state on setup: the prepark's settlement (unless
     growth is spread over ticks) with a resident per house, or the park's
-    community members, round-robin on the hotspots, and visitor spawning."""
+    community members, round-robin on the hotspots, and visitor spawning;
+    ConfigError on a seed out of range (run.seed)."""
     config = replace(setup.config, seed=seed)
+    config.validate()
     grid = setup.grid
     state = SimState(
         config=config,
@@ -294,7 +289,7 @@ def start(setup: Setup, seed: int) -> SimState:
             _build_houses(state, config.houses)
     else:
         for i in range(config.n_community):
-            _spawn_agent(state, AgentKind.COMMUNITY_MEMBER, grid.hotspots[i % len(grid.hotspots)])
+            _spawn_agent(state, grid.hotspots[i % len(grid.hotspots)])
         # only visitors ask who is watching, and only spawning makes visitors
         if config.visitor_spawn_rate > 0:
             everyone = [[0] * grid.width for _ in range(grid.height)]
@@ -385,7 +380,7 @@ def _prepark_walk_and_waste(state: SimState) -> int:
     config, rng, grid = state.config, state.rng, state.setup.grid
     # home and cell lie on the grid: a longer range admits no more cells
     home_range = min(config.resident_range, max(grid.width, grid.height))
-    step_resident(state.agents, state.setup.walk, rng, home_range)
+    step_resident(state.agents, state.houses, state.setup.walk, rng, home_range)
     generate_domestic_waste(state.houses, state.garbage, rng, config)
     return 0
 
@@ -394,19 +389,16 @@ def _park_turnover(state: SimState) -> None:
     config, rng = state.config, state.rng
     # only spawning makes visitors, so without it there is none to despawn
     if config.visitor_spawn_rate > 0:
-        everyone = state.occupancy[0]
-        agents, visitor = state.agents, AgentKind.VISITOR
-        # visitors spawned at or before last_gone have stayed visit_length ticks
+        everyone, agents, first = state.occupancy[0], state.agents, config.n_community
+        # visitors spawned at or before last_gone have stayed visit_length ticks;
+        # they lead the visitors, which are in spawn order (many, if visit_length fell)
         last_gone = state.tick - config.visit_length
-        state.agents = [a for a in agents if a.kind is not visitor or a.spawn_tick > last_gone]
-        if len(state.agents) < len(agents):
-            for a in agents:
-                if a.kind is visitor and a.spawn_tick <= last_gone:
-                    x, y = a.coord
-                    everyone[y][x] -= 1
+        while len(agents) > first and agents[first].spawn_tick <= last_gone:
+            x, y = agents.pop(first).coord
+            everyone[y][x] -= 1
         if rng.random() < config.visitor_spawn_rate:
             x, y = coord = state.setup.entrances[randbelow(rng, len(state.setup.entrances))]
-            _spawn_agent(state, AgentKind.VISITOR, coord)
+            _spawn_agent(state, coord)
             everyone[y][x] += 1
 
 
@@ -415,8 +407,7 @@ def _park_agents(state: SimState) -> int:
     returns the litterings."""
     config, rng, setup = state.config, state.rng, state.setup
     garbage = state.garbage
-    # start spawns the members first and turnover keeps the order, so the
-    # members are the first n_community agents and the rest are visitors
+    # start spawns the members first and turnover keeps the order
     members = state.agents[:config.n_community]
     visitors = state.agents[config.n_community:]
     # only a park that spawns visitors keeps occupancy, and step_agent moves it

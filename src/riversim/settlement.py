@@ -9,7 +9,9 @@ close to the road they earn from, and as far from the river as the cap
 allows. Growth is greedy; each placement picks uniformly among the
 top-scoring sites (within score_tolerance), spending exactly one RNG draw.
 This module places one house per call; ``engine`` drives growth, placing
-houses before tick 0 or a few per tick and housing a resident in each.
+houses before tick 0 or a few per tick, with resident i in house i. The
+highland-behind taboo looks along the compass step nearest to the direction
+away from the nearest road, which it finds in exact integers.
 
 Only two grids depend on the houses: neighbor_count, the houses within
 neighbor_radius of each cell, and site_score, base_score + w_neighbor *
@@ -36,7 +38,7 @@ from .landscape import (
     TerrainGrid,
 )
 
-# Compass directions in 45-degree steps, indexed by round(atan2(dy, dx) / 45deg).
+# The eight compass steps, one per 45-degree sector (see _highland_mask).
 _COMPASS8: tuple[tuple[int, int], ...] = (
     (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
 )
@@ -72,18 +74,23 @@ def _highland_mask(
     shape = h, w = (grid.height, grid.width)
     out = np.zeros(shape, dtype=bool)
     yy, xx = np.indices(shape)
-    vx = roads.nearest_road_x - xx
-    vy = roads.nearest_road_y - yy
-    has_direction = (roads.nearest_road_x >= 0) & ((vx != 0) | (vy != 0))
-    angle = np.arctan2(-vy.astype(np.float64), -vx.astype(np.float64))
-    k = np.rint(angle / (np.pi / 4)).astype(np.int64) % 8
+    # the vector away from the nearest road; its nearest compass step drops
+    # the shorter leg lo when the vector lies within 22.5 degrees of the
+    # longer one hi: lo < (sqrt(2) - 1) * hi, which no integer vector meets
+    # exactly. A road cell's zero vector matches no step.
+    ax, ay = xx - roads.nearest_road_x, yy - roads.nearest_road_y
+    bx, by = np.abs(ax), np.abs(ay)
+    axial = (bx + by) ** 2 < 2 * np.maximum(bx, by) ** 2  # (lo + hi)^2 < 2 hi^2
+    sx = np.where(axial & (bx < by), 0, np.sign(ax))
+    sy = np.where(axial & (by < bx), 0, np.sign(ay))
+    has_road = roads.nearest_road_x >= 0
     threshold = grid.elevation + delta
     # a step as long as a map side looks past the edge, where nothing is
     # higher: -inf pads the elevation by that many cells on every side
     pad = min(radius, max(shape))
     padded = np.pad(grid.elevation, pad, constant_values=-np.inf)
-    for ki, (dx, dy) in enumerate(_COMPASS8):
-        selected = has_direction & (k == ki)
+    for dx, dy in _COMPASS8:
+        selected = has_road & (sx == dx) & (sy == dy)
         if not selected.any():
             continue
         for step in range(1, pad + 1):

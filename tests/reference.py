@@ -42,9 +42,13 @@ placements. ``bf_step_resident``
 is the resident walk as an 8-neighbour scan with bounds and home-range
 checks, the oracle for the walk table ``dynamics.step_resident`` reads.
 
-``bf_watchers`` scans every agent for the ones within Chebyshev radius of a
-visitor, the oracle for ``engine._watchers``, which sums the per-cell
+``bf_watchers`` scans every other agent for the ones within Chebyshev radius
+of a visitor, the oracle for ``engine._watchers``, which sums the per-cell
 occupancy counts the state keeps.
+
+``BfAgent`` is the oracle's own agent record. Unlike ``dynamics.Agent`` it
+carries its kind, and a resident its home, so ``bf_run`` never reads a role
+off an agent's place in the list, as the engine does.
 
 ``bf_run`` is a whole run built from these oracles and the draw schedule in
 the ``engine`` module docstring, the oracle for ``engine.run``: placement
@@ -60,6 +64,7 @@ pass, house waste, metrics.
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,8 +74,6 @@ from riversim.dynamics import (
     DWELL_ENDED,
     DWELLING,
     RETARGETED,
-    Agent,
-    AgentKind,
     sample_geometric,
 )
 from riversim.landscape import (
@@ -89,6 +92,11 @@ from riversim.settlement import BuildRecord
 # dynamics.step_agent reports none
 MOVED = "moved"
 
+# the kinds of BfAgent
+RESIDENT = "Resident"
+VISITOR = "Visitor"
+COMMUNITY_MEMBER = "CommunityMember"
+
 RULE_NOT_BUILDABLE = "NotBuildable"
 RULE_OCCUPIED = "Occupied"
 RULE_SRI_MADAYUNG = "SriMadayung"
@@ -99,6 +107,19 @@ RULE_HIGHLAND_BEHIND = "HighlandBehind"
 
 # Compass directions in 45-degree steps, indexed by round(atan2(dy, dx) / 45deg).
 _COMPASS8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+@dataclass
+class BfAgent:
+    id: int
+    kind: str
+    coord: tuple[int, int]
+    target_hotspot: int | None = None
+    dwell_remaining: int | None = None
+    carrying_litter: bool = False
+    utility: float = 0.0
+    home: tuple[int, int] | None = None
+    spawn_tick: int = 0
 
 
 # what each legend name makes of its cell: (terrain class, walkable)
@@ -455,19 +476,17 @@ def bf_step_resident(agent, grid, rng, home_range):
     agent.coord = candidates[rng.randrange(len(candidates))]
 
 
-def bf_watchers(agents, me, radius):
-    """(other agents within radius, any of them a community member)."""
-    x, y = me.coord
+def bf_watchers(others, at, radius):
+    """(agents within radius of cell at, any of them a community member);
+    others lists (coord, is a community member) of every agent but the
+    visitor on at."""
+    x, y = at
     count = 0
     community = False
-    for other in agents:
-        if other is me:
-            continue
-        ox, oy = other.coord
+    for (ox, oy), member in others:
         if max(abs(ox - x), abs(oy - y)) <= radius:
             count += 1
-            if other.kind is AgentKind.COMMUNITY_MEMBER:
-                community = True
+            community = community or member
     return count, community
 
 
@@ -648,8 +667,8 @@ def bf_run(config, grid):
     state = SimpleNamespace(config=config, tick=0, houses=[], build_log=[], next_id=0)
 
     def spawn(kind, coord, home=None):
-        agents.append(Agent(id=state.next_id, kind=kind, coord=coord, home=home,
-                            spawn_tick=state.tick))
+        agents.append(BfAgent(id=state.next_id, kind=kind, coord=coord, home=home,
+                              spawn_tick=state.tick))
         state.next_id += 1
 
     def grow(n):
@@ -657,7 +676,7 @@ def bf_run(config, grid):
             coord = bf_place_next_house(state, rng)
             if coord is None:
                 break
-            spawn(AgentKind.RESIDENT, coord, home=coord)
+            spawn(RESIDENT, coord, home=coord)
 
     if prepark:
         state.setup = SimpleNamespace(placement=_bf_placement(grid, config))
@@ -668,7 +687,7 @@ def bf_run(config, grid):
         entrances = _bf_entrances(config, grid, dist_fields)
         riverside = bf_chebyshev_distances(walkable.shape, river_cells) == 1
         for i in range(config.n_community):
-            spawn(AgentKind.COMMUNITY_MEMBER, grid.hotspots[i % len(grid.hotspots)])
+            spawn(COMMUNITY_MEMBER, grid.hotspots[i % len(grid.hotspots)])
     lines = [_bf_metrics_line(0, agents, state.houses, garbage, n_river, 0)]
 
     for tick in range(1, config.ticks + 1):
@@ -679,23 +698,24 @@ def bf_run(config, grid):
         p = bf_diffuse(p, config.mu, walkable, sources)
         if not prepark:
             agents[:] = [a for a in agents if not (
-                a.kind is AgentKind.VISITOR and tick - a.spawn_tick >= config.visit_length)]
+                a.kind == VISITOR and tick - a.spawn_tick >= config.visit_length)]
             if config.visitor_spawn_rate > 0 and rng.random() < config.visitor_spawn_rate:
-                spawn(AgentKind.VISITOR, entrances[rng.randrange(len(entrances))])
+                spawn(VISITOR, entrances[rng.randrange(len(entrances))])
         for a in agents:
             assert walkable[a.coord[1], a.coord[0]], (tick, a.id, a.coord)
         utilities = bf_utilities_by_cell(agents)
         snapshot = garbage["in_place"].copy()
 
         for a in agents:
-            if a.kind is AgentKind.RESIDENT:
+            if a.kind == RESIDENT:
                 bf_step_resident(a, grid, rng, config.resident_range)
-            elif a.kind is AgentKind.VISITOR:
+            elif a.kind == VISITOR:
                 event = bf_step_agent(a, grid, dist_fields, rng, config.dwell_p, base)
                 if event == ARRIVED:
                     a.carrying_litter = True
                 elif a.carrying_litter and event in (DWELLING, DWELL_ENDED):
-                    nearby, community = bf_watchers(agents, a, config.warn_radius)
+                    others = [(o.coord, o.kind == COMMUNITY_MEMBER) for o in agents if o is not a]
+                    nearby, community = bf_watchers(others, a.coord, config.warn_radius)
                     if (not community and nearby < config.warn_threshold
                             and rng.random() < config.litter_p):
                         x, y = a.coord

@@ -114,6 +114,36 @@ class TestRunCommand:
         assert capsys.readouterr().err == "config error: --seeds names seed 2 more than once\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "sim.ini", ticks=3)
+        config.write_text(config.read_text().replace("[run]\n", "[run]\nseed = -1\n"))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(config)] + (["--out", str(out)] * (command == "run"))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "config error: run.seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_negative_seed_exits_before_creating_out(self, tmp_path, capsys):
+        # random.Random(-5) replays seed 5, so the two runs would be one run twice
+        config = write_config(tmp_path / "sim.ini", scenario="park", ticks=200)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(config), "--out", str(out), "--seeds", "5,-5"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: run.seed must be >= 0, got -5\n"
+        assert not out.exists()
+
+    def test_overlong_seed_exits_2_without_a_traceback(self, tmp_path, capsys):
+        # metrics_<seed>.csv is a name too long for the file system
+        config = write_config(tmp_path / "sim.ini", scenario="park", ticks=3)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", str(10**300)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_bad_frame_every_exits_before_creating_out(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini", ticks=3)
         out = tmp_path / "o"

