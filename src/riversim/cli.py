@@ -60,15 +60,20 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _refuse_existing(paths: list[Path], force: bool) -> int | None:
-    """EXIT_REFUSED if an output exists (unless force), EXIT_CONFIG if one
-    cannot be checked (its name is too long, say), else None."""
-    if force:
-        return None
-    try:
-        existing = [p for p in paths if p.exists()]
-    except OSError as exc:
-        return _config_error(f"cannot check output path {exc.filename}: {exc.strerror}")
-    if existing:
+    """EXIT_CONFIG if an output cannot be checked (its name is too long,
+    say), else EXIT_REFUSED if one exists (unless force), else None. Every
+    path is checked, force or not; ``Path.stat`` raises what ``Path.exists``
+    swallows on Python 3.13, and only a missing file counts as absent."""
+    existing = []
+    for path in paths:
+        try:
+            path.stat()
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:
+            return _config_error(f"cannot check output path {path}: {exc.strerror}")
+        existing.append(path)
+    if existing and not force:
         print(
             f"refusing to overwrite {existing[0]} (and {len(existing) - 1} more); "
             "pass --force to allow",

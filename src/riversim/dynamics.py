@@ -2,7 +2,7 @@
 
 Each tick every cell takes mu/8 of the summed excitement of its Moore
 neighbors (the divisor stays 8 at boundaries, so the field contracts),
-hotspot sources are re-clamped to their base level, and non-walkable cells
+hotspot cells are re-clamped to the one base level, and non-walkable cells
 stay pinned at zero. A field keeps its Moore neighbor sum once computed, so
 the sum serves both agent utility on this tick and diffusion on the next.
 The sum adds 8 contiguous slices of one zero-bordered flat copy of the
@@ -103,7 +103,8 @@ class Agent:
 class ExcitementField:
     p: np.ndarray
     mu: float
-    sources: tuple[tuple[Coord, float], ...]
+    hotspots: tuple[Coord, ...]  # the source cells, each held at base
+    base: float
     # (y0, y1): rows y0..y1-1 hold every cell whose p differs, bit for bit,
     # from the field this one was diffused from (y0 == y1 when none does);
     # None for a field built any other way, whose every cell may differ
@@ -116,10 +117,9 @@ class ExcitementField:
     def from_grid(cls, grid: TerrainGrid, mu: float, base: float) -> "ExcitementField":
         """The tick-0 field: every hotspot at base, every other cell at 0."""
         p = np.zeros((grid.height, grid.width), dtype=np.float64)
-        sources = tuple((coord, base) for coord in grid.hotspots)
-        for (x, y), base in sources:
+        for x, y in grid.hotspots:
             p[y, x] = base
-        return cls(p=p, mu=mu, sources=sources)
+        return cls(p=p, mu=mu, hotspots=grid.hotspots, base=base)
 
     @cached_property
     def neighbor_sum(self) -> np.ndarray:
@@ -185,14 +185,14 @@ def diffuse_excitement(field: ExcitementField, grid: TerrainGrid) -> ExcitementF
     np.multiply(field.neighbor_sum[y0:y1], field.mu, out=band)
     band /= float(NEIGHBORHOOD_SIZE)
     np.copyto(band, 0.0, where=~grid.walkable_mask[y0:y1])
-    # a diffused field already holds every source at its base, so outside
+    # a diffused field already holds every hotspot at base, so outside
     # the band this rewrites the same bits
-    for (x, y), base in field.sources:
-        p[y, x] = base
+    for x, y in field.hotspots:
+        p[y, x] = field.base
     rows = np.flatnonzero((band.view(np.uint64) != field.p[y0:y1].view(np.uint64)).any(axis=1))
     changed = (y0 + int(rows[0]), y0 + int(rows[-1]) + 1) if rows.size else (0, 0)
-    return ExcitementField(p=p, mu=field.mu, sources=field.sources, changed_rows=changed,
-                           base_sum=field.neighbor_sum)
+    return ExcitementField(p=p, mu=field.mu, hotspots=field.hotspots, base=field.base,
+                           changed_rows=changed, base_sum=field.neighbor_sum)
 
 
 def agent_cells(agents: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray]:

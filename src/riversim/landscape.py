@@ -33,8 +33,10 @@ Conventions used throughout the package:
 * Every nearest-source question (river and road distance, the below-river
   and highland taboos) is answered by ``nearest_cell_fields``; ties resolve
   by smallest Chebyshev distance, then squared Euclidean, then row-major.
-  It is exact and makes one whole-grid pass per column that holds a source,
-  none per source cell.
+  It is exact and makes one whole-grid pass per run of adjacent source
+  columns with sources on the same rows, none per source cell: linear in
+  the map for sources made of row and column segments, but one pass per
+  column when every source column differs (a diagonal road).
 """
 
 from __future__ import annotations
@@ -263,12 +265,17 @@ def nearest_cell_fields(source_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray
     and int64 with -1 where the mask is empty. Within a column, the source
     nearest to each row (the upper one on a tie) beats the column's other
     sources on every tie-break key, so two cumulative scans leave one
-    candidate per cell and column. One (H, W) pass per column that holds a
-    source, none per source cell, keeps the minimum of the int64 key
-    (Chebyshev, min(|dy|, |dx|), row, column): at a fixed Chebyshev distance
-    c the squared Euclidean one is c**2 + min(|dy|, |dx|)**2, so the key
-    orders as the tie-break does. The key is below (H * W)**2, so it cannot
-    overflow on a map of at most 3,037,000,499 cells (sides up to 55,108).
+    candidate per cell and column. One (H, W) pass per run keeps the
+    minimum of the int64 key (Chebyshev, min(|dy|, |dx|), row, column). A
+    run is a span s0..s1 of adjacent columns with sources on the same rows:
+    they share their candidate rows, and at a fixed row the key rises
+    strictly with |dx|, so the run's best column for cell column x is x
+    clipped to s0..s1. At a fixed Chebyshev distance c the squared Euclidean
+    one is c**2 + min(|dy|, |dx|)**2, so the key orders as the tie-break
+    does. The key is below (H * W)**2, so it cannot overflow on a map of at
+    most 3,037,000,499 cells (sides up to 55,108). Maps drawn from row and
+    column segments have few runs, so their cost is linear in the map; when
+    every source column differs (a diagonal road), each column is a run.
     """
     h, w = source_mask.shape
     if not source_mask.any():
@@ -285,13 +292,20 @@ def nearest_cell_fields(source_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray
     cells = h * w
     cheb_unit = min(h, w) * cells  # min(|dy|, |dx|) < min(h, w)
     best = np.full((h, w), np.iinfo(np.int64).max)
-    for sx in np.flatnonzero(source_mask.any(axis=0)):
-        sy = column_nearest[:, sx]
+    # an empty column differs from every source column, so no run spans one
+    has = source_mask.any(axis=0)
+    same = (source_mask[:, 1:] == source_mask[:, :-1]).all(axis=0)
+    starts = np.flatnonzero(has & np.concatenate(([True], ~same)))
+    ends = np.flatnonzero(has & np.concatenate((~same, [True])))
+    for s0, s1 in zip(starts, ends):
+        sy = column_nearest[:, s0]
+        sx = np.clip(cols, s0, s1)
         dy = np.abs(sy - rows)
         dx = np.abs(cols - sx)
         key = np.maximum.outer(dy * cheb_unit, dx * cheb_unit)
         key += np.minimum.outer(dy * cells, dx * cells)
-        key += (sy * w + sx)[:, None]
+        key += (sy * w)[:, None]
+        key += sx
         np.minimum(best, key, out=best)
     cheb, rest = np.divmod(best, cheb_unit)
     near_y, near_x = np.divmod(rest % cells, w)

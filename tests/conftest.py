@@ -85,3 +85,29 @@ def traced_peak(call):
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def settlement_growth_map(n: int) -> str:
+    """The prepark map of the settlement_growth benchmark, scaled from side
+    120 to side n (and equal to it at 120): a main stream down one column, a
+    second stream column beside it, a tributary row, and roads along the
+    first and last rows, along three inner rows and down two inner columns."""
+    def at(c):
+        return c * n // 120
+
+    rows = [["."] * n for _ in range(n)]
+    for y in range(n):
+        rows[y][at(8)] = "~"
+    for y in range(at(20), at(45)):
+        rows[y][at(14)] = "~"
+    for x in range(at(8) + 1, at(24)):
+        rows[at(70)][x] = "~"
+    for x in range(at(12), n):
+        rows[0][x] = rows[n - 1][x] = "="
+    for y in (30, 60, 90):
+        for x in range(at(30), n):
+            rows[at(y)][x] = "="
+    for x in (50, 85):
+        for y in range(1, n - 1):
+            rows[y][at(x)] = "="
+    return "\n".join("".join(row) for row in rows)

@@ -74,21 +74,21 @@ class TestCriterion1DiffusionOracle:
             grid = random_walkable_grid(rng, w, h)
             p = nprng.random((h, w))
             p[~grid.walkable_mask] = 0.0
-            sources = []
+            hotspots, base = (), 1.0
             if grid.walkable_mask.any() and rng.random() < 0.5:
                 ys, xs = np.nonzero(grid.walkable_mask)
                 i = rng.randrange(len(ys))
-                sources = [((int(xs[i]), int(ys[i])), rng.random())]
+                hotspots, base = ((int(xs[i]), int(ys[i])),), rng.random()
             mu = rng.choice([0.1, 0.5, 0.9, 1.0])
-            field = ExcitementField(p=p, mu=mu, sources=tuple(sources))
+            field = ExcitementField(p=p, mu=mu, hotspots=hotspots, base=base)
             out = diffuse_excitement(field, grid)
-            expected = bf_diffuse(p, mu, grid.walkable_mask, sources)
+            expected = bf_diffuse(p, mu, grid.walkable_mask, [(c, base) for c in hotspots])
             worst = max(worst, float(np.max(np.abs(out.p - expected))))
 
         grid3 = load_terrain("...\n...\n...")
         p3 = np.zeros((3, 3))
         p3[1, 1] = 1.0
-        field3 = ExcitementField(p=p3, mu=0.5, sources=(((1, 1), 1.0),))
+        field3 = ExcitementField(p=p3, mu=0.5, hotspots=((1, 1),), base=1.0)
         out3 = diffuse_excitement(field3, grid3)
         neighbors_exact = all(
             out3.p[y, x] == 0.0625
@@ -113,7 +113,7 @@ class TestCriterion2DiffusionContraction:
             w, h = rng.randint(2, 12), rng.randint(2, 12)
             grid = load_terrain("\n".join(["." * w] * h))
             for mu in (0.1, 0.5, 0.9):
-                field = ExcitementField(p=nprng.random((h, w)), mu=mu, sources=())
+                field = ExcitementField(p=nprng.random((h, w)), mu=mu, hotspots=(), base=1.0)
                 for _ in range(50):
                     nxt = diffuse_excitement(field, grid)
                     if nxt.p.max() > mu * field.p.max() + 1e-15:

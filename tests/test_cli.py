@@ -144,6 +144,19 @@ class TestRunCommand:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    def test_forced_overlong_seed_exits_2_before_any_seed_runs(self, tmp_path, capsys):
+        # --force drops only the refusal of existing files: every output name
+        # is still checked before seed 1 runs
+        config = write_config(tmp_path / "sim.ini", scenario="park", ticks=3)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", f"1,{10**300}", "--force"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot check output path ") and "Traceback" not in err
+        assert not (out / "metrics_1.csv").exists()
+        assert list(out.iterdir()) == []
+
     def test_bad_frame_every_exits_before_creating_out(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini", ticks=3)
         out = tmp_path / "o"

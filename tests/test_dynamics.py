@@ -46,8 +46,9 @@ def all_open(width, height):
     return grid_from("\n".join(["." * width] * height))
 
 
-def make_field(grid, p, mu, sources=()):
-    return ExcitementField(p=np.array(p, dtype=np.float64), mu=mu, sources=tuple(sources))
+def make_field(grid, p, mu, hotspots=(), base=1.0):
+    return ExcitementField(p=np.array(p, dtype=np.float64), mu=mu, hotspots=tuple(hotspots),
+                           base=base)
 
 
 class TestDiffusion:
@@ -61,7 +62,7 @@ class TestDiffusion:
         grid = all_open(3, 3)
         p = np.zeros((3, 3))
         p[1, 1] = 1.0
-        field = make_field(grid, p, mu=0.5, sources=[((1, 1), 1.0)])
+        field = make_field(grid, p, mu=0.5, hotspots=[(1, 1)], base=1.0)
         out = diffuse_excitement(field, grid)
         for y in range(3):
             for x in range(3):
@@ -88,15 +89,15 @@ class TestDiffusion:
             grid = grid_from(text)
             p = nprng.random((h, w))
             p[~grid.walkable_mask] = 0.0
-            sources = []
+            hotspots, base = [], 1.0
             if grid.walkable_mask.any() and rng.random() < 0.5:
                 ys, xs = np.nonzero(grid.walkable_mask)
                 i = rng.randrange(len(ys))
-                sources = [((int(xs[i]), int(ys[i])), rng.random())]
+                hotspots, base = [(int(xs[i]), int(ys[i]))], rng.random()
             mu = rng.choice([0.1, 0.5, 0.9, 1.0])
-            field = make_field(grid, p, mu, sources)
+            field = make_field(grid, p, mu, hotspots, base)
             out = diffuse_excitement(field, grid)
-            expected = bf_diffuse(p, mu, grid.walkable_mask, sources)
+            expected = bf_diffuse(p, mu, grid.walkable_mask, [(c, base) for c in hotspots])
             assert np.max(np.abs(out.p - expected)) <= 1e-12
 
     def test_contraction_without_sources(self):
@@ -111,11 +112,11 @@ class TestDiffusion:
 
     def test_max_principle_with_sources(self):
         grid = all_open(6, 6)
-        sources = [((2, 2), 1.0), ((4, 4), 0.5)]
+        hotspots = [(2, 2), (4, 4)]
         p = np.zeros((6, 6))
-        for (x, y), base in sources:
-            p[y, x] = base
-        field = make_field(grid, p, mu=0.95, sources=sources)
+        for x, y in hotspots:
+            p[y, x] = 1.0
+        field = make_field(grid, p, mu=0.95, hotspots=hotspots, base=1.0)
         for _ in range(60):
             field = diffuse_excitement(field, grid)
             assert field.p.min() >= 0.0
@@ -162,13 +163,14 @@ class TestWindowedDiffusion:
                 "grid": (rng.randint(2, 9), rng.randint(2, 9))}[shape]
         grid = grid_from(self.random_map(rng, h, w))
         field = ExcitementField.from_grid(grid, mu, rng.uniform(0.1, 5.0))
-        sources = field.sources
+        sources = [(coord, field.base) for coord in field.hotspots]
         p = field.p.copy()
         for _ in range(5000):
             field = diffuse_excitement(field, grid)
             expected = bf_diffuse(p, mu, grid.walkable_mask, sources)
             assert field.p.tobytes() == expected.tobytes()
-            fresh = ExcitementField(p=field.p.copy(), mu=mu, sources=sources)
+            fresh = ExcitementField(p=field.p.copy(), mu=mu, hotspots=field.hotspots,
+                                    base=field.base)
             assert field.neighbor_sum.tobytes() == fresh.neighbor_sum.tobytes()
             settled = expected.tobytes() == p.tobytes()
             assert field.settled == settled
@@ -382,7 +384,7 @@ class TestBatchedUtilityOracle:
         moved = [(min(max(x + int(nprng.integers(-1, 2)), 0), w - 1),
                   min(max(y + int(nprng.integers(-1, 2)), 0), h - 1)) for x, y in start]
         p = nprng.random((h, w))
-        field = ExcitementField(p=p, mu=0.9, sources=())
+        field = ExcitementField(p=p, mu=0.9, hotspots=(), base=1.0)
         rho, epsilon0 = float(nprng.random()), float(nprng.random())
         dirty = nprng.integers(0, 4, size=(h, w))
         for garbage, oracle_garbage in ((dirty, dirty), ((h, w), np.zeros((h, w), np.int64))):

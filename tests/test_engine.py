@@ -113,7 +113,7 @@ class TestInitScenario:
         config = make_config(scenario="park", hotspot_base_excitement=2.5)
         state = init_scenario(config, grid=grid)
         assert [state.field.p[y, x] for x, y in grid.hotspots] == [2.5, 2.5, 2.5]
-        assert state.field.sources == tuple((coord, 2.5) for coord in grid.hotspots)
+        assert state.field.hotspots == grid.hotspots and state.field.base == 2.5
 
     def test_river_free_map_rejected(self):
         grid = grid_from("...\n...")

@@ -7,6 +7,7 @@ from riversim.landscape import (
     CLASS_CODES,
     MOORE_OFFSETS,
     RIVER_CODE,
+    ROAD_CODE,
     TerrainClass,
     TerrainError,
     compute_river_features,
@@ -18,7 +19,7 @@ from riversim.landscape import (
     _label_streams,
 )
 
-from conftest import grid_from, traced_peak, walled_park_map
+from conftest import grid_from, settlement_growth_map, traced_peak, walled_park_map
 from reference import (
     bf_between_streams,
     bf_chebyshev_distances,
@@ -92,6 +93,60 @@ def tie_masks(h, w, rng):
         seed = rng.random((h, w)) < 0.1
         masks += [seed | seed[::-1], seed | seed[:, ::-1], seed | seed[::-1, ::-1],
                   seed | seed[::-1] | seed[:, ::-1] | seed[::-1, ::-1]]
+    return masks
+
+
+def assert_nearest_fields_match(mask):
+    """nearest_cell_fields against one pass per source cell: bit for bit
+    and dtype for dtype, inf and -1 on empty masks included."""
+    for got, want in zip(nearest_cell_fields(mask), bf_nearest_cell_fields(mask)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), mask.astype(int)
+
+
+def column_runs(w, *spans, rows="1001011"):
+    """A mask of len(rows) rows and w columns whose columns s0..s1 of each
+    span hold sources on the rows marked 1 in rows, and are empty elsewhere."""
+    mask = np.zeros((len(rows), w), dtype=bool)
+    for s0, s1 in spans:
+        mask[:, s0:s1 + 1] = np.array([c == "1" for c in rows])[:, None]
+    return mask
+
+
+def run_masks():
+    """Masks whose source columns make runs of equal columns, by case."""
+    other = column_runs(9, (3, 3), rows="0110000")
+    extra = column_runs(10, (2, 7))
+    extra[1, 5] = True
+    return {
+        "runs at both edges": column_runs(9, (0, 2), (6, 8)),
+        "runs of length one": column_runs(9, (0, 0), (2, 2), (4, 4), (8, 8)),
+        "adjacent runs of length one": (column_runs(6, (1, 1))
+                                        | column_runs(6, (2, 2), rows="0100010")
+                                        | column_runs(6, (3, 3), rows="1000001")),
+        "full mask": np.ones((7, 9), dtype=bool),
+        "equal columns around another": column_runs(9, (1, 2), (4, 5)) | other,
+        "one column with an extra source": extra,
+        "1xW": column_runs(12, (0, 1), (4, 4), (7, 11), rows="1"),
+        "Hx1": column_runs(1, (0, 0), rows="100111000101"),
+        "Hx1 full": np.ones((12, 1), dtype=bool),
+    }
+
+
+def segment_masks(rng, count):
+    """Masks of sides 1 to 13 built from a few row and column segments, so
+    that neighbouring source columns are often equal."""
+    masks = []
+    for _ in range(count):
+        h, w = rng.integers(1, 14, size=2)
+        mask = np.zeros((h, w), dtype=bool)
+        for _ in range(rng.integers(0, 5)):
+            y, x = rng.integers(h), rng.integers(w)
+            if rng.random() < 0.5:
+                mask[y, x:x + rng.integers(1, w + 1)] = True
+            else:
+                mask[y:y + rng.integers(1, h + 1), x] = True
+        masks.append(mask)
     return masks
 
 
@@ -460,11 +515,23 @@ class TestDistanceFields:
         assert corridor // 3 < rings <= corridor // 2
 
     def test_nearest_cell_fields_match_per_source_loop(self):
-        # bit for bit and dtype for dtype, inf and -1 on empty masks included
         for mask in nearest_source_masks():
-            for got, want in zip(nearest_cell_fields(mask), bf_nearest_cell_fields(mask)):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), mask.astype(int)
+            assert_nearest_fields_match(mask)
+
+    @pytest.mark.parametrize("case", list(run_masks()))
+    def test_nearest_cell_fields_over_runs_of_equal_columns(self, case):
+        assert_nearest_fields_match(run_masks()[case])
+
+    def test_nearest_cell_fields_on_segment_masks(self):
+        for mask in segment_masks(np.random.default_rng(27), 400):
+            assert_nearest_fields_match(mask)
+
+    @pytest.mark.parametrize("side", [120, 240])
+    def test_nearest_cell_fields_on_the_settlement_growth_map(self, side):
+        # the benchmark's map (scaled): river and road fields, as prepark set-up asks
+        cells = grid_from(settlement_growth_map(side)).cells
+        for code in (RIVER_CODE, ROAD_CODE):
+            assert_nearest_fields_match(cells == code)
 
     def test_nearest_cell_tie_break(self):
         # one source up to every cell a source, and tie-heavy masks
