@@ -13,12 +13,15 @@ import csv
 import glob
 import math
 import os
+import re
+import stat
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import SCENARIO_PREPARK, ConfigError, default_config_text, load_config
-from .engine import CSV_HEADER, InvariantViolation, metrics_to_csv, prepare, run
+from .engine import CSV_HEADER, InvariantViolation, buildlog_to_csv, metrics_to_csv, prepare, run
 from .landscape import TerrainError
 
 EXIT_OK = 0
@@ -59,19 +62,22 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _refuse_existing(paths: list[Path], force: bool) -> int | None:
+def _refuse_existing(paths: list[Path], force: bool, dirs: Sequence[Path] = ()) -> int | None:
     """EXIT_CONFIG if an output cannot be checked (its name is too long,
-    say), else EXIT_REFUSED if one exists (unless force), else None. Every
+    say) or is a directory where a file goes or a non-directory at one of
+    dirs, else EXIT_REFUSED if one exists (unless force), else None. Every
     path is checked, force or not; ``Path.stat`` raises what ``Path.exists``
     swallows on Python 3.13, and only a missing file counts as absent."""
     existing = []
     for path in paths:
         try:
-            path.stat()
+            is_dir = stat.S_ISDIR(path.stat().st_mode)
         except (FileNotFoundError, NotADirectoryError):
             continue
         except OSError as exc:
             return _config_error(f"cannot check output path {path}: {exc.strerror}")
+        if is_dir != (path in dirs):
+            return _config_error(f"output path {path} {'is' if is_dir else 'is not'} a directory")
         existing.append(path)
     if existing and not force:
         print(
@@ -80,6 +86,23 @@ def _refuse_existing(paths: list[Path], force: bool) -> int | None:
             file=sys.stderr,
         )
         return EXIT_REFUSED
+    return None
+
+
+def _write_outputs(out: Path, files: dict[str, str], what: str,
+                   stale: Sequence[Path] = ()) -> int | None:
+    """Write each text to its name under out, making its parent directory,
+    each file whole or not at all (see ``_write_atomic``), then remove the
+    stale paths; on the first OSError, EXIT_CONFIG naming what was being
+    written (and nothing stale removed if a write failed), else None."""
+    try:
+        for name, text in files.items():
+            (out / name).parent.mkdir(exist_ok=True)
+            _write_atomic(out / name, text)
+        for path in stale:
+            path.unlink()
+    except OSError as exc:
+        return _config_error(f"cannot write {what} to {out}: {exc}")
     return None
 
 
@@ -104,13 +127,15 @@ def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
         return _config_error(f"cannot create output directory {out}: {exc}")
     prepark = config.scenario == SCENARIO_PREPARK
     targets: list[Path] = []
+    frame_dirs: list[Path] = []
     for seed in seeds:
         targets.append(out / f"metrics_{seed}.csv")
         if prepark:
             targets.append(out / f"buildlog_{seed}.csv")
         if config.frame_every:
-            targets.append(out / f"frames_{seed}")
-    if refused := _refuse_existing(targets, force):
+            frame_dirs.append(out / f"frames_{seed}")
+            targets.append(frame_dirs[-1])
+    if refused := _refuse_existing(targets, force, frame_dirs):
         return refused
 
     for seed in seeds:
@@ -120,24 +145,20 @@ def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
             print(f"invariant halt (seed {seed}): {exc}", file=sys.stderr)
             return EXIT_INVARIANT
 
-        metrics_path = out / f"metrics_{seed}.csv"
-        try:
-            _write_atomic(metrics_path, metrics_to_csv(result.metrics))
-            if prepark:
-                lines = ["tick,x,y,score"]
-                lines += [
-                    f"{rec.tick},{rec.x},{rec.y},{rec.score:.6f}"
-                    for rec in result.state.build_log
-                ]
-                _write_atomic(out / f"buildlog_{seed}.csv", "\n".join(lines) + "\n")
-            if config.frame_every:
-                frame_dir = out / f"frames_{seed}"
-                frame_dir.mkdir(exist_ok=True)
-                for tick, text in result.frames:
-                    _write_atomic(frame_dir / f"frame_{tick}.txt", text)
-        except OSError as exc:
-            return _config_error(f"cannot write outputs of seed {seed} to {out}: {exc}")
-        print(f"seed {seed}: wrote {metrics_path}")
+        metrics_name = f"metrics_{seed}.csv"
+        files = {metrics_name: metrics_to_csv(result.metrics)}
+        if prepark:
+            files[f"buildlog_{seed}.csv"] = buildlog_to_csv(result.state.build_log)
+        frames = {f"frame_{tick}.txt": text for tick, text in result.frames}
+        files.update((f"frames_{seed}/{name}", text) for name, text in frames.items())
+        stale = []
+        if config.frame_every:
+            # a forced run replaces the frames of the run it overwrites
+            stale = [path for path in (out / f"frames_{seed}").glob("frame_*.txt")
+                     if path.name not in frames and re.fullmatch(r"frame_[0-9]+\.txt", path.name)]
+        if failed := _write_outputs(out, files, f"outputs of seed {seed}", stale):
+            return failed
+        print(f"seed {seed}: wrote {out / metrics_name}")
     return EXIT_OK
 
 
@@ -235,37 +256,31 @@ def cmd_compare(pre_glob: str, post_glob: str, out_dir: Path, force: bool) -> in
     post = summarize_metrics(post_files)
     ratio = damping_ratio(pre, post)
 
-    report = "\n".join([
-        f"scenario comparison over {pre.n_files} pre / {post.n_files} post runs",
-        f"  mean dirtiness growth per tick: pre {pre.mean_delta_dirtiness:.6f}, "
-        f"post {post.mean_delta_dirtiness:.6f}",
-        f"  mean garbage per capita:        pre {pre.mean_garbage_per_capita:.6f}, "
-        f"post {post.mean_garbage_per_capita:.6f}",
-        f"  total littering events:         pre {pre.total_littering}, "
-        f"post {post.total_littering}",
-        f"  damping ratio (post/pre dirtiness growth): {ratio:.6f}",
-    ]) + "\n"
-
-    csv_lines = [
-        "metric,pre,post",
-        f"mean_delta_dirtiness_per_tick,{pre.mean_delta_dirtiness:.6f},{post.mean_delta_dirtiness:.6f}",
-        f"mean_garbage_per_capita,{pre.mean_garbage_per_capita:.6f},{post.mean_garbage_per_capita:.6f}",
-        f"total_littering_events,{pre.total_littering},{post.total_littering}",
-        f"damping_ratio,,{ratio:.6f}",
+    # (label, CSV name, pre, post) of each statistic, for both files
+    table = [
+        ("mean dirtiness growth per tick", "mean_delta_dirtiness_per_tick",
+         f"{pre.mean_delta_dirtiness:.6f}", f"{post.mean_delta_dirtiness:.6f}"),
+        ("mean garbage per capita", "mean_garbage_per_capita",
+         f"{pre.mean_garbage_per_capita:.6f}", f"{post.mean_garbage_per_capita:.6f}"),
+        ("total littering events", "total_littering_events",
+         str(pre.total_littering), str(post.total_littering)),
     ]
+    report = "\n".join(
+        [f"scenario comparison over {pre.n_files} pre / {post.n_files} post runs"]
+        + [f"  {label + ':':32}pre {a}, post {b}" for label, _, a, b in table]
+        + [f"  damping ratio (post/pre dirtiness growth): {ratio:.6f}"]) + "\n"
+    csv_text = "\n".join(["metric,pre,post"] + [f"{name},{a},{b}" for _, name, a, b in table]
+                         + [f"damping_ratio,,{ratio:.6f}"]) + "\n"
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _config_error(f"cannot create output directory {out_dir}: {exc}")
-    targets = [out_dir / "comparison.txt", out_dir / "comparison.csv"]
-    if refused := _refuse_existing(targets, force):
+    files = {"comparison.txt": report, "comparison.csv": csv_text}
+    if refused := _refuse_existing([out_dir / name for name in files], force):
         return refused
-    try:
-        _write_atomic(targets[0], report)
-        _write_atomic(targets[1], "\n".join(csv_lines) + "\n")
-    except OSError as exc:
-        return _config_error(f"cannot write the comparison to {out_dir}: {exc}")
+    if failed := _write_outputs(out_dir, files, "the comparison"):
+        return failed
     print(report, end="")
     return EXIT_OK
 

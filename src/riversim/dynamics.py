@@ -33,7 +33,7 @@ set-up too: the running sums of the equal weights, where the total of the
 first m hotspots is the m-th sum, so a pick is one bisect that lands where a
 weighted linear scan would (see hotspot_draw). step_agent steps a whole
 list of wanderers in one generator that yields only the events a caller
-acts on (retarget, arrival, dwelling, dwell end), never a plain step, and
+acts on (retarget, arrival, each dwell tick), never a plain step, and
 moves each agent's head count in the grids it is given.
 Residents do a home-anchored random walk on a walk table of the same form,
 built at prepark set-up: one byte per cell whose bits name its walkable
@@ -66,11 +66,11 @@ from .landscape import MOORE_OFFSETS, Coord, TerrainGrid, moore_views
 # The interaction neighborhood is the 8 surrounding cells; not configurable.
 NEIGHBORHOOD_SIZE = 8
 
-# Events reported by step_agent; a plain move reports none.
+# Events reported by step_agent; a plain move reports none, and every dwell
+# tick, the last one included, reports DWELLING.
 RETARGETED = "retargeted"
 ARRIVED = "arrived"
 DWELLING = "dwelling"
-DWELL_ENDED = "dwell_ended"
 
 
 # DOWNHILL_STEPS[mask] lists the offsets whose bits are set in a step-table
@@ -342,7 +342,8 @@ def step_agent(
     choice); the choices come from the target's step table (its BFS's
     downhill bits). If no neighbor improves, the target is unreachable
     and gets re-sampled among the others (see choose_next_hotspot). At the
-    target: dwell for a geometric number of ticks, then clear the target.
+    target: dwell for a geometric number of ticks, yielding DWELLING on
+    each, and clear the target on the last one.
     Each move also moves the agent's head count in every grid of `counts`
     (rows of ints per cell). A draw the caller makes on an event falls
     between that agent's draws and the next one's.
@@ -356,11 +357,9 @@ def step_agent(
                 if agent.dwell_remaining is None:
                     agent.dwell_remaining = sample_geometric(dwell_p, rng)
                 agent.dwell_remaining -= 1
-                if agent.dwell_remaining > 0:
-                    yield agent, DWELLING
-                else:
+                if agent.dwell_remaining <= 0:
                     agent.target_hotspot = agent.dwell_remaining = None
-                    yield agent, DWELL_ENDED
+                yield agent, DWELLING
                 continue
             x, y = agent.coord
             n, k, steps = _STEP_DRAWS[step_tables[target][y][x]]

@@ -51,9 +51,9 @@ runs for n > 0, so it leaves the generator in the same state;
 tests/test_dynamics.py::TestRandbelow holds it to that on the running
 interpreter. A park tick runs two step_agent generators: one over the
 moving community members, drained at once, then one over the visitors,
-which yields on every event but a plain step and draws for the next
-visitor only when asked, so a visitor's litter decision falls between its
-own move and the next visitor's.
+which yields on every retarget, arrival and dwell tick, never on a plain
+step, and draws for the next visitor only when asked, so a visitor's
+litter decision falls between its own move and the next visitor's.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ import numpy as np
 from .config import SCENARIO_PREPARK, ConfigError, SimConfig
 from .dynamics import (
     ARRIVED,
-    DWELL_ENDED,
     DWELLING,
     Agent,
     ExcitementField,
@@ -138,6 +137,11 @@ CSV_HEADER = ",".join(spec.name for spec in fields(MetricsRow))
 
 def metrics_to_csv(rows: list[MetricsRow]) -> str:
     return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
+
+
+def buildlog_to_csv(records: list[BuildRecord]) -> str:
+    header = ",".join(spec.name for spec in fields(BuildRecord))
+    return "\n".join([header] + [f"{r.tick},{r.x},{r.y},{r.score:.6f}" for r in records]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -217,11 +221,11 @@ def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
     (n_hotspots, H, W) stack of BFS distances."""
     if config.entrances is not None:
         for coord in config.entrances:
-            if not grid.in_bounds(coord):
-                raise ConfigError(f"park.entrances coordinate {coord} is out of bounds")
-            if not grid.is_walkable(coord):
-                raise ConfigError(f"park.entrances coordinate {coord} is not walkable")
             x, y = coord
+            if not (0 <= x < grid.width and 0 <= y < grid.height):
+                raise ConfigError(f"park.entrances coordinate {coord} is out of bounds")
+            if not grid.walkable_mask[y, x]:
+                raise ConfigError(f"park.entrances coordinate {coord} is not walkable")
             if not np.isfinite(hotspot_dist[:, y, x]).any():
                 raise ConfigError(f"park.entrances coordinate {coord} reaches no hotspot")
         return tuple(config.entrances)
@@ -429,7 +433,7 @@ def _park_agents(state: SimState) -> int:
     for agent, event in step_agent(visitors, *wander, occupancy[:1]):
         if event == ARRIVED:
             agent.carrying_litter = True
-        elif agent.carrying_litter and event in (DWELLING, DWELL_ENDED):
+        elif agent.carrying_litter and event == DWELLING:
             nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
             if visitor_litter_decision(nearby, community_near, rng, config):
                 _drop_litter(state, agent.coord)

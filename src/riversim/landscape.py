@@ -132,14 +132,6 @@ class TerrainGrid:
     walkable_mask: np.ndarray  # (H, W) bool
     n_river: int
 
-    def in_bounds(self, coord: Coord) -> bool:
-        x, y = coord
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    def is_walkable(self, coord: Coord) -> bool:
-        x, y = coord
-        return bool(self.walkable_mask[y, x])
-
 
 @dataclass(frozen=True)
 class RiverFeatures:

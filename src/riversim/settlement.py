@@ -32,17 +32,12 @@ import numpy as np
 from .dynamics import randbelow
 from .landscape import (
     BUILDABLE_CODE,
+    MOORE_OFFSETS,
     Coord,
     RiverFeatures,
     RoadFeatures,
     TerrainGrid,
 )
-
-# The eight compass steps, one per 45-degree sector (see _highland_mask).
-_COMPASS8: tuple[tuple[int, int], ...] = (
-    (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
-)
-
 
 @dataclass(frozen=True)
 class BuildRecord:
@@ -89,7 +84,8 @@ def _highland_mask(
     # higher: -inf pads the elevation by that many cells on every side
     pad = min(radius, max(shape))
     padded = np.pad(grid.elevation, pad, constant_values=-np.inf)
-    for dx, dy in _COMPASS8:
+    # the eight steps select disjoint cells, so their order cannot matter
+    for dx, dy in MOORE_OFFSETS:
         selected = has_road & (sx == dx) & (sy == dy)
         if not selected.any():
             continue

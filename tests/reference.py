@@ -71,7 +71,6 @@ import numpy as np
 
 from riversim.dynamics import (
     ARRIVED,
-    DWELL_ENDED,
     DWELLING,
     RETARGETED,
     sample_geometric,
@@ -91,6 +90,9 @@ from riversim.settlement import BuildRecord
 # the event bf_step_agent reports for a plain move, for which
 # dynamics.step_agent reports none
 MOVED = "moved"
+# the event bf_step_agent reports on a dwell's last tick, which clears the
+# target; dynamics.step_agent reports DWELLING there, as on every dwell tick
+DWELL_ENDED = "dwell_ended"
 
 # the kinds of BfAgent
 RESIDENT = "Resident"

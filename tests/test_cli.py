@@ -98,6 +98,27 @@ class TestRunCommand:
         frames = sorted((out / "frames_0").glob("frame_*.txt"))
         assert [f.name for f in frames] == ["frame_0.txt", "frame_3.txt", "frame_6.txt"]
 
+    def test_forced_run_drops_an_older_runs_frames(self, tmp_path):
+        out = tmp_path / "out"
+        for ticks, force in ((20, []), (10, ["--force"])):
+            config = write_config(tmp_path / "sim.ini", scenario="park", ticks=ticks)
+            assert cli.main(["run", "--config", str(config), "--out", str(out),
+                             "--seeds", "0", "--frame-every", "5", *force]) == 0
+        names = sorted(path.name for path in (out / "frames_0").iterdir())
+        assert names == ["frame_0.txt", "frame_10.txt", "frame_5.txt"]
+
+    def test_forced_run_keeps_other_files_beside_the_frames(self, tmp_path):
+        config = write_config(tmp_path / "sim.ini", scenario="park", ticks=5)
+        out = tmp_path / "out"
+        frames = out / "frames_0"
+        frames.mkdir(parents=True)
+        for name in ("frame_notes.txt", "frame_7.csv", "notes.txt"):
+            (frames / name).write_text("keep")
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "0", "--frame-every", "5", "--force"]) == 0
+        assert sorted(path.name for path in frames.iterdir()) == [
+            "frame_0.txt", "frame_5.txt", "frame_7.csv", "frame_notes.txt", "notes.txt"]
+
     def test_bad_seeds_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini")
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
@@ -303,6 +324,30 @@ class TestRunCommand:
         assert err.startswith("config error:") and str(out) in err
         assert out.read_text() == "keep"
 
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("scenario, blocker, flags", [
+        ("park", "frames_0", ["--frame-every", "5"]),
+        ("prepark", "buildlog_0.csv", []),
+    ], ids=["frames_file", "buildlog_dir"])
+    def test_output_of_the_wrong_kind_exits_2_before_any_write(self, tmp_path, capsys,
+                                                               scenario, blocker, flags, force):
+        # a plain file where the frames directory goes, or a directory where
+        # the build log goes: named before the first seed runs, force or not
+        config = write_config(tmp_path / "sim.ini", scenario=scenario, ticks=5)
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocker.startswith("frames_"):
+            (out / blocker).write_text("keep")
+        else:
+            (out / blocker).mkdir()
+        before = sorted(out.rglob("*"))
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "0", *flags, *["--force"] * force]) == 2
+        assert sorted(out.rglob("*")) == before
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out / blocker) in err
+        assert "Traceback" not in err
+
     def test_invariant_halt_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config, grid=None, setup=None):
             raise InvariantViolation(17, "synthetic breach")
@@ -414,6 +459,77 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(out) in err
         assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_comparison_csv_of_the_wrong_kind_exits_2_before_any_write(self, tmp_path,
+                                                                       capsys, force):
+        metrics = self.run_seeds(tmp_path, "prepark", "1", ticks=5) / "metrics_1.csv"
+        out = tmp_path / "cmp"
+        (out / "comparison.csv").mkdir(parents=True)
+        before = sorted(out.rglob("*"))
+        assert cli.main(["compare", "--pre", str(metrics), "--post", str(metrics),
+                         "--out", str(out), *["--force"] * force]) == 2
+        assert sorted(out.rglob("*")) == before
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out / "comparison.csv") in err
+        assert "Traceback" not in err
+
+    # (pre, post) rows of (dirtiness, garbage_per_capita, littering_events),
+    # then the report and the CSV that compare writes for them
+    COMPARISONS = {
+        "finite": (
+            [(0.0, 0.5, 1), (0.25, 0.75, 0), (0.5, 1.25, 2)],
+            [(0.0, 0.1, 0), (0.05, 0.2, 1), (0.1, 0.3, 0)],
+            ["  mean dirtiness growth per tick: pre 0.250000, post 0.050000",
+             "  mean garbage per capita:        pre 0.833333, post 0.200000",
+             "  total littering events:         pre 3, post 1",
+             "  damping ratio (post/pre dirtiness growth): 0.200000"],
+            ["mean_delta_dirtiness_per_tick,0.250000,0.050000",
+             "mean_garbage_per_capita,0.833333,0.200000",
+             "total_littering_events,3,1",
+             "damping_ratio,,0.200000"],
+        ),
+        "both_still": (
+            [(0.125, 1.0, 0), (0.125, 1.0, 0)],
+            [(0.5, 0.0, 0), (0.5, 0.0, 0)],
+            ["  mean dirtiness growth per tick: pre 0.000000, post 0.000000",
+             "  mean garbage per capita:        pre 1.000000, post 0.000000",
+             "  total littering events:         pre 0, post 0",
+             "  damping ratio (post/pre dirtiness growth): 1.000000"],
+            ["mean_delta_dirtiness_per_tick,0.000000,0.000000",
+             "mean_garbage_per_capita,1.000000,0.000000",
+             "total_littering_events,0,0",
+             "damping_ratio,,1.000000"],
+        ),
+        "growth_from_still": (
+            [(0.0, 0.0, 0), (0.0, 0.0, 0)],
+            [(0.0, 2.0, 3), (0.375, 2.5, 1)],
+            ["  mean dirtiness growth per tick: pre 0.000000, post 0.375000",
+             "  mean garbage per capita:        pre 0.000000, post 2.250000",
+             "  total littering events:         pre 0, post 4",
+             "  damping ratio (post/pre dirtiness growth): inf"],
+            ["mean_delta_dirtiness_per_tick,0.000000,0.375000",
+             "mean_garbage_per_capita,0.000000,2.250000",
+             "total_littering_events,0,4",
+             "damping_ratio,,inf"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMPARISONS))
+    def test_comparison_bytes(self, tmp_path, capsys, case):
+        pre_rows, post_rows, report, table = self.COMPARISONS[case]
+        for name, rows in (("pre.csv", pre_rows), ("post.csv", post_rows)):
+            (tmp_path / name).write_text("\n".join([CSV_HEADER] + [
+                f"{tick},10,0,0,0,0,{dirt:.6f},{per_capita:.6f},{littering}"
+                for tick, (dirt, per_capita, littering) in enumerate(rows)]) + "\n")
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--pre", str(tmp_path / "pre.csv"),
+                         "--post", str(tmp_path / "post.csv"), "--out", str(out)]) == 0
+        expected = "\n".join(["scenario comparison over 1 pre / 1 post runs", *report]) + "\n"
+        assert (out / "comparison.txt").read_bytes() == expected.encode()
+        assert capsys.readouterr().out == expected
+        assert (out / "comparison.csv").read_bytes() == (
+            "\n".join(["metric,pre,post", *table]) + "\n").encode()
 
     def test_report_lists_littering_and_per_capita(self, tmp_path):
         pre = self.run_seeds(tmp_path, "prepark", "1")

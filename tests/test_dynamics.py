@@ -6,7 +6,6 @@ import pytest
 from riversim import dynamics
 from riversim.dynamics import (
     ARRIVED,
-    DWELL_ENDED,
     DWELLING,
     RETARGETED,
     Agent,
@@ -29,6 +28,7 @@ from riversim.landscape import MOORE_OFFSETS, walkable_distance_field
 
 from conftest import grid_from, make_config, walled_park_map
 from reference import (
+    DWELL_ENDED,
     MOVED,
     RESIDENT,
     BfAgent,
@@ -586,6 +586,14 @@ def tick(agents, grid, tables, draws, rng, dwell_p):
     return list(step_agent(agents, grid.hotspots, tables, draws, rng, dwell_p))
 
 
+def yielded(agent, event):
+    """What step_agent yields for agent on the tick bf_step_agent reports
+    event: nothing for a plain move, DWELLING for a dwell's last tick."""
+    if event == MOVED:
+        return []
+    return [(agent, DWELLING if event == DWELL_ENDED else event)]
+
+
 def head_counts(agents, grid):
     """Agents per cell, as rows of ints."""
     counts = [[0] * grid.width for _ in range(grid.height)]
@@ -620,7 +628,7 @@ class TestStepAgent:
         assert tick([agent], grid, tables, draws, rng, 0.25) == [(agent, RETARGETED)]
         assert agent.coord == (3, 1)
         assert agent.target_hotspot == 1
-        assert grid.is_walkable(agent.coord)
+        assert grid.walkable_mask[1, 3]  # agent.coord
 
     def test_untargeted_agent_picks_target_first(self):
         grid, tables, draws, agent = wander_setup("H....", (3, 0))
@@ -632,7 +640,7 @@ class TestStepAgent:
         grid, tables, draws, agent = wander_setup("H....", (0, 0))
         agent.target_hotspot = 0
         rng = random.Random(0)
-        assert tick([agent], grid, tables, draws, rng, 1.0) == [(agent, DWELL_ENDED)]
+        assert tick([agent], grid, tables, draws, rng, 1.0) == [(agent, DWELLING)]
         assert agent.target_hotspot is None
         assert agent.dwell_remaining is None
 
@@ -648,8 +656,12 @@ class TestStepAgent:
                 return 0
 
         rng = FixedRng()
-        events = [tick([agent], grid, tables, draws, rng, 0.5) for _ in range(4)]
-        assert events == [[(agent, DWELLING)]] * 3 + [[(agent, DWELL_ENDED)]]
+        for remaining in (3, 2, 1):
+            assert tick([agent], grid, tables, draws, rng, 0.5) == [(agent, DWELLING)]
+            assert (agent.target_hotspot, agent.dwell_remaining) == (0, remaining)
+        # the last dwell tick reports DWELLING too, and clears the target
+        assert tick([agent], grid, tables, draws, rng, 0.5) == [(agent, DWELLING)]
+        assert (agent.target_hotspot, agent.dwell_remaining) == (None, None)
 
     def test_distance_never_increases_en_route(self):
         grid, tables, draws, agent = wander_setup("H.........\n..........\n..........", (9, 2))
@@ -706,7 +718,7 @@ def check_one_call_steps_the_list_in_order(n_counts):
                 expected = bf_step_agent(s, grid, layers, slow_rng, 0.3, base)
                 seen.add(expected)
                 if expected != MOVED:
-                    assert next(moves) == (fast[i], expected)
+                    assert [next(moves)] == yielded(fast[i], expected)
                     agree(i + 1)
                     if t % 2:
                         assert fast_rng.random() == slow_rng.random()
@@ -744,7 +756,7 @@ class TestStepTables:
                         unreachable += mask == 0
                     events = tick([fast], grid, tables, draws, fast_rng, 0.3)
                     expected = bf_step_agent(slow, grid, layers, slow_rng, 0.3, base)
-                    assert events == ([] if expected == MOVED else [(fast, expected)])
+                    assert events == yielded(fast, expected)
                     assert (fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
                         slow.coord, slow.target_hotspot, slow.dwell_remaining
                     )
@@ -779,7 +791,7 @@ class TestResidentWalk:
         for _ in range(200):
             step_resident([agent], [(1, 1)], walk, rng, home_range=2)
             x, y = agent.coord
-            assert grid.is_walkable((x, y))
+            assert grid.walkable_mask[y, x]
             assert max(abs(x - 1), abs(y - 1)) <= 2
 
     def test_boxed_in_resident_stays_put(self):

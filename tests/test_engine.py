@@ -15,6 +15,7 @@ from riversim.dynamics import (
 from riversim.engine import (
     CSV_HEADER,
     InvariantViolation,
+    buildlog_to_csv,
     init_scenario,
     metrics_to_csv,
     prepare,
@@ -25,7 +26,7 @@ from riversim.engine import (
 from riversim.landscape import compute_river_features, load_terrain, walkable_distance_field
 
 from conftest import desk_park_map, grid_from, make_config, traced_peak
-from reference import bf_agent_utility, bf_crowding_penalty, bf_utilities_by_cell
+from reference import bf_agent_utility, bf_crowding_penalty, bf_utilities_by_cell, buildlog_csv
 
 RIVER_ONLY = "~..\n...\n..."
 
@@ -141,7 +142,7 @@ class TestInitScenario:
         assert entrances
         for x, y in entrances:
             assert x in (0, default_grid.width - 1) or y in (0, default_grid.height - 1)
-            assert default_grid.is_walkable((x, y))
+            assert default_grid.walkable_mask[y, x]
             assert np.isfinite(hotspot_dist[:, y, x]).any()
         # the south bank is cut off by the river and must not be an entrance
         assert not any(y >= 21 for _, y in entrances)
@@ -531,6 +532,14 @@ class TestMetricsAndFrames:
         assert first[0] == "0"
         assert "." in first[6] and "." in first[7]  # fixed-precision reals
 
+    def test_buildlog_csv_matches_the_reference_format(self, default_grid):
+        # growth spread over ticks, so the records span several ticks
+        config = make_config(scenario="prepark", seed=4, ticks=6, houses=12, houses_per_tick=2)
+        records = run(config, grid=default_grid).state.build_log
+        assert len(records) == 12 and len({r.tick for r in records}) == 6
+        assert buildlog_to_csv(records) == buildlog_csv(records)
+        assert buildlog_to_csv([]) == buildlog_csv([]) == "tick,x,y,score\n"
+
     def test_frames_emitted_on_schedule(self, default_grid):
         config = make_config(scenario="prepark", seed=1, ticks=10, frame_every=5)
         result = run(config, grid=default_grid)
@@ -641,7 +650,7 @@ class TestInvariantHalt:
         state = init_scenario(config, grid=default_grid)
         state.agents[1].coord = (0, 20)
         state.agents[2].coord = (1, 20)
-        assert not default_grid.is_walkable((0, 20))
+        assert not default_grid.walkable_mask[20, 0]
         with pytest.raises(InvariantViolation,
                            match=r"tick 1: agent 1 occupies non-walkable cell \(0, 20\)"):
             step(state)
@@ -666,7 +675,7 @@ class TestInvariantHalt:
             step(state)
         assert len(state.agents) == place + 1
         agent = state.agents[place]
-        assert not default_grid.is_walkable((0, 20))
+        assert not default_grid.walkable_mask[20, 0]
         agent.coord = (0, 20)
         before = state.rng.getstate()
         coords = [a.coord for a in state.agents]

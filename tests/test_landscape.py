@@ -268,7 +268,7 @@ class TestLoading:
         assert grid.cells[0, 1] == CLASS_CODES[TerrainClass.PARK_PATH]
         # row-major, as the community members' round-robin reads them
         assert grid.hotspots == ((1, 0), (2, 1), (0, 2))
-        assert all(grid.is_walkable(coord) for coord in grid.hotspots)
+        assert all(grid.walkable_mask[y, x] for x, y in grid.hotspots)
 
     def test_branch_marker_is_river(self):
         grid = grid_from(".B.\n...")
