@@ -13,7 +13,6 @@ import csv
 import glob
 import math
 import os
-import re
 import stat
 import sys
 from collections.abc import Sequence
@@ -89,18 +88,15 @@ def _refuse_existing(paths: list[Path], force: bool, dirs: Sequence[Path] = ()) 
     return None
 
 
-def _write_outputs(out: Path, files: dict[str, str], what: str,
-                   stale: Sequence[Path] = ()) -> int | None:
-    """Write each text to its name under out, making its parent directory,
-    each file whole or not at all (see ``_write_atomic``), then remove the
-    stale paths; on the first OSError, EXIT_CONFIG naming what was being
-    written (and nothing stale removed if a write failed), else None."""
+def _write_outputs(out: Path, files: dict[str, str], what: str) -> int | None:
+    """Write each text to its name under out, making the parent directories,
+    each file whole or not at all (see ``_write_atomic``); on the first
+    OSError, EXIT_CONFIG naming what was being written, else None."""
     try:
+        for parent in {(out / name).parent for name in files}:
+            parent.mkdir(exist_ok=True)
         for name, text in files.items():
-            (out / name).parent.mkdir(exist_ok=True)
             _write_atomic(out / name, text)
-        for path in stale:
-            path.unlink()
     except OSError as exc:
         return _config_error(f"cannot write {what} to {out}: {exc}")
     return None
@@ -151,13 +147,18 @@ def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
             files[f"buildlog_{seed}.csv"] = buildlog_to_csv(result.state.build_log)
         frames = {f"frame_{tick}.txt": text for tick, text in result.frames}
         files.update((f"frames_{seed}/{name}", text) for name, text in frames.items())
-        stale = []
-        if config.frame_every:
-            # a forced run replaces the frames of the run it overwrites
-            stale = [path for path in (out / f"frames_{seed}").glob("frame_*.txt")
-                     if path.name not in frames and re.fullmatch(r"frame_[0-9]+\.txt", path.name)]
-        if failed := _write_outputs(out, files, f"outputs of seed {seed}", stale):
+        if failed := _write_outputs(out, files, f"outputs of seed {seed}"):
             return failed
+        # a forced run replaces the frames of the run it overwrites, and
+        # only once every file of the seed is written
+        old_frames = (out / f"frames_{seed}").glob("frame_*.txt") if config.frame_every else ()
+        try:
+            for path in old_frames:
+                tick = path.stem.removeprefix("frame_")
+                if path.name not in frames and tick.isascii() and tick.isdigit():
+                    path.unlink()
+        except OSError as exc:
+            return _config_error(f"cannot remove old frames of seed {seed} from {out}: {exc}")
         print(f"seed {seed}: wrote {out / metrics_name}")
     return EXIT_OK
 

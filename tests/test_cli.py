@@ -112,12 +112,23 @@ class TestRunCommand:
         out = tmp_path / "out"
         frames = out / "frames_0"
         frames.mkdir(parents=True)
-        for name in ("frame_notes.txt", "frame_7.csv", "notes.txt"):
+        for name in ("frame_notes.txt", "frame_7.csv", "frame_\u0663.txt", "notes.txt"):
             (frames / name).write_text("keep")
         assert cli.main(["run", "--config", str(config), "--out", str(out),
                          "--seeds", "0", "--frame-every", "5", "--force"]) == 0
         assert sorted(path.name for path in frames.iterdir()) == [
-            "frame_0.txt", "frame_5.txt", "frame_7.csv", "frame_notes.txt", "notes.txt"]
+            "frame_0.txt", "frame_5.txt", "frame_7.csv", "frame_notes.txt", "frame_\u0663.txt",
+            "notes.txt"]
+
+    def test_forced_run_without_frames_keeps_older_frames(self, tmp_path):
+        config = write_config(tmp_path / "sim.ini", scenario="park", ticks=5)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "0", "--frame-every", "5"]) == 0
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--seeds", "0", "--force"]) == 0
+        assert sorted(path.name for path in (out / "frames_0").iterdir()) == [
+            "frame_0.txt", "frame_5.txt"]
 
     def test_bad_seeds_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "sim.ini")
