@@ -8,8 +8,10 @@ from .engine import (
     SimState,
     init_scenario,
     metrics_to_csv,
+    prepare,
     render_frame,
     run,
+    start,
     step,
 )
 from .landscape import (
@@ -40,7 +42,9 @@ __all__ = [
     "load_terrain",
     "load_terrain_files",
     "metrics_to_csv",
+    "prepare",
     "render_frame",
     "run",
+    "start",
     "step",
 ]

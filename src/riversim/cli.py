@@ -136,7 +136,7 @@ def cmd_run(config_path: Path, out: Path, raw_seeds: str | None, force: bool,
 
     for seed in seeds:
         try:
-            result = run(replace(config, seed=seed), setup=setup)
+            result = run(setup, seed)
         except InvariantViolation as exc:
             print(f"invariant halt (seed {seed}): {exc}", file=sys.stderr)
             return EXIT_INVARIANT

@@ -1,8 +1,9 @@
 """Run configuration: every tunable knob, file parsing, validation.
 
 Each knob is declared once, as a SimConfig field that names its INI section,
-its default and its legal range (see _knob and _RANGES); SECTION_FIELDS and
-validate are derived from those declarations. Float knobs must be finite,
+its type, its default and its legal range (see _knob, _TYPES and _RANGES);
+SECTION_FIELDS and validate are derived from those declarations, and
+validate checks a value's type before its range. Float knobs must be finite,
 and dwell_p large enough that 1 - dwell_p rounds below 1. Seeds are >= 0:
 random.Random seeds from abs(seed), so seed -s would replay seed s.
 Config files are INI-style text with one section per concern (see
@@ -43,6 +44,30 @@ _RANGES = {
     "> 0": lambda v: 0 < v < math.inf,
     "within [0, 1]": lambda v: 0 <= v <= 1,
     "within (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_coord(value) -> bool:
+    return isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))
+
+
+# What each declared SimConfig field type admits, and its name in a message:
+# a bool is no number, a float knob takes an int too, a legend maps str to
+# str, and an entrance is an (x, y) pair of ints.
+_TYPES = {
+    "str": ("a str", lambda v: isinstance(v, str)),
+    "str | None": ("a str or None", lambda v: v is None or isinstance(v, str)),
+    "int": ("an int", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "dict[str, str]": ("a dict of str to str", lambda v: isinstance(v, dict) and all(
+        isinstance(s, str) for s in (*v, *v.values()))),
+    "tuple[Coord, ...] | None": ("None or a tuple of (x, y) int pairs", lambda v: v is None or (
+        isinstance(v, tuple) and all(map(_is_coord, v)))),
 }
 
 
@@ -101,15 +126,18 @@ class SimConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the offending section.field."""
-        self.scenario = self.scenario.strip().lower()
-        if self.scenario not in (SCENARIO_PREPARK, SCENARIO_PARK):
-            _fail("scenario", f"must be '{SCENARIO_PREPARK}' or '{SCENARIO_PARK}', got {self.scenario!r}")
         for spec in fields(self):
             within = spec.metadata["within"]
             value = getattr(self, spec.name)
+            kind, admits = _TYPES[spec.type]
+            if not admits(value):
+                _fail(spec.name, f"must be {kind}, got {value!r}")
             if within is not None and not _RANGES[within](value):
                 finite = "finite and " if isinstance(value, float) else ""
                 _fail(spec.name, f"must be {finite}{within}, got {value}")
+        self.scenario = self.scenario.strip().lower()
+        if self.scenario not in (SCENARIO_PREPARK, SCENARIO_PARK):
+            _fail("scenario", f"must be '{SCENARIO_PREPARK}' or '{SCENARIO_PARK}', got {self.scenario!r}")
         if 1.0 - self.dwell_p == 1.0:
             # a geometric dwell divides by log(1 - dwell_p), which is 0 here
             _fail("dwell_p", f"is too small: 1 - dwell_p rounds to 1, got {self.dwell_p}")
@@ -206,8 +234,11 @@ def _convert(section: str, key: str, raw: str, config: SimConfig):
 def load_config(path: str | Path) -> SimConfig:
     """Read and validate a config file; paths resolve relative to the file."""
     path = Path(path)
-    # no interpolation: a "%" in a value is an ordinary character
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no interpolation: a "%" in a value is an ordinary character; and no
+    # header names the defaults section (a header is never empty), so
+    # [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                       default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)

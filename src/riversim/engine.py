@@ -3,7 +3,8 @@
 Set-up comes in two parts: ``prepare`` builds, once per run, the ``Setup``
 that every seed shares (config, map and the scenario's static fields), and
 ``start`` builds one seed's tick-0 ``SimState`` on it, which holds only what
-the seed changes. ``init_scenario`` and ``run`` do both.
+the seed changes. ``init_scenario`` does both; ``run`` starts a seed on a
+set-up and steps it to the end.
 
 One tick is a skeleton that both scenarios share, around two steps of the
 scenario; ``step`` reads config.scenario once to pick them:
@@ -495,26 +496,11 @@ def render_frame(state: SimState) -> str:
     return "\n".join("".join(row) for row in rows) + "\n"
 
 
-def run(config: SimConfig, grid: TerrainGrid | None = None,
-        setup: Setup | None = None) -> RunResult:
-    """Advance config.ticks ticks from the tick-0 state of config.seed and
-    collect metrics and frames; setup, prepare(config, grid) unless given,
-    must come from a config that differs from this one only in its seed
-    (ValueError names the first other knob that differs). Passing both grid
-    and setup is a ValueError, since the set-up already holds its grid. Like
-    prepare, run validates its own copy of config and leaves config as given."""
-    config = replace(config)
-    config.validate()
-    if setup is None:
-        setup = prepare(config, grid)
-    elif grid is not None:
-        raise ValueError("pass grid or setup, not both: the set-up already holds its grid")
-    for spec in fields(config):
-        ours, its = getattr(config, spec.name), getattr(setup.config, spec.name)
-        if spec.name != "seed" and ours != its:
-            raise ValueError(f"config.{spec.name} is {ours!r}, but the set-up was "
-                             f"prepared with {its!r}; only the seed may differ")
-    state = start(setup, config.seed)
+def run(setup: Setup, seed: int) -> RunResult:
+    """Advance setup.config.ticks ticks from seed's tick-0 state on setup
+    (see start) and collect metrics and frames."""
+    state = start(setup, seed)
+    config = state.config
     frames: list[tuple[int, str]] = []
     if config.frame_every:
         frames.append((0, render_frame(state)))

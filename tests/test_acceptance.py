@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from riversim.dynamics import ExcitementField, diffuse_excitement
-from riversim.engine import init_scenario, metrics_to_csv, run, step
+from riversim.engine import init_scenario, metrics_to_csv, prepare, run, step
 from riversim.landscape import load_terrain, load_terrain_files, default_map_paths
 
 from conftest import desk_park_map, make_config, placement_features
@@ -218,7 +218,7 @@ class TestCriterion7CommunitySuppression:
                 n_community=len(fixture_grid.hotspots),
                 community_stationary=True,
             )
-            result = run(config, grid=fixture_grid)
+            result = run(prepare(config, fixture_grid), config.seed)
             total += sum(row.littering_events for row in result.metrics)
         ok = total == 0
         report(7, ok, "community suppression",
@@ -235,7 +235,7 @@ class TestCriterion8Determinism:
             csvs = []
             for _ in range(2):
                 config = make_config(scenario=scenario, seed=seed, ticks=SCENARIO_TICKS)
-                csvs.append(metrics_to_csv(run(config, grid=fixture_grid).metrics))
+                csvs.append(metrics_to_csv(run(prepare(config, fixture_grid), config.seed).metrics))
             if csvs[0].encode() != csvs[1].encode():
                 mismatches += 1
         ok = mismatches == 0
@@ -254,7 +254,7 @@ class TestCriterion9Performance:
             visitor_spawn_rate=0.0,
         )
         started = time.perf_counter()
-        result = run(config, grid=grid)
+        result = run(prepare(config, grid), config.seed)
         elapsed = time.perf_counter() - started
         population = result.metrics[-1].population
         ok = elapsed <= 10.0 and population == 500

@@ -360,7 +360,7 @@ class TestRunCommand:
         assert "Traceback" not in err
 
     def test_invariant_halt_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
-        def explode(config, grid=None, setup=None):
+        def explode(setup, seed):
             raise InvariantViolation(17, "synthetic breach")
 
         monkeypatch.setattr(cli, "run", explode)
@@ -626,6 +626,11 @@ class TestValidateCommand:
         config = write_config(tmp_path / "sim.ini", extra="\n[waste]\nlitterp = 0.5\n")
         assert cli.main(["validate", "--config", str(config)]) == 2
         assert "waste.litterp" in capsys.readouterr().err
+
+    def test_default_section_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "sim.ini", extra="\n[DEFAULT]\nticks = 5\n")
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
 
     def test_print_defaults_round_trips(self, tmp_path, capsys):
         assert cli.main(["validate", "--print-defaults"]) == 0

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -95,6 +96,36 @@ class TestValidation:
         config = SimConfig(legend={"?": "Lava"})
         with pytest.raises(ConfigError, match="Lava"):
             config.validate()
+
+
+# Wrongly typed values per declared SimConfig field type: a library config
+# must meet each with ConfigError, never a TypeError mid-run.
+WRONG_TYPES = {
+    "str": (None, 1, b"park"),
+    "str | None": (1, b"map.txt"),
+    "int": (2.5, 1.5, True, None, "3"),
+    "float": ("0.1", None, False, 1j),
+    "bool": ("no", 0, 1.0, None),
+    "dict[str, str]": (None, "~:River", {1: "River"}, {"~": 1}),
+    "tuple[Coord, ...] | None": (((1.5, 20),), ((1, 2, 3),), ([1, 2],), [(1, 2)],
+                                 "1,2", ((True, 2),)),
+}
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("section,field,value", [
+        (spec.metadata["section"], spec.name, value)
+        for spec in fields(SimConfig) for value in WRONG_TYPES[spec.type]
+    ])
+    def test_wrong_type_is_a_config_error(self, section, field, value):
+        config = SimConfig(**{field: value})
+        with pytest.raises(ConfigError) as info:
+            config.validate()
+        assert str(info.value).startswith(f"{section}.{field} must be ")
+
+    def test_right_types_pass(self):
+        # a float knob takes an int; entrances take (x, y) int pairs
+        SimConfig(rho=1, mu=0, entrances=((1, 2),), elevation_file="e.txt").validate()
 
 
 class TestConfigSurface:
@@ -236,6 +267,17 @@ class TestFileLoading:
     def test_unknown_section_rejected(self, tmp_path):
         (tmp_path / "sim.ini").write_text("[weather]\nrain = yes\n")
         with pytest.raises(ConfigError, match=r"\[weather\]"):
+            load_config(tmp_path / "sim.ini")
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nticks = 5\nscenario = park\n",
+        "[DEFAULT]\nticks = 5\n[dynamics]\nrho = 0.2\n",
+        "[run]\nticks = 5\n[DEFAULT]\n",
+    ])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser would merge [DEFAULT] into every section
+        (tmp_path / "sim.ini").write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
             load_config(tmp_path / "sim.ini")
 
     def test_unknown_key_rejected(self, tmp_path):

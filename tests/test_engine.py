@@ -61,7 +61,7 @@ class TestInitScenario:
 
     def test_littering_possible_without_community(self, default_grid):
         config = make_config(scenario="park", seed=0, ticks=300, n_community=0)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         total = sum(row.littering_events for row in result.metrics)
         assert total > 0
         assert result.metrics[-1].collected_total == 0
@@ -157,7 +157,7 @@ class TestParkSetup:
         monkeypatch.setattr(engine, "compute_road_features", refuse)
         for drift in (False, True):
             config = make_config(scenario="park", riverside_drift=drift, ticks=5)
-            state = engine.run(config, grid=default_grid).state
+            state = engine.run(prepare(config, default_grid), config.seed).state
             # without drift no cell washes litter into the river
             assert state.setup.riverside.dtype == bool
             assert state.setup.riverside.shape == default_grid.cells.shape
@@ -222,51 +222,34 @@ class TestParkSetup:
 
 
 class TestSharedSetup:
-    def test_run_refuses_a_config_other_than_the_setups(self, default_grid):
-        config = make_config(scenario="park", ticks=5)
-        setup = prepare(config, grid=default_grid)
-        # ticks is declared before rho, so it is the knob named
-        with pytest.raises(ValueError, match=r"config\.ticks is 3, .* only the seed may differ"):
-            run(replace(config, ticks=3, rho=9.0, seed=2), setup=setup)
-        with pytest.raises(ValueError, match=r"config\.rho is 9\.0, .* with 0\.1;"):
-            run(replace(config, rho=9.0), setup=setup)
-        result = run(replace(config, seed=2), setup=setup)
-        assert len(result.metrics) == 6
-        assert result.state.config == replace(setup.config, seed=2)
-        assert result.metrics == run(replace(config, seed=2), grid=default_grid).metrics
-
-    def test_run_refuses_a_grid_beside_a_setup(self, default_grid):
-        # the set-up's map would win silently; even its own grid is refused
-        config = make_config(scenario="park", ticks=3)
-        setup = prepare(config, grid=default_grid)
-        for grid in (grid_from("~~~~\n.H..\n...."), default_grid):
-            with pytest.raises(ValueError, match="pass grid or setup, not both"):
-                run(config, grid=grid, setup=setup)
-
     def test_prepare_and_run_leave_the_callers_config_as_given(self, default_grid):
         # validation normalises the scenario name, on a copy only
         config = SimConfig(scenario=" PARK ", ticks=2)
         setup = prepare(config, grid=default_grid)
         assert config.scenario == " PARK " and setup.config.scenario == "park"
-        # a set-up prepared from an equal config is accepted
-        result = run(config, setup=prepare(replace(config), grid=default_grid))
+        result = run(setup, config.seed)
         assert config.scenario == " PARK "
-        assert result.metrics == run(make_config(scenario="park", ticks=2),
-                                     grid=default_grid).metrics
-        assert run(config, setup=setup).metrics == result.metrics
-        assert run(config, grid=default_grid).metrics == result.metrics
+        fresh = make_config(scenario="park", ticks=2)
+        assert result.metrics == run(prepare(fresh, default_grid), fresh.seed).metrics
         assert config == SimConfig(scenario=" PARK ", ticks=2)
 
     def test_setup_keeps_its_own_config(self, default_grid):
-        config = make_config(scenario="park")
+        config = make_config(scenario="park", ticks=5)
         setup = prepare(config, grid=default_grid)
         config.rho = 7.0
         config.legend["x"] = "River"
         assert setup.config.rho == 0.1
         assert "x" not in setup.config.legend
-        assert setup.config == make_config(scenario="park")
-        with pytest.raises(ValueError, match=r"config\.legend"):
-            run(replace(config, rho=0.1), setup=setup)
+        assert setup.config == make_config(scenario="park", ticks=5)
+        # each seed runs on the set-up's config, as on a set-up of its own
+        for seed in (2, 0, 2):
+            result = run(setup, seed)
+            assert len(result.metrics) == 6
+            assert result.state.config == replace(setup.config, seed=seed)
+            fresh = make_config(scenario="park", ticks=5, seed=seed)
+            assert result.metrics == run(prepare(fresh, default_grid), seed).metrics
+        with pytest.raises(ConfigError, match=r"run\.seed must be >= 0, got -1"):
+            run(setup, -1)
 
 
 class TestStep:
@@ -375,7 +358,7 @@ class TestStep:
 
     def test_prepark_dirtiness_non_decreasing(self, default_grid):
         config = make_config(scenario="prepark", seed=2, ticks=300)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         series = [row.dirtiness for row in result.metrics]
         assert all(b >= a for a, b in zip(series, series[1:]))
 
@@ -387,9 +370,10 @@ class TestStep:
         houses, ticks, seeds = 10, 100, 50
         config_kw = dict(scenario="prepark", houses=houses, ticks=ticks,
                          waste_rate=0.3, dump_to_river=0.9)
+        setup = prepare(make_config(**config_kw), default_grid)
         total_river = 0
         for seed in range(seeds):
-            result = run(make_config(seed=seed, **config_kw), grid=default_grid)
+            result = run(setup, seed)
             total_river += result.metrics[-1].river_total
         trials = seeds * ticks * houses
         p = 0.3 * 0.9
@@ -492,15 +476,15 @@ class TestDeterminism:
         for scenario in ("prepark", "park"):
             config_a = make_config(scenario=scenario, seed=21, ticks=150)
             config_b = make_config(scenario=scenario, seed=21, ticks=150)
-            csv_a = metrics_to_csv(run(config_a, grid=default_grid).metrics)
-            csv_b = metrics_to_csv(run(config_b, grid=default_grid).metrics)
+            csv_a = metrics_to_csv(run(prepare(config_a, default_grid), config_a.seed).metrics)
+            csv_b = metrics_to_csv(run(prepare(config_b, default_grid), config_b.seed).metrics)
             assert csv_a == csv_b
 
     def test_different_seeds_differ_in_littering(self, default_grid):
         traces = []
         for seed in (1, 2):
             config = make_config(scenario="park", seed=seed, ticks=300)
-            result = run(config, grid=default_grid)
+            result = run(prepare(config, default_grid), config.seed)
             traces.append([row.littering_events for row in result.metrics])
         assert traces[0] != traces[1]
         assert any(sum(t) > 0 for t in traces)
@@ -509,22 +493,22 @@ class TestDeterminism:
 class TestMetricsAndFrames:
     def test_run_returns_ticks_plus_one_rows(self, default_grid):
         config = make_config(scenario="park", ticks=0)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         assert len(result.metrics) == 1
         config = make_config(scenario="park", ticks=25)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         assert len(result.metrics) == 26
 
     def test_garbage_per_capita_definition(self, default_grid):
         config = make_config(scenario="prepark", seed=4, ticks=50)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         for row in result.metrics:
             expected = (row.total_in_place + row.river_total) / max(row.population, 1)
             assert row.garbage_per_capita == pytest.approx(expected)
 
     def test_csv_header_and_formatting(self, default_grid):
         config = make_config(scenario="prepark", seed=4, ticks=3)
-        text = metrics_to_csv(run(config, grid=default_grid).metrics)
+        text = metrics_to_csv(run(prepare(config, default_grid), config.seed).metrics)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5
@@ -535,14 +519,14 @@ class TestMetricsAndFrames:
     def test_buildlog_csv_matches_the_reference_format(self, default_grid):
         # growth spread over ticks, so the records span several ticks
         config = make_config(scenario="prepark", seed=4, ticks=6, houses=12, houses_per_tick=2)
-        records = run(config, grid=default_grid).state.build_log
+        records = run(prepare(config, default_grid), config.seed).state.build_log
         assert len(records) == 12 and len({r.tick for r in records}) == 6
         assert buildlog_to_csv(records) == buildlog_csv(records)
         assert buildlog_to_csv([]) == buildlog_csv([]) == "tick,x,y,score\n"
 
     def test_frames_emitted_on_schedule(self, default_grid):
         config = make_config(scenario="prepark", seed=1, ticks=10, frame_every=5)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         assert [tick for tick, _ in result.frames] == [0, 5, 10]
         frame = result.frames[-1][1]
         rows = frame.strip("\n").split("\n")
@@ -576,12 +560,12 @@ class TestCommunityEffects:
             community_stationary=True,
             ticks=300,
         )
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         assert sum(row.littering_events for row in result.metrics) == 0
 
     def test_members_clean_up_standing_garbage(self, default_grid):
         config = make_config(scenario="park", seed=6, n_community=4, ticks=300)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         last = result.metrics[-1]
         total_littered = sum(row.littering_events for row in result.metrics)
         assert total_littered > 0
@@ -600,7 +584,7 @@ class TestCommunityEffects:
 
     def test_park_river_stays_clean_without_drift(self, default_grid):
         config = make_config(scenario="park", seed=7, ticks=200)
-        result = run(config, grid=default_grid)
+        result = run(prepare(config, default_grid), config.seed)
         assert result.metrics[-1].river_total == 0
         assert result.metrics[-1].dirtiness == 0.0
 

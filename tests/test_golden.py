@@ -26,7 +26,7 @@ import struct
 import pytest
 
 from riversim import engine
-from riversim.engine import metrics_to_csv, run
+from riversim.engine import metrics_to_csv, prepare, run
 from riversim.landscape import load_terrain
 
 from conftest import make_config
@@ -269,7 +269,8 @@ def run_case(name):
     if isinstance(terrain, str):
         terrain = (terrain,)
     grid = load_terrain(*terrain) if terrain else None
-    return run(make_config(**CASES[name]), grid=grid)
+    config = make_config(**CASES[name])
+    return run(prepare(config, grid), config.seed)
 
 
 def run_digests(name):

@@ -39,7 +39,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from riversim.config import ConfigError, SimConfig
-from riversim.engine import metrics_to_csv, run
+from riversim.engine import metrics_to_csv, prepare, run
 from riversim.landscape import load_terrain
 
 from reference import COMMUNITY_MEMBER, RESIDENT, VISITOR, bf_run, buildlog_csv
@@ -218,7 +218,7 @@ def _assert_runs_agree(config, grid):
     """Run config on grid with engine.run and with bf_run and compare the
     outputs; returns the engine's final state. Raises ConfigError when set-up
     rejects the case."""
-    result = run(config, grid)
+    result = run(prepare(config, grid), config.seed)
     expected = bf_run(config, grid)
     state = result.state
     assert metrics_to_csv(result.metrics) == expected.metrics_csv
