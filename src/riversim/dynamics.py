@@ -17,29 +17,33 @@ An agent's utility is its neighborhood excitement average minus a penalty
 that grows with neighboring agents' previous-tick utilities (crowding) and
 with garbage around the cell (dirtiness). Penalty and utility are computed
 for all agents in one array pass after every agent has acted, from the
-cells and utilities gathered at tick start (utilities_by_cell): one
-bincount sums the utilities per cell in agent order, and the neighbour sums
-add the 8 gathered rows in MOORE_OFFSETS order, so every value is
-bit-identical to summing agent by agent.
+cells and utilities gathered at tick start (utilities_by_cell), one int and
+one float per agent: one bincount sums the utilities per cell in agent
+order, and the neighbour sums add the 8 gathered rows in MOORE_OFFSETS
+order, so every value is bit-identical to summing agent by agent.
 
 Every hotspot has the config's hotspot_base_excitement. Wanderers pick a
 hotspot with probability proportional to it, walk downhill on that
 hotspot's BFS distance field, dwell a geometric number of ticks, then pick
 the next one. The map never changes, so the BFS at set-up marks each
-hotspot's downhill moves in a step table: one byte per cell whose bits name
-the neighbours one ring nearer, where a wanderer may step. A move reads one
-byte instead of scanning 8 neighbours. Picks read one draw list built at
-set-up too: the running sums of the equal weights, where the total of the
-first m hotspots is the m-th sum, so a pick is one bisect that lands where a
-weighted linear scan would (see hotspot_draw). step_agent steps a whole
-list of wanderers in one generator that yields only the events a caller
-acts on (retarget, arrival, each dwell tick), never a plain step, and
-moves each agent's head count in the grids it is given.
+hotspot's downhill moves in a step table: one byte per flat cell whose bits
+name the neighbours one ring nearer, where a wanderer may step. A move reads
+one byte instead of scanning 8 neighbours. Picks read one draw list built
+at set-up too: the running sums of the equal weights, where the total of
+the first m hotspots is the m-th sum, so a pick is one bisect that lands
+where a weighted linear scan would (see hotspot_draw). step_agent steps a
+whole list of wanderers in one generator that yields only the events a
+caller acts on (retarget, arrival, each dwell tick), never a plain step,
+and moves each agent's head count in the count lists it is given.
 Residents do a home-anchored random walk on a walk table of the same form,
 built at prepark set-up: one byte per cell whose bits name its walkable
 neighbours. A resident's move masks that byte with the neighbours that keep
 it within home_range of home on each axis, then draws one of "stay" and the
 remaining steps.
+An agent stands on a flat cell, Agent.cell = y * width + x, and a move adds
+its step's flat offset dy * width + dx (see _move_draws); a table names only
+neighbours on the map, so no move wraps a row. Each table is one bytes of
+H*W entries, row major.
 step_agent and step_resident trust their caller that the agent stands on a
 walkable cell: the tick loop checks every agent's cell once, in one array
 gather, before any agent acts (see engine.py).
@@ -56,7 +60,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -80,18 +84,24 @@ DOWNHILL_STEPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     for mask in range(256)
 )
 
-# (n, n.bit_length(), steps) per walk-table mask; a resident has n = 1 + len(steps) choices
-_WALK_DRAWS = tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in DOWNHILL_STEPS)
-# the same per step-table mask; a wanderer en route has n = len(steps) choices
-_STEP_DRAWS = tuple((len(s), len(s).bit_length(), s) for s in DOWNHILL_STEPS)
+
+@cache
+def _move_draws(width: int) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
+    """(step draws, walk draws) on a map width cells wide: per mask, (n,
+    n.bit_length(), DOWNHILL_STEPS[mask] as flat offsets), where a wanderer
+    en route has n = len(steps) choices and a resident n = 1 + len(steps)."""
+    flat = [tuple(dy * width + dx for dx, dy in steps) for steps in DOWNHILL_STEPS]
+    return (tuple((len(s), len(s).bit_length(), s) for s in flat),
+            tuple((len(s) + 1, (len(s) + 1).bit_length(), s) for s in flat))
 
 
-@dataclass
+@dataclass(slots=True)
 class Agent:
-    """A resident, member or visitor: its place in SimState.agents says which."""
+    """A resident, member or visitor: its place in SimState.agents says which.
+    cell is the flat index y * width + x of the cell it stands on."""
 
     id: int
-    coord: Coord
+    cell: int
     target_hotspot: int | None = None
     dwell_remaining: int | None = None
     carrying_litter: bool = False
@@ -195,30 +205,28 @@ def diffuse_excitement(field: ExcitementField, grid: TerrainGrid) -> ExcitementF
                            changed_rows=changed, base_sum=field.neighbor_sum)
 
 
-def agent_cells(agents: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray]:
-    """The agents' cells as index arrays (xs, ys), in agent order."""
-    coords = np.fromiter(chain.from_iterable([a.coord for a in agents]), np.intp, 2 * len(agents))
-    return coords[0::2], coords[1::2]
+def agent_cells(agents: Sequence[Agent]) -> np.ndarray:
+    """The agents' flat cells as an index array, in agent order."""
+    return np.fromiter([a.cell for a in agents], np.intp, len(agents))
 
 
-def utilities_by_cell(agents: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The agents' cells and last utilities, in agent order: (xs, ys,
+def utilities_by_cell(agents: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray]:
+    """The agents' flat cells and last utilities, in agent order: (cells,
     utilities). crowding_penalty sums the utilities per cell in this order."""
-    xs, ys = agent_cells(agents)
-    return xs, ys, np.fromiter([a.utility for a in agents], np.float64, len(agents))
+    return agent_cells(agents), np.fromiter([a.utility for a in agents], np.float64, len(agents))
 
 
 def crowding_penalty(
-    coords: tuple[np.ndarray, np.ndarray],
-    occupants: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cells: np.ndarray,
+    occupants: tuple[np.ndarray, np.ndarray],
     garbage: np.ndarray | tuple[int, int],
     rho: float,
     epsilon0: float,
 ) -> np.ndarray:
     """Penalty from crowded neighbors and garbage around each cell.
 
-    `coords` is a pair of index arrays (xs, ys); the result has one value per
-    coordinate. `occupants` is (xs, ys, utilities) of the agents whose
+    `cells` is an index array of flat cells (y * width + x); the result has
+    one value per cell. `occupants` is (cells, utilities) of the agents whose
     previous-tick utilities crowd their neighbours (see utilities_by_cell);
     the agents on one cell count with their utilities summed in agent order.
     The dirtiness term counts garbage units on the cell itself plus its 8
@@ -229,15 +237,15 @@ def crowding_penalty(
     clean = isinstance(garbage, tuple)
     h, w = garbage if clean else garbage.shape
     stride = w + 2  # row length of the zero-bordered grids below, which are kept flat
-    xs, ys = coords
-    at = (ys + 1) * stride + xs + 1
+    # cell y * w + x lies at (y + 1) * stride + x + 1 on them
+    at = cells + 2 * (cells // w) + stride + 1
     # one row per neighbour, in MOORE_OFFSETS order
     neighbors = at + np.array([dy * stride + dx for dx, dy in MOORE_OFFSETS])[:, None]
-    cell_xs, cell_ys, utilities = occupants
+    occupied, utilities = occupants
     # bincount adds each cell's weights in input order from +0.0, as a sum
     # agent by agent does; no cell's sum is -0.0, so starting the neighbour
     # sum from the first row instead of from 0.0 keeps every bit
-    by_cell = np.bincount((cell_ys + 1) * stride + cell_xs + 1, weights=utilities,
+    by_cell = np.bincount(occupied + 2 * (occupied // w) + stride + 1, weights=utilities,
                           minlength=(h + 2) * stride)
     rows = by_cell[neighbors]
     # row after row: np.add.reduce over the rows would add them pairwise when
@@ -258,17 +266,17 @@ def crowding_penalty(
 
 
 def agent_utility(
-    coords: tuple[np.ndarray, np.ndarray],
+    cells: np.ndarray,
     field: ExcitementField,
     penalty: np.ndarray,
 ) -> np.ndarray:
     """Neighborhood excitement average minus the crowding/dirtiness penalty.
 
-    `coords` is a pair of index arrays (xs, ys), with one penalty per
-    coordinate; the result has one value per coordinate.
+    `cells` is an index array of flat cells, with one penalty per cell; the
+    result has one value per cell.
     """
-    xs, ys = coords
-    return field.neighbor_sum[ys, xs] / float(NEIGHBORHOOD_SIZE) - penalty
+    # a view, or a copy for the neighbour sum of a field built by hand
+    return field.neighbor_sum.ravel()[cells] / float(NEIGHBORHOOD_SIZE) - penalty
 
 
 def randbelow(rng, n: int) -> int:
@@ -325,12 +333,13 @@ def choose_next_hotspot(bounds: Sequence[float], current: int | None, rng) -> in
 
 def step_agent(
     agents: Sequence[Agent],
-    hotspots: Sequence[Coord],
-    step_tables: Sequence[Sequence[bytes]],
+    targets: Sequence[int],
+    step_tables: Sequence[bytes],
+    width: int,
     draw: Sequence[float],
     rng,
     dwell_p: float,
-    counts: Sequence[list[list[int]]] = (),
+    counts: Sequence[list[int]] = (),
 ) -> Iterator[tuple[Agent, str]]:
     """Advance each wandering agent one tick, in list order, yielding
     (agent, event) for every step but a plain move before drawing for the
@@ -340,20 +349,23 @@ def step_agent(
     walkable neighbor that strictly reduces BFS distance to the target the
     most, ties broken uniformly (one randbelow draw, even for a single
     choice); the choices come from the target's step table (its BFS's
-    downhill bits). If no neighbor improves, the target is unreachable
-    and gets re-sampled among the others (see choose_next_hotspot). At the
-    target: dwell for a geometric number of ticks, yielding DWELLING on
-    each, and clear the target on the last one.
-    Each move also moves the agent's head count in every grid of `counts`
-    (rows of ints per cell). A draw the caller makes on an event falls
+    downhill bits, one byte per flat cell of a map width cells wide), and
+    targets[i] is hotspot i's flat cell. If no neighbor improves, the target
+    is unreachable and gets re-sampled among the others (see
+    choose_next_hotspot). At the target: dwell for a geometric number of
+    ticks, yielding DWELLING on each, and clear the target on the last one.
+    Each move also moves the agent's head count in every list of `counts`
+    (one int per flat cell). A draw the caller makes on an event falls
     between that agent's draws and the next one's.
     """
+    step_draws = _move_draws(width)[0]
     getrandbits = rng.getrandbits
     for agent in agents:
         target = agent.target_hotspot
         if target is not None:
-            at = hotspots[target]
-            if agent.coord == at:
+            at = targets[target]
+            cell = agent.cell
+            if cell == at:
                 if agent.dwell_remaining is None:
                     agent.dwell_remaining = sample_geometric(dwell_p, rng)
                 agent.dwell_remaining -= 1
@@ -361,19 +373,17 @@ def step_agent(
                     agent.target_hotspot = agent.dwell_remaining = None
                 yield agent, DWELLING
                 continue
-            x, y = agent.coord
-            n, k, steps = _STEP_DRAWS[step_tables[target][y][x]]
+            n, k, steps = step_draws[step_tables[target][cell]]
             if n:
                 # randbelow(rng, n), inlined
                 i = getrandbits(k)
                 while i >= n:
                     i = getrandbits(k)
-                dx, dy = steps[i]
-                nx, ny = agent.coord = (x + dx, y + dy)
-                for grid in counts:
-                    grid[y][x] -= 1
-                    grid[ny][nx] += 1
-                if agent.coord == at:
+                agent.cell = moved = cell + steps[i]
+                for count in counts:
+                    count[cell] -= 1
+                    count[moved] += 1
+                if moved == at:
                     yield agent, ARRIVED
                 continue
         # no target yet, or no neighbour brings the target closer
@@ -382,16 +392,16 @@ def step_agent(
         yield agent, RETARGETED
 
 
-def walk_table(walkable: np.ndarray) -> list[bytes]:
+def walk_table(walkable: np.ndarray) -> bytes:
     """Per-cell bitmask of the walkable Moore neighbours.
 
-    Returns one bytes row per grid row, one byte per cell; bit k is set when
-    Moore neighbour k (MOORE_OFFSETS order) lies on the grid and is walkable.
+    Returns one byte per flat cell, row major; bit k is set when Moore
+    neighbour k (MOORE_OFFSETS order) lies on the grid and is walkable.
     """
     mask = np.zeros(walkable.shape, dtype=np.uint8)
     for k, neighbour in enumerate(moore_views(walkable, False)):
         mask |= neighbour.view(np.uint8) << k
-    return [row.tobytes() for row in mask]
+    return mask.tobytes()
 
 
 @cache
@@ -413,32 +423,33 @@ def _home_range_masks(home_range: int) -> tuple[tuple[int, ...], tuple[int, ...]
     )
 
 
-def step_resident(residents: Sequence[Agent], homes: Sequence[Coord], walk: Sequence[bytes],
-                  rng, home_range: int) -> None:
+def step_resident(residents: Sequence[Agent], homes: Sequence[Coord], walk: bytes,
+                  width: int, rng, home_range: int) -> None:
     """One tick of the home-anchored random walk for every resident, in list
     order: each moves to (or stays on) a walkable cell within home_range of
     its home, uniformly, and consumes exactly one randbelow draw.
 
-    homes[i] is the home of residents[i]; `walk` is the walk table (see
-    walk_table). The choices are the current cell, then the walkable
-    neighbours within range in MOORE_OFFSETS order.
+    homes[i] is the (x, y) home of residents[i]; `walk` is the walk table of
+    a map width cells wide (see walk_table). The choices are the current
+    cell, then the walkable neighbours within range in MOORE_OFFSETS order.
     """
     x_masks, y_masks = _home_range_masks(home_range)
     limit = home_range + 1
     span = 2 * limit
+    walk_draws = _move_draws(width)[1]
     getrandbits = rng.getrandbits
     for agent, (hx, hy) in zip(residents, homes):
-        x, y = agent.coord
+        cell = agent.cell
+        y, x = divmod(cell, width)
         ox = x - hx + limit
         oy = y - hy + limit
         if 0 <= ox <= span and 0 <= oy <= span:
-            n, k, steps = _WALK_DRAWS[walk[y][x] & x_masks[ox] & y_masks[oy]]
+            n, k, steps = walk_draws[walk[cell] & x_masks[ox] & y_masks[oy]]
         else:
-            n, k, steps = _WALK_DRAWS[0]
+            n, k, steps = walk_draws[0]
         # randbelow(rng, n), inlined
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)
         if i:
-            dx, dy = steps[i - 1]
-            agent.coord = (x + dx, y + dy)
+            agent.cell = cell + steps[i - 1]

@@ -16,10 +16,11 @@ scenario; ``step`` reads config.scenario once to pick them:
    and the sources never change, so once a step changes no row
    (ExcitementField.changed_rows) no later step would
 3. one gather of every agent's tick-start cell and last utility
-   (dynamics.utilities_by_cell), checked against the walkable mask at once:
-   an agent off walkable ground (put there between steps) halts the run
-   with InvariantViolation naming it, before any agent acts or draws; then
-   the garbage snapshot, unless the tick starts with no standing garbage
+   (dynamics.utilities_by_cell), checked against the map and its walkable
+   mask at once: an agent off the map or off walkable ground (put there
+   between steps) halts the run with InvariantViolation naming it, before
+   any agent acts or draws; then the garbage snapshot, unless the tick
+   starts with no standing garbage
 4. the scenario's actions: each resident in id order takes one walk step,
    then each house may emit waste; or each community member in id order
    moves (unless stationary), then each cleans up, then each visitor in id
@@ -30,13 +31,17 @@ scenario; ``step`` reads config.scenario once to pick them:
    and the snapshot (step 4 neither reads utility nor reaches the snapshot)
 6. metrics row + invariant checks
 
-A park that spawns visitors keeps two per-cell head counts on the state
-(``SimState.occupancy``): every agent, and community members only. Set-up
-counts the community members; step 1 takes each despawned visitor off its
-cell and puts each new one on its entrance; in step 4 step_agent moves an
-agent's counts with each of its moves. A litter decision reads who is watching off the
-counts in the (2 * warn_radius + 1)² window around the visitor, so it costs
-the same however many agents the park holds.
+An agent stands on a flat cell, y * width + x (dynamics.Agent.cell), and
+the step and walk tables, the hotspots' cells and the head counts are
+indexed by it; (x, y) is made only where read: the watcher window, cleanup,
+a litter drop, a frame and an InvariantViolation's text. A park that spawns
+visitors keeps two head counts on the state (``SimState.occupancy``), flat
+lists of H*W ints: every agent, and community members only. Set-up counts
+the community members; step 1 takes each despawned visitor off its cell and
+puts each new one on its entrance; in step 4 step_agent moves an agent's
+counts with each of its moves. A litter decision reads who is watching off
+the counts in the (2 * warn_radius + 1)² window around the visitor, so it
+costs the same however many agents the park holds.
 
 A single random.Random(seed) drives the run and every draw happens in the
 order above, so a (config, seed) pair replays to byte-identical metrics.
@@ -62,6 +67,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,20 +158,30 @@ class Setup:
 
     config: SimConfig
     grid: TerrainGrid
-    # park only: per hotspot, its downhill bits as rows of bytes (see
-    # landscape.walkable_distance_field); the running sums of the hotspots'
-    # weights, the one list a wanderer picks its next hotspot from (see
-    # dynamics.hotspot_draw); the entrances; and the cells where litter
-    # washes into the river: those next to it under riverside_drift, none
-    # without
-    step_tables: list[list[bytes]] = field(default_factory=list)
+    # park only: per hotspot, its flat cell and its downhill bits as one
+    # bytes of H*W entries, row major (see landscape.walkable_distance_field);
+    # the running sums of the hotspots' weights, the one list a wanderer
+    # picks its next hotspot from (see dynamics.hotspot_draw); the
+    # entrances; and the cells where litter washes into the river: those
+    # next to it under riverside_drift, none without
+    targets: tuple[int, ...] = ()
+    step_tables: list[bytes] = field(default_factory=list)
     draw: list[float] = field(default_factory=list)
     entrances: tuple[Coord, ...] = ()
     riverside: np.ndarray | None = None
     # prepark only: the static placement fields and the residents' walk
-    # table (rows of bytes, see dynamics.walk_table)
+    # table (one bytes of H*W entries, see dynamics.walk_table)
     placement: PlacementFields | None = None
-    walk: list[bytes] = field(default_factory=list)
+    walk: bytes = b""
+
+
+class Occupancy(NamedTuple):
+    """Head counts of a park that spawns visitors: every agent, and community
+    members only, each a flat list of one int per cell (y * width + x)."""
+
+    everyone: list[int]
+    members: list[int]
+    width: int
 
 
 @dataclass
@@ -181,10 +197,9 @@ class SimState:
     houses: list[Coord] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
     build_log: list[BuildRecord] = field(default_factory=list)
-    # park with visitor spawning only: (all agents, community members) per
-    # cell, each a list of rows of ints, kept in step with every spawn,
-    # despawn and move; _watchers reads them
-    occupancy: tuple[list[list[int]], list[list[int]]] | None = None
+    # park with visitor spawning only: the head counts, kept in step with
+    # every spawn, despawn and move; _watchers reads them
+    occupancy: Occupancy | None = None
     # prepark only: the float count of houses within neighbor_radius of each
     # cell, and each site's placement score (-inf where no house may go),
     # both updated in place by place_next_house
@@ -201,18 +216,20 @@ class RunResult:
     state: SimState
 
 
-def _spawn_agent(state: SimState, coord: Coord) -> None:
-    state.agents.append(Agent(id=state.next_agent_id, coord=coord, spawn_tick=state.tick))
+def _spawn_agent(state: SimState, cell: int) -> None:
+    state.agents.append(Agent(id=state.next_agent_id, cell=cell, spawn_tick=state.tick))
     state.next_agent_id += 1
 
 
 def _build_houses(state: SimState, n: int) -> None:
     """Place up to n houses, each housing one resident; stop when none is legal."""
+    width = state.setup.grid.width
     for _ in range(n):
         coord = place_next_house(state, state.rng)
         if coord is None:
             break
-        _spawn_agent(state, coord)
+        x, y = coord
+        _spawn_agent(state, y * width + x)
 
 
 def _resolve_entrances(config: SimConfig, grid: TerrainGrid,
@@ -261,7 +278,8 @@ def prepare(config: SimConfig, grid: TerrainGrid | None = None) -> Setup:
     if config.visitor_spawn_rate > 0 and not entrances:
         raise ConfigError("no walkable map-edge entrance reaches a hotspot")
     return Setup(config, grid,
-                 step_tables=[[row.tobytes() for row in layer] for layer in downhill],
+                 targets=tuple(y * grid.width + x for x, y in grid.hotspots),
+                 step_tables=[layer.tobytes() for layer in downhill],
                  draw=hotspot_draw(len(grid.hotspots), config.hotspot_base_excitement),
                  entrances=entrances,
                  riverside=(riverside_mask(grid) if config.riverside_drift
@@ -294,15 +312,14 @@ def start(setup: Setup, seed: int) -> SimState:
             _build_houses(state, config.houses)
     else:
         for i in range(config.n_community):
-            _spawn_agent(state, grid.hotspots[i % len(grid.hotspots)])
+            _spawn_agent(state, setup.targets[i % len(setup.targets)])
         # only visitors ask who is watching, and only spawning makes visitors
         if config.visitor_spawn_rate > 0:
-            everyone = [[0] * grid.width for _ in range(grid.height)]
+            everyone = [0] * (grid.width * grid.height)
             for agent in state.agents:
-                x, y = agent.coord
-                everyone[y][x] += 1
+                everyone[agent.cell] += 1
             # every agent so far is a community member
-            state.occupancy = (everyone, [row[:] for row in everyone])
+            state.occupancy = Occupancy(everyone, everyone[:], grid.width)
 
     _record_metrics(state, littering=0)
     return state
@@ -313,28 +330,27 @@ def init_scenario(config: SimConfig, grid: TerrainGrid | None = None) -> SimStat
     return start(prepare(config, grid), config.seed)
 
 
-def _watchers(occupancy: tuple[list[list[int]], list[list[int]]], me: Agent,
-              radius: int) -> tuple[int, bool]:
+def _watchers(occupancy: Occupancy, me: Agent, radius: int) -> tuple[int, bool]:
     """(other agents within Chebyshev radius of the visitor me, any of them a
     community member), summed off the occupancy counts in the window around
     me, clipped to the map."""
-    everyone, members = occupancy
-    x, y = me.coord
-    x0, x1 = max(x - radius, 0), min(x + radius + 1, len(everyone[0]))
-    y0, y1 = max(y - radius, 0), min(y + radius + 1, len(everyone))
+    everyone, members, width = occupancy
+    y, x = divmod(me.cell, width)
+    x0, x1 = max(x - radius, 0), min(x + radius + 1, width)
+    y0, y1 = max(y - radius, 0), min(y + radius + 1, len(everyone) // width)
     count, watched = -1, False  # -1: not me
-    for all_row, member_row in zip(everyone[y0:y1], members[y0:y1]):
-        count += sum(all_row[x0:x1])
-        watched = watched or any(member_row[x0:x1])
+    for row in range(y0 * width, y1 * width, width):
+        count += sum(everyone[row + x0:row + x1])
+        watched = watched or any(members[row + x0:row + x1])
     return count, watched
 
 
-def _drop_litter(state: SimState, coord: Coord) -> None:
-    x, y = coord
+def _drop_litter(state: SimState, cell: int) -> None:
+    y, x = divmod(cell, state.setup.grid.width)
     if state.setup.riverside[y, x]:
         state.garbage.dump_to_river()
     else:
-        state.garbage.drop_at(coord)
+        state.garbage.drop_at((x, y))
 
 
 def _record_metrics(state: SimState, littering: int) -> None:
@@ -355,20 +371,27 @@ def _record_metrics(state: SimState, littering: int) -> None:
     ))
 
 
-def _halt_if_stranded(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
-    """Halt naming the first agent off walkable ground; (xs, ys) are the
-    agents' coordinates in agent order."""
-    stranded = ~state.setup.grid.walkable_mask[ys, xs]
+def _halt_if_stranded(state: SimState, cells: np.ndarray) -> None:
+    """Halt naming the first agent off the map, else the first off walkable
+    ground; cells are the agents' flat cells in agent order."""
+    grid, agents, tick = state.setup.grid, state.agents, state.tick
+    walkable = grid.walkable_mask.ravel()
+    # read unsigned, a negative cell is as far off the map as a large one
+    off_map = cells.view(np.uintp) >= walkable.size
+    if off_map.any():
+        agent = agents[int(off_map.argmax())]
+        raise InvariantViolation(tick, f"agent {agent.id} stands on cell {agent.cell}, "
+                                       f"off the {grid.width}x{grid.height} map")
+    stranded = ~walkable[cells]
     if stranded.any():
-        agent = state.agents[int(stranded.argmax())]
-        raise InvariantViolation(
-            state.tick, f"agent {agent.id} occupies non-walkable cell {agent.coord}"
-        )
+        agent = agents[int(stranded.argmax())]
+        y, x = divmod(agent.cell, grid.width)
+        raise InvariantViolation(tick, f"agent {agent.id} occupies non-walkable cell {(x, y)}")
 
 
-def _check_invariants(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
-    """Halt on an unbalanced garbage ledger or an agent off walkable ground;
-    (xs, ys) are the agents' coordinates in agent order."""
+def _check_invariants(state: SimState, cells: np.ndarray) -> None:
+    """Halt on an unbalanced garbage ledger or an agent off the map or off
+    walkable ground; cells are the agents' flat cells in agent order."""
     garbage = state.garbage
     if not garbage.ledger_balanced():
         raise InvariantViolation(
@@ -377,7 +400,7 @@ def _check_invariants(state: SimState, xs: np.ndarray, ys: np.ndarray) -> None:
             f"generated={garbage.generated_total} standing={garbage.in_place_total} "
             f"river={garbage.river_total} collected={garbage.collected_total}",
         )
-    _halt_if_stranded(state, xs, ys)
+    _halt_if_stranded(state, cells)
 
 
 def _prepark_walk_and_waste(state: SimState) -> int:
@@ -385,7 +408,7 @@ def _prepark_walk_and_waste(state: SimState) -> int:
     config, rng, grid = state.config, state.rng, state.setup.grid
     # home and cell lie on the grid: a longer range admits no more cells
     home_range = min(config.resident_range, max(grid.width, grid.height))
-    step_resident(state.agents, state.houses, state.setup.walk, rng, home_range)
+    step_resident(state.agents, state.houses, state.setup.walk, grid.width, rng, home_range)
     generate_domestic_waste(state.houses, state.garbage, rng, config)
     return 0
 
@@ -394,17 +417,17 @@ def _park_turnover(state: SimState) -> None:
     config, rng = state.config, state.rng
     # only spawning makes visitors, so without it there is none to despawn
     if config.visitor_spawn_rate > 0:
-        everyone, agents, first = state.occupancy[0], state.agents, config.n_community
+        everyone, agents, first = state.occupancy.everyone, state.agents, config.n_community
         # visitors spawned at or before last_gone have stayed visit_length ticks;
         # they lead the visitors, which are in spawn order (many, if visit_length fell)
         last_gone = state.tick - config.visit_length
         while len(agents) > first and agents[first].spawn_tick <= last_gone:
-            x, y = agents.pop(first).coord
-            everyone[y][x] -= 1
+            everyone[agents.pop(first).cell] -= 1
         if rng.random() < config.visitor_spawn_rate:
-            x, y = coord = state.setup.entrances[randbelow(rng, len(state.setup.entrances))]
-            _spawn_agent(state, coord)
-            everyone[y][x] += 1
+            x, y = state.setup.entrances[randbelow(rng, len(state.setup.entrances))]
+            cell = y * state.setup.grid.width + x
+            _spawn_agent(state, cell)
+            everyone[cell] += 1
 
 
 def _park_agents(state: SimState) -> int:
@@ -417,19 +440,21 @@ def _park_agents(state: SimState) -> int:
     visitors = state.agents[config.n_community:]
     # only a park that spawns visitors keeps occupancy, and step_agent moves it
     occupancy = state.occupancy
-    wander = (setup.grid.hotspots, setup.step_tables, setup.draw, rng, config.dwell_p)
+    width = setup.grid.width
+    wander = (setup.targets, setup.step_tables, width, setup.draw, rng, config.dwell_p)
     # cleanup neither draws nor moves anyone, and no visitor has acted yet
     # this tick, so walking every member before any cleans changes nothing
     if not config.community_stationary:
-        deque(step_agent(members, *wander, occupancy or ()), 0)
+        deque(step_agent(members, *wander, occupancy[:2] if occupancy else ()), 0)
     for member in members:
         if not garbage.in_place_total:
             break
-        community_cleanup(member.coord, garbage, config)
+        y, x = divmod(member.cell, width)
+        community_cleanup((x, y), garbage, config)
     if not visitors:
         return 0
     littering = 0
-    # a visitor is counted in the all-agent grid only; a litter draw falls
+    # a visitor is counted in the all-agent counts only; a litter draw falls
     # between that visitor's draws and the next one's
     for agent, event in step_agent(visitors, *wander, occupancy[:1]):
         if event == ARRIVED:
@@ -437,7 +462,7 @@ def _park_agents(state: SimState) -> int:
         elif agent.carrying_litter and event == DWELLING:
             nearby, community_near = _watchers(occupancy, agent, config.warn_radius)
             if visitor_litter_decision(nearby, community_near, rng, config):
-                _drop_litter(state, agent.coord)
+                _drop_litter(state, agent.cell)
                 agent.carrying_litter = False
                 littering += 1
     return littering
@@ -461,7 +486,7 @@ def step(state: SimState) -> SimState:
     # values, never this tick's moves or drops
     occupants = utilities_by_cell(state.agents)
     # the steps below trust every agent to stand on walkable ground
-    _halt_if_stranded(state, occupants[0], occupants[1])
+    _halt_if_stranded(state, occupants[0])
     garbage = state.garbage
     # a tick that starts with no standing garbage needs only the grid's shape
     garbage_snapshot = (garbage.in_place.copy() if garbage.in_place_total
@@ -469,15 +494,14 @@ def step(state: SimState) -> SimState:
     # 4. the scenario's actions, agents in ascending id order
     littering = act(state)
     # 5. every agent's utility in one pass; nothing in act reads it
-    xs, ys = agent_cells(state.agents)
-    penalties = crowding_penalty((xs, ys), occupants, garbage_snapshot,
-                                 config.rho, config.epsilon0)
-    utilities = agent_utility((xs, ys), state.field, penalties)
+    cells = agent_cells(state.agents)
+    penalties = crowding_penalty(cells, occupants, garbage_snapshot, config.rho, config.epsilon0)
+    utilities = agent_utility(cells, state.field, penalties)
     for agent, utility in zip(state.agents, utilities.tolist()):
         agent.utility = utility
     # 6. metrics and invariants
     _record_metrics(state, littering)
-    _check_invariants(state, xs, ys)
+    _check_invariants(state, cells)
     return state
 
 
@@ -491,7 +515,7 @@ def render_frame(state: SimState) -> str:
     for x, y in state.houses:
         rows[y][x] = "h"
     for agent in state.agents:
-        x, y = agent.coord
+        y, x = divmod(agent.cell, state.setup.grid.width)
         rows[y][x] = "A"
     return "\n".join("".join(row) for row in rows) + "\n"
 

@@ -22,6 +22,23 @@ def grid_from(text: str, elevation: str | None = None, **kwargs):
     return load_terrain(text, elevation, **kwargs)
 
 
+def cell_at(coord, width: int) -> int:
+    """The flat cell y * width + x of coord (x, y)."""
+    x, y = coord
+    return y * width + x
+
+
+def coord_of(agent, width: int) -> tuple[int, int]:
+    """The (x, y) of the agent's flat cell on a map width cells wide."""
+    y, x = divmod(agent.cell, width)
+    return x, y
+
+
+def agent_coords(state) -> list[tuple[int, int]]:
+    """Every agent's (x, y), in agent order."""
+    return [coord_of(agent, state.setup.grid.width) for agent in state.agents]
+
+
 def placement_features(grid, config):
     """(river features, road features) as prepark set-up computes them for
     placement; the simulation state keeps neither."""

@@ -337,13 +337,13 @@ def _neighbors_row_major(x, y):
                 yield x + dx, y + dy
 
 
-def bf_utilities_by_cell(agents):
-    """Sum of agents' last utilities per occupied cell, added in agent order
-    from 0.0 (empty cells absent): the per-cell sums bf_crowding_penalty
-    reads."""
+def bf_utilities_by_cell(placed):
+    """Sum of agents' last utilities per occupied cell from (coord, utility)
+    pairs in agent order, added in that order from 0.0 (empty cells absent):
+    the per-cell sums bf_crowding_penalty reads."""
     out = {}
-    for agent in agents:
-        out[agent.coord] = out.get(agent.coord, 0.0) + agent.utility
+    for coord, utility in placed:
+        out[coord] = out.get(coord, 0.0) + utility
     return out
 
 
@@ -705,7 +705,7 @@ def bf_run(config, grid):
                 spawn(VISITOR, entrances[rng.randrange(len(entrances))])
         for a in agents:
             assert walkable[a.coord[1], a.coord[0]], (tick, a.id, a.coord)
-        utilities = bf_utilities_by_cell(agents)
+        utilities = bf_utilities_by_cell([(a.coord, a.utility) for a in agents])
         snapshot = garbage["in_place"].copy()
 
         for a in agents:

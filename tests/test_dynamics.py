@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,11 +27,12 @@ from riversim import load_terrain
 from riversim.config import ConfigError
 from riversim.landscape import MOORE_OFFSETS, walkable_distance_field
 
-from conftest import grid_from, make_config, walled_park_map
+from conftest import cell_at, coord_of, grid_from, make_config, walled_park_map
 from reference import (
     DWELL_ENDED,
     MOVED,
     RESIDENT,
+    VISITOR,
     BfAgent,
     bf_agent_utility,
     bf_choose_next_hotspot,
@@ -245,32 +247,35 @@ class TestMooreSum:
         self.assert_every_band_matches(field.p)
 
 
-def cells(*coords):
-    """Index arrays (xs, ys) of the given (x, y) cells."""
-    return np.array([x for x, _ in coords], dtype=np.intp), np.array([y for _, y in coords],
-                                                                   dtype=np.intp)
+def cells(width, *coords):
+    """Index array of the flat cells of the given (x, y) on a map width cells
+    wide."""
+    return np.array([cell_at(c, width) for c in coords], dtype=np.intp)
 
 
 def utility_at(coord, field, penalty):
     """agent_utility of one cell, checked against bf_agent_utility bit for bit."""
-    (value,) = agent_utility(cells(coord), field, np.array([penalty])).tolist()
+    (value,) = agent_utility(cells(field.p.shape[1], coord), field,
+                             np.array([penalty])).tolist()
     assert value == bf_agent_utility(coord, field.p, penalty)
     return value
 
 
-def penalty_at(coord, agents, garbage, rho, epsilon0):
-    """crowding_penalty of one cell, checked against bf_crowding_penalty bit
-    for bit."""
-    (value,) = crowding_penalty(cells(coord), utilities_by_cell(agents), garbage,
-                                rho, epsilon0).tolist()
-    assert value == bf_crowding_penalty(coord, bf_utilities_by_cell(agents), garbage,
+def penalty_at(coord, placed, garbage, rho, epsilon0):
+    """crowding_penalty of one cell among agents on (coord, last utility)
+    pairs, checked against bf_crowding_penalty bit for bit."""
+    width = garbage.shape[1]
+    (value,) = crowding_penalty(cells(width, coord), utilities_by_cell(visitors(width, *placed)),
+                                garbage, rho, epsilon0).tolist()
+    assert value == bf_crowding_penalty(coord, bf_utilities_by_cell(placed), garbage,
                                         rho, epsilon0)
     return value
 
 
-def visitors(*placed):
-    """Agents in id order from (coord, last utility) pairs."""
-    return [Agent(i, c, utility=u) for i, (c, u) in enumerate(placed)]
+def visitors(width, *placed):
+    """Agents in id order from (coord, last utility) pairs on a map width
+    cells wide."""
+    return [Agent(i, cell_at(c, width), utility=u) for i, (c, u) in enumerate(placed)]
 
 
 class TestUtility:
@@ -317,13 +322,12 @@ class TestCrowdingPenalty:
 
     def test_neighbor_utility_term(self):
         garbage = np.zeros((5, 5), dtype=np.int64)
-        agents = visitors(((1, 2), 0.8))
-        assert penalty_at((2, 2), agents, garbage, 1.0, 0.0) == pytest.approx(0.1)
+        assert penalty_at((2, 2), [((1, 2), 0.8)], garbage, 1.0, 0.0) == pytest.approx(0.1)
 
     def test_out_of_range_agents_ignored(self):
         garbage = np.zeros((5, 5), dtype=np.int64)
-        agents = visitors(((4, 4), 5.0), ((2, 2), 3.0))  # own cell is not a neighbor
-        assert penalty_at((2, 2), agents, garbage, 1.0, 0.0) == 0.0
+        placed = [((4, 4), 5.0), ((2, 2), 3.0)]  # own cell is not a neighbor
+        assert penalty_at((2, 2), placed, garbage, 1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("rho", [0.0, -0.0, 0.1])
     @pytest.mark.parametrize("epsilon0", [0.0, -0.0, 0.1])
@@ -333,28 +337,28 @@ class TestCrowdingPenalty:
         nprng = np.random.default_rng(4)
         h, w = 5, 6
         coords = [(x, y) for y in range(h) for x in range(w)]
-        agents = visitors(*[(c, float(nprng.normal())) for c in coords if nprng.random() < 0.6])
-        agents += visitors(((0, 0), -0.0))
+        placed = [(c, float(nprng.normal())) for c in coords if nprng.random() < 0.6]
+        placed.append(((0, 0), -0.0))
+        agents = visitors(w, *placed)
         zero = np.zeros((h, w), dtype=np.int64)
-        utilities = bf_utilities_by_cell(agents)
+        utilities = bf_utilities_by_cell(placed)
         expected = np.array([bf_crowding_penalty(c, utilities, zero, rho, epsilon0)
                              for c in coords])
         for garbage in ((h, w), zero):
-            batch = crowding_penalty(cells(*coords), utilities_by_cell(agents), garbage,
+            batch = crowding_penalty(cells(w, *coords), utilities_by_cell(agents), garbage,
                                      rho, epsilon0)
             assert batch.tobytes() == expected.tobytes()
-            single = [crowding_penalty(cells(c), utilities_by_cell(agents), garbage,
+            single = [crowding_penalty(cells(w, c), utilities_by_cell(agents), garbage,
                                        rho, epsilon0)[0] for c in coords]
             assert np.array(single).tobytes() == expected.tobytes()
 
     def test_utilities_by_cell_sums_cohabitants(self):
-        agents = visitors(((1, 1), 0.25), ((2, 2), -0.1), ((1, 1), 0.5))
-        xs, ys, utilities = utilities_by_cell(agents)
-        assert (xs.tolist(), ys.tolist(), utilities.tolist()) == ([1, 2, 1], [1, 2, 1],
-                                                                  [0.25, -0.1, 0.5])
+        placed = [((1, 1), 0.25), ((2, 2), -0.1), ((1, 1), 0.5)]
+        occupied, utilities = utilities_by_cell(visitors(3, *placed))
+        assert (occupied.tolist(), utilities.tolist()) == ([4, 8, 4], [0.25, -0.1, 0.5])
         # (0, 1) neighbours both cohabitants of (1, 1), and not (2, 2)
         garbage = np.zeros((3, 3), dtype=np.int64)
-        assert penalty_at((0, 1), agents, garbage, 8.0, 0.0) == 0.75
+        assert penalty_at((0, 1), placed, garbage, 8.0, 0.0) == 0.75
 
 
 class TestBatchedUtilityOracle:
@@ -373,12 +377,12 @@ class TestBatchedUtilityOracle:
         # so a cell's sum depends on the order of its adds
         start = edge_cells + random_cells + random_cells[:10] * 3 + random_cells[:1] * 8
         magnitudes = nprng.choice([1e-9, 1.0, 1e9], size=len(start))
-        agents = visitors(*[(c, float(u)) for c, u in
-                            zip(start, nprng.normal(size=len(start)) * magnitudes)])
-        agents[int(nprng.integers(len(agents)))].utility = -0.0
-        assert any(a.utility < 0 for a in agents)
-        occupants = utilities_by_cell(agents)
-        utilities = bf_utilities_by_cell(agents)
+        placed = [(c, float(u)) for c, u in zip(start, nprng.normal(size=len(start)) * magnitudes)]
+        signed = int(nprng.integers(len(placed)))
+        placed[signed] = (placed[signed][0], -0.0)
+        assert any(u < 0 for _, u in placed)
+        occupants = utilities_by_cell(visitors(w, *placed))
+        utilities = bf_utilities_by_cell(placed)
         # the penalty is taken where each agent ends the tick: a step away
         # from its tick-start cell, clipped to the map
         moved = [(min(max(x + int(nprng.integers(-1, 2)), 0), w - 1),
@@ -388,8 +392,8 @@ class TestBatchedUtilityOracle:
         rho, epsilon0 = float(nprng.random()), float(nprng.random())
         dirty = nprng.integers(0, 4, size=(h, w))
         for garbage, oracle_garbage in ((dirty, dirty), ((h, w), np.zeros((h, w), np.int64))):
-            penalties = crowding_penalty(cells(*moved), occupants, garbage, rho, epsilon0)
-            values = agent_utility(cells(*moved), field, penalties)
+            penalties = crowding_penalty(cells(w, *moved), occupants, garbage, rho, epsilon0)
+            values = agent_utility(cells(w, *moved), field, penalties)
             expected = [bf_crowding_penalty(c, utilities, oracle_garbage, rho, epsilon0)
                         for c in moved]
             assert penalties.tobytes() == np.array(expected).tobytes()
@@ -399,8 +403,8 @@ class TestBatchedUtilityOracle:
             # one cell at a time: a single coordinate sums its rows in the
             # same order
             for c, penalty in zip(moved, expected):
-                assert penalty_at(c, agents, oracle_garbage, rho, epsilon0) == penalty
-                assert crowding_penalty(cells(c), occupants, garbage, rho,
+                assert penalty_at(c, placed, oracle_garbage, rho, epsilon0) == penalty
+                assert crowding_penalty(cells(w, c), occupants, garbage, rho,
                                         epsilon0).tobytes() == np.array([penalty]).tobytes()
 
     def test_neighbor_sum_is_computed_once_per_field(self, monkeypatch):
@@ -409,7 +413,7 @@ class TestBatchedUtilityOracle:
         calls = []
         real = dynamics._moore_sum
         monkeypatch.setattr(dynamics, "_moore_sum", lambda p: calls.append(1) or real(p))
-        agent_utility(cells((1, 1)), field, np.zeros(1))
+        agent_utility(cells(4, (1, 1)), field, np.zeros(1))
         diffuse_excitement(field, grid)
         assert len(calls) == 1
 
@@ -569,21 +573,26 @@ class TestGeometricDwell:
 
 def distances_and_step_tables(grid):
     """The hotspots' BFS layers, and their step tables as prepare builds
-    them: rows of bytes from the downhill bits."""
+    them: one bytes per layer from the downhill bits."""
     layers, downhill = walkable_distance_field(grid, grid.hotspots)
-    return layers, [[row.tobytes() for row in layer] for layer in downhill]
+    return layers, [layer.tobytes() for layer in downhill]
+
+
+def targets(grid):
+    """The hotspots' flat cells."""
+    return tuple(cell_at(c, grid.width) for c in grid.hotspots)
 
 
 def wander_setup(text, agent_coord):
     grid = grid_from(text)
     _, tables = distances_and_step_tables(grid)
-    agent = Agent(0, agent_coord)
+    agent = Agent(0, cell_at(agent_coord, grid.width))
     return grid, tables, hotspot_draw(len(grid.hotspots), 1.0), agent
 
 
 def tick(agents, grid, tables, draws, rng, dwell_p):
     """Every (agent, event) one step_agent call yields."""
-    return list(step_agent(agents, grid.hotspots, tables, draws, rng, dwell_p))
+    return list(step_agent(agents, targets(grid), tables, grid.width, draws, rng, dwell_p))
 
 
 def yielded(agent, event):
@@ -595,11 +604,10 @@ def yielded(agent, event):
 
 
 def head_counts(agents, grid):
-    """Agents per cell, as rows of ints."""
-    counts = [[0] * grid.width for _ in range(grid.height)]
+    """Agents per flat cell."""
+    counts = [0] * (grid.width * grid.height)
     for agent in agents:
-        x, y = agent.coord
-        counts[y][x] += 1
+        counts[agent.cell] += 1
     return counts
 
 
@@ -608,7 +616,7 @@ class TestStepAgent:
         grid, tables, draws, agent = wander_setup("H....", (1, 0))
         agent.target_hotspot = 0
         assert tick([agent], grid, tables, draws, random.Random(0), 0.25) == [(agent, ARRIVED)]
-        assert agent.coord == (0, 0)
+        assert agent.cell == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_corridor_arrival_takes_exactly_k_ticks(self, k):
@@ -618,7 +626,7 @@ class TestStepAgent:
         rng = random.Random(1)
         events = [tick([agent], grid, tables, draws, rng, 0.25) for _ in range(k)]
         assert events == [[]] * (k - 1) + [[(agent, ARRIVED)]]
-        assert agent.coord == (0, 0)
+        assert agent.cell == 0
 
     def test_unreachable_target_resampled_without_moving(self):
         # two hotspots; the left one is walled off from the agent
@@ -626,15 +634,15 @@ class TestStepAgent:
         agent.target_hotspot = 0
         rng = random.Random(2)
         assert tick([agent], grid, tables, draws, rng, 0.25) == [(agent, RETARGETED)]
-        assert agent.coord == (3, 1)
+        assert coord_of(agent, grid.width) == (3, 1)
         assert agent.target_hotspot == 1
-        assert grid.walkable_mask[1, 3]  # agent.coord
+        assert grid.walkable_mask[1, 3]  # the agent's cell
 
     def test_untargeted_agent_picks_target_first(self):
         grid, tables, draws, agent = wander_setup("H....", (3, 0))
         assert tick([agent], grid, tables, draws, random.Random(0), 0.25) == [(agent, RETARGETED)]
         assert agent.target_hotspot == 0
-        assert agent.coord == (3, 0)
+        assert agent.cell == 3
 
     def test_dwell_then_release(self):
         grid, tables, draws, agent = wander_setup("H....", (0, 0))
@@ -668,10 +676,10 @@ class TestStepAgent:
         (dist,), _ = walkable_distance_field(grid, [(0, 0)])
         agent.target_hotspot = 0
         rng = random.Random(3)
-        d = dist[agent.coord[1], agent.coord[0]]
-        while agent.coord != (0, 0):
+        d = dist.flat[agent.cell]
+        while agent.cell != 0:
             tick([agent], grid, tables, draws, rng, 0.25)
-            nd = dist[agent.coord[1], agent.coord[0]]
+            nd = dist.flat[agent.cell]
             assert nd == d - 1
             d = nd
 
@@ -693,27 +701,28 @@ def check_one_call_steps_the_list_in_order(n_counts):
         ys, xs = np.nonzero(grid.walkable_mask)
         starts = [(int(xs[i]), int(ys[i]))
                   for i in (rng.randrange(len(xs)) for _ in range(rng.randint(1, 12)))]
-        targets = [rng.choice([None, rng.randrange(len(grid.hotspots))]) for _ in starts]
-        fast = [Agent(i, c, target_hotspot=t)
-                for i, (c, t) in enumerate(zip(starts, targets))]
-        slow = [Agent(i, c, target_hotspot=t)
-                for i, (c, t) in enumerate(zip(starts, targets))]
-        # the second grid also counts a head that no move touches
-        still = [Agent(-1, starts[0])]
+        aims = [rng.choice([None, rng.randrange(len(grid.hotspots))]) for _ in starts]
+        fast = [Agent(i, cell_at(c, grid.width), target_hotspot=t)
+                for i, (c, t) in enumerate(zip(starts, aims))]
+        slow = [BfAgent(i, VISITOR, c, target_hotspot=t)
+                for i, (c, t) in enumerate(zip(starts, aims))]
+        # the second list also counts a head that no move touches
+        still = [Agent(-1, cell_at(starts[0], grid.width))]
         counts = (head_counts(fast, grid), head_counts(fast + still, grid))[:n_counts]
         seed = rng.random()
         fast_rng, slow_rng = random.Random(seed), random.Random(seed)
 
         def agree(upto):
             for f, s in zip(fast[:upto], slow[:upto]):
-                assert (f.coord, f.target_hotspot, f.dwell_remaining) == (
+                assert (coord_of(f, grid.width), f.target_hotspot, f.dwell_remaining) == (
                     s.coord, s.target_hotspot, s.dwell_remaining)
             assert fast_rng.getstate() == slow_rng.getstate()
             assert counts == (head_counts(fast, grid),
                               head_counts(fast + still, grid))[:n_counts]
 
         for t in range(25):
-            moves = step_agent(fast, grid.hotspots, tables, draws, fast_rng, 0.3, counts)
+            moves = step_agent(fast, targets(grid), tables, grid.width, draws, fast_rng, 0.3,
+                               counts)
             for i, s in enumerate(slow):
                 expected = bf_step_agent(s, grid, layers, slow_rng, 0.3, base)
                 seen.add(expected)
@@ -744,20 +753,21 @@ class TestStepTables:
             for _ in range(4):
                 i = rng.randrange(len(xs))
                 start = (int(xs[i]), int(ys[i]))
-                fast = Agent(0, start)
-                slow = Agent(0, start)
+                fast = Agent(0, cell_at(start, grid.width))
+                slow = BfAgent(0, VISITOR, start)
                 seed = rng.random()
                 fast_rng, slow_rng = random.Random(seed), random.Random(seed)
                 for _ in range(40):
                     target = fast.target_hotspot
-                    if target is not None and fast.coord != grid.hotspots[target]:
-                        mask = tables[target][fast.coord[1]][fast.coord[0]]
+                    if target is not None and slow.coord != grid.hotspots[target]:
+                        mask = tables[target][fast.cell]
                         ties += bin(mask).count("1") > 1
                         unreachable += mask == 0
                     events = tick([fast], grid, tables, draws, fast_rng, 0.3)
                     expected = bf_step_agent(slow, grid, layers, slow_rng, 0.3, base)
                     assert events == yielded(fast, expected)
-                    assert (fast.coord, fast.target_hotspot, fast.dwell_remaining) == (
+                    assert (coord_of(fast, grid.width), fast.target_hotspot,
+                            fast.dwell_remaining) == (
                         slow.coord, slow.target_hotspot, slow.dwell_remaining
                     )
                     assert fast_rng.getstate() == slow_rng.getstate()
@@ -769,7 +779,7 @@ class TestStepTables:
         grid, tables, draws, agent = wander_setup("H....", (2, 0))
         agent.target_hotspot = 0
         rng, replay = random.Random(5), random.Random(5)
-        assert dynamics.DOWNHILL_STEPS[tables[0][0][2]] == ((-1, 0),)
+        assert dynamics.DOWNHILL_STEPS[tables[0][2]] == ((-1, 0),)
         assert tick([agent], grid, tables, draws, rng, 0.25) == []
         replay.randrange(1)
         assert rng.getstate() == replay.getstate()
@@ -785,22 +795,22 @@ class TestStepTables:
 class TestResidentWalk:
     def test_resident_stays_within_range_and_walkable(self):
         grid = grid_from("....t\n.....\n..~..\n.....")
-        agent = Agent(0, (1, 1))
+        agent = Agent(0, cell_at((1, 1), grid.width))
         walk = walk_table(grid.walkable_mask)
         rng = random.Random(9)
         for _ in range(200):
-            step_resident([agent], [(1, 1)], walk, rng, home_range=2)
-            x, y = agent.coord
+            step_resident([agent], [(1, 1)], walk, grid.width, rng, home_range=2)
+            x, y = coord_of(agent, grid.width)
             assert grid.walkable_mask[y, x]
             assert max(abs(x - 1), abs(y - 1)) <= 2
 
     def test_boxed_in_resident_stays_put(self):
         grid = grid_from("t.t\n.#.\nt.t", legend=None)
         # center cell is obstacle; use the walkable cell at (1, 0) boxed by range 0
-        agent = Agent(0, (1, 0))
-        step_resident([agent], [(1, 0)], walk_table(grid.walkable_mask), random.Random(0),
-                      home_range=0)
-        assert agent.coord == (1, 0)
+        agent = Agent(0, 1)
+        step_resident([agent], [(1, 0)], walk_table(grid.walkable_mask), grid.width,
+                      random.Random(0), home_range=0)
+        assert agent.cell == 1
 
     def test_walk_table_matches_neighbour_scan(self):
         # random small maps with obstacles, trees and water, so residents
@@ -825,18 +835,18 @@ class TestResidentWalk:
                     start, rng.choice(open_cells),
                     (start[0] + home_range + rng.randint(1, 3), start[1] - rng.randint(0, 4)),
                 ])
-                fast = Agent(0, start)
+                fast = Agent(0, cell_at(start, w))
                 slow = BfAgent(0, RESIDENT, start, home=home)
                 seed = rng.random()
                 fast_rng, slow_rng = random.Random(seed), random.Random(seed)
                 for _ in range(30):
-                    x, y = fast.coord
+                    x, y = coord_of(fast, w)
                     hx, hy = home
                     outside += max(abs(x - hx), abs(y - hy)) > home_range
                     edge += x in (0, w - 1) or y in (0, h - 1)
-                    step_resident([fast], [home], walk, fast_rng, home_range)
+                    step_resident([fast], [home], walk, w, fast_rng, home_range)
                     bf_step_resident(slow, grid, slow_rng, home_range)
-                    assert fast.coord == slow.coord
+                    assert coord_of(fast, w) == slow.coord
                     assert fast_rng.getstate() == slow_rng.getstate()
         assert outside > 0 and edge > 0
 
@@ -857,7 +867,7 @@ class TestResidentWalk:
             open_cells = list(zip(xs.tolist(), ys.tolist()))
             home_range = trial % 3
             homes = [rng.choice(open_cells) for _ in range(rng.randint(1, 12))]
-            fast = [Agent(i, home) for i, home in enumerate(homes)]
+            fast = [Agent(i, cell_at(home, w)) for i, home in enumerate(homes)]
             slow = [BfAgent(i, RESIDENT, home, home=home) for i, home in enumerate(homes)]
             seed = rng.random()
             fast_rng, slow_rng = random.Random(seed), random.Random(seed)
@@ -865,16 +875,59 @@ class TestResidentWalk:
                 if tick % 7 == 6:
                     moved = rng.randrange(len(homes))
                     far = rng.choice(open_cells)
-                    fast[moved].coord = slow[moved].coord = far
+                    slow[moved].coord = far
+                    fast[moved].cell = cell_at(far, w)
                 for agent, (hx, hy) in zip(fast, homes):
-                    x, y = agent.coord
+                    x, y = coord_of(agent, w)
                     reach = max(abs(x - hx), abs(y - hy))
                     out_of_range += reach > home_range
                     on_edge += reach == home_range > 0
-                    boxed += walk[y][x] == 0
-                step_resident(fast, homes, walk, fast_rng, home_range)
+                    boxed += walk[agent.cell] == 0
+                step_resident(fast, homes, walk, w, fast_rng, home_range)
                 for agent in slow:
                     bf_step_resident(agent, grid, slow_rng, home_range)
-                assert [a.coord for a in fast] == [a.coord for a in slow]
+                assert [coord_of(a, w) for a in fast] == [a.coord for a in slow]
                 assert fast_rng.getstate() == slow_rng.getstate()
         assert boxed > 0 and on_edge > 0 and out_of_range > 0
+
+
+class TestFlatCells:
+    def test_agent_has_no_coord_attribute(self):
+        # Agent is slotted: a caller still writing a coordinate gets an
+        # error, not an attribute that nothing reads
+        agent = Agent(0, 7)
+        with pytest.raises(AttributeError):
+            agent.coord = (1, 2)
+        assert agent.cell == 7
+        assert not hasattr(agent, "__dict__")
+
+    def test_flat_moves_land_where_coordinate_moves_land(self):
+        # on random maps 1 to 9 cells wide, every step a walk table or a step
+        # table names from every cell, as a flat offset, lands on the cell the
+        # (dx, dy) step lands on, on the map and walkable; none wraps a row
+        rng = random.Random(17)
+        last_column = Counter()
+        for _ in range(80):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            grid = grid_from("\n".join("".join(rng.choice("....#t~H") for _ in range(w))
+                                       for _ in range(h)))
+            tables = [walk_table(grid.walkable_mask)]
+            if grid.hotspots:
+                tables += distances_and_step_tables(grid)[1]
+            step_draws, walk_draws = dynamics._move_draws(w)
+            for table in tables:
+                assert len(table) == w * h
+                for cell, mask in enumerate(table):
+                    y, x = divmod(cell, w)
+                    n, k, offsets = step_draws[mask]
+                    assert (n, k) == (len(offsets), len(offsets).bit_length())
+                    assert walk_draws[mask] == (n + 1, (n + 1).bit_length(), offsets)
+                    for offset, (dx, dy) in zip(offsets, dynamics.DOWNHILL_STEPS[mask],
+                                                strict=True):
+                        nx, ny = x + dx, y + dy
+                        assert 0 <= nx < w and 0 <= ny < h
+                        assert grid.walkable_mask[ny, nx]
+                        assert cell + offset == cell_at((nx, ny), w)
+                        last_column[min(w, 3)] += x == w - 1
+        # moves from the last column on maps 1, 2 and more cells wide
+        assert all(last_column[w] for w in (1, 2, 3))

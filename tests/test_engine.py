@@ -25,7 +25,15 @@ from riversim.engine import (
 )
 from riversim.landscape import compute_river_features, load_terrain, walkable_distance_field
 
-from conftest import desk_park_map, grid_from, make_config, traced_peak
+from conftest import (
+    agent_coords,
+    cell_at,
+    coord_of,
+    desk_park_map,
+    grid_from,
+    make_config,
+    traced_peak,
+)
 from reference import bf_agent_utility, bf_crowding_penalty, bf_utilities_by_cell, buildlog_csv
 
 RIVER_ONLY = "~..\n...\n..."
@@ -33,7 +41,7 @@ RIVER_ONLY = "~..\n...\n..."
 
 def snapshot(state):
     return (
-        [(a.id, a.coord, a.utility, a.target_hotspot) for a in state.agents],
+        [(a.id, a.cell, a.utility, a.target_hotspot) for a in state.agents],
         list(state.houses),
         [record.tick for record in state.build_log],
         state.garbage.in_place.tobytes(),
@@ -49,7 +57,7 @@ class TestInitScenario:
         state = init_scenario(config, grid=default_grid)
         assert len(state.houses) == 30
         # every agent is a resident, agent i at home in house i
-        assert [a.coord for a in state.agents] == state.houses
+        assert agent_coords(state) == state.houses
         assert len(state.metrics) == 1
         assert state.metrics[0].tick == 0
 
@@ -73,7 +81,7 @@ class TestInitScenario:
         # every agent is a community member until the first visitor spawns
         hotspots = default_grid.hotspots
         expected = [hotspots[i % len(hotspots)] for i in range(7)]
-        assert [m.coord for m in state.agents] == expected
+        assert agent_coords(state) == expected
 
     def test_resident_i_walks_around_house_i(self, default_grid):
         # resident i is anchored to state.houses[i]: it strays from its house
@@ -85,8 +93,7 @@ class TestInitScenario:
         strays = 0
         for _ in range(60):
             step(state)
-            for agent, (hx, hy) in zip(state.agents, state.houses, strict=True):
-                x, y = agent.coord
+            for (x, y), (hx, hy) in zip(agent_coords(state), state.houses, strict=True):
                 assert max(abs(x - hx), abs(y - hy)) <= 1
                 strays += (x, y) != (hx, hy)
         assert strays > 60
@@ -284,8 +291,7 @@ class TestStep:
         walk = default_grid.walkable_mask
         for _ in range(150):
             step(state)
-            for agent in state.agents:
-                x, y = agent.coord
+            for x, y in agent_coords(state):
                 assert walk[y, x]
 
     def test_visitors_despawn_after_visit_length(self, default_grid):
@@ -313,7 +319,7 @@ class TestStep:
         step(state)
         # the visitors of ticks 11..28 leave, and tick 31's arrives
         assert [a.id for a in state.agents] == [0, 1, 30, 31, 32]
-        assert sum(map(sum, state.occupancy[0])) == 5
+        assert sum(state.occupancy.everyone) == 5
 
     @pytest.mark.parametrize("stationary", [False, True])
     def test_members_come_first_in_id_order(self, default_grid, stationary):
@@ -434,15 +440,16 @@ class TestCleanTicks:
                 state.garbage.drop_at((1, 1))
                 state.garbage.drop_at((4, 2))
                 state.garbage.drop_at((4, 2))
-            previous = bf_utilities_by_cell(state.agents)
+            previous = bf_utilities_by_cell(
+                zip(agent_coords(state), [a.utility for a in state.agents]))
             garbage = state.garbage.in_place.copy()
             at_start.append(state.garbage.in_place_total)
             step(state)
             expected = [
-                bf_agent_utility(a.coord, state.field.p,
-                                 bf_crowding_penalty(a.coord, previous, garbage,
+                bf_agent_utility(coord, state.field.p,
+                                 bf_crowding_penalty(coord, previous, garbage,
                                                      config.rho, config.epsilon0))
-                for a in state.agents
+                for coord in agent_coords(state)
             ]
             assert (np.array([a.utility for a in state.agents]).tobytes()
                     == np.array(expected).tobytes())
@@ -577,9 +584,9 @@ class TestCommunityEffects:
                              visitor_spawn_rate=0.0)
         state = init_scenario(config, grid=default_grid)
         member = state.agents[0]
-        state.garbage.drop_at(member.coord)
+        state.garbage.drop_at(coord_of(member, default_grid.width))
         step(state)
-        assert member.coord == default_grid.hotspots[0]
+        assert coord_of(member, default_grid.width) == default_grid.hotspots[0]
         assert state.garbage.collected_total == 1
 
     def test_park_river_stays_clean_without_drift(self, default_grid):
@@ -622,7 +629,7 @@ class TestInvariantHalt:
         config = make_config(scenario="park", seed=1, n_community=1)
         state = init_scenario(config, grid=default_grid)
         step(state)
-        state.agents[0].coord = (0, 20)  # drop the member into the river
+        state.agents[0].cell = cell_at((0, 20), default_grid.width)  # into the river
         with pytest.raises(InvariantViolation, match="tick 2"):
             step(state)
 
@@ -632,8 +639,8 @@ class TestInvariantHalt:
         config = make_config(scenario="park", seed=1, n_community=3,
                              community_stationary=True, visitor_spawn_rate=0.0)
         state = init_scenario(config, grid=default_grid)
-        state.agents[1].coord = (0, 20)
-        state.agents[2].coord = (1, 20)
+        state.agents[1].cell = cell_at((0, 20), default_grid.width)
+        state.agents[2].cell = cell_at((1, 20), default_grid.width)
         assert not default_grid.walkable_mask[20, 0]
         with pytest.raises(InvariantViolation,
                            match=r"tick 1: agent 1 occupies non-walkable cell \(0, 20\)"):
@@ -660,9 +667,9 @@ class TestInvariantHalt:
         assert len(state.agents) == place + 1
         agent = state.agents[place]
         assert not default_grid.walkable_mask[20, 0]
-        agent.coord = (0, 20)
+        agent.cell = cell_at((0, 20), default_grid.width)
         before = state.rng.getstate()
-        coords = [a.coord for a in state.agents]
+        cells = [a.cell for a in state.agents]
         replay = random.Random()
         replay.setstate(before)
         if case == "visitor":
@@ -674,7 +681,35 @@ class TestInvariantHalt:
                                  r"\(0, 20\)"):
             step(state)
         assert state.rng.getstate() == replay.getstate()
-        assert [a.coord for a in state.agents][:len(coords)] == coords
+        assert [a.cell for a in state.agents][:len(cells)] == cells
+
+    # flat cells off the map on both sides: -1 and -H*W would wrap to the
+    # map's last and first cell, H*W and beyond would index past its end
+    @pytest.mark.parametrize("case", sorted(STRANDED))
+    @pytest.mark.parametrize("side", ["before", "start_of_map", "end_of_map", "after"])
+    def test_agent_off_the_map_halts_before_any_draw(self, case, side, default_grid):
+        knobs, place = self.STRANDED[case]
+        config = make_config(seed=5, **knobs)
+        state = init_scenario(config, grid=default_grid)
+        for _ in range(3):
+            step(state)
+        size = default_grid.width * default_grid.height
+        cell = {"before": -size - 1, "start_of_map": -size, "end_of_map": -1,
+                "after": size}[side]
+        agent = state.agents[place]
+        agent.cell = cell
+        replay = random.Random()
+        replay.setstate(state.rng.getstate())
+        if case == "visitor":
+            # step 1 draws for the spawn and its entrance before the check
+            assert replay.random() < config.visitor_spawn_rate
+            randbelow(replay, len(state.setup.entrances))
+        with pytest.raises(InvariantViolation,
+                           match=rf"^tick 4: agent {agent.id} stands on cell {cell}, "
+                                 r"off the 48x26 map$"):
+            step(state)
+        assert state.rng.getstate() == replay.getstate()
+        assert agent.cell == cell
 
 
 def random_park_map(rng, width, height):
@@ -692,14 +727,15 @@ def random_park_map(rng, width, height):
 
 
 def fresh_counts(state):
-    """(all agents, community members) per cell, counted from state.agents."""
-    everyone = [[0] * state.setup.grid.width for _ in range(state.setup.grid.height)]
-    members = [[0] * state.setup.grid.width for _ in range(state.setup.grid.height)]
+    """(all agents, community members) per flat cell, counted from
+    state.agents, and the map width."""
+    width = state.setup.grid.width
+    everyone = [0] * (width * state.setup.grid.height)
+    members = everyone[:]
     for i, agent in enumerate(state.agents):
-        x, y = agent.coord
-        everyone[y][x] += 1
-        members[y][x] += i < state.config.n_community
-    return everyone, members
+        everyone[agent.cell] += 1
+        members[agent.cell] += i < state.config.n_community
+    return everyone, members, width
 
 
 class TestWatcherCounts:
@@ -735,11 +771,13 @@ class TestWatcherCounts:
         def checked(occupancy, me, radius):
             out = watched(occupancy, me, radius)
             agents, n = current["state"].agents, current["state"].config.n_community
-            others = [(a.coord, i < n) for i, a in enumerate(agents) if a is not me]
-            assert out == bf_watchers(others, me.coord, radius)
             grid = current["state"].setup.grid
-            decisions.append(me.coord in {(0, 0), (grid.width - 1, 0), (0, grid.height - 1),
-                                          (grid.width - 1, grid.height - 1)})
+            others = [(coord_of(a, grid.width), i < n) for i, a in enumerate(agents)
+                      if a is not me]
+            at = coord_of(me, grid.width)
+            assert out == bf_watchers(others, at, radius)
+            decisions.append(at in {(0, 0), (grid.width - 1, 0), (0, grid.height - 1),
+                                    (grid.width - 1, grid.height - 1)})
             return out
 
         monkeypatch.setattr(engine, "_watchers", checked)
@@ -755,14 +793,14 @@ class TestWatcherCounts:
                 config, grid=grid_from(random_park_map(rng, width, height)))
             assert state.occupancy == fresh_counts(state)
             for _ in range(40):
-                before = {a.id: a.coord for a in state.agents}
+                before = {a.id: a.cell for a in state.agents}
                 step(state)
                 assert state.occupancy == fresh_counts(state)
                 # a visitor despawns from the cell it ended the last tick on;
                 # a new one ends its first tick on its entrance
                 alive = {a.id for a in state.agents}
-                gone = {coord for i, coord in before.items() if i not in alive}
-                turnover += any(a.coord in gone for a in state.agents if a.id not in before)
+                gone = {cell for i, cell in before.items() if i not in alive}
+                turnover += any(a.cell in gone for a in state.agents if a.id not in before)
         if "entrances" in self.CASES[name]:
             assert turnover
         if config.visit_length > 1:

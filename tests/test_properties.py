@@ -39,6 +39,8 @@ from riversim.config import SECTION_FIELDS, ConfigError, SimConfig, load_config
 from riversim.engine import CSV_HEADER, init_scenario, step
 from riversim.landscape import DEFAULT_LEGEND, TerrainError
 
+from conftest import agent_coords
+
 MAX_SIDE = 12
 MAX_TICKS = 30
 
@@ -167,9 +169,8 @@ def _assert_invariants(state) -> None:
     standing = int(garbage.in_place.sum())
     assert garbage.generated_total == standing + garbage.river_total + garbage.collected_total
     walk = state.setup.grid.walkable_mask
-    for agent in state.agents:
-        x, y = agent.coord
-        assert walk[y, x], (state.tick, agent.id, agent.coord)
+    for agent, (x, y) in zip(state.agents, agent_coords(state)):
+        assert walk[y, x], (state.tick, agent.id, (x, y))
 
 
 def _outputs(out: Path) -> dict[str, bytes]:

@@ -13,7 +13,7 @@ from riversim.settlement import (
     place_next_house,
 )
 
-from conftest import grid_from, make_config, placement_features
+from conftest import agent_coords, grid_from, make_config, placement_features
 from reference import (
     RULE_HIGHLAND_BEHIND,
     RULE_NOT_BUILDABLE,
@@ -389,5 +389,5 @@ class TestGrowth:
         _build_houses(state, 12)
         assert [(r.x, r.y) for r in state.build_log] == state.houses
         # one resident per house, on it, in build order
-        assert [a.coord for a in state.agents] == state.houses
+        assert agent_coords(state) == state.houses
 

@@ -23,6 +23,11 @@ feature set on together rather than draw each knob alone):
   and the watcher windows hold many agents. Beside the spawned visitors the
   community ranges from none to dense, so litter decisions meet windows
   with and without a member in them.
+- ``make_edge_case``: maps 1 or 2 cells wide, and wider maps whose hotspots
+  (park) or building land (prepark) lie only on the last column, so that
+  wanderers and residents step from and onto the first and last columns.
+  The engine moves an agent by a flat offset, y * width + x; the reference
+  moves (x, y), so an offset that wraps a row shows as a different run.
 
 The two runs must agree byte for byte on the metrics CSV and the build log,
 on the final agents and their utilities as float bits, on the final
@@ -33,6 +38,8 @@ make none.
 """
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, reject, settings
@@ -42,6 +49,7 @@ from riversim.config import ConfigError, SimConfig
 from riversim.engine import metrics_to_csv, prepare, run
 from riversim.landscape import load_terrain
 
+from conftest import agent_coords
 from reference import COMMUNITY_MEMBER, RESIDENT, VISITOR, bf_run, buildlog_csv
 
 MAX_SIDE = 9
@@ -210,6 +218,30 @@ def make_crowd_case(case_seed: int):
     return config, _load(rows)
 
 
+def make_edge_case(case_seed: int):
+    """(config, grid) of one run on the map's edge columns: a park with 1 to
+    3 wandering members and maybe visitors, or a prepark of 1 to 12 houses,
+    on a map 1, 2 or 3 to 9 cells wide. On the wider maps the hotspots, or
+    the only buildable cells (the rest is road), lie on the last column."""
+    rng = random.Random(case_seed)
+    scenario = ("park", "prepark")[case_seed % 2]
+    width = (1, 2, rng.randint(3, MAX_SIDE))[case_seed // 2 % 3]
+    height = rng.randint(3, MAX_SIDE)
+    rows, river_row = _river_map(rng, width, height, "...p" if scenario == "park" else "=")
+    land = [y for y in range(height) if y != river_row]
+    if scenario == "park":
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.choice(land)][width - 1] = "H"
+    else:
+        for y in land:
+            rows[y][width - 1] = "."
+    config = replace(_config(rng, scenario),
+                     n_community=rng.randint(1, 3), community_stationary=False,
+                     visitor_spawn_rate=rng.choice([0.0, 0.5, 1.0]),
+                     houses=rng.randint(1, 12), river_buffer=0, resident_range=rng.randint(1, 3))
+    return config, _load(rows)
+
+
 def _bits(values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 
@@ -228,8 +260,9 @@ def _assert_runs_agree(config, grid):
     n = len(state.agents)
     roles = ([RESIDENT] * n if config.scenario == "prepark" else
              [COMMUNITY_MEMBER] * config.n_community + [VISITOR] * (n - config.n_community))
-    assert [(a.id, role, a.coord) for a, role in zip(state.agents, roles)] == [
-        (a.id, a.kind, a.coord) for a in expected.agents]
+    assert [(a.id, role) for a, role in zip(state.agents, roles)] == [
+        (a.id, a.kind) for a in expected.agents]
+    assert agent_coords(state) == [a.coord for a in expected.agents]
     assert _bits([a.utility for a in state.agents]) == _bits([a.utility for a in expected.agents])
     assert state.field.p.tobytes() == expected.field.tobytes()
     assert np.array_equal(state.garbage.in_place, expected.garbage)
@@ -275,3 +308,21 @@ def test_crowds_match_reference_run():
             raise AssertionError(f"crowd case {case_seed}") from error
         peaks.append(max(row.population for row in state.metrics))
     assert all(60 <= peak <= 120 for peak in peaks), peaks
+
+
+EDGE_CASES = 60
+
+
+def test_edge_columns_match_reference_run():
+    on_last_column = Counter()
+    for case_seed in range(EDGE_CASES):
+        config, grid = make_edge_case(case_seed)
+        try:
+            state = _assert_runs_agree(config, grid)
+        except AssertionError as error:
+            raise AssertionError(f"edge case {case_seed}") from error
+        on_last_column[config.scenario, min(grid.width, 3)] += any(
+            x == grid.width - 1 for x, _ in agent_coords(state))
+    # both scenarios end runs with agents on the last column at every width
+    assert all(on_last_column[scenario, width] >= 3
+               for scenario in ("park", "prepark") for width in (1, 2, 3)), on_last_column
